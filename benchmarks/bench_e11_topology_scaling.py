@@ -30,6 +30,7 @@ import common
 
 from repro.analysis.metrics import gap_coverage
 from repro.exec.engine import run_replay_parallel
+from repro.exec.telemetry import counter_delta
 from repro.netmodel.conditions import LinkState
 from repro.netmodel.scenarios import WEEK_S, Scenario, generate_timeline
 from repro.netmodel.topologies import coast_to_coast_flows
@@ -136,7 +137,7 @@ def test_e11_topology_scaling(benchmark):
 
     kernel_before = kernel.counters()
     scaling, replays = benchmark.pedantic(sweep, rounds=1, iterations=1)
-    kernel_delta = kernel.counters_delta(kernel_before, kernel.counters())
+    kernel_delta = counter_delta(kernel_before, kernel.counters())
     common.stage_metrics(
         kernel_backend=kernel.active_backend(),
         **{f"kernel_{name}": value for name, value in kernel_delta.items()},

@@ -27,6 +27,7 @@ from pathlib import Path
 
 from repro.exec.hashing import stable_hash
 from repro.exec.plan import ShardResult
+from repro.util.validation import env_cap
 
 __all__ = [
     "CACHE_DIR_ENV",
@@ -51,18 +52,7 @@ def default_cache_dir() -> Path:
 
 def default_max_bytes() -> int | None:
     """Size cap from ``$REPRO_EXEC_CACHE_MAX_BYTES``; ``None`` = unlimited."""
-    raw = os.environ.get(CACHE_MAX_BYTES_ENV)
-    if not raw:
-        return None
-    try:
-        value = int(raw)
-    except ValueError as error:
-        raise ValueError(
-            f"{CACHE_MAX_BYTES_ENV} must be an integer byte count, got {raw!r}"
-        ) from error
-    if value < 0:
-        raise ValueError(f"{CACHE_MAX_BYTES_ENV} must be >= 0, got {value}")
-    return value or None
+    return env_cap(CACHE_MAX_BYTES_ENV, None, "byte count")
 
 
 @dataclass(frozen=True)

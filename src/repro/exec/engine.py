@@ -40,7 +40,13 @@ from repro.exec.plan import (
     build_plan,
     merge_results,
 )
-from repro.exec.telemetry import ExecTelemetry, record
+from repro.exec.telemetry import (
+    ExecTelemetry,
+    counter_delta,
+    counter_fields,
+    counter_snapshot,
+    record,
+)
 from repro.netmodel.conditions import ConditionTimeline
 from repro.netmodel.topology import FlowSpec, ServiceSpec
 from repro.routing.registry import STANDARD_SCHEME_NAMES
@@ -76,13 +82,13 @@ def _worker_init(
 
 def _worker_run(
     shard: ShardSpec,
-) -> tuple[ShardResult, float, dict[str, int], list[dict] | None]:
+) -> tuple[ShardResult, float, dict[str, float], list[dict] | None]:
     """Run one shard in a pool worker.
 
-    Returns ``(result, wall seconds, probability-cache counter delta,
-    worker spans)``.  Workers are separate processes, so cache health has
-    to travel home with each shard as a before/after counter difference;
-    it must *not* ride inside the shard result, whose payload is
+    Returns ``(result, wall seconds, memo and kernel counter delta,
+    worker spans)``.  Workers are separate processes, so memo and kernel
+    counters travel home with each shard as a before/after difference;
+    they must *not* ride inside the shard result, whose payload is
     content-addressed.  When the parent propagated a trace context
     (``_worker_init``'s ``trace_wire``), the shard runs under a local
     tracer whose spans carry the parent's trace id and are shipped back
@@ -90,8 +96,7 @@ def _worker_run(
     the parent to graft into its own trace tree.
     """
     require(_WORKER_CONTEXT is not None, "worker used before initialization")
-    before = _WORKER_CONTEXT.probability_cache.counters()
-    kernel_before = kernel.counters()
+    before = counter_snapshot(_WORKER_CONTEXT.probability_cache)
     started = time.perf_counter()
     worker_spans: list[dict] | None = None
     if _WORKER_TRACE is not None:
@@ -104,35 +109,10 @@ def _worker_run(
     else:
         result = _WORKER_CONTEXT.run(shard)
     wall = time.perf_counter() - started
-    after = _WORKER_CONTEXT.probability_cache.counters()
-    delta: dict[str, float] = {
-        name: after[name] - before[name] for name in after
-    }
-    # Kernel counters are process-wide, so a worker's share travels home
-    # the same way the cache counters do: as a before/after difference,
-    # prefixed to keep the two counter families apart in one payload.
-    for name, value in kernel.counters_delta(
-        kernel_before, kernel.counters()
-    ).items():
-        delta[f"kernel_{name}"] = value
+    delta = counter_delta(
+        before, counter_snapshot(_WORKER_CONTEXT.probability_cache)
+    )
     return result, wall, delta, worker_spans
-
-
-def _apply_prob_cache_delta(
-    telemetry: ExecTelemetry, delta: dict[str, float]
-) -> None:
-    """Fold one shard's cache and kernel counter deltas into telemetry."""
-    telemetry.prob_hits += int(delta.get("hits", 0))
-    telemetry.prob_misses += int(delta.get("misses", 0))
-    telemetry.prob_shared_hits += int(delta.get("shared_hits", 0))
-    telemetry.prob_mask_hits += int(delta.get("mask_hits", 0))
-    telemetry.prob_evicted += int(delta.get("evictions", 0))
-    telemetry.kernel_vector_calls += int(delta.get("kernel_vector_calls", 0))
-    telemetry.kernel_pure_calls += int(delta.get("kernel_pure_calls", 0))
-    telemetry.kernel_vector_rows += int(delta.get("kernel_vector_rows", 0))
-    telemetry.kernel_pure_rows += int(delta.get("kernel_pure_rows", 0))
-    telemetry.kernel_vector_s += delta.get("kernel_vector_s", 0.0)
-    telemetry.kernel_pure_s += delta.get("kernel_pure_s", 0.0)
 
 
 def _default_executor_factory(
@@ -210,7 +190,7 @@ def _run_pooled(
                     results[shard] = shard_result
                     telemetry.shards_run += 1
                     telemetry.shard_wall_s.append(shard_wall)
-                    _apply_prob_cache_delta(telemetry, cache_delta)
+                    telemetry.add_counters(cache_delta)
                     if obs is not None:
                         # Workers are separate processes; the span is
                         # reconstructed parent-side from the returned wall
@@ -343,22 +323,14 @@ def run_replay_parallel(
         nonlocal local_context
         if local_context is None:
             local_context = ShardContext(topology, timeline, service, config)
-        before = local_context.probability_cache.counters()
-        kernel_before = kernel.counters()
+        before = counter_snapshot(local_context.probability_cache)
         shard_started = time.perf_counter()
         span_start = obs.tracer.now() if obs is not None else 0.0
         result = local_context.run(shard)
         shard_wall = time.perf_counter() - shard_started
         telemetry.shard_wall_s.append(shard_wall)
-        after = local_context.probability_cache.counters()
-        delta: dict[str, float] = {
-            name: after[name] - before[name] for name in after
-        }
-        for name, value in kernel.counters_delta(
-            kernel_before, kernel.counters()
-        ).items():
-            delta[f"kernel_{name}"] = value
-        _apply_prob_cache_delta(telemetry, delta)
+        after = counter_snapshot(local_context.probability_cache)
+        telemetry.add_counters(counter_delta(before, after))
         if obs is not None:
             obs.tracer.complete(
                 "shard", "exec", span_start, span_start + shard_wall,
@@ -421,31 +393,18 @@ def _observe_run(
     manifest reconcile against the replay result without re-running it.
     """
     metrics = obs.metrics
-    metrics.counter("exec.shards_total").inc(telemetry.shards_total)
-    metrics.counter("exec.shards_run").inc(telemetry.shards_run)
-    metrics.counter("exec.shards_cached").inc(telemetry.shards_cached)
-    metrics.counter("exec.shards_retried").inc(telemetry.shards_retried)
-    metrics.counter("exec.shards_fallback").inc(telemetry.shards_fallback)
-    metrics.counter("exec.prob_cache.hits").inc(telemetry.prob_hits)
-    metrics.counter("exec.prob_cache.misses").inc(telemetry.prob_misses)
-    metrics.counter("exec.prob_cache.shared_hits").inc(
-        telemetry.prob_shared_hits
-    )
-    metrics.counter("exec.prob_cache.mask_hits").inc(telemetry.prob_mask_hits)
-    metrics.counter("exec.prob_cache.evicted").inc(telemetry.prob_evicted)
+    for prefix, metric_prefix in (
+        ("shards_", "exec.shards_"),
+        ("prob_", "exec.prob_cache."),
+        ("kernel_", "replay.kernel."),
+    ):
+        for name in counter_fields(prefix):
+            metrics.counter(metric_prefix + name.removeprefix(prefix)).inc(
+                getattr(telemetry, name)
+            )
     metrics.counter(
         f"replay.kernel.backend.{telemetry.kernel_backend}"
     ).inc(1)
-    metrics.counter("replay.kernel.vector_calls").inc(
-        telemetry.kernel_vector_calls
-    )
-    metrics.counter("replay.kernel.pure_calls").inc(telemetry.kernel_pure_calls)
-    metrics.counter("replay.kernel.vector_rows").inc(
-        telemetry.kernel_vector_rows
-    )
-    metrics.counter("replay.kernel.pure_rows").inc(telemetry.kernel_pure_rows)
-    metrics.counter("replay.kernel.vector_s").inc(telemetry.kernel_vector_s)
-    metrics.counter("replay.kernel.pure_s").inc(telemetry.kernel_pure_s)
     for wall in telemetry.shard_wall_s:
         metrics.histogram("exec.shard_wall_s").observe(wall)
     for totals in merged.all_totals():

@@ -23,15 +23,19 @@ from __future__ import annotations
 import contextvars
 import threading
 from contextlib import contextmanager
-from dataclasses import dataclass, field
-from typing import Iterator, Sequence
+from dataclasses import dataclass, field, fields
+from typing import Iterator, Mapping, Sequence
 
+from repro.simulation import kernel
 from repro.util.tables import render_table
 
 __all__ = [
     "ExecTelemetry",
     "TelemetrySession",
     "aggregate_telemetry",
+    "counter_delta",
+    "counter_fields",
+    "counter_snapshot",
     "current_session",
     "record",
     "reset_session",
@@ -42,9 +46,17 @@ __all__ = [
 ]
 
 
-@dataclass
+@dataclass(slots=True)
 class ExecTelemetry:
-    """Counters and timings of one execution-engine invocation."""
+    """Counters and timings of one execution-engine invocation.
+
+    ``prob_<key>`` and ``kernel_<key>`` are the keys of the probability
+    memo's ``counters()`` and :func:`repro.simulation.kernel.counters`,
+    one field per key; :meth:`add_counters` folds a
+    :func:`counter_snapshot` delta in by name.  The record has slots, so
+    a source key without a field raises instead of creating a stray
+    attribute.
+    """
 
     label: str = "replay"
     workers: int = 0
@@ -60,7 +72,9 @@ class ExecTelemetry:
     prob_misses: int = 0
     prob_shared_hits: int = 0
     prob_mask_hits: int = 0
-    prob_evicted: int = 0
+    prob_evictions: int = 0
+    prob_canonical_evictions: int = 0
+    prob_recovery_fallbacks: int = 0
     kernel_backend: str = "pure"
     kernel_vector_calls: int = 0
     kernel_pure_calls: int = 0
@@ -70,6 +84,11 @@ class ExecTelemetry:
     kernel_pure_s: float = 0.0
     wall_time_s: float = 0.0
     shard_wall_s: list[float] = field(default_factory=list)
+
+    def add_counters(self, delta: Mapping[str, float]) -> None:
+        """Add a :func:`counter_delta` payload, field by field."""
+        for name, value in delta.items():
+            setattr(self, name, getattr(self, name) + value)
 
     @property
     def prob_hit_rate(self) -> float:
@@ -109,7 +128,8 @@ class ExecTelemetry:
             ],
             ["prob-cache shared hits", str(self.prob_shared_hits)],
             ["prob-cache mask hits", str(self.prob_mask_hits)],
-            ["prob-cache evictions", str(self.prob_evicted)],
+            ["prob-cache evictions", str(self.prob_evictions)],
+            ["prob-cache recovery fallbacks", str(self.prob_recovery_fallbacks)],
             ["kernel backend", self.kernel_backend],
             [
                 "kernel calls (vector/pure)",
@@ -139,36 +159,53 @@ class ExecTelemetry:
     def to_dict(self) -> dict[str, object]:
         """JSON-ready form (embedded in run manifests and bench output)."""
         executed = self.shards_run + self.shards_fallback
-        return {
-            "label": self.label,
-            "workers": self.workers,
-            "time_shards": self.time_shards,
-            "shards_total": self.shards_total,
-            "shards_run": self.shards_run,
-            "shards_cached": self.shards_cached,
-            "shards_retried": self.shards_retried,
-            "shards_fallback": self.shards_fallback,
-            "cache_corrupt": self.cache_corrupt,
-            "cache_evicted": self.cache_evicted,
-            "prob_hits": self.prob_hits,
-            "prob_misses": self.prob_misses,
-            "prob_shared_hits": self.prob_shared_hits,
-            "prob_mask_hits": self.prob_mask_hits,
-            "prob_evicted": self.prob_evicted,
-            "prob_hit_rate": self.prob_hit_rate,
-            "kernel_backend": self.kernel_backend,
-            "kernel_vector_calls": self.kernel_vector_calls,
-            "kernel_pure_calls": self.kernel_pure_calls,
-            "kernel_vector_rows": self.kernel_vector_rows,
-            "kernel_pure_rows": self.kernel_pure_rows,
-            "kernel_vector_s": self.kernel_vector_s,
-            "kernel_pure_s": self.kernel_pure_s,
-            "wall_time_s": self.wall_time_s,
-            "busy_s": self.busy_s,
-            "max_shard_s": max(self.shard_wall_s) if self.shard_wall_s else 0.0,
-            "mean_shard_s": self.busy_s / executed if executed else 0.0,
-            "utilization": self.utilization,
+        payload: dict[str, object] = {
+            spec.name: getattr(self, spec.name)
+            for spec in fields(self)
+            if spec.name != "shard_wall_s"
         }
+        payload.update(
+            prob_hit_rate=self.prob_hit_rate,
+            busy_s=self.busy_s,
+            max_shard_s=max(self.shard_wall_s) if self.shard_wall_s else 0.0,
+            mean_shard_s=self.busy_s / executed if executed else 0.0,
+            utilization=self.utilization,
+        )
+        return payload
+
+
+#: The fields :func:`aggregate_telemetry` sums: every numeric one except
+#: the worker and time-shard settings, which aggregate as a maximum.
+_SUMMED_FIELDS = tuple(
+    spec.name
+    for spec in fields(ExecTelemetry)
+    if isinstance(spec.default, (int, float))
+    and spec.name not in ("workers", "time_shards")
+)
+
+
+def counter_fields(prefix: str) -> tuple[str, ...]:
+    """The summed :class:`ExecTelemetry` fields starting with ``prefix``."""
+    return tuple(name for name in _SUMMED_FIELDS if name.startswith(prefix))
+
+
+def counter_snapshot(probability_cache) -> dict[str, float]:
+    """Memo and kernel counters, keyed by their :class:`ExecTelemetry` field."""
+    snapshot = {
+        f"prob_{name}": value
+        for name, value in probability_cache.counters().items()
+    }
+    snapshot.update(
+        (f"kernel_{name}", value) for name, value in kernel.counters().items()
+    )
+    return snapshot
+
+
+def counter_delta(
+    before: Mapping[str, float], after: Mapping[str, float]
+) -> dict[str, float]:
+    """``after - before``, key by key."""
+    return {name: after[name] - before[name] for name in after}
 
 
 # -- session aggregation ---------------------------------------------------------
@@ -192,25 +229,8 @@ def aggregate_telemetry(
         kernel_backend=records[-1].kernel_backend,
     )
     for telemetry in records:
-        total.shards_total += telemetry.shards_total
-        total.shards_run += telemetry.shards_run
-        total.shards_cached += telemetry.shards_cached
-        total.shards_retried += telemetry.shards_retried
-        total.shards_fallback += telemetry.shards_fallback
-        total.cache_corrupt += telemetry.cache_corrupt
-        total.cache_evicted += telemetry.cache_evicted
-        total.prob_hits += telemetry.prob_hits
-        total.prob_misses += telemetry.prob_misses
-        total.prob_shared_hits += telemetry.prob_shared_hits
-        total.prob_mask_hits += telemetry.prob_mask_hits
-        total.prob_evicted += telemetry.prob_evicted
-        total.kernel_vector_calls += telemetry.kernel_vector_calls
-        total.kernel_pure_calls += telemetry.kernel_pure_calls
-        total.kernel_vector_rows += telemetry.kernel_vector_rows
-        total.kernel_pure_rows += telemetry.kernel_pure_rows
-        total.kernel_vector_s += telemetry.kernel_vector_s
-        total.kernel_pure_s += telemetry.kernel_pure_s
-        total.wall_time_s += telemetry.wall_time_s
+        for name in _SUMMED_FIELDS:
+            setattr(total, name, getattr(total, name) + getattr(telemetry, name))
         total.shard_wall_s.extend(telemetry.shard_wall_s)
     return total
 

@@ -571,18 +571,15 @@ class EvalServer:
         """Mirror warm-state counters into gauges (loop thread only).
 
         ``serve.cache.*`` carries the server-lifetime context/prob/disk
-        stats; ``exec.prob_cache.*`` repeats the probability-memo
-        counters under the name scrapers already know from run
-        manifests.  Called after each completed request and at every
-        ``/v1/metrics`` scrape, so a scrape between requests still sees
-        current values.
+        stats (``exec.prob_cache.*`` stays a per-run counter of replays
+        that record metrics).  Called after each completed request and at
+        every ``/v1/metrics`` scrape, so a scrape between requests still
+        sees current values.
         """
         for name, value in self.runtime.cache_stats().items():
             if isinstance(value, bool):
                 continue
             self.obs.metrics.gauge(f"serve.cache.{name}").set(float(value))
-        for name, value in self.runtime.contexts.prob_counters().items():
-            self.obs.metrics.gauge(f"exec.prob_cache.{name}").set(float(value))
 
     def _refresh_cache_metrics(self, manifest: RunManifest) -> None:
         """Mirror server-lifetime cache stats into ``serve.cache.*`` metrics.

@@ -33,22 +33,12 @@ from repro.exec.hashing import context_key
 from repro.exec.plan import ShardContext
 from repro.netmodel.conditions import ConditionTimeline
 from repro.netmodel.topology import FlowSpec, ServiceSpec
+from repro.simulation.interval import _ProbabilityCache
 from repro.simulation.results import ReplayConfig
 from repro.topogen import Workload, resolve_workload
 from repro.util.validation import require
 
 __all__ = ["ContextCache", "ServeRuntime"]
-
-#: Probability-memo counters aggregated across warm contexts into
-#: ``serve.cache.prob_*`` metrics.
-_PROB_COUNTER_NAMES = (
-    "hits",
-    "misses",
-    "shared_hits",
-    "mask_hits",
-    "evictions",
-    "canonical_evictions",
-)
 
 
 class ContextCache:
@@ -109,19 +99,19 @@ class ContextCache:
             }
 
     def prob_counters(self) -> dict[str, int]:
-        """Probability-memo counters summed across resident contexts.
+        """Every probability-memo counter, summed across resident contexts.
 
-        Server-lifetime view of the warm memos' health: entries evicted
+        The source of the ``serve.cache.prob_*`` metrics: a
+        server-lifetime view of the warm memos' health.  Entries evicted
         with their context drop out of the sums, which is the honest
         reading -- their warmth is gone too.
         """
         with self._lock:
             contexts = list(self._entries.values())
-        totals = dict.fromkeys(_PROB_COUNTER_NAMES, 0)
+        totals = dict.fromkeys(_ProbabilityCache.COUNTERS, 0)
         for context in contexts:
-            snapshot = context.probability_cache.counters()
-            for name in _PROB_COUNTER_NAMES:
-                totals[name] += snapshot.get(name, 0)
+            for name, value in context.probability_cache.counters().items():
+                totals[name] += value
         return totals
 
 

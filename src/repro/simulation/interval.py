@@ -28,7 +28,6 @@ a skipped window reuses the exact object a fresh lookup would return.
 
 from __future__ import annotations
 
-import os
 import threading
 from typing import Iterable, Sequence
 
@@ -56,7 +55,7 @@ from repro.simulation.timeline import (
     decision_boundaries,
     observed_views_with_deltas,
 )
-from repro.util.validation import require
+from repro.util.validation import env_cap, require
 
 __all__ = [
     "PROB_CACHE_MAX_BYTES_ENV",
@@ -117,38 +116,18 @@ def _limit_error_with_context(
 
 def default_prob_cache_max_bytes() -> int | None:
     """Cap from ``$REPRO_PROB_CACHE_MAX_BYTES``; ``None`` = unlimited."""
-    raw = os.environ.get(PROB_CACHE_MAX_BYTES_ENV)
-    if not raw:
-        return DEFAULT_PROB_CACHE_MAX_BYTES
-    try:
-        value = int(raw)
-    except ValueError as error:
-        raise ValueError(
-            f"{PROB_CACHE_MAX_BYTES_ENV} must be an integer byte count, "
-            f"got {raw!r}"
-        ) from error
-    if value < 0:
-        raise ValueError(f"{PROB_CACHE_MAX_BYTES_ENV} must be >= 0, got {value}")
-    return value or None
+    return env_cap(
+        PROB_CACHE_MAX_BYTES_ENV, DEFAULT_PROB_CACHE_MAX_BYTES, "byte count"
+    )
 
 
 def default_prob_canonical_max_entries() -> int | None:
     """Cap from ``$REPRO_PROB_CANONICAL_MAX_ENTRIES``; ``None`` = unlimited."""
-    raw = os.environ.get(PROB_CANONICAL_MAX_ENTRIES_ENV)
-    if not raw:
-        return DEFAULT_PROB_CANONICAL_MAX_ENTRIES
-    try:
-        value = int(raw)
-    except ValueError as error:
-        raise ValueError(
-            f"{PROB_CANONICAL_MAX_ENTRIES_ENV} must be an integer entry "
-            f"count, got {raw!r}"
-        ) from error
-    if value < 0:
-        raise ValueError(
-            f"{PROB_CANONICAL_MAX_ENTRIES_ENV} must be >= 0, got {value}"
-        )
-    return value or None
+    return env_cap(
+        PROB_CANONICAL_MAX_ENTRIES_ENV,
+        DEFAULT_PROB_CANONICAL_MAX_ENTRIES,
+        "entry count",
+    )
 
 
 class _ProbabilityCache:
@@ -195,8 +174,25 @@ class _ProbabilityCache:
     ``(hits - shared_hits) / (hits + misses)`` is the rate per-group keys
     would have achieved), ``mask_hits`` counts misses whose
     Dijkstra enumeration was skipped via a cached classification, and
-    ``evictions`` counts entries dropped by the byte bound.
+    ``evictions`` counts entries dropped by the byte bound,
+    ``canonical_evictions`` the canonical forms dropped by the entry cap,
+    and ``recovery_fallbacks`` the hop-recovery misses answered with the
+    no-recovery lower bound because they exceed the ternary cap.
     """
+
+    #: The health counters, in :meth:`counters` order.  These keys are
+    #: the one spelling of each counter: exec telemetry fields
+    #: (``prob_<key>``), manifests and ``exec.prob_cache.<key>`` metrics
+    #: all derive from them.
+    COUNTERS = (
+        "hits",
+        "misses",
+        "shared_hits",
+        "mask_hits",
+        "evictions",
+        "canonical_evictions",
+        "recovery_fallbacks",
+    )
 
     def __init__(
         self,
@@ -251,15 +247,7 @@ class _ProbabilityCache:
     def counters(self) -> dict[str, int]:
         """Snapshot of the health counters (for telemetry deltas)."""
         with self._lock:
-            return {
-                "hits": self.hits,
-                "misses": self.misses,
-                "shared_hits": self.shared_hits,
-                "mask_hits": self.mask_hits,
-                "evictions": self.evictions,
-                "canonical_evictions": self.canonical_evictions,
-                "recovery_fallbacks": self.recovery_fallbacks,
-            }
+            return {name: getattr(self, name) for name in self.COUNTERS}
 
     def _canonical_graph(
         self, topology: Topology, graph: DisseminationGraph
@@ -451,14 +439,9 @@ class _ProbabilityCache:
             first_miss[key] = position
             misses.append((key, tuple(effective_latency), loss_vector, position))
         if misses:
-            if self.hop_recovery:
-                computed = self._resolve_recovery_misses(
-                    graph, edges, slot_of, structure, misses, group, contexts
-                )
-            else:
-                computed = self._resolve_mask_misses(
-                    graph, edges, slot_of, structure, misses, group, contexts
-                )
+            computed = self._resolve_misses(
+                graph, edges, slot_of, structure, misses, group, contexts
+            )
             computed.sort(key=lambda item: item[0])
             by_key: dict[tuple, DeliveryProbabilities] = {}
             for position, key, result in computed:
@@ -469,39 +452,56 @@ class _ProbabilityCache:
                 results[position] = by_key[key]
         return results  # type: ignore[return-value]
 
-    def _mask_classification(
+    def _classification(
         self,
         graph: DisseminationGraph,
         edges: tuple[Edge, ...],
         slot_of: dict[Edge, int],
-        mask_key: tuple,
+        class_key: tuple,
         effective_latency: tuple[float, ...],
         loss_vector: list[float],
         group: str | None,
-        context: str | None,
-    ) -> MaskClassification:
-        """Cached delivery-mask classification (one locked LRU touch)."""
+    ) -> MaskClassification | RecoveryClassification:
+        """Cached classification (one locked LRU touch); raises on the cap.
+
+        Binary delivery masks normally, ternary recovery states under
+        hop recovery; ``class_key`` carries the matching tag.
+        """
         with self._lock:
-            entry = self._entries.pop(mask_key, None)
+            entry = self._entries.pop(class_key, None)
             if entry is not None:
-                self._entries[mask_key] = entry  # most recently used
+                self._entries[class_key] = entry  # most recently used
                 self.mask_hits += 1
         if entry is not None:
-            classification = entry[0]
-            assert isinstance(classification, MaskClassification)
-            return classification
-        try:
+            return entry[0]
+
+        def latency_of(edge: Edge) -> float:
+            return effective_latency[slot_of[edge]]
+
+        def loss_of(edge: Edge) -> float:
+            return loss_vector[slot_of[edge]]
+
+        if self.hop_recovery:
+            classification, _losses = classify_recovery_states(
+                graph,
+                self.deadline_ms,
+                latency_of,
+                loss_of,
+                # Ack timeout (~2x link latency + slack) + retransmission
+                # flight time.
+                lambda edge: 3.0 * latency_of(edge) + self.recovery_extra_ms,
+                max_lossy_edges=self.max_recovery_lossy_edges,
+            )
+        else:
             classification, _losses = classify_delivery_masks(
                 graph,
                 self.deadline_ms,
-                lambda edge: effective_latency[slot_of[edge]],
-                lambda edge: loss_vector[slot_of[edge]],
+                latency_of,
+                loss_of,
                 max_lossy_edges=self.max_lossy_edges,
             )
-        except ReliabilityLimitError as error:
-            raise _limit_error_with_context(error, graph, context) from error
         self._store(
-            mask_key,
+            class_key,
             classification,
             group,
             len(edges),
@@ -509,7 +509,7 @@ class _ProbabilityCache:
         )
         return classification
 
-    def _resolve_mask_misses(
+    def _resolve_misses(
         self,
         graph: DisseminationGraph,
         edges: tuple[Edge, ...],
@@ -526,108 +526,17 @@ class _ProbabilityCache:
         only each slot's *category* (clean / fractional / dead), so
         loss-only condition changes skip the Dijkstra enumeration
         entirely and their loss rows ride one kernel batch call.
+
+        Under hop recovery the ternary (3^L) classification is cached
+        just like the binary one; a view with too many lossy edges for
+        ternary enumeration falls back to the no-recovery computation, a
+        conservative lower bound on delivery (counted in
+        ``recovery_fallbacks``).
         """
+        tag = "rstates" if self.hop_recovery else "masks"
         grouped: dict[
-            tuple, tuple[MaskClassification, list[tuple[int, tuple, list[float]]]]
+            tuple, tuple[MaskClassification | RecoveryClassification, list]
         ] = {}
-        order: list[tuple] = []
-        for key, effective_latency, loss_vector, position in misses:
-            context = contexts[position] if contexts is not None else None
-            categories = bytes(
-                0 if loss <= 0.0 else 2 if loss >= 1.0 else 1
-                for loss in loss_vector
-            )
-            mask_key = ("masks", structure, effective_latency, categories)
-            classification = self._mask_classification(
-                graph, edges, slot_of, mask_key, effective_latency,
-                loss_vector, group, context,
-            )
-            entry = grouped.get(mask_key)
-            if entry is None:
-                entry = (classification, [])
-                grouped[mask_key] = entry
-                order.append(mask_key)
-            losses = [loss_vector[slot] for slot in classification.lossy_slots]
-            entry[1].append((position, key, losses))
-        computed: list[tuple[int, tuple, DeliveryProbabilities]] = []
-        for mask_key in order:
-            classification, items = grouped[mask_key]
-            rows = [losses for _position, _key, losses in items]
-            values = accumulate_mask_probabilities_batch(classification, rows)
-            computed.extend(
-                (position, key, value)
-                for (position, key, _losses), value in zip(items, values)
-            )
-        return computed
-
-    def _recovery_classification(
-        self,
-        graph: DisseminationGraph,
-        edges: tuple[Edge, ...],
-        slot_of: dict[Edge, int],
-        recovery_key: tuple,
-        effective_latency: tuple[float, ...],
-        loss_vector: list[float],
-        group: str | None,
-    ) -> RecoveryClassification:
-        """Cached ternary recovery classification (raises on the cap)."""
-        with self._lock:
-            entry = self._entries.pop(recovery_key, None)
-            if entry is not None:
-                self._entries[recovery_key] = entry  # most recently used
-                self.mask_hits += 1
-        if entry is not None:
-            classification = entry[0]
-            assert isinstance(classification, RecoveryClassification)
-            return classification
-
-        def latency_of(edge: Edge) -> float:
-            return effective_latency[slot_of[edge]]
-
-        def recovery_latency_of(edge: Edge) -> float:
-            # Ack timeout (~2x link latency + slack) + retransmission
-            # flight time.
-            return 3.0 * latency_of(edge) + self.recovery_extra_ms
-
-        classification, _losses = classify_recovery_states(
-            graph,
-            self.deadline_ms,
-            latency_of,
-            lambda edge: loss_vector[slot_of[edge]],
-            recovery_latency_of,
-            max_lossy_edges=self.max_recovery_lossy_edges,
-        )
-        self._store(
-            recovery_key,
-            classification,
-            group,
-            len(edges),
-            extra_bytes=len(classification.classes),
-        )
-        return classification
-
-    def _resolve_recovery_misses(
-        self,
-        graph: DisseminationGraph,
-        edges: tuple[Edge, ...],
-        slot_of: dict[Edge, int],
-        structure: tuple,
-        misses: list[tuple[tuple, tuple[float, ...], list[float], int]],
-        group: str | None,
-        contexts: Sequence[str | None] | None,
-    ) -> list[tuple[int, tuple, DeliveryProbabilities]]:
-        """Recovery-engine analogue of :meth:`_resolve_mask_misses`.
-
-        The ternary (3^L) classification is cached just like the binary
-        one; a view with too many lossy edges for ternary enumeration
-        falls back to the no-recovery computation, a conservative lower
-        bound on delivery (as the fused engine always has).
-        """
-        grouped: dict[
-            tuple,
-            tuple[RecoveryClassification, list[tuple[int, tuple, list[float]]]],
-        ] = {}
-        order: list[tuple] = []
         computed: list[tuple[int, tuple, DeliveryProbabilities]] = []
         for key, effective_latency, loss_vector, position in misses:
             context = contexts[position] if contexts is not None else None
@@ -635,13 +544,17 @@ class _ProbabilityCache:
                 0 if loss <= 0.0 else 2 if loss >= 1.0 else 1
                 for loss in loss_vector
             )
-            recovery_key = ("rstates", structure, effective_latency, categories)
+            class_key = (tag, structure, effective_latency, categories)
             try:
-                classification = self._recovery_classification(
-                    graph, edges, slot_of, recovery_key, effective_latency,
+                classification = self._classification(
+                    graph, edges, slot_of, class_key, effective_latency,
                     loss_vector, group,
                 )
-            except ReliabilityLimitError:
+            except ReliabilityLimitError as error:
+                if not self.hop_recovery:
+                    raise _limit_error_with_context(
+                        error, graph, context
+                    ) from error
                 with self._lock:
                     self.recovery_fallbacks += 1
                 try:
@@ -652,25 +565,26 @@ class _ProbabilityCache:
                         lambda edge: loss_vector[slot_of[edge]],
                         max_lossy_edges=self.max_lossy_edges,
                     )
-                except ReliabilityLimitError as error:
+                except ReliabilityLimitError as fallback_error:
                     raise _limit_error_with_context(
-                        error, graph, context
-                    ) from error
+                        fallback_error, graph, context
+                    ) from fallback_error
                 computed.append((position, key, result))
                 continue
-            entry = grouped.get(recovery_key)
-            if entry is None:
-                entry = (classification, [])
-                grouped[recovery_key] = entry
-                order.append(recovery_key)
             losses = [loss_vector[slot] for slot in classification.lossy_slots]
-            entry[1].append((position, key, losses))
-        for recovery_key in order:
-            classification, items = grouped[recovery_key]
-            rows = [losses for _position, _key, losses in items]
-            values = accumulate_recovery_probabilities_batch(
-                classification, rows
+            grouped.setdefault(class_key, (classification, []))[1].append(
+                (position, key, losses)
             )
+        # Looked up at call time, like the classifiers above, so wrappers
+        # installed on this module's names see every call.
+        accumulate = (
+            accumulate_recovery_probabilities_batch
+            if self.hop_recovery
+            else accumulate_mask_probabilities_batch
+        )
+        for classification, items in grouped.values():
+            rows = [losses for _position, _key, losses in items]
+            values = accumulate(classification, rows)
             computed.extend(
                 (position, key, value)
                 for (position, key, _losses), value in zip(items, values)

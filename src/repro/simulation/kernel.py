@@ -52,7 +52,6 @@ __all__ = [
     "VECTOR_MIN_CASES",
     "active_backend",
     "counters",
-    "counters_delta",
     "describe",
     "force_backend",
     "mask_totals",
@@ -193,13 +192,6 @@ def counters() -> dict[str, float]:
     """Snapshot of per-backend call/row/time counters (process-wide)."""
     with _counter_lock:
         return dict(_counters)
-
-
-def counters_delta(
-    before: dict[str, float], after: dict[str, float]
-) -> dict[str, float]:
-    """``after - before``, key by key (telemetry fold helper)."""
-    return {name: after[name] - before[name] for name in after}
 
 
 def _charge(backend: str, rows: int, elapsed: float) -> None:

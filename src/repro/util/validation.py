@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import os
 from typing import NoReturn
 
 
@@ -41,3 +42,24 @@ def require_non_negative(value: float, name: str) -> float:
     """Validate that ``value`` is >= 0 and return it."""
     require(value >= 0, f"{name} must be >= 0, got {value!r}")
     return float(value)
+
+
+def env_cap(name: str, default: int | None, unit: str) -> int | None:
+    """Non-negative integer cap from ``$name``; ``0`` means unlimited.
+
+    Unset or empty returns ``default``; unlimited returns ``None``.  A
+    non-integer or negative value raises ``ValueError`` naming the
+    variable (``unit`` words the integer, e.g. ``"byte count"``).
+    """
+    raw = os.environ.get(name)
+    if not raw:
+        return default
+    try:
+        value = int(raw)
+    except ValueError as error:
+        raise ValueError(
+            f"{name} must be an integer {unit}, got {raw!r}"
+        ) from error
+    if value < 0:
+        raise ValueError(f"{name} must be >= 0, got {value}")
+    return value or None

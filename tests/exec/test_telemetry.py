@@ -4,14 +4,23 @@ from __future__ import annotations
 
 import pytest
 
+from repro.exec.engine import run_replay_parallel
+from repro.exec.plan import ShardContext
 from repro.exec.telemetry import (
     ExecTelemetry,
+    aggregate_telemetry,
     record,
     reset_session,
     session_records,
     session_summary,
     session_totals,
 )
+from repro.obs import Observability
+from repro.simulation import kernel
+from repro.simulation.results import ReplayConfig
+
+from tests.exec.test_engine import small_case
+from tests.exec.test_plan import SMALL_SCHEMES
 
 
 @pytest.fixture(autouse=True)
@@ -97,27 +106,27 @@ class TestProbCacheCounters:
             prob_misses=2,
             prob_shared_hits=3,
             prob_mask_hits=1,
-            prob_evicted=4,
+            prob_evictions=4,
         ).to_dict()
         assert payload["prob_hits"] == 6
         assert payload["prob_misses"] == 2
         assert payload["prob_shared_hits"] == 3
         assert payload["prob_mask_hits"] == 1
-        assert payload["prob_evicted"] == 4
+        assert payload["prob_evictions"] == 4
         assert payload["prob_hit_rate"] == pytest.approx(0.75)
 
     def test_hit_rate_zero_without_lookups(self):
         assert ExecTelemetry().prob_hit_rate == 0.0
 
     def test_totals_sum_prob_counters(self):
-        record(_telemetry(prob_hits=10, prob_misses=5, prob_evicted=1))
+        record(_telemetry(prob_hits=10, prob_misses=5, prob_evictions=1))
         record(
             _telemetry(
                 prob_hits=2,
                 prob_misses=1,
                 prob_shared_hits=2,
                 prob_mask_hits=3,
-                prob_evicted=1,
+                prob_evictions=1,
             )
         )
         total = session_totals()
@@ -125,7 +134,7 @@ class TestProbCacheCounters:
         assert total.prob_misses == 6
         assert total.prob_shared_hits == 2
         assert total.prob_mask_hits == 3
-        assert total.prob_evicted == 2
+        assert total.prob_evictions == 2
 
     def test_summary_table_shows_prob_cache_rows(self):
         # Satellite (c): eviction telemetry must be user-visible, not
@@ -136,7 +145,7 @@ class TestProbCacheCounters:
                 prob_misses=2,
                 prob_shared_hits=3,
                 prob_mask_hits=5,
-                prob_evicted=7,
+                prob_evictions=7,
             )
         )
         collapsed = " ".join(session_summary().split())
@@ -144,6 +153,55 @@ class TestProbCacheCounters:
         assert "prob-cache shared hits 3" in collapsed
         assert "prob-cache mask hits 5" in collapsed
         assert "prob-cache evictions 7" in collapsed
+        assert "prob-cache recovery fallbacks 0" in collapsed
+
+
+def _live_sources() -> tuple[dict, dict]:
+    """The live memo and kernel counter snapshots (the names' one source)."""
+    topology, timeline, _flows, service = small_case()
+    context = ShardContext(topology, timeline, service, ReplayConfig())
+    return context.probability_cache.counters(), kernel.counters()
+
+
+class TestCounterNamesRoundTrip:
+    """Every source key reaches telemetry, aggregation and the registry."""
+
+    def _fields(self) -> list[str]:
+        prob, kernel_counters = _live_sources()
+        return [f"prob_{name}" for name in prob] + [
+            f"kernel_{name}" for name in kernel_counters
+        ]
+
+    def test_every_key_in_to_dict(self):
+        payload = ExecTelemetry().to_dict()
+        for name in self._fields():
+            assert name in payload
+
+    def test_every_key_summed_by_aggregate(self):
+        records = [ExecTelemetry(), ExecTelemetry()]
+        for step, telemetry in enumerate(records, start=1):
+            telemetry.add_counters(dict.fromkeys(self._fields(), step))
+        total = aggregate_telemetry(records)
+        for name in self._fields():
+            assert getattr(total, name) == 3, name
+
+    def test_every_key_in_obs_registry(self):
+        obs = Observability()
+        topology, timeline, flows, service = small_case()
+        run_replay_parallel(
+            topology, timeline, flows, service, SMALL_SCHEMES,
+            max_workers=0, use_cache=False, obs=obs,
+        )
+        names = obs.metrics.names()
+        prob, kernel_counters = _live_sources()
+        for name in prob:
+            assert f"exec.prob_cache.{name}" in names
+        for name in kernel_counters:
+            assert f"replay.kernel.{name}" in names
+
+    def test_unknown_key_fails_loudly(self):
+        with pytest.raises(AttributeError):
+            ExecTelemetry().add_counters({"prob_no_such_counter": 1})
 
 
 class TestKernelCounters:

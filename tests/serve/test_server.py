@@ -214,7 +214,12 @@ class TestTelemetryEndpoints:
         assert sample_value(families, "repro_serve_uptime_s") >= 0.0
         # Scrape-time gauges: warm-cache stats without a request in flight.
         assert sample_value(families, "repro_serve_cache_context_hits") >= 0
-        assert sample_value(families, "repro_exec_prob_cache_hits") >= 0
+        assert sample_value(families, "repro_serve_cache_prob_hits") >= 0
+        # Memo totals are published once, as serve.cache.prob_* gauges;
+        # exec.prob_cache.* is a per-run counter the daemon never mirrors.
+        assert not [
+            name for name in families if name.startswith("repro_exec_prob_cache")
+        ]
         # Satellite series: queue-wait and request-wall histograms.
         for dotted in ("repro_serve_queue_wait_s", "repro_serve_request_wall_s"):
             family = families[dotted]
