@@ -197,7 +197,7 @@ def _add_scenario_family_arguments(parser: argparse.ArgumentParser) -> None:
 
 
 def _compiled_family(topology, args: argparse.Namespace, duration_s: float):
-    """Compile the requested scenario family (one world for chaos/replay)."""
+    """Compile the requested scenario family for the analytic replay."""
     from repro.scenarios import compile_family
 
     seed = args.seed if args.scenario_seed is None else args.scenario_seed
@@ -665,60 +665,89 @@ def _cmd_topology(args: argparse.Namespace) -> int:
     return 0
 
 
-def _chaos_flows(args: argparse.Namespace, workload):
-    names = _split_names(args.flows)
-    if names is None:
-        # The whole flow table at once makes for a slow simulation;
-        # default to a representative pair.
-        return workload.select_flows(None, default=workload.flows[:2])
-    return workload.select_flows(names)
+def _add_chaos_arguments(parser: argparse.ArgumentParser) -> None:
+    """The chaos request flags, shared by ``chaos`` and ``client chaos``."""
+    parser.add_argument("--seed", type=int, default=7, help="fault-schedule seed")
+    parser.add_argument(
+        "--duration", type=float, default=30.0, help="run length in seconds"
+    )
+    parser.add_argument(
+        "--schemes",
+        default="targeted,static-single",
+        help="comma-separated routing schemes to compare",
+    )
+    parser.add_argument(
+        "--flows",
+        help="comma-separated flow names like NYC->LAX (default: two "
+        "representative reference flows)",
+    )
+    parser.add_argument("--crashes", type=int, default=1)
+    parser.add_argument("--blackholes", type=int, default=1)
+    parser.add_argument("--partitions", type=int, default=0)
+    parser.add_argument("--stalls", type=int, default=0)
+    parser.add_argument(
+        "--message-windows",
+        type=int,
+        default=0,
+        help="windows of message duplication/reordering/corruption",
+    )
+    parser.add_argument("--deadline-ms", type=float, default=65.0)
+    parser.add_argument(
+        "--send-interval-ms",
+        type=float,
+        default=50.0,
+        help="packet pacing (larger = faster simulation)",
+    )
+    _add_scenario_family_arguments(parser)
+    _add_topology_arguments(parser)
+
+
+def _chaos_request(args: argparse.Namespace):
+    """The validated chaos request of ``chaos`` and ``client chaos`` alike.
+
+    An empty or repeated scheme list fails here, before anything runs.
+    """
+    from repro.serve import ChaosRequest
+
+    schemes = tuple(name.strip() for name in args.schemes.split(",") if name.strip())
+    return ChaosRequest(
+        seed=args.seed,
+        duration_s=args.duration,
+        schemes=schemes,
+        flows=_split_names(args.flows),
+        crashes=args.crashes,
+        blackholes=args.blackholes,
+        partitions=args.partitions,
+        stalls=args.stalls,
+        message_windows=args.message_windows,
+        deadline_ms=args.deadline_ms,
+        send_interval_ms=args.send_interval_ms,
+        scenario_family=args.scenario_family,
+        scenario_seed=args.scenario_seed,
+        topology_family=args.topology_family,
+        topology_size=args.topology_size,
+        topology_seed=args.topology_seed,
+    )
+
+
+def _print_chaos_table(rows: Sequence[dict]) -> None:
+    """The per-(scheme, flow) delivery table of a chaos run."""
+    print(f"{'scheme':<22} {'flow':<12} {'sent':>6} {'on-time':>8} "
+          f"{'fraction':>9} {'violations':>11}")
+    for row in rows:
+        print(
+            f"{row['scheme']:<22} {row['flow']:<12} {row['sent']:>6} "
+            f"{row['on_time']:>8} {row['on_time_fraction']:>9.3f} "
+            f"{row['violations']:>11}"
+        )
 
 
 def _cmd_chaos(args: argparse.Namespace) -> int:
-    from repro.chaos import ChaosSpec, generate_fault_schedule
-    from repro.netmodel.conditions import ConditionTimeline
-    from repro.overlay.harness import build_overlay
-    from repro.routing.registry import make_policy
+    """Run the daemon's chaos request in-process."""
+    from repro.serve.session import run_chaos
 
+    request = _chaos_request(args)
     workload = _workload(args)
-    topology = workload.topology
-    flows = _chaos_flows(args, workload)
-    schemes = [name.strip() for name in args.schemes.split(",") if name.strip()]
-    for scheme in schemes:
-        make_policy(scheme)  # validate early: unknown names fail before the run
-    service = ServiceSpec(
-        deadline_ms=args.deadline_ms, send_interval_ms=args.send_interval_ms
-    )
-    protected = frozenset(
-        endpoint for flow in flows for endpoint in (flow.source, flow.destination)
-    )
-    compiled = None
-    if args.scenario_family:
-        compiled = _compiled_family(topology, args, args.duration)
-        schedule = compiled.fault_schedule()
-        print(
-            f"chaos run: scenario family {compiled.family_name!r} "
-            f"(seed {compiled.seed}), {args.duration:g}s, "
-            f"{len(compiled.events)} event(s), {len(schedule)} fault(s), "
-            f"schedule {schedule.fingerprint()}"
-        )
-    else:
-        spec = ChaosSpec(
-            duration_s=args.duration,
-            crashes=args.crashes,
-            blackholes=args.blackholes,
-            partitions=args.partitions,
-            stalls=args.stalls,
-            message_fault_windows=args.message_windows,
-            protected_nodes=protected,
-        )
-        schedule = generate_fault_schedule(
-            topology, spec, seed=args.seed, flows=tuple(flow.name for flow in flows)
-        )
-        print(
-            f"chaos run: seed {args.seed}, {args.duration:g}s, "
-            f"{len(schedule)} fault(s), schedule {schedule.fingerprint()}"
-        )
     obs = None
     if args.trace:
         from repro.obs import Observability
@@ -726,76 +755,36 @@ def _cmd_chaos(args: argparse.Namespace) -> int:
         # Flight snapshots dump into the artifact directory the moment an
         # invariant fires, not only at export time.
         obs = Observability(flight_dir=args.trace_out)
-    exit_code = 0
-    rows = []
-    for scheme in schemes:
-        # The live world: the scenario family's compiled timeline (so the
-        # network sees the same conditions the analytic replay does), or a
-        # clean one for classic generated chaos.
-        if compiled is not None:
-            timeline = compiled.timeline(horizon_s=args.duration + 1.0)
-        else:
-            timeline = ConditionTimeline(topology, args.duration + 1.0)
-        if obs is not None:
-            obs.tracer.context = {"scheme": scheme}
-        harness = build_overlay(
-            topology, timeline, flows, service, scheme, seed=args.seed, obs=obs
-        )
-        harness.start()
-        harness.run(args.duration, faults=schedule)
-        harness.stop_traffic()
-        harness.invariants.check_convergence()
-        unhealthy = harness.flow_health()
-        if unhealthy:
-            _LOG.info(
-                "unhealthy flows under %s: %s", scheme, ", ".join(unhealthy)
-            )
-        violations = harness.invariants.violations
-        for flow in flows:
-            report = harness.reports[flow.name]
-            rows.append(
-                (scheme, flow.name, report.sent, report.on_time,
-                 report.on_time_fraction, len(violations))
-            )
-        if violations:
-            exit_code = 1
-            for violation in violations:
-                _LOG.error(
-                    "INVARIANT [%s] t=%.3fs %s: %s",
-                    scheme,
-                    violation.at_s,
-                    violation.invariant,
-                    violation.detail,
-                )
-    print()
-    print(f"{'scheme':<22} {'flow':<12} {'sent':>6} {'on-time':>8} "
-          f"{'fraction':>9} {'violations':>11}")
-    for scheme, flow, sent, on_time, fraction, violations in rows:
-        print(
-            f"{scheme:<22} {flow:<12} {sent:>6} {on_time:>8} "
-            f"{fraction:>9.3f} {violations:>11}"
-        )
-    if obs is not None:
-        from repro.obs import RunManifest, topology_fingerprint
 
-        manifest = RunManifest(
-            label="chaos",
-            seed=args.seed,
-            schemes=tuple(schemes),
-            flows=tuple(flow.name for flow in flows),
-            topology=topology_fingerprint(topology),
-            duration_s=args.duration,
-            extra={
-                "schedule": schedule.fingerprint(),
-                "faults": len(schedule),
-            },
+    def announce(scheme: str, schedule, compiled) -> None:
+        if scheme != request.schemes[0]:
+            return  # one header, before the first scheme runs
+        world = f"seed {request.seed}, {request.duration_s:g}s"
+        if compiled is not None:
+            world = (
+                f"scenario family {compiled.family_name!r} (seed {compiled.seed}), "
+                f"{request.duration_s:g}s, {len(compiled.events)} event(s)"
+            )
+        print(
+            f"chaos run: {world}, {len(schedule)} fault(s), "
+            f"schedule {schedule.fingerprint()}"
         )
+
+    result, manifest = run_chaos(request, workload, obs=obs, on_scheme=announce)
+    for violation in result["violation_details"]:
+        _LOG.error(
+            "INVARIANT [%(scheme)s] t=%(at_s).3fs %(invariant)s: %(detail)s", violation
+        )
+    print()
+    _print_chaos_table(result["rows"])
+    if obs is not None:
         paths = obs.export(args.trace_out, manifest)
         names = ", ".join(sorted(path.name for path in paths.values()))
         print(f"\nwrote trace artifacts to {args.trace_out}/: {names}")
-    if exit_code:
+    if result["violations"]:
         _LOG.error("invariant violations detected")
-    return exit_code
+        return 1
+    return 0
 
 
 def _cmd_serve(args: argparse.Namespace) -> int:
@@ -829,7 +818,7 @@ def _client_request(args: argparse.Namespace):
     """Build the wire payload for one ``repro client`` invocation."""
     import json
 
-    from repro.serve import ChaosRequest, ClassifyRequest, EvaluateRequest
+    from repro.serve import ClassifyRequest, EvaluateRequest
 
     if args.action == "submit":
         try:
@@ -865,24 +854,7 @@ def _client_request(args: argparse.Namespace):
             deadline_ms=args.deadline_ms,
         )
     assert args.action == "chaos"
-    return ChaosRequest(
-        seed=args.seed,
-        duration_s=args.duration,
-        schemes=_split_names(args.schemes) or ("targeted", "static-single"),
-        flows=_split_names(args.flows),
-        crashes=args.crashes,
-        blackholes=args.blackholes,
-        partitions=args.partitions,
-        stalls=args.stalls,
-        message_windows=args.message_windows,
-        deadline_ms=args.deadline_ms,
-        send_interval_ms=args.send_interval_ms,
-        scenario_family=args.scenario_family,
-        scenario_seed=args.scenario_seed,
-        topology_family=args.topology_family,
-        topology_size=args.topology_size,
-        topology_seed=args.topology_seed,
-    )
+    return _chaos_request(args)
 
 
 def _print_client_result(args: argparse.Namespace, result: dict, manifest: dict) -> int:
@@ -908,14 +880,7 @@ def _print_client_result(args: argparse.Namespace, result: dict, manifest: dict)
                 f"{counts.get(category, 0):>6}"
             )
     elif "rows" in result:
-        print(f"{'scheme':<22} {'flow':<12} {'sent':>6} {'on-time':>8} "
-              f"{'fraction':>9} {'violations':>11}")
-        for row in result["rows"]:
-            print(
-                f"{row['scheme']:<22} {row['flow']:<12} {row['sent']:>6} "
-                f"{row['on_time']:>8} {row['on_time_fraction']:>9.3f} "
-                f"{row['violations']:>11}"
-            )
+        _print_chaos_table(result["rows"])
     serve_extra = manifest.get("extra", {}).get("serve", {})
     cache_bits = []
     if "context_warm" in serve_extra:
@@ -1088,39 +1053,7 @@ def build_parser() -> argparse.ArgumentParser:
         "chaos",
         help="run the overlay under a seeded fault schedule and check invariants",
     )
-    chaos.add_argument("--seed", type=int, default=7, help="fault-schedule seed")
-    chaos.add_argument(
-        "--duration", type=float, default=30.0, help="run length in seconds"
-    )
-    chaos.add_argument(
-        "--schemes",
-        default="targeted,static-single",
-        help="comma-separated routing schemes to compare",
-    )
-    chaos.add_argument(
-        "--flows",
-        help="comma-separated flow names like NYC->LAX (default: two "
-        "representative reference flows)",
-    )
-    chaos.add_argument("--crashes", type=int, default=1)
-    chaos.add_argument("--blackholes", type=int, default=1)
-    chaos.add_argument("--partitions", type=int, default=0)
-    chaos.add_argument("--stalls", type=int, default=0)
-    chaos.add_argument(
-        "--message-windows",
-        type=int,
-        default=0,
-        help="windows of message duplication/reordering/corruption",
-    )
-    chaos.add_argument("--deadline-ms", type=float, default=65.0)
-    chaos.add_argument(
-        "--send-interval-ms",
-        type=float,
-        default=50.0,
-        help="packet pacing (larger = faster simulation)",
-    )
-    _add_scenario_family_arguments(chaos)
-    _add_topology_arguments(chaos)
+    _add_chaos_arguments(chaos)
     _add_obs_arguments(chaos)
     chaos.set_defaults(handler=_cmd_chaos)
 
@@ -1388,19 +1321,7 @@ def build_parser() -> argparse.ArgumentParser:
     c_chaos = actions.add_parser(
         "chaos", parents=[client_common], help="submit a chaos request"
     )
-    c_chaos.add_argument("--seed", type=int, default=7)
-    c_chaos.add_argument("--duration", type=float, default=30.0)
-    c_chaos.add_argument("--schemes", help="comma-separated scheme names")
-    c_chaos.add_argument("--flows", help="comma-separated flow names")
-    c_chaos.add_argument("--crashes", type=int, default=1)
-    c_chaos.add_argument("--blackholes", type=int, default=1)
-    c_chaos.add_argument("--partitions", type=int, default=0)
-    c_chaos.add_argument("--stalls", type=int, default=0)
-    c_chaos.add_argument("--message-windows", type=int, default=0)
-    c_chaos.add_argument("--deadline-ms", type=float, default=65.0)
-    c_chaos.add_argument("--send-interval-ms", type=float, default=50.0)
-    _add_scenario_family_arguments(c_chaos)
-    _add_topology_arguments(c_chaos)
+    _add_chaos_arguments(c_chaos)
     c_chaos.set_defaults(handler=_cmd_client)
 
     c_status = actions.add_parser(

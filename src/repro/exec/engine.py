@@ -273,6 +273,7 @@ def run_replay_parallel(
         obs = None
     if max_workers is None:
         max_workers = os.cpu_count() or 1
+    require(max_workers >= 0, f"max_workers must be >= 0, got {max_workers}")
     started = time.perf_counter()
     root_span_id: int | None = None
     if obs is not None:

@@ -25,6 +25,7 @@ tolerance-based equality:
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 from typing import Mapping, Sequence
 
@@ -213,10 +214,14 @@ def build_plan(
 
     The ordering mirrors the serial engine's insertion order, so a merge
     over this plan produces a :class:`ReplayResult` whose scheme/flow
-    iteration order is identical to ``run_replay``'s.
+    iteration order is identical to ``run_replay``'s.  A repeated
+    (scheme, flow) pair is an error, as it is for ``run_replay``.
     """
     require(bool(flows), "need at least one flow")
     require(bool(scheme_names), "need at least one scheme")
+    pairs = Counter((scheme, flow.name) for scheme in scheme_names for flow in flows)
+    for (scheme, flow_name), count in pairs.items():
+        require(count == 1, f"duplicate (scheme, flow) pair {scheme}/{flow_name}")
     cuts = time_cuts(timeline, config.detection_delay_s, time_shards)
     pieces = list(zip(cuts, cuts[1:]))
     plan: list[ShardSpec] = []

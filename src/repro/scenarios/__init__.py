@@ -22,7 +22,7 @@ from repro.scenarios.families import (
     ScenarioFamily,
     SRLGOutageFamily,
 )
-from repro.scenarios.live import run_live_family
+from repro.scenarios.live import run_live, run_live_family
 from repro.scenarios.reconcile import (
     WindowReconciliation,
     check_world_consistency,
@@ -56,6 +56,7 @@ __all__ = [
     "family_names",
     "make_family",
     "reconcile",
+    "run_live",
     "run_live_family",
     "undirected_links",
 ]

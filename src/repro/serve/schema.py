@@ -92,7 +92,9 @@ def _check_names(value: object, name: str) -> tuple[str, ...] | None:
         isinstance(value, (list, tuple)) and bool(value),
         f"{name} must be a non-empty list of names, got {value!r}",
     )
-    return tuple(_check_str(item, f"{name}[]") for item in value)  # type: ignore[union-attr]
+    names = tuple(_check_str(item, f"{name}[]") for item in value)  # type: ignore[union-attr]
+    require(len(set(names)) == len(names), f"{name} must be distinct, got {value!r}")
+    return names
 
 
 def _check_scenario(family: object, seed: object) -> None:

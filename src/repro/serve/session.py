@@ -22,7 +22,7 @@ replay, so serving changes latency, never results.
 
 from __future__ import annotations
 
-from typing import Callable
+from typing import TYPE_CHECKING, Callable
 
 from repro.exec.engine import run_replay_parallel
 from repro.exec.telemetry import telemetry_session
@@ -41,9 +41,17 @@ from repro.serve.schema import (
 from repro.serve.state import ServeRuntime
 from repro.simulation import kernel
 from repro.simulation.results import ReplayConfig
+from repro.topogen import Workload
+from repro.util.logging import get_logger
 from repro.util.validation import fail, require
 
-__all__ = ["execute_request"]
+if TYPE_CHECKING:
+    from repro.chaos import FaultSchedule
+    from repro.scenarios import CompiledScenario
+
+__all__ = ["execute_request", "run_chaos"]
+
+_LOG = get_logger("serve")
 
 Emit = Callable[[dict], None]
 
@@ -261,19 +269,32 @@ def _run_classify(
 # -- chaos ------------------------------------------------------------------------
 
 
-def _run_chaos(
-    runtime: ServeRuntime, request: ChaosRequest, request_id: str, emit: Emit
+def run_chaos(
+    request: ChaosRequest,
+    workload: Workload,
+    *,
+    obs: object | None = None,
+    on_scheme: (
+        Callable[[str, FaultSchedule, CompiledScenario | None], None] | None
+    ) = None,
 ) -> tuple[dict, RunManifest]:
-    from repro.chaos import ChaosSpec, generate_fault_schedule
-    from repro.netmodel.conditions import ConditionTimeline
-    from repro.overlay.harness import build_overlay
+    """Pick the flows, build the fault schedule, and run each scheme live.
 
-    workload = runtime.workload(
-        request.topology_family, request.topology_size, request.topology_seed
-    )
+    Returns the chaos result payload and its ``chaos`` manifest.  A
+    scenario family drives the overlay with its compiled conditions and
+    its derived fault schedule; otherwise a clean network runs a schedule
+    generated from the fault counts, aimed at relays (flow endpoints are
+    protected).  ``on_scheme(scheme, schedule, compiled)`` is called
+    before each scheme's run; ``obs`` instruments every run.
+    """
+    from repro.chaos import ChaosSpec, generate_fault_schedule
+    from repro.scenarios import compile_family, run_live
+
     topology = workload.topology
     for scheme in request.schemes:
         make_policy(scheme)  # unknown names fail before the run
+    # The whole flow table at once makes for a slow simulation; default
+    # to a representative pair.
     flows = workload.select_flows(request.flows, default=workload.flows[:2])
     service = ServiceSpec(
         deadline_ms=request.deadline_ms,
@@ -286,8 +307,6 @@ def _run_chaos(
     )
     compiled = None
     if request.scenario_family is not None:
-        from repro.scenarios import compile_family
-
         scenario_seed = (
             request.seed
             if request.scenario_seed is None
@@ -317,32 +336,30 @@ def _run_chaos(
             flows=tuple(flow.name for flow in flows),
         )
     rows = []
-    total_violations = 0
     violation_details: list[dict] = []
     for scheme in request.schemes:
-        _progress(
-            emit,
-            "chaos",
-            scheme=scheme,
-            faults=len(schedule),
-            schedule=schedule.fingerprint(),
+        if on_scheme is not None:
+            on_scheme(scheme, schedule, compiled)
+        if obs is not None:
+            obs.tracer.context = {"scheme": scheme}
+        # Same-world contract: with a family the overlay observes its
+        # compiled conditions while the injector replays its derived
+        # fault schedule -- both sides of one description.
+        harness = run_live(
+            topology,
+            flows,
+            service,
+            scheme,
+            request.duration_s,
+            schedule,
+            contributions=compiled.contributions() if compiled else (),
+            seed=request.seed,
+            obs=obs,
         )
-        if compiled is not None:
-            # Same-world contract: the overlay observes the family's
-            # compiled conditions while the injector replays its derived
-            # fault schedule -- both sides of one description.
-            timeline = compiled.timeline(horizon_s=request.duration_s + 1.0)
-        else:
-            timeline = ConditionTimeline(topology, request.duration_s + 1.0)
-        harness = build_overlay(
-            topology, timeline, flows, service, scheme, seed=request.seed
-        )
-        harness.start()
-        harness.run(request.duration_s, faults=schedule)
-        harness.stop_traffic()
-        harness.invariants.check_convergence()
+        unhealthy = harness.flow_health()
+        if unhealthy:
+            _LOG.info("unhealthy flows under %s: %s", scheme, ", ".join(unhealthy))
         violations = harness.invariants.violations
-        total_violations += len(violations)
         for violation in violations:
             violation_details.append(
                 {
@@ -368,21 +385,41 @@ def _run_chaos(
         "schedule": schedule.fingerprint(),
         "faults": len(schedule),
         "rows": rows,
-        "violations": total_violations,
+        "violations": len(violation_details),
         "violation_details": violation_details,
     }
     manifest = RunManifest(
-        label="serve chaos",
+        label="chaos",
         seed=request.seed,
         schemes=tuple(request.schemes),
         flows=tuple(flow.name for flow in flows),
         topology=topology_fingerprint(topology),
         duration_s=request.duration_s,
         extra={
-            "serve": {"request_id": request_id, "kind": request.kind},
             "schedule": schedule.fingerprint(),
             "faults": len(schedule),
-            "violations": total_violations,
         },
     )
+    return payload, manifest
+
+
+def _run_chaos(
+    runtime: ServeRuntime, request: ChaosRequest, request_id: str, emit: Emit
+) -> tuple[dict, RunManifest]:
+    def announce(scheme: str, schedule: FaultSchedule, _compiled: object) -> None:
+        _progress(
+            emit,
+            "chaos",
+            scheme=scheme,
+            faults=len(schedule),
+            schedule=schedule.fingerprint(),
+        )
+
+    workload = runtime.workload(
+        request.topology_family, request.topology_size, request.topology_seed
+    )
+    payload, manifest = run_chaos(request, workload, on_scheme=announce)
+    manifest.label = "serve chaos"
+    manifest.extra["serve"] = {"request_id": request_id, "kind": request.kind}
+    manifest.extra["violations"] = payload["violations"]
     return payload, manifest

@@ -110,6 +110,36 @@ def serial_reference():
     return run_replay(topology, timeline, flows, service, SMALL_SCHEMES)
 
 
+class TestArgumentChecks:
+    def test_negative_worker_count_is_rejected(self):
+        topology, timeline, flows, service = small_case()
+        with pytest.raises(ValueError, match="max_workers must be >= 0, got -1"):
+            run_replay_parallel(
+                topology,
+                timeline,
+                flows,
+                service,
+                SMALL_SCHEMES,
+                ReplayConfig(),
+                max_workers=-1,
+                use_cache=False,
+            )
+
+    def test_repeated_scheme_is_rejected(self):
+        topology, timeline, flows, service = small_case()
+        with pytest.raises(ValueError, match="duplicate .* pair targeted/S->T"):
+            run_replay_parallel(
+                topology,
+                timeline,
+                flows,
+                service,
+                ("targeted", "flooding", "targeted"),
+                ReplayConfig(),
+                max_workers=0,
+                use_cache=False,
+            )
+
+
 class TestFailurePaths:
     def test_transient_failure_is_retried(self):
         pools = []

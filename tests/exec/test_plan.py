@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -104,6 +105,20 @@ class TestPlan:
         assert [s.scheme for s in plan[:2]] == [SMALL_SCHEMES[0]] * 2
         assert [s.flow.name for s in plan[:2]] == ["S->T", "T->S"]
         assert len(plan) == len(flows) * len(SMALL_SCHEMES)
+
+    @pytest.mark.parametrize("repeat", ("scheme", "flow"))
+    def test_repeated_pair_is_rejected(self, repeat):
+        topology = braided_topology()
+        timeline = ConditionTimeline(topology, 100.0)
+        flows = [FlowSpec("S", "T")]
+        schemes = ["targeted", "flooding"]
+        if repeat == "scheme":
+            schemes.append("targeted")
+        else:
+            flows.append(FlowSpec("S", "T"))
+        pattern = r"duplicate \(scheme, flow\) pair targeted/S->T"
+        with pytest.raises(ValueError, match=pattern):
+            build_plan(timeline, flows, schemes, ReplayConfig(), 2)
 
     def test_more_shards_than_windows_degrades_gracefully(self):
         topology = braided_topology()

@@ -116,6 +116,33 @@ class TestTraceCommands:
 class TestExecutionEngineCommands:
     EVALUATE = ["evaluate", "--weeks", "0.02", "--seed", "5", "--workers", "0"]
 
+    @pytest.mark.parametrize(
+        "names",
+        (["--schemes", "targeted,targeted"], ["--flows", "NYC->LAX,NYC->LAX"]),
+    )
+    def test_evaluate_rejects_repeated_names(self, names, capsys):
+        code = main(["evaluate", "--weeks", "0.002", "--no-cache", *names])
+        err = capsys.readouterr().err
+        assert code == 2
+        assert "duplicate (scheme, flow) pair" in err
+        assert "missing its window records" not in err
+        assert err.count("\n") == 1
+
+    def test_client_evaluate_rejects_repeated_names(self, capsys):
+        argv = ["client", "evaluate", "--schemes", "targeted,targeted"]
+        assert main(argv + ["--port", "1"]) == 2
+        assert "schemes must be distinct" in capsys.readouterr().err
+
+    def test_evaluate_rejects_negative_workers(self, capsys):
+        code = main(
+            ["evaluate", "--weeks", "0.002", "--no-cache", "--workers", "-1",
+             "--schemes", "static-single", "--flows", "NYC->LAX"]
+        )
+        captured = capsys.readouterr()
+        assert code == 2
+        assert "max_workers must be >= 0, got -1" in captured.err
+        assert "execution engine" not in captured.out
+
     def test_evaluate_prints_telemetry(self, tmp_path, capsys):
         argv = self.EVALUATE + ["--cache-dir", str(tmp_path)]
         assert main(argv) == 0

@@ -100,6 +100,20 @@ class TestParseRequest:
         with pytest.raises(ValidationError, match="schemes"):
             parse_request(_evaluate_payload(schemes=[]))
 
+    @pytest.mark.parametrize("kind", ("evaluate", "chaos"))
+    @pytest.mark.parametrize("field", ("schemes", "flows"))
+    def test_rejects_repeated_names(self, kind, field):
+        names = ["targeted", "flooding", "targeted"]
+        if field == "flows":
+            names = ["NYC->LAX", "NYC->LAX"]
+        payload = {"version": PROTOCOL_VERSION, "kind": kind, field: names}
+        with pytest.raises(ValidationError) as excinfo:
+            parse_request(payload)
+        message = str(excinfo.value)
+        assert message.startswith(f"{field} must be distinct, got (")
+        assert names[0] in message
+        assert "\n" not in message
+
     def test_wire_lists_become_tuples(self):
         request = parse_request(_evaluate_payload(schemes=["targeted"]))
         assert request.schemes == ("targeted",)

@@ -182,6 +182,27 @@ class TestRequestFailures:
         finally:
             connection.close()
 
+    def test_repeated_names_are_400_at_admission(self, warm_server):
+        import http.client
+
+        body = json.dumps(
+            {"version": 1, "kind": "evaluate", "schemes": ["targeted"] * 2}
+        ).encode("utf-8")
+        connection = http.client.HTTPConnection(
+            warm_server.host, warm_server.port, timeout=30.0
+        )
+        try:
+            connection.request(
+                "POST", "/v1/submit", body=body,
+                headers={"Content-Type": "application/json"},
+            )
+            response = connection.getresponse()
+            assert response.status == 400
+            payload = json.loads(response.read())
+            assert "schemes must be distinct" in payload["error"]
+        finally:
+            connection.close()
+
     def test_unknown_endpoint_is_404(self, warm_server):
         import http.client
 
