@@ -63,8 +63,11 @@ def per_flow_gap_coverage(
     """Gap coverage computed per flow (E5).
 
     Flows where the baseline saw no excess unavailability have no defined
-    coverage and map to ``None``.
+    coverage and map to ``None``; so does every flow when the scheme, the
+    baseline or the optimal scheme was not replayed.
     """
+    if not {scheme, baseline, optimal} <= set(result.schemes):
+        return dict.fromkeys(result.flow_names)
     coverages: dict[str, float | None] = {}
     for flow_name in result.flow_names:
         baseline_unavailable = result.get(flow_name, baseline).unavailable_s

@@ -64,18 +64,15 @@ from repro.core.builders import (
     time_constrained_flooding_graph,
     two_disjoint_paths_graph,
 )
-from repro.netmodel.scenarios import WEEK_S, Scenario, generate_events, generate_timeline
+from repro.netmodel.scenarios import WEEK_S, Scenario, generate_events
 from repro.netmodel.topology import (
     ServiceSpec,
     build_reference_topology,
     reference_flows,
 )
 from repro.exec.cache import ResultCache
-from repro.exec.engine import run_replay_parallel
 from repro.netmodel.trace import load_timeline, write_trace
-from repro.routing.registry import STANDARD_SCHEME_NAMES
 from repro.simulation import kernel
-from repro.simulation.results import ReplayConfig
 from repro.util.logging import LOG_LEVELS, configure_logging, get_logger
 from repro.util.validation import fail, require
 
@@ -196,16 +193,6 @@ def _add_scenario_family_arguments(parser: argparse.ArgumentParser) -> None:
     )
 
 
-def _compiled_family(topology, args: argparse.Namespace, duration_s: float):
-    """Compile the requested scenario family for the analytic replay."""
-    from repro.scenarios import compile_family
-
-    seed = args.seed if args.scenario_seed is None else args.scenario_seed
-    return compile_family(
-        topology, args.scenario_family, seed=seed, duration_s=duration_s
-    )
-
-
 def _cmd_generate_trace(args: argparse.Namespace) -> int:
     topology = _workload(args).topology
     scenario = _scenario(args)
@@ -217,88 +204,129 @@ def _cmd_generate_trace(args: argparse.Namespace) -> int:
     return 0
 
 
+def _add_evaluate_arguments(parser: argparse.ArgumentParser) -> None:
+    """The evaluate request flags, shared by ``evaluate`` and ``client evaluate``."""
+    _add_trace_arguments(parser)
+    _add_scenario_family_arguments(parser)
+    _add_topology_arguments(parser)
+    parser.add_argument("--deadline-ms", type=float, default=65.0)
+    parser.add_argument("--detection-delay-s", type=float, default=1.0)
+    parser.add_argument(
+        "--schemes",
+        help="comma-separated routing schemes (default: the standard six)",
+    )
+    parser.add_argument(
+        "--flows",
+        help="comma-separated flow names (default: the topology's whole "
+        "flow table)",
+    )
+    parser.add_argument(
+        "--workers",
+        type=int,
+        default=0,
+        help="worker processes for the execution engine (0 = in-process "
+        "serial; a served request is capped at the daemon's --workers)",
+    )
+    parser.add_argument(
+        "--time-shards",
+        type=int,
+        default=1,
+        help="additionally cut each (flow, scheme) pair into this many time shards",
+    )
+    parser.add_argument(
+        "--no-cache",
+        action="store_true",
+        help="bypass the content-addressed result cache",
+    )
+
+
+def _evaluate_request(args: argparse.Namespace):
+    """The validated evaluate request of ``evaluate`` and ``client evaluate`` alike."""
+    from repro.serve import EvaluateRequest
+
+    return EvaluateRequest(
+        weeks=args.weeks,
+        seed=args.seed,
+        preset=args.preset,
+        deadline_ms=args.deadline_ms,
+        detection_delay_s=args.detection_delay_s,
+        time_shards=args.time_shards,
+        workers=args.workers,
+        schemes=_split_names(args.schemes),
+        flows=_split_names(args.flows),
+        use_cache=not args.no_cache,
+        scenario_family=args.scenario_family,
+        scenario_seed=args.scenario_seed,
+        topology_family=args.topology_family,
+        topology_size=args.topology_size,
+        topology_seed=args.topology_seed,
+    )
+
+
 def _cmd_evaluate(args: argparse.Namespace) -> int:
+    """Run the daemon's evaluate request in-process."""
     import time
+    from pathlib import Path
+
+    from repro.serve.session import run_evaluate
 
     _apply_kernel_choice(args)
-    timings: dict[str, float] = {}
-    resolve_start = time.perf_counter()
+    request = _evaluate_request(args)
+    started = time.perf_counter()
     workload = _workload(args)
-    topology = workload.topology
-    timings["resolve_topology_s"] = round(
-        time.perf_counter() - resolve_start, 6
-    )
-    service = ServiceSpec(deadline_ms=args.deadline_ms)
-    flows = workload.select_flows(_split_names(args.flows))
-    schemes = _split_names(args.schemes)
-    if schemes is not None:
-        from repro.routing.registry import make_policy
-
-        for scheme in schemes:
-            make_policy(scheme)  # unknown names fail before any work
-    obs = None
-    if args.trace:
-        from repro.obs import Observability
-
-        obs = Observability()
-    trace_start = time.perf_counter()
+    timings = {"resolve_topology_s": round(time.perf_counter() - started, 6)}
+    marks = {"generate-trace": time.perf_counter()}  # a generated trace moves it
+    trace = None
     if args.trace_file:
         require(
             args.scenario_family is None,
             "--scenario-family cannot be combined with --trace-file",
         )
-        events, timeline = load_timeline(args.trace_file, topology)
-        print(f"replaying {args.trace_file}: {len(events)} events")
-    elif args.scenario_family:
-        compiled = _compiled_family(topology, args, args.weeks * WEEK_S)
-        events = list(compiled.events)
-        timeline = compiled.timeline()
-        print(
-            f"compiled scenario family {compiled.family_name!r} "
-            f"(seed {compiled.seed}): {len(events)} events over "
-            f"{args.weeks:g} weeks"
-        )
-    else:
-        scenario = _scenario(args)
-        events, timeline = generate_timeline(topology, scenario, seed=args.seed)
-        print(
-            f"generated trace: {len(events)} events over {args.weeks:g} weeks "
-            f"(seed {args.seed})"
-        )
-    timings["build_timeline_s"] = round(time.perf_counter() - trace_start, 6)
-    config = ReplayConfig(detection_delay_s=args.detection_delay_s)
+        trace = load_timeline(args.trace_file, workload.topology)
+    obs = None
+    if args.trace:
+        from repro.obs import Observability
+
+        obs = Observability()
     profiler = None
     if args.profile:
         from repro.obs.profile import SamplingProfiler
 
-        profiler = SamplingProfiler(
-            interval_s=args.profile_interval_ms / 1000.0
-        ).start()
-    replay_start = time.perf_counter()
-    try:
-        result, telemetry = run_replay_parallel(
-            topology,
-            timeline,
-            flows,
-            service,
-            scheme_names=schemes if schemes is not None else STANDARD_SCHEME_NAMES,
-            config=config,
-            max_workers=args.workers,
-            time_shards=args.time_shards,
-            use_cache=not args.no_cache,
-            cache_dir=args.cache_dir,
-            label="cli evaluate",
-            obs=obs,
-        )
-    finally:
-        timings["replay_s"] = round(time.perf_counter() - replay_start, 6)
-        if profiler is not None:
-            profiler.stop()
-    require(
-        any(totals.duration_s > 0.0 for totals in result.all_totals()),
-        "replay produced zero accumulation windows -- the trace is empty "
-        "or degenerate; nothing to evaluate",
+        profiler = SamplingProfiler(interval_s=args.profile_interval_ms / 1000.0)
+    announced: dict = {}
+
+    def on_phase(phase: str, **detail: object) -> None:
+        # The daemon streams these phases as progress events.
+        marks[phase] = time.perf_counter()
+        announced.update(detail)
+        if phase != "replay":
+            return
+        if args.trace_file:
+            print(f"replaying {args.trace_file}: {announced['events']} events")
+        elif request.scenario_family is not None:
+            print(
+                f"compiled scenario family {request.scenario_family!r} "
+                f"(seed {announced['seed']}): {announced['events']} events over "
+                f"{request.weeks:g} weeks"
+            )
+        else:
+            print(
+                f"generated trace: {announced['events']} events over "
+                f"{request.weeks:g} weeks (seed {request.seed})"
+            )
+
+    result, telemetry, manifest = run_evaluate(
+        request,
+        workload,
+        label="cli evaluate",
+        cache=ResultCache(args.cache_dir),
+        trace=trace,
+        obs=obs,
+        profiler=profiler,
+        on_phase=on_phase,
     )
+    timings["build_timeline_s"] = round(marks["replay"] - marks["generate-trace"], 6)
+    timings["replay_s"] = round(time.perf_counter() - marks["replay"], 6)
     print()
     print(format_scheme_performance_table(result))
     if "static-two-disjoint" in result.schemes:
@@ -318,8 +346,6 @@ def _cmd_evaluate(args: argparse.Namespace) -> int:
         print()
         print(format_per_flow_table(result))
     if args.export_dir:
-        from pathlib import Path
-
         from repro.analysis.export import (
             export_per_flow_coverage,
             export_scheme_performance,
@@ -334,28 +360,7 @@ def _cmd_evaluate(args: argparse.Namespace) -> int:
         print()
         print(profiler.format_top_table())
     if obs is not None:
-        from pathlib import Path
-
-        from repro.obs import RunManifest, topology_fingerprint
-
-        extra: dict = {"timings": timings, "kernel": kernel.describe()}
-        if workload.generated is not None:
-            extra["generated_topology"] = {
-                "name": workload.generated.name,
-                "digest": workload.generated.digest,
-            }
-        if profiler is not None:
-            extra["profile"] = profiler.report()
-        manifest = RunManifest(
-            label="evaluate",
-            seed=args.seed,
-            schemes=tuple(result.schemes),
-            flows=tuple(flow.name for flow in flows),
-            topology=topology_fingerprint(topology),
-            duration_s=timeline.duration_s,
-            exec=telemetry.to_dict(),
-            extra=extra,
-        )
+        manifest.extra["timings"] = timings
         paths = obs.export(args.trace_out, manifest)
         if profiler is not None:
             paths["profile"] = profiler.write_collapsed(
@@ -709,11 +714,10 @@ def _chaos_request(args: argparse.Namespace):
     """
     from repro.serve import ChaosRequest
 
-    schemes = tuple(name.strip() for name in args.schemes.split(",") if name.strip())
     return ChaosRequest(
         seed=args.seed,
         duration_s=args.duration,
-        schemes=schemes,
+        schemes=_split_names(args.schemes),
         flows=_split_names(args.flows),
         crashes=args.crashes,
         blackholes=args.blackholes,
@@ -808,17 +812,17 @@ def _cmd_serve(args: argparse.Namespace) -> int:
 
 
 def _split_names(value: str | None) -> tuple[str, ...] | None:
+    """``None`` (flag omitted) means the defaults; ``,`` is an empty, invalid list."""
     if value is None:
         return None
-    names = tuple(name.strip() for name in value.split(",") if name.strip())
-    return names or None
+    return tuple(name.strip() for name in value.split(",") if name.strip())
 
 
 def _client_request(args: argparse.Namespace):
     """Build the wire payload for one ``repro client`` invocation."""
     import json
 
-    from repro.serve import ClassifyRequest, EvaluateRequest
+    from repro.serve import ClassifyRequest
 
     if args.action == "submit":
         try:
@@ -829,23 +833,7 @@ def _client_request(args: argparse.Namespace):
                 f"request file {args.file} is not valid JSON: {error}"
             ) from error
     if args.action == "evaluate":
-        return EvaluateRequest(
-            weeks=args.weeks,
-            seed=args.seed,
-            preset=args.preset,
-            deadline_ms=args.deadline_ms,
-            detection_delay_s=args.detection_delay_s,
-            time_shards=args.time_shards,
-            workers=args.workers,
-            schemes=_split_names(args.schemes),
-            flows=_split_names(args.flows),
-            use_cache=not args.no_cache,
-            scenario_family=args.scenario_family,
-            scenario_seed=args.scenario_seed,
-            topology_family=args.topology_family,
-            topology_size=args.topology_size,
-            topology_seed=args.topology_seed,
-        )
+        return _evaluate_request(args)
     if args.action == "classify":
         return ClassifyRequest(
             weeks=args.weeks,
@@ -967,46 +955,16 @@ def build_parser() -> argparse.ArgumentParser:
     evaluate = subparsers.add_parser(
         "evaluate", help="replay all routing schemes and print the tables"
     )
-    _add_trace_arguments(evaluate)
+    _add_evaluate_arguments(evaluate)
     evaluate.add_argument(
         "--trace-file", help="replay this condition-trace file instead"
     )
-    _add_scenario_family_arguments(evaluate)
-    _add_topology_arguments(evaluate)
     _add_obs_arguments(evaluate)
-    evaluate.add_argument("--deadline-ms", type=float, default=65.0)
-    evaluate.add_argument("--detection-delay-s", type=float, default=1.0)
-    evaluate.add_argument(
-        "--schemes",
-        help="comma-separated routing schemes (default: the standard six)",
-    )
-    evaluate.add_argument(
-        "--flows",
-        help="comma-separated flow names (default: the topology's whole "
-        "flow table)",
-    )
     evaluate.add_argument(
         "--per-flow", action="store_true", help="also print per-flow coverage"
     )
     evaluate.add_argument(
         "--export-dir", help="also write the tables as CSV into this directory"
-    )
-    evaluate.add_argument(
-        "--workers",
-        type=int,
-        default=0,
-        help="worker processes for the execution engine (0 = in-process serial)",
-    )
-    evaluate.add_argument(
-        "--time-shards",
-        type=int,
-        default=1,
-        help="additionally cut each (flow, scheme) pair into this many time shards",
-    )
-    evaluate.add_argument(
-        "--no-cache",
-        action="store_true",
-        help="bypass the content-addressed result cache",
     )
     evaluate.add_argument(
         "--cache-dir",
@@ -1288,26 +1246,8 @@ def build_parser() -> argparse.ArgumentParser:
     c_eval = actions.add_parser(
         "evaluate", parents=[client_common], help="submit an evaluation request"
     )
-    c_eval.add_argument("--weeks", type=float, default=1.0)
-    c_eval.add_argument("--seed", type=int, default=7)
-    c_eval.add_argument("--preset", default="default")
-    c_eval.add_argument("--deadline-ms", type=float, default=65.0)
-    c_eval.add_argument("--detection-delay-s", type=float, default=1.0)
-    c_eval.add_argument("--time-shards", type=int, default=1)
-    c_eval.add_argument(
-        "--workers",
-        type=int,
-        default=0,
-        help="requested worker processes (capped by the server's budget)",
-    )
-    c_eval.add_argument("--schemes", help="comma-separated scheme names")
-    c_eval.add_argument("--flows", help="comma-separated flow names")
-    c_eval.add_argument(
-        "--no-cache", action="store_true", help="ask the server to skip its disk cache"
-    )
-    _add_scenario_family_arguments(c_eval)
-    _add_topology_arguments(c_eval)
-    c_eval.set_defaults(handler=_cmd_client)
+    _add_evaluate_arguments(c_eval)
+    c_eval.set_defaults(handler=_cmd_client, weeks=1.0)
 
     c_classify = actions.add_parser(
         "classify", parents=[client_common], help="submit a classification request"

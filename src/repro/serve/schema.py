@@ -28,6 +28,7 @@ with HTTP 429 (queue full) or 503 (draining) and a single JSON body
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, fields
 from typing import Mapping
 
@@ -80,6 +81,8 @@ def _check_float(
     )
     if positive:
         require(value > 0, f"{name} must be > 0, got {value!r}")
+        # inf would never finish, and is not valid JSON in a progress event.
+        require(math.isfinite(value), f"{name} must be finite, got {value!r}")
     elif minimum is not None:
         require(value >= minimum, f"{name} must be >= {minimum}, got {value!r}")
     return float(value)  # type: ignore[arg-type]

@@ -18,14 +18,20 @@ Bitwise equivalence: the evaluation path is the execution engine's
 (`run_replay_parallel`), fed with a warm shard context and the shared
 disk cache; both layers preserve exact equality with a cold serial
 replay, so serving changes latency, never results.
+
+Local ``repro evaluate`` and ``repro chaos`` run ``run_evaluate`` and
+``run_chaos`` in-process.  They live here because ``perfbench/tracing.py``
+times ``run_replay_parallel`` and ``generate_timeline`` as this module's
+globals.
 """
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Callable
+from contextlib import nullcontext
+from typing import TYPE_CHECKING, Callable, Sequence
 
 from repro.exec.engine import run_replay_parallel
-from repro.exec.telemetry import telemetry_session
+from repro.exec.telemetry import ExecTelemetry, telemetry_session
 from repro.netmodel.scenarios import WEEK_S, generate_timeline
 from repro.netmodel.presets import preset_scenario
 from repro.netmodel.topology import ServiceSpec
@@ -38,18 +44,22 @@ from repro.serve.schema import (
     Request,
     make_event,
 )
-from repro.serve.state import ServeRuntime
+from repro.serve.state import ContextCache, ServeRuntime
 from repro.simulation import kernel
-from repro.simulation.results import ReplayConfig
+from repro.simulation.results import ReplayConfig, ReplayResult
 from repro.topogen import Workload
 from repro.util.logging import get_logger
 from repro.util.validation import fail, require
 
 if TYPE_CHECKING:
     from repro.chaos import FaultSchedule
+    from repro.exec.cache import ResultCache
+    from repro.netmodel.conditions import ConditionTimeline
+    from repro.netmodel.events import ProblemEvent
+    from repro.obs.profile import SamplingProfiler
     from repro.scenarios import CompiledScenario
 
-__all__ = ["execute_request", "run_chaos"]
+__all__ = ["execute_request", "run_chaos", "run_evaluate"]
 
 _LOG = get_logger("serve")
 
@@ -76,12 +86,23 @@ def execute_request(
 # -- evaluate ---------------------------------------------------------------------
 
 
-def _run_evaluate(
-    runtime: ServeRuntime, request: EvaluateRequest, request_id: str, emit: Emit
-) -> tuple[dict, RunManifest]:
-    workload = runtime.workload(
-        request.topology_family, request.topology_size, request.topology_seed
-    )
+def run_evaluate(
+    request: EvaluateRequest,
+    workload: Workload,
+    *,
+    label: str,
+    cache: ResultCache | None,
+    on_phase: Callable[..., None],
+    trace: tuple[Sequence[ProblemEvent], ConditionTimeline] | None = None,
+    contexts: ContextCache | None = None,
+    obs: object | None = None,
+    profiler: SamplingProfiler | None = None,
+) -> tuple[ReplayResult, ExecTelemetry, RunManifest]:
+    """Build (or take) the trace and replay it: (result, telemetry, manifest).
+
+    ``on_phase(phase, **detail)`` announces ``generate-trace`` and
+    ``replay`` with the detail the daemon streams as progress.
+    """
     topology = workload.topology
     schemes = tuple(request.schemes or STANDARD_SCHEME_NAMES)
     for scheme in schemes:
@@ -90,7 +111,9 @@ def _run_evaluate(
     service = ServiceSpec(deadline_ms=request.deadline_ms)
     config = ReplayConfig(detection_delay_s=request.detection_delay_s)
 
-    if request.scenario_family is not None:
+    if trace is not None:
+        events, timeline = trace
+    elif request.scenario_family is not None:
         from repro.scenarios import compile_family
 
         scenario_seed = (
@@ -98,8 +121,7 @@ def _run_evaluate(
             if request.scenario_seed is None
             else request.scenario_seed
         )
-        _progress(
-            emit,
+        on_phase(
             "generate-trace",
             weeks=request.weeks,
             scenario_family=request.scenario_family,
@@ -113,7 +135,7 @@ def _run_evaluate(
         )
         events, timeline = list(compiled.events), compiled.timeline()
     else:
-        _progress(emit, "generate-trace", weeks=request.weeks, seed=request.seed)
+        on_phase("generate-trace", weeks=request.weeks, seed=request.seed)
         scenario = preset_scenario(
             request.preset, duration_s=request.weeks * WEEK_S
         )
@@ -121,53 +143,92 @@ def _run_evaluate(
             topology, scenario, seed=request.seed
         )
 
-    context, context_warm = runtime.contexts.get(
-        topology, timeline, service, config
-    )
-    workers = min(request.workers, runtime.worker_budget)
-    _progress(
-        emit,
+    context, context_warm = None, False
+    if contexts is not None:
+        context, context_warm = contexts.get(topology, timeline, service, config)
+    on_phase(
         "replay",
         events=len(events),
         schemes=list(schemes),
         flows=len(flows),
-        workers=workers,
+        workers=request.workers,
         context_warm=context_warm,
     )
-    profiler = None
-    if request.profile:
+    if profiler is None and request.profile:
         from repro.obs.profile import SamplingProfiler
 
-        # Created inside the worker thread running this request, so the
-        # profiler targets exactly this request's execution.
-        profiler = SamplingProfiler().start()
-    try:
-        with telemetry_session(f"serve/{request_id}") as session:
-            result, telemetry = run_replay_parallel(
-                topology,
-                timeline,
-                flows,
-                service,
-                schemes,
-                config,
-                max_workers=workers,
-                time_shards=request.time_shards,
-                use_cache=request.use_cache and runtime.result_cache is not None,
-                cache=runtime.result_cache if request.use_cache else None,
-                label=f"serve {request_id}",
-                context=context,
-            )
-    finally:
-        if profiler is not None:
-            profiler.stop()
+        # Created in the thread that runs the replay: the one it samples.
+        profiler = SamplingProfiler()
+    cache = cache if request.use_cache else None
+    with profiler if profiler is not None else nullcontext():
+        result, telemetry = run_replay_parallel(
+            topology,
+            timeline,
+            flows,
+            service,
+            schemes,
+            config,
+            max_workers=request.workers,
+            time_shards=request.time_shards,
+            use_cache=cache is not None,
+            cache=cache,
+            label=label,
+            obs=obs,
+            context=context,
+        )
     require(
         any(totals.duration_s > 0.0 for totals in result.all_totals()),
         "replay produced zero accumulation windows -- the trace is empty "
         "or degenerate; nothing to evaluate",
     )
+    extra: dict = {"kernel": kernel.describe()}
+    if workload.generated is not None:
+        extra["generated_topology"] = {
+            "name": workload.generated.name,
+            "digest": workload.generated.digest,
+        }
+    if profiler is not None:
+        extra["profile"] = profiler.report()
+    manifest = RunManifest(
+        label="evaluate",
+        seed=request.seed,
+        schemes=schemes,
+        flows=tuple(flow.name for flow in flows),
+        topology=topology_fingerprint(topology),
+        duration_s=timeline.duration_s,
+        exec=telemetry.to_dict(),
+        extra=extra,
+    )
+    return result, telemetry, manifest
+
+
+def _run_evaluate(
+    runtime: ServeRuntime, request: EvaluateRequest, request_id: str, emit: Emit
+) -> tuple[dict, RunManifest]:
+    from dataclasses import replace
+
+    workload = runtime.workload(
+        request.topology_family, request.topology_size, request.topology_seed
+    )
+    request = replace(request, workers=min(request.workers, runtime.worker_budget))
+    streamed: dict = {}
+
+    def progress(phase: str, **detail: object) -> None:
+        streamed.update(detail)
+        _progress(emit, phase, **detail)
+
+    with telemetry_session(f"serve/{request_id}") as session:
+        result, telemetry, manifest = run_evaluate(
+            request,
+            workload,
+            label=f"serve {request_id}",
+            cache=runtime.result_cache,
+            contexts=runtime.contexts,
+            on_phase=progress,
+        )
     payload = {
-        "events": len(events),
-        "duration_s": timeline.duration_s,
+        "events": streamed["events"],
+        "duration_s": manifest.duration_s,
         "schemes": [
             {
                 "scheme": totals.scheme,
@@ -196,29 +257,16 @@ def _run_evaluate(
         ],
     }
     totals = session.totals()
-    extra: dict = {
-        "serve": {
-            "request_id": request_id,
-            "kind": request.kind,
-            "topology": workload.label,
-            "context_warm": context_warm,
-            "workers": workers,
-            "shards_cached": telemetry.shards_cached,
-        },
-        "kernel": kernel.describe(),
+    manifest.label = "serve evaluate"
+    manifest.exec = totals.to_dict() if totals is not None else None
+    manifest.extra["serve"] = {
+        "request_id": request_id,
+        "kind": request.kind,
+        "topology": workload.label,
+        "context_warm": streamed["context_warm"],
+        "workers": request.workers,
+        "shards_cached": telemetry.shards_cached,
     }
-    if profiler is not None:
-        extra["profile"] = profiler.report()
-    manifest = RunManifest(
-        label="serve evaluate",
-        seed=request.seed,
-        schemes=schemes,
-        flows=tuple(flow.name for flow in flows),
-        topology=topology_fingerprint(topology),
-        duration_s=timeline.duration_s,
-        exec=totals.to_dict() if totals is not None else None,
-        extra=extra,
-    )
     return payload, manifest
 
 

@@ -88,6 +88,22 @@ class TestPerFlowGapCoverage:
         assert coverage["S->T"] == pytest.approx(0.5)
         assert coverage["S->U"] is None
 
+    @pytest.mark.parametrize(
+        "scheme, baseline, optimal",
+        (
+            ("targeted", "dynamic-single", "flooding"),  # scheme not replayed
+            ("mid", "static-single", "flooding"),  # baseline not replayed
+            ("mid", "dynamic-single", "oracle"),  # optimal not replayed
+        ),
+    )
+    def test_missing_scheme_is_none_for_every_flow(self, scheme, baseline, optimal):
+        result = build_result(
+            {"dynamic-single": 100.0, "mid": 50.0, "flooding": 0.0},
+            {"dynamic-single": 20.0, "mid": 10.0, "flooding": 0.0},
+        )
+        coverage = per_flow_gap_coverage(result, scheme, baseline, optimal)
+        assert coverage == {"S->T": None, "S->U": None}
+
 
 class TestPerformanceRows:
     def test_rows_complete(self):

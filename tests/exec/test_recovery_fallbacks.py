@@ -12,6 +12,7 @@ from __future__ import annotations
 import functools
 
 import repro.cli
+import repro.serve.session
 from repro.exec.engine import run_replay_parallel
 from repro.netmodel.conditions import ConditionTimeline, Contribution, LinkState
 from repro.netmodel.topology import FlowSpec, ServiceSpec
@@ -75,7 +76,7 @@ class TestRecoveryFallbacksReported:
     def test_evaluate_trace_manifest(self, tmp_path, monkeypatch):
         # ``evaluate`` has no hop-recovery flag; pin the config it builds.
         monkeypatch.setattr(
-            repro.cli,
+            repro.serve.session,
             "ReplayConfig",
             functools.partial(
                 ReplayConfig, hop_recovery=True, max_recovery_lossy_edges=1

@@ -4,6 +4,7 @@ The local command runs the daemon's chaos request in-process, so the two
 front ends must agree on the fault schedule, its size, and every table
 row, and they must reject the same bad requests with the same one-line
 error.  The local stdout is pinned byte for byte by the golden files.
+The bad-request tests cover the two evaluate front ends as well.
 """
 
 from __future__ import annotations
@@ -39,9 +40,15 @@ CASES = {
     ),
 }
 
-# The same command against the daemon; port 1 is never reached because
-# a bad request fails while it is being built.
-FRONT_ENDS = (["chaos"], ["client", "chaos", "--port", "1"])
+# The same commands against the daemon; port 1 is never reached because
+# a bad request fails while it is being built.  The lengths are short, so
+# a front end that ran the defaults instead would still finish quickly.
+FRONT_ENDS = (
+    ["chaos", "--duration", "5"],
+    ["client", "chaos", "--port", "1"],
+    ["evaluate", "--weeks", "0.002"],
+    ["client", "evaluate", "--port", "1"],
+)
 
 
 @pytest.mark.parametrize("name", sorted(CASES))
@@ -75,12 +82,14 @@ def test_local_and_served_chaos_agree(name, capsys):
 
 @pytest.mark.parametrize("front_end", FRONT_ENDS)
 def test_empty_scheme_list_is_an_error(front_end, capsys):
-    code = main([*front_end, "--schemes", ","])
-    captured = capsys.readouterr()
-    assert code == 2
-    assert "schemes must be a non-empty list of names" in captured.err
-    assert captured.err.count("\n") == 1
-    assert "scheme " not in captured.out  # no table: nothing ran
+    # An explicitly empty list is an error, never "use the defaults".
+    for field in ("schemes", "flows"):
+        code = main([*front_end, f"--{field}", ","])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert f"{field} must be a non-empty list of names, got ()" in captured.err
+        assert captured.err.count("\n") == 1
+        assert "scheme " not in captured.out  # no table: nothing ran
 
 
 @pytest.mark.parametrize("front_end", FRONT_ENDS)

@@ -102,7 +102,7 @@ class TestTraceCommands:
         def empty_replay(*_args, **_kwargs):
             return ReplayResult(ServiceSpec(), ReplayConfig()), ExecTelemetry()
 
-        monkeypatch.setattr("repro.cli.run_replay_parallel", empty_replay)
+        monkeypatch.setattr("repro.serve.session.run_replay_parallel", empty_replay)
         assert main(["evaluate", "--weeks", "0.01", "--seed", "5"]) == 2
         # the empty result tables must not have been printed
         assert "gap cov %" not in capsys.readouterr().out
@@ -111,6 +111,21 @@ class TestTraceCommands:
         assert main(["evaluate", "--weeks", "0.02", "--seed", "5", "--no-cache"]) == 0
         output = capsys.readouterr().out
         assert "flooding" in output
+
+    def test_per_flow_tables_with_a_scheme_subset(self, tmp_path, capsys):
+        code = main(
+            ["evaluate", "--weeks", "0.05", "--seed", "7", "--no-cache",
+             "--schemes", "targeted,flooding,dynamic-single", "--per-flow",
+             "--export-dir", str(tmp_path)]
+        )
+        output = capsys.readouterr().out
+        assert code == 0
+        assert "Per-flow gap coverage (%)" in output
+        assert (tmp_path / "scheme_performance.csv").exists()
+        header, *rows = (tmp_path / "per_flow_coverage.csv").read_text().splitlines()
+        assert header == "flow,static-two-disjoint,dynamic-two-disjoint,targeted"
+        # The two-disjoint schemes were not replayed: empty cells.
+        assert rows and all(row.split(",")[1:3] == ["", ""] for row in rows)
 
 
 class TestExecutionEngineCommands:
@@ -123,8 +138,12 @@ class TestExecutionEngineCommands:
     def test_evaluate_rejects_repeated_names(self, names, capsys):
         code = main(["evaluate", "--weeks", "0.002", "--no-cache", *names])
         err = capsys.readouterr().err
+        message = {
+            "--schemes": "schemes must be distinct, got ('targeted', 'targeted')",
+            "--flows": "flows must be distinct, got ('NYC->LAX', 'NYC->LAX')",
+        }[names[0]]
         assert code == 2
-        assert "duplicate (scheme, flow) pair" in err
+        assert message in err
         assert "missing its window records" not in err
         assert err.count("\n") == 1
 
@@ -140,7 +159,7 @@ class TestExecutionEngineCommands:
         )
         captured = capsys.readouterr()
         assert code == 2
-        assert "max_workers must be >= 0, got -1" in captured.err
+        assert "error: workers must be >= 0, got -1" in captured.err
         assert "execution engine" not in captured.out
 
     def test_evaluate_prints_telemetry(self, tmp_path, capsys):

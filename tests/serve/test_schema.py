@@ -2,6 +2,9 @@
 
 from __future__ import annotations
 
+import json
+import math
+
 import pytest
 
 from repro.serve.schema import (
@@ -95,6 +98,33 @@ class TestParseRequest:
             parse_request(
                 {"version": PROTOCOL_VERSION, "kind": "chaos", "crashes": -1}
             )
+
+    @pytest.mark.parametrize(
+        "kind, field",
+        (
+            ("evaluate", "weeks"),
+            ("evaluate", "deadline_ms"),
+            ("classify", "weeks"),
+            ("chaos", "duration_s"),
+            ("chaos", "send_interval_ms"),
+        ),
+    )
+    def test_rejects_infinite_lengths(self, kind, field):
+        # 1e400 is valid JSON that parses to inf: a run that never ends.
+        payload = json.loads(
+            f'{{"version": {PROTOCOL_VERSION}, "kind": "{kind}", "{field}": 1e400}}'
+        )
+        with pytest.raises(ValidationError) as excinfo:
+            parse_request(payload)
+        assert str(excinfo.value) == f"{field} must be finite, got inf"
+
+    def test_requests_reject_inf(self):
+        with pytest.raises(ValidationError, match="^weeks must be finite, got inf$"):
+            EvaluateRequest(weeks=math.inf)
+        with pytest.raises(
+            ValidationError, match="^duration_s must be finite, got inf$"
+        ):
+            ChaosRequest(duration_s=math.inf)
 
     def test_rejects_empty_name_lists(self):
         with pytest.raises(ValidationError, match="schemes"):
