@@ -2,8 +2,10 @@
 
 PR 5's contract: the reworked replay core (incremental observed views,
 canonical probability-cache keys, mask-classification reuse, delta-hinted
-policies) must be **bitwise-identical** to the historical implementation
-and at least 1.5x faster on the reference E2 workload.
+policies, chunked case-set classification) must be **bitwise-identical**
+to the historical implementation and at least 2.5x faster on the
+reference E2 workload.  Per-case enumeration alone measured 1.79x, so
+the guard fails if classification returns to one Dijkstra per case.
 
 The reference below is the pre-PR-5 replay loop, frozen inline so the
 comparison survives future changes to ``repro.simulation``: per-boundary
@@ -54,7 +56,7 @@ HOTPATH_WEEKS = float(
         "REPRO_BENCH_HOTPATH_WEEKS", str(min(common.BENCH_WEEKS, 0.25))
     )
 )
-MIN_SPEEDUP = 1.5
+MIN_SPEEDUP = 2.5
 MIN_KERNEL_SPEEDUP = 3.0
 #: numpy-vs-pure agreement bound on raw accumulation sums: identical
 #: multiplications, different summation tree, so the divergence is pure

@@ -38,6 +38,7 @@ from repro.netmodel.topology import FlowSpec, ServiceSpec
 from repro.routing.base import RoutingPolicy
 from repro.routing.registry import STANDARD_SCHEME_NAMES, make_policy
 from repro.simulation.reliability import (
+    MAX_RECOVERY_LOSSY_EDGES,
     DeliveryProbabilities,
     MaskClassification,
     RecoveryClassification,
@@ -200,7 +201,7 @@ class _ProbabilityCache:
         max_lossy_edges: int,
         hop_recovery: bool = False,
         recovery_extra_ms: float = 10.0,
-        max_recovery_lossy_edges: int = 11,
+        max_recovery_lossy_edges: int = MAX_RECOVERY_LOSSY_EDGES,
         max_bytes: int | None = _UNSET,  # type: ignore[assignment]
     ) -> None:
         self.deadline_ms = deadline_ms

@@ -7,9 +7,13 @@ path whose latency (current effective latencies) is within the deadline.
 
 The computation conditions on the *uncertain* edges only: edges with zero
 loss always survive, edges with 100% loss never do, and the remaining
-``L`` lossy edges are enumerated (``2^L`` cases).  Real problem episodes
-degrade a handful of links, so ``L`` stays small; a hard cap protects
-against pathological inputs.
+``L`` lossy edges span ``2^L`` cases (``3^L`` with hop recovery).  At
+most two Dijkstra runs (every lossy edge absent, every one present)
+decide most windows outright; otherwise one label-setting pass per
+chunk of 4096 cases finds every case's earliest arrival at once,
+carrying a set of cases per label (:func:`_classify_cases`).  Real
+problem episodes degrade a handful of links, so ``L`` stays small; a
+hard cap protects against pathological inputs.
 
 ``delivery_probabilities`` returns both the on-time probability and the
 delivered-eventually probability, which the result layer splits into
@@ -45,10 +49,20 @@ __all__ = [
 
 _INF = float("inf")
 
-#: Maximum number of uncertain edges enumerated exactly.  2^20 subgraph
-#: evaluations on a <50-edge graph is ~1s of CPU; anything beyond signals
-#: a scenario far denser than real traces and is rejected loudly.
+#: Maximum number of uncertain edges classified exactly.  The cap bounds
+#: the ``2^L``-byte class table (1 MiB at 20) and the per-window
+#: accumulation over it; anything beyond signals a scenario far denser
+#: than real traces and is rejected loudly.
 MAX_EXACT_LOSSY_EDGES = 20
+#: The hop-recovery engine's cap: its ``3^L`` class table and
+#: accumulation grow faster, so it stops at ``3^11`` (177,147) cases.
+MAX_RECOVERY_LOSSY_EDGES = 11
+
+#: Enumeration cases classified together by one label pass: a chunk's
+#: case set is one Python int of at most this many bits (64 words).
+_CHUNK_CASES = 4096
+#: ``'0'``/``'1'`` digits of a bitset's binary form -> 0/1 case bytes.
+_BIT_BYTES = bytes.maketrans(b"01", b"\x00\x01")
 
 
 class ReliabilityLimitError(RuntimeError):
@@ -80,11 +94,6 @@ class DeliveryProbabilities:
         return max(0.0, 1.0 - self.eventually)
 
 
-#: Per-mask outcome codes in :attr:`MaskClassification.classes`.
-_MASK_LOST = 0
-_MASK_LATE = 1
-_MASK_ON_TIME = 2
-
 
 @dataclass(frozen=True)
 class MaskClassification:
@@ -96,14 +105,14 @@ class MaskClassification:
     only weight the cases.  Splitting the computation lets the replay
     engine reuse one classification across every window that differs
     only in loss rates (the dominant kind of condition change in real
-    traces), skipping the entire ``2^L`` Dijkstra enumeration.
+    traces), skipping the classification of all ``2^L`` cases.
 
     ``certain`` short-circuits the fast paths whose outcome is decided
     regardless of the lossy edges' loss values; otherwise ``classes[m]``
-    holds the outcome code of enumeration case ``m`` (bit ``b`` of ``m``
-    = lossy edge ``lossy_slots[b]`` survives) and ``best_on_time``
-    records whether the all-survive case met the deadline (the numerical
-    hygiene cap of the accumulation).
+    holds the outcome code (0 lost, 1 late, 2 on time) of enumeration
+    case ``m`` (bit ``b`` of ``m`` = lossy edge ``lossy_slots[b]``
+    survives) and ``best_on_time`` records whether the all-survive case
+    met the deadline (the numerical hygiene cap of the accumulation).
     """
 
     certain: DeliveryProbabilities | None
@@ -138,7 +147,7 @@ def classify_delivery_masks(
         require(latency >= 0.0, f"negative latency on {edge!r}: {latency}")
         latencies.append(latency)
         # Certain edges: zero loss always survives, total loss never does;
-        # fractional-loss slots are toggled during enumeration.
+        # fractional-loss slots are toggled from case to case.
         present.append(loss <= 0.0)
         if 0.0 < loss < 1.0:
             lossy_slots.append(slot)
@@ -177,22 +186,23 @@ def classify_delivery_masks(
         return MaskClassification(certain=certain), losses
     best_on_time = best_case <= deadline_ms
 
-    count = len(lossy_slots)
-    classes = bytearray(1 << count)
-    for mask in range(1 << count):
-        for bit, slot in enumerate(lossy_slots):
-            present[slot] = bool(mask >> bit & 1)
-        arrival = _earliest_arrival_indexed(
-            source, destination, adjacency, latencies, present
-        )
-        if arrival <= deadline_ms:
-            classes[mask] = _MASK_ON_TIME
-        elif arrival < _INF:
-            classes[mask] = _MASK_LATE
+    # Bit ``b`` of a case: 0 = lossy edge ``lossy_slots[b]`` absent,
+    # 1 = it survives at its latency.
+    classes = _classify_cases(
+        source,
+        destination,
+        adjacency,
+        latencies,
+        present,
+        lossy_slots,
+        [(None, latencies[slot]) for slot in lossy_slots],
+        2,
+        deadline_ms,
+    )
     classification = MaskClassification(
         certain=None,
         lossy_slots=tuple(lossy_slots),
-        classes=bytes(classes),
+        classes=classes,
         best_on_time=best_on_time,
     )
     return classification, losses
@@ -258,12 +268,11 @@ def _index_graph(
     Nodes are relabeled to their rank in sorted-name order; edges keep
     their :meth:`DisseminationGraph.sorted_edges` position as a *slot*
     into parallel latency/presence arrays.  Because the relabeling is
-    monotone in node-name order, the enumeration below performs the very
+    monotone in node-name order, the Dijkstra runs below perform the very
     same float operations in the very same order as the historical
     name-keyed dictionaries did (edge iteration order and Dijkstra heap
     tie-breaks both follow the sort order) -- only the interpreter-level
-    cost of hashing strings is gone.  This is the replay engine's single
-    hottest code path.
+    cost of hashing strings is gone.
     """
     edges = graph.sorted_edges()
     rank = {node: position for position, node in enumerate(sorted(graph.nodes))}
@@ -307,6 +316,133 @@ def _earliest_arrival_indexed(
     return best[destination]
 
 
+def _classify_cases(
+    source: int,
+    destination: int,
+    adjacency: list[list[tuple[int, int]]],
+    latencies: Sequence[float],
+    present: Sequence[bool],
+    lossy_slots: Sequence[int],
+    state_latencies: Sequence[Sequence[float | None]],
+    radix: int,
+    deadline_ms: float,
+) -> bytes:
+    """Outcome code of every enumeration case, one label pass per chunk.
+
+    Case ``c`` puts lossy edge ``lossy_slots[p]`` in state ``s``, the
+    base-``radix`` digit ``p`` of ``c`` (least significant first); the
+    edge then crosses at ``state_latencies[p][s]``, or not at all where
+    that is ``None``.  The other slots are fixed by ``present``.  The
+    result holds one outcome byte per case, in case order: 0 lost, 1
+    late, 2 on time.
+
+    The low ``k`` digits (the largest ``k`` with ``radix**k`` at most
+    :data:`_CHUNK_CASES`) index one Python-int bitset of cases; each
+    value of the remaining high digits fixes those edges' states and is
+    one chunk, filling ``classes[i * width:(i + 1) * width]``.  Within a
+    chunk a label maps ``(arrival, node)`` to the set of cases that can
+    reach ``node`` at ``arrival``; labels pop in ``(arrival, node)``
+    order, and a popped case set keeps only the cases that reach ``node``
+    for the first time, which relax each out-edge state they contain.
+
+    **Exact.** Latencies are non-negative and IEEE addition is monotone,
+    so one case's Dijkstra returns the minimum, over its surviving
+    paths, of the left-to-right float sums of their latencies.  The
+    label pass gives each case its first arrival at every node through
+    the same additions, so the classes equal those of one Dijkstra run
+    per case, byte for byte.  Like Dijkstra, which never relaxes a
+    candidate that is not below an infinite best, the pass drops
+    non-finite arrivals: an infinite-latency path is no delivery.
+
+    **Cost.** Each case first reaches each node once, so a chunk has at
+    most ``nodes * 4096`` labels that relax their out-edges, each on case
+    sets of at most 64 words.  The worst case, where every case arrives
+    at a distinct time, is therefore a constant factor of one Dijkstra
+    run per case; labels shared by many cases make the usual case far
+    cheaper.
+    """
+    count = len(lossy_slots)
+    digits = 0
+    while digits < count and radix ** (digits + 1) <= _CHUNK_CASES:
+        digits += 1
+    width = radix**digits
+    full = (1 << width) - 1
+    # Low digit ``p`` is in state ``s`` on runs of ``radix**p`` cases
+    # starting at ``s * radix**p``, repeating every ``radix**(p + 1)``.
+    low_patterns = []
+    for position in range(digits):
+        run = radix**position
+        block = (1 << run) - 1
+        repeat = full // ((1 << run * radix) - 1)
+        low_patterns.append(
+            [(block << state * run) * repeat for state in range(radix)]
+        )
+    position_of = {slot: position for position, slot in enumerate(lossy_slots)}
+    pop = heapq.heappop
+    push = heapq.heappush
+    parts = []
+    for chunk in range(radix ** (count - digits)):
+        arcs: list[list[tuple[int, float, int]]] = [[] for _ in adjacency]
+        for node, out_edges in enumerate(adjacency):
+            for neighbor, slot in out_edges:
+                position = position_of.get(slot)
+                if position is None:
+                    if present[slot]:
+                        arcs[node].append((neighbor, latencies[slot], full))
+                elif position < digits:
+                    for state, latency in enumerate(state_latencies[position]):
+                        if latency is not None:
+                            pattern = low_patterns[position][state]
+                            arcs[node].append((neighbor, latency, pattern))
+                else:
+                    state = chunk // radix ** (position - digits) % radix
+                    latency = state_latencies[position][state]
+                    if latency is not None:
+                        arcs[node].append((neighbor, latency, full))
+        pending = [full] * len(adjacency)
+        labels = {(0.0, source): full}
+        heap = [(0.0, source)]
+        on_time = eventually = 0
+        while heap:
+            key = pop(heap)
+            arrival, node = key
+            cases = labels.pop(key) & pending[node]
+            if not cases:
+                continue
+            pending[node] ^= cases
+            if node == destination:
+                eventually |= cases
+                if arrival <= deadline_ms:
+                    on_time |= cases
+                if not pending[node]:
+                    break
+                continue
+            for neighbor, latency, pattern in arcs[node]:
+                reach = cases & pattern & pending[neighbor]
+                if not reach:
+                    continue
+                candidate = arrival + latency
+                if not candidate < _INF:
+                    continue
+                key = (candidate, neighbor)
+                merged = labels.get(key)
+                if merged is None:
+                    labels[key] = reach
+                    push(heap, key)
+                else:
+                    labels[key] = merged | reach
+        # Per case: on time -> 1 + 1, late -> 0 + 1, lost -> 0 + 0.
+        codes = _case_bytes(on_time, width) + _case_bytes(eventually, width)
+        parts.append(codes.to_bytes(width, "little"))
+    return b"".join(parts)
+
+
+def _case_bytes(cases: int, width: int) -> int:
+    """Bitset ``cases`` with bit ``c`` moved to byte ``c``, as an int."""
+    digits = format(cases, f"0{width}b").encode("ascii")
+    return int.from_bytes(digits.translate(_BIT_BYTES), "big")
+
+
 @dataclass(frozen=True)
 class RecoveryClassification:
     """Loss-value-independent core of the hop-recovery engine.
@@ -331,7 +467,7 @@ def classify_recovery_states(
     latency_of: Callable[[Edge], float],
     loss_of: Callable[[Edge], float],
     recovery_latency_of: Callable[[Edge], float],
-    max_lossy_edges: int = 11,
+    max_lossy_edges: int = MAX_RECOVERY_LOSSY_EDGES,
 ) -> tuple[RecoveryClassification, list[float]]:
     """Classify every ternary recovery state of ``graph``.
 
@@ -347,7 +483,9 @@ def classify_recovery_states(
     for slot, edge in enumerate(edges):
         loss = loss_of(edge)
         require(0.0 <= loss <= 1.0, f"loss out of range on {edge!r}: {loss}")
-        latency.append(latency_of(edge))
+        normal = latency_of(edge)
+        require(normal >= 0.0, f"negative latency on {edge!r}: {normal}")
+        latency.append(normal)
         # Zero loss always survives; total loss never does (even the
         # retransmission is lost: permanently dead).
         present.append(loss <= 0.0)
@@ -371,39 +509,30 @@ def classify_recovery_states(
         certain = DeliveryProbabilities(on_time=0.0, eventually=eventually)
         return RecoveryClassification(certain=certain), losses
 
-    count = len(lossy)
-    slow_latency = [recovery_latency_of(edges[slot]) for slot, _loss in lossy]
-    # The normal latencies were already read into ``latency`` above; the
-    # callback must not be invoked a second time per edge (a non-pure
-    # callable would silently diverge between the two reads).
-    base_latency = [latency[slot] for slot, _loss in lossy]
-    # Edge states: 0 = fast, 1 = recovered (slow), 2 = dead.
-    total_states = 3**count
-    classes = bytearray(total_states)
-    for code in range(total_states):
-        value = code
-        for position, (slot, _loss) in enumerate(lossy):
-            state = value % 3
-            value //= 3
-            if state == 0:
-                latency[slot] = base_latency[position]
-                present[slot] = True
-            elif state == 1:
-                latency[slot] = slow_latency[position]
-                present[slot] = True
-            else:
-                present[slot] = False
-        arrival = _earliest_arrival_indexed(
-            source, destination, adjacency, latency, present
-        )
-        if arrival <= deadline_ms:
-            classes[code] = _MASK_ON_TIME
-        elif arrival < _INF:
-            classes[code] = _MASK_LATE
+    lossy_slots = [slot for slot, _loss in lossy]
+    # Edge states: 0 = fast, 1 = recovered (slow), 2 = dead.  The normal
+    # latencies were already read into ``latency`` above; the callback
+    # must not be invoked a second time per edge (a non-pure callable
+    # would silently diverge between the two reads).
+    state_latencies = []
+    for slot in lossy_slots:
+        edge = edges[slot]
+        slow = recovery_latency_of(edge)
+        require(slow >= 0.0, f"negative recovery latency on {edge!r}: {slow}")
+        state_latencies.append((latency[slot], slow, None))
+    classes = _classify_cases(
+        source,
+        destination,
+        adjacency,
+        latency,
+        present,
+        lossy_slots,
+        state_latencies,
+        3,
+        deadline_ms,
+    )
     classification = RecoveryClassification(
-        certain=None,
-        lossy_slots=tuple(slot for slot, _loss in lossy),
-        classes=bytes(classes),
+        certain=None, lossy_slots=tuple(lossy_slots), classes=classes
     )
     return classification, losses
 
@@ -455,7 +584,7 @@ def delivery_probabilities_with_recovery(
     latency_of: Callable[[Edge], float],
     loss_of: Callable[[Edge], float],
     recovery_latency_of: Callable[[Edge], float],
-    max_lossy_edges: int = 11,
+    max_lossy_edges: int = MAX_RECOVERY_LOSSY_EDGES,
 ) -> DeliveryProbabilities:
     """Delivery probabilities with one hop-by-hop retransmission per link.
 
@@ -464,8 +593,8 @@ def delivery_probabilities_with_recovery(
     probability ``1 - p``; the first copy is lost but the retransmission
     arrives at ``recovery_latency_of(edge)`` with probability
     ``p * (1 - p)``; both are lost with probability ``p^2``.  The exact
-    computation therefore enumerates ternary edge states (``3^L``), which
-    is why the lossy-edge cap is lower than the plain engine's.
+    computation therefore covers ternary edge states (``3^L``), which is
+    why the lossy-edge cap is lower than the plain engine's.
 
     ``recovery_latency_of`` should return the *total* latency of a
     recovered copy across the edge -- typically ack-timeout plus the
@@ -500,8 +629,8 @@ def delivery_probabilities(
     graph contains more than ``max_lossy_edges`` edges with fractional
     loss.
 
-    Implemented as :func:`classify_delivery_masks` (the Dijkstra
-    enumeration) followed by :func:`accumulate_mask_probabilities` (the
+    Implemented as :func:`classify_delivery_masks` (the shortest-path
+    classification) followed by :func:`accumulate_mask_probabilities` (the
     loss-value weighting); callers that see repeated loss-only condition
     changes can cache the classification and skip the first phase.
     """

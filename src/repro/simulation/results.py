@@ -6,6 +6,10 @@ from dataclasses import dataclass, field
 from typing import Iterable, Mapping
 
 from repro.netmodel.topology import FlowSpec, ServiceSpec
+from repro.simulation.reliability import (
+    MAX_EXACT_LOSSY_EDGES,
+    MAX_RECOVERY_LOSSY_EDGES,
+)
 from repro.util.validation import require, require_non_negative
 
 __all__ = [
@@ -28,7 +32,7 @@ class ReplayConfig:
     """
 
     detection_delay_s: float = 1.0
-    max_lossy_edges: int = 20
+    max_lossy_edges: int = MAX_EXACT_LOSSY_EDGES
     collect_windows: bool = False
     #: Model one hop-by-hop retransmission per overlay link (the Spines
     #: link-layer recovery extension).  A recovered copy crosses an edge
@@ -37,7 +41,7 @@ class ReplayConfig:
     hop_recovery: bool = False
     recovery_extra_ms: float = 10.0
     #: Ternary enumeration cap when hop_recovery is on (3^L states).
-    max_recovery_lossy_edges: int = 11
+    max_recovery_lossy_edges: int = MAX_RECOVERY_LOSSY_EDGES
 
     def __post_init__(self) -> None:
         require_non_negative(self.detection_delay_s, "detection_delay_s")

@@ -15,6 +15,7 @@ from repro.simulation.reliability import (
     delivery_probabilities_with_recovery,
 )
 from repro.simulation.results import ReplayConfig
+from repro.util.validation import ValidationError
 
 SINGLE = DisseminationGraph.from_path(["S", "A", "T"])
 FLOW = FlowSpec("S", "T")
@@ -95,6 +96,30 @@ class TestRecoveryProbabilities:
                 constant(0.5),
                 constant(20.0),
                 max_lossy_edges=5,
+            )
+
+    @pytest.mark.parametrize("bad", [-5.0, float("nan")])
+    def test_bad_latency_rejected(self, bad):
+        """The recovery engine validates latencies like the plain engine;
+        the classification is only exact on non-negative weights."""
+        with pytest.raises(ValidationError, match="negative latency on"):
+            delivery_probabilities_with_recovery(
+                SINGLE,
+                10.0,
+                constant(bad),
+                losses({("S", "A"): 0.3}),
+                constant(15.0),
+            )
+
+    @pytest.mark.parametrize("bad", [-15.0, float("nan")])
+    def test_bad_recovery_latency_rejected(self, bad):
+        with pytest.raises(ValidationError, match="negative recovery latency on"):
+            delivery_probabilities_with_recovery(
+                SINGLE,
+                10.0,
+                constant(5.0),
+                losses({("S", "A"): 0.3}),
+                constant(bad),
             )
 
     def test_latency_callback_read_once_per_edge(self):
