@@ -311,37 +311,30 @@ def _optimized_replay(topology, timeline, flows, service, config):
 def _harvest_kernel_stream(topology, timeline, flows, service, config):
     """Record every accumulation call an E2 replay feeds the kernel.
 
-    Patches the kernel's mask entry points to capture ``(classes, rows)``
-    before delegating, so the stream is exactly the arithmetic workload
-    the replay performs -- call shapes, batch sizes and all.
+    Patches the kernel's entry point to capture ``(classes, radix,
+    rows)`` before delegating, so the stream is exactly the arithmetic
+    workload the replay performs -- call shapes, batch sizes and all.
     """
-    stream: list[tuple[bytes, list[list[float]]]] = []
-    original_single = kernel.mask_totals
-    original_batch = kernel.mask_totals_batch
+    stream: list[tuple[bytes, int, list[list[float]]]] = []
+    original = kernel.totals
 
-    def record_single(classes, losses):
-        stream.append((classes, [list(losses)]))
-        return original_single(classes, losses)
+    def record(classes, radix, rows):
+        stream.append((classes, radix, [list(row) for row in rows]))
+        return original(classes, radix, rows)
 
-    def record_batch(classes, rows):
-        stream.append((classes, [list(row) for row in rows]))
-        return original_batch(classes, rows)
-
-    kernel.mask_totals = record_single
-    kernel.mask_totals_batch = record_batch
+    kernel.totals = record
     try:
         _optimized_replay(topology, timeline, flows, service, config)
     finally:
-        kernel.mask_totals = original_single
-        kernel.mask_totals_batch = original_batch
+        kernel.totals = original
     return stream
 
 
 def _replay_kernel_stream(stream):
     """Run a harvested stream on the active backend; returns all totals."""
     totals: list[tuple[float, float]] = []
-    for classes, rows in stream:
-        totals.extend(kernel.mask_totals_batch(classes, rows))
+    for classes, radix, rows in stream:
+        totals.extend(kernel.totals(classes, radix, rows))
     return totals
 
 
@@ -440,11 +433,11 @@ def test_hotpath_bitwise_identity_and_speedup(benchmark):
             topology, timeline, flows, service, config
         )
     bound = [
-        (classes, rows)
-        for classes, rows in stream
+        (classes, radix, rows)
+        for classes, radix, rows in stream
         if len(classes) >= kernel.VECTOR_MIN_CASES
     ]
-    bound_rows = sum(len(rows) for _classes, rows in bound)
+    bound_rows = sum(len(rows) for _classes, _radix, rows in bound)
     with kernel.force_backend("pure"):
         started = time.perf_counter()
         pure_totals = _replay_kernel_stream(bound)

@@ -14,6 +14,7 @@ from typing import Sequence
 
 from repro.analysis.metrics import DEFAULT_BASELINE, DEFAULT_OPTIMAL, gap_coverage
 from repro.core.graph import Topology
+from repro.exec.engine import run_replay_parallel
 from repro.netmodel.scenarios import Scenario, generate_timeline
 from repro.netmodel.topology import FlowSpec, ServiceSpec
 from repro.simulation.cost import cost_comparison
@@ -70,10 +71,6 @@ def run_seed_sweep(
     reuse cached shards across sweep invocations (the E10 bench sets
     both from the ``REPRO_BENCH_*`` environment variables).
     """
-    # Imported lazily: repro.analysis is pulled in by netmodel's package
-    # init, which the execution engine's own imports would re-enter.
-    from repro.exec.engine import run_replay_parallel
-
     require(bool(seeds), "need at least one seed")
     outcomes = []
     for seed in seeds:

@@ -74,7 +74,7 @@ from repro.exec.cache import ResultCache
 from repro.netmodel.trace import load_timeline, write_trace
 from repro.simulation import kernel
 from repro.util.logging import LOG_LEVELS, configure_logging, get_logger
-from repro.util.validation import fail, require
+from repro.util.validation import require
 
 __all__ = ["main"]
 
@@ -105,30 +105,6 @@ def _add_obs_arguments(parser: argparse.ArgumentParser) -> None:
         help="directory for trace.json / spans.jsonl / manifest.json "
         "(default: trace-out)",
     )
-
-
-def _add_kernel_argument(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument(
-        "--kernel",
-        choices=("auto", "numpy", "pure"),
-        help="probability-accumulation backend (default: $REPRO_KERNEL or "
-        "auto, which picks numpy when importable); exported to worker "
-        "processes",
-    )
-
-
-def _apply_kernel_choice(args: argparse.Namespace) -> None:
-    """Pin the accumulation backend when ``--kernel`` was given.
-
-    Left unset, the environment (``$REPRO_KERNEL``) keeps authority --
-    the flag must not silently override an operator's pin with ``auto``.
-    """
-    if getattr(args, "kernel", None) is None:
-        return
-    try:
-        kernel.set_backend(args.kernel)
-    except ValueError as error:
-        fail(str(error))
 
 
 def _scenario(args: argparse.Namespace) -> Scenario:
@@ -270,7 +246,6 @@ def _cmd_evaluate(args: argparse.Namespace) -> int:
 
     from repro.serve.session import run_evaluate
 
-    _apply_kernel_choice(args)
     request = _evaluate_request(args)
     started = time.perf_counter()
     workload = _workload(args)
@@ -796,8 +771,6 @@ def _cmd_serve(args: argparse.Namespace) -> int:
 
     from repro.serve import ServeConfig, serve_main
 
-    _apply_kernel_choice(args)
-
     config = ServeConfig(
         host=args.host,
         port=args.port,
@@ -985,7 +958,6 @@ def build_parser() -> argparse.ArgumentParser:
         default=5.0,
         help="sampling period of --profile in milliseconds (default: 5)",
     )
-    _add_kernel_argument(evaluate)
     evaluate.set_defaults(handler=_cmd_evaluate)
 
     classify = subparsers.add_parser(
@@ -1224,7 +1196,6 @@ def build_parser() -> argparse.ArgumentParser:
         action="store_true",
         help="serve without the content-addressed disk cache",
     )
-    _add_kernel_argument(serve)
     serve.set_defaults(handler=_cmd_serve)
 
     client = subparsers.add_parser(

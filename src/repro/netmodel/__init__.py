@@ -17,7 +17,6 @@ proprietary, so this package supplies the closest synthetic equivalent:
 * :mod:`repro.netmodel.trace` -- JSONL trace persistence.
 """
 
-from repro.netmodel.calibration import evaluate_scenario, fit_error
 from repro.netmodel.conditions import ConditionTimeline, LinkState
 from repro.netmodel.presets import preset_names, preset_scenario
 from repro.netmodel.scenarios import Scenario, generate_events, generate_timeline
@@ -35,8 +34,6 @@ from repro.netmodel.topology import (
 __all__ = [
     "ConditionTimeline",
     "coast_to_coast_flows",
-    "evaluate_scenario",
-    "fit_error",
     "preset_names",
     "preset_scenario",
     "synthetic_continental_topology",

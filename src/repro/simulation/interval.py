@@ -39,12 +39,10 @@ from repro.routing.base import RoutingPolicy
 from repro.routing.registry import STANDARD_SCHEME_NAMES, make_policy
 from repro.simulation.reliability import (
     MAX_RECOVERY_LOSSY_EDGES,
+    Classification,
     DeliveryProbabilities,
-    MaskClassification,
-    RecoveryClassification,
     ReliabilityLimitError,
-    accumulate_mask_probabilities_batch,
-    accumulate_recovery_probabilities_batch,
+    accumulate_probabilities,
     classify_delivery_masks,
     classify_recovery_states,
     delivery_probabilities,
@@ -95,6 +93,12 @@ _ENTRY_OVERHEAD_BYTES = 160
 _PER_EDGE_BYTES = 120
 
 _UNSET: object = object()
+
+#: The one radix-generic accumulation under the per-engine names
+#: (plain masks, hop-recovery states) that the miss path looks up at
+#: call time, like the classifiers.
+accumulate_mask_probabilities_batch = accumulate_probabilities
+accumulate_recovery_probabilities_batch = accumulate_probabilities
 
 
 def _limit_error_with_context(
@@ -150,7 +154,7 @@ class _ProbabilityCache:
     identical float-operation sequence.
 
     A second-level *classification* cache (see
-    :class:`~repro.simulation.reliability.MaskClassification`) is keyed
+    :class:`~repro.simulation.reliability.Classification`) is keyed
     without the loss values: windows that differ only in loss rates --
     the dominant kind of condition change -- skip the whole Dijkstra
     enumeration and redo only the cheap probability weighting, which is
@@ -218,7 +222,7 @@ class _ProbabilityCache:
         # eviction.
         self._entries: dict[
             tuple,
-            tuple[DeliveryProbabilities | MaskClassification, str | None, int],
+            tuple[DeliveryProbabilities | Classification, str | None, int],
         ] = {}
         self._bytes = 0
         # Per-graph canonical forms, keyed by the graph value itself and
@@ -306,7 +310,7 @@ class _ProbabilityCache:
     def _store(
         self,
         key: tuple,
-        result: DeliveryProbabilities | MaskClassification,
+        result: DeliveryProbabilities | Classification,
         group: str | None,
         edge_count: int,
         extra_bytes: int = 0,
@@ -462,7 +466,7 @@ class _ProbabilityCache:
         effective_latency: tuple[float, ...],
         loss_vector: list[float],
         group: str | None,
-    ) -> MaskClassification | RecoveryClassification:
+    ) -> Classification:
         """Cached classification (one locked LRU touch); raises on the cap.
 
         Binary delivery masks normally, ternary recovery states under
@@ -529,15 +533,13 @@ class _ProbabilityCache:
         entirely and their loss rows ride one kernel batch call.
 
         Under hop recovery the ternary (3^L) classification is cached
-        just like the binary one; a view with too many lossy edges for
-        ternary enumeration falls back to the no-recovery computation, a
-        conservative lower bound on delivery (counted in
-        ``recovery_fallbacks``).
+        just like the binary one; a view that no fast path decides and
+        that has too many lossy edges for ternary enumeration falls back
+        to the no-recovery computation, a conservative lower bound on
+        delivery (counted in ``recovery_fallbacks``).
         """
         tag = "rstates" if self.hop_recovery else "masks"
-        grouped: dict[
-            tuple, tuple[MaskClassification | RecoveryClassification, list]
-        ] = {}
+        grouped: dict[tuple, tuple[Classification, list]] = {}
         computed: list[tuple[int, tuple, DeliveryProbabilities]] = []
         for key, effective_latency, loss_vector, position in misses:
             context = contexts[position] if contexts is not None else None

@@ -1,29 +1,32 @@
 """Probability-accumulation kernel: pure-Python and numpy backends.
 
-The exact reliability engines (:mod:`repro.simulation.reliability`)
-split every computation into a loss-value-independent *classification*
-(which enumeration cases deliver on time / at all -- one Dijkstra per
-case) and a cheap *accumulation* (weight each case by the current loss
-values and sum per outcome).  The classification is cached per canonical
-graph; the accumulation runs once per distinct loss vector and is the
-replay engine's arithmetic inner loop.  This module owns that inner
-loop and selects between two interchangeable implementations:
+The exact reliability engine (:mod:`repro.simulation.reliability`)
+splits every computation into a loss-value-independent *classification*
+(which enumeration cases deliver on time / at all -- one chunked
+case-set Dijkstra pass over all ``radix^L`` cases) and a cheap
+*accumulation* (weight each case by the current loss values and sum per
+outcome).  The classification is cached per canonical graph; the
+accumulation runs once per distinct loss vector and is the replay
+engine's arithmetic inner loop.  This module owns that inner loop, one
+entry point (:func:`totals`) for both radices, with two interchangeable
+implementations that read the same per-edge state factors (``loss,
+1 - loss`` in radix 2; ``1 - loss, loss * (1 - loss), loss * loss`` in
+radix 3, the hop-recovery states):
 
-* ``pure`` -- the historical per-mask Python loop, kept bitwise-identical
+* ``pure`` -- the historical per-case Python loop, kept bitwise-identical
   to the seed implementation (same multiply order, same summation order,
   same zero-probability skip).  Always available.
-* ``numpy`` -- the same weights built as one outer-product cascade
-  (``2^L`` binary masks, ``3^L`` ternary recovery states) and summed per
-  outcome class with vectorized reductions.  Selected automatically when
-  :mod:`numpy` is importable (``pip install repro[fast]``); per-value
-  results agree with ``pure`` up to floating-point *reassociation* only
+* ``numpy`` -- the same weights built as one outer-product cascade and
+  summed per outcome class with vectorized reductions.  Used whenever
+  :mod:`numpy` imports (``pip install repro[fast]``); per-value results
+  agree with ``pure`` up to floating-point *reassociation* only
   (identical multiplications, different summation tree), which is the
   documented tolerance contract (DESIGN.md S25).
 
-Backend choice is process-wide and sticky: ``$REPRO_KERNEL`` (``auto`` /
-``numpy`` / ``pure``) or :func:`set_backend` pin it, otherwise ``auto``
-resolves to ``numpy`` when importable.  Two determinism rules keep the
-engine's exact-merge contracts intact regardless of call shape:
+The backend depends only on whether numpy imports; :func:`force_backend`
+pins it within one process, for tests and dual-path benchmarks.  Two
+determinism rules keep the engine's exact-merge contracts intact
+regardless of call shape:
 
 * the vector path only engages for classifications with at least
   :data:`VECTOR_MIN_CASES` enumeration cases -- a property of the
@@ -32,7 +35,7 @@ engine's exact-merge contracts intact regardless of call shape:
   yields the same bits whether it is computed alone, inside a batch, in
   a pool worker, or in a time shard;
 * a batched row is computed with row-independent array operations, so
-  ``batch(rows)[i]`` is bitwise-equal to the single-row vector call on
+  ``totals(rows)[i]`` is bitwise-equal to the one-row call on
   ``rows[i]``.
 
 Per-backend call/row/time counters feed exec telemetry and the
@@ -41,29 +44,20 @@ Per-backend call/row/time counters feed exec telemetry and the
 
 from __future__ import annotations
 
-import os
 import threading
 import time
 from contextlib import contextmanager
 from typing import Iterator, Sequence
 
 __all__ = [
-    "KERNEL_ENV",
     "VECTOR_MIN_CASES",
     "active_backend",
     "counters",
     "describe",
     "force_backend",
-    "mask_totals",
-    "mask_totals_batch",
     "numpy_available",
-    "recovery_totals",
-    "recovery_totals_batch",
-    "set_backend",
+    "totals",
 ]
-
-#: Backend override: ``auto`` (default), ``numpy``, or ``pure``.
-KERNEL_ENV = "REPRO_KERNEL"
 
 #: Minimum number of enumeration cases (``len(classes)``) before the
 #: vector backend engages.  Below this the per-call numpy overhead
@@ -74,11 +68,11 @@ KERNEL_ENV = "REPRO_KERNEL"
 #: (see module docstring).
 VECTOR_MIN_CASES = 64
 
-#: Outcome codes, mirrored from :mod:`repro.simulation.reliability`
-#: (redeclared here to keep this module import-light and cycle-free).
-_MASK_LOST = 0
-_MASK_LATE = 1
-_MASK_ON_TIME = 2
+#: Outcome codes of a case (0 is lost), mirrored from
+#: :mod:`repro.simulation.reliability` (redeclared here to keep this
+#: module import-light and cycle-free).
+_LATE = 1
+_ON_TIME = 2
 
 _BACKENDS = ("auto", "numpy", "pure")
 
@@ -107,13 +101,21 @@ def _numpy():
 _backend_override: str | None = None
 
 
-def set_backend(name: str) -> str:
-    """Pin the backend for this process (and, via the env, pool workers).
+def active_backend() -> str:
+    """The backend accumulate calls resolve to: ``numpy`` or ``pure``."""
+    if _backend_override is not None:
+        return _backend_override
+    return "numpy" if numpy_available() else "pure"
 
-    ``auto`` restores the default selection.  Returns the *resolved*
-    backend.  Raises ``ValueError`` for unknown names or for ``numpy``
-    when numpy is not importable, so a forced vector run fails loudly
-    instead of silently degrading.
+
+@contextmanager
+def force_backend(name: str) -> Iterator[str]:
+    """Temporarily pin the backend (tests and dual-path benchmarks).
+
+    ``auto`` restores the default rule within the block; yields the
+    resolved backend.  Raises ``ValueError`` for unknown names or for
+    ``numpy`` when numpy is not importable, so a pinned vector run fails
+    loudly instead of silently degrading.
     """
     global _backend_override
     if name not in _BACKENDS:
@@ -126,44 +128,12 @@ def set_backend(name: str) -> str:
             "kernel backend 'numpy' requested but numpy is not importable "
             "(pip install repro[fast])"
         )
-    _backend_override = None if name == "auto" else name
-    # Export the choice so ProcessPoolExecutor workers -- fresh
-    # interpreters under the spawn start method -- resolve identically.
-    os.environ[KERNEL_ENV] = name
-    return active_backend()
-
-
-def active_backend() -> str:
-    """The backend accumulate calls resolve to: ``numpy`` or ``pure``."""
-    if _backend_override is not None:
-        return _backend_override
-    env = os.environ.get(KERNEL_ENV, "auto")
-    if env == "pure":
-        return "pure"
-    if env == "numpy":
-        if not numpy_available():
-            raise ValueError(
-                f"{KERNEL_ENV}=numpy but numpy is not importable "
-                "(pip install repro[fast])"
-            )
-        return "numpy"
-    return "numpy" if numpy_available() else "pure"
-
-
-@contextmanager
-def force_backend(name: str) -> Iterator[str]:
-    """Temporarily pin the backend (tests and dual-path benchmarks)."""
-    global _backend_override
     previous_override = _backend_override
-    previous_env = os.environ.get(KERNEL_ENV)
+    _backend_override = None if name == "auto" else name
     try:
-        yield set_backend(name)
+        yield active_backend()
     finally:
         _backend_override = previous_override
-        if previous_env is None:
-            os.environ.pop(KERNEL_ENV, None)
-        else:
-            os.environ[KERNEL_ENV] = previous_env
 
 
 def describe() -> dict[str, object]:
@@ -201,54 +171,70 @@ def _charge(backend: str, rows: int, elapsed: float) -> None:
         _counters[f"{backend}_s"] += elapsed
 
 
-# -- binary (2^L) mask accumulation ------------------------------------------------
+# -- accumulation ------------------------------------------------------------------
 
 
-def _mask_totals_pure(
-    classes: bytes, losses: Sequence[float]
-) -> tuple[float, float]:
-    """The historical fused accumulation loop, bit for bit.
+def _state_factors(radix: int, loss):
+    """One lossy edge's weight in each digit state, in state order.
 
-    Multiply order (bit 0 first), mask order, the zero-probability skip
-    and the interleaved on-time/eventually additions all match the seed
-    implementation -- this is the bitwise reference the numpy path is
-    measured against.
+    Radix 2: absent ``loss``, survives ``1 - loss``.  Radix 3 (hop
+    recovery): fast ``1 - loss``, recovered ``loss * (1 - loss)``, dead
+    ``loss * loss``.  ``loss`` is a float in the pure loop and a column
+    of the loss matrix in the vector cascade, so both backends multiply
+    the very same factors.
     """
+    if radix == 2:
+        return (loss, 1.0 - loss)
+    return (1.0 - loss, loss * (1.0 - loss), loss * loss)
+
+
+def _totals_pure(
+    classes: bytes, radix: int, losses: Sequence[float]
+) -> tuple[float, float]:
+    """The historical per-case accumulation loop, bit for bit.
+
+    Multiply order (digit 0 first), case order, the zero-probability
+    skip and the interleaved on-time/eventually additions all match the
+    seed implementation -- this is the bitwise reference the numpy path
+    is measured against.
+    """
+    factors = [_state_factors(radix, loss) for loss in losses]
     on_time_total = 0.0
     eventually_total = 0.0
-    for mask in range(len(classes)):
+    for case in range(len(classes)):
         probability = 1.0
-        for bit, loss in enumerate(losses):
-            if mask >> bit & 1:
-                probability *= 1.0 - loss
-            else:
-                probability *= loss
+        value = case
+        for weights in factors:
+            probability *= weights[value % radix]
+            value //= radix
         if probability == 0.0:
             continue
-        outcome = classes[mask]
-        if outcome == _MASK_ON_TIME:
+        outcome = classes[case]
+        if outcome == _ON_TIME:
             on_time_total += probability
             eventually_total += probability
-        elif outcome == _MASK_LATE:
+        elif outcome == _LATE:
             eventually_total += probability
     return on_time_total, eventually_total
 
 
-def _mask_weights_vector(np, losses_rows):
-    """``(rows, 2^L)`` per-mask weights via an outer-product cascade.
+def _weights_vector(np, radix: int, losses_rows):
+    """``(rows, radix^L)`` per-case weights via an outer-product cascade.
 
-    Column ``m`` of row ``r`` is ``prod_b (1 - loss[r][b] if bit b of m
-    else loss[r][b])`` -- the same factors in the same (bit-ascending)
-    multiply order as the pure loop, built with row-independent array
-    operations so batching does not change any row's bits.
+    Column ``c`` of row ``r`` is the product, digit ``p`` ascending, of
+    lossy edge ``p``'s factor for digit ``p`` of ``c`` -- the same
+    factors in the same multiply order as the pure loop, built with
+    row-independent array operations so batching does not change any
+    row's bits.
     """
     rows = len(losses_rows)
     loss_matrix = np.asarray(losses_rows, dtype=np.float64).reshape(rows, -1)
     weights = np.ones((rows, 1), dtype=np.float64)
-    for bit in range(loss_matrix.shape[1]):
-        column = loss_matrix[:, bit : bit + 1]
+    for position in range(loss_matrix.shape[1]):
+        column = loss_matrix[:, position : position + 1]
         weights = np.concatenate(
-            (weights * column, weights * (1.0 - column)), axis=1
+            [weights * factor for factor in _state_factors(radix, column)],
+            axis=1,
         )
     return weights
 
@@ -256,18 +242,16 @@ def _mask_weights_vector(np, losses_rows):
 def _class_sums_vector(np, classes: bytes, weights):
     """Per-row ``(on_time, eventually)`` from a ``(rows, cases)`` matrix.
 
-    Shared by the single-row and batched entry points, so a single call
-    is literally the one-row special case of a batch -- bitwise, not
-    just numerically.  The column selection is forced C-contiguous
-    before reducing: advanced indexing hands back an F-ordered copy for
-    multi-row inputs, and summing that along axis 1 interleaves rows in
-    the reduction order, shifting results by an ulp relative to the
-    one-row call.  Contiguous rows reduce independently, keeping the
-    batch contract bitwise.
+    The column selection is forced C-contiguous before reducing:
+    advanced indexing hands back an F-ordered copy for multi-row inputs,
+    and summing that along axis 1 interleaves rows in the reduction
+    order, shifting results by an ulp relative to the one-row call.
+    Contiguous rows reduce independently, keeping the batch contract
+    bitwise.
     """
     codes = np.frombuffer(classes, dtype=np.uint8)
-    on_columns = np.ascontiguousarray(weights[:, codes == _MASK_ON_TIME])
-    late_columns = np.ascontiguousarray(weights[:, codes == _MASK_LATE])
+    on_columns = np.ascontiguousarray(weights[:, codes == _ON_TIME])
+    late_columns = np.ascontiguousarray(weights[:, codes == _LATE])
     on_sums = on_columns.sum(axis=1)
     late_sums = late_columns.sum(axis=1)
     return [
@@ -276,134 +260,31 @@ def _class_sums_vector(np, classes: bytes, weights):
     ]
 
 
-def mask_totals(
-    classes: bytes, losses: Sequence[float]
-) -> tuple[float, float]:
-    """Raw ``(on_time, eventually)`` sums for one loss vector.
-
-    ``classes[m]`` is the outcome code of enumeration case ``m`` (bit
-    ``b`` of ``m`` = lossy edge ``b`` survives).  Final clamping and the
-    best-case hygiene zeroing stay with the caller
-    (:func:`repro.simulation.reliability.accumulate_mask_probabilities`),
-    so both backends feed the identical finalization.
-    """
-    started = time.perf_counter()
-    if active_backend() == "numpy" and len(classes) >= VECTOR_MIN_CASES:
-        np = _numpy()
-        weights = _mask_weights_vector(np, [list(losses)])
-        totals = _class_sums_vector(np, classes, weights)[0]
-        _charge("vector", 1, time.perf_counter() - started)
-        return totals
-    totals = _mask_totals_pure(classes, losses)
-    _charge("pure", 1, time.perf_counter() - started)
-    return totals
-
-
-def mask_totals_batch(
-    classes: bytes, losses_rows: Sequence[Sequence[float]]
+def totals(
+    classes: bytes, radix: int, losses_rows: Sequence[Sequence[float]]
 ) -> list[tuple[float, float]]:
-    """:func:`mask_totals` for many loss vectors of one classification.
+    """Raw ``(on_time, eventually)`` sums, one pair per loss vector.
 
-    One vector call builds the whole ``(rows, 2^L)`` weight matrix, so a
+    ``classes[c]`` is the outcome code of enumeration case ``c``, whose
+    base-``radix`` digit ``p`` is the state of lossy edge ``p``; every
+    row of ``losses_rows`` holds one loss value per lossy edge.  One
+    vector call builds the whole ``(rows, radix^L)`` weight matrix, so a
     run of loss-only windows amortizes the per-call overhead; row ``i``
-    of the result is bitwise-equal to ``mask_totals(classes, rows[i])``
-    because every array operation is row-independent and the vector
-    threshold depends only on ``len(classes)``.
+    of the result is bitwise-equal to ``totals(classes, radix,
+    [rows[i]])[0]`` because every array operation is row-independent
+    and the vector threshold depends only on ``len(classes)``.  Final
+    clamping stays with the caller
+    (:func:`repro.simulation.reliability.accumulate_probabilities`).
     """
     if not losses_rows:
         return []
     started = time.perf_counter()
     if active_backend() == "numpy" and len(classes) >= VECTOR_MIN_CASES:
         np = _numpy()
-        weights = _mask_weights_vector(np, losses_rows)
-        totals = _class_sums_vector(np, classes, weights)
+        weights = _weights_vector(np, radix, losses_rows)
+        result = _class_sums_vector(np, classes, weights)
         _charge("vector", len(losses_rows), time.perf_counter() - started)
-        return totals
-    totals = [_mask_totals_pure(classes, row) for row in losses_rows]
+        return result
+    result = [_totals_pure(classes, radix, row) for row in losses_rows]
     _charge("pure", len(losses_rows), time.perf_counter() - started)
-    return totals
-
-
-# -- ternary (3^L) recovery accumulation -------------------------------------------
-
-
-def _recovery_totals_pure(
-    classes: bytes, losses: Sequence[float]
-) -> tuple[float, float]:
-    """The historical ternary loop: state codes in base-3 digit order."""
-    on_time_total = 0.0
-    eventually_total = 0.0
-    for code in range(len(classes)):
-        probability = 1.0
-        value = code
-        for loss in losses:
-            state = value % 3
-            value //= 3
-            if state == 0:
-                probability *= 1.0 - loss
-            elif state == 1:
-                probability *= loss * (1.0 - loss)
-            else:
-                probability *= loss * loss
-        if probability == 0.0:
-            continue
-        outcome = classes[code]
-        if outcome == _MASK_ON_TIME:
-            on_time_total += probability
-            eventually_total += probability
-        elif outcome == _MASK_LATE:
-            eventually_total += probability
-    return on_time_total, eventually_total
-
-
-def _recovery_weights_vector(np, losses_rows):
-    """``(rows, 3^L)`` per-state weights; digit ``p`` of a state code is
-    lossy edge ``p``'s outcome (0 fast, 1 recovered, 2 dead)."""
-    rows = len(losses_rows)
-    loss_matrix = np.asarray(losses_rows, dtype=np.float64).reshape(rows, -1)
-    weights = np.ones((rows, 1), dtype=np.float64)
-    for position in range(loss_matrix.shape[1]):
-        column = loss_matrix[:, position : position + 1]
-        weights = np.concatenate(
-            (
-                weights * (1.0 - column),
-                weights * (column * (1.0 - column)),
-                weights * (column * column),
-            ),
-            axis=1,
-        )
-    return weights
-
-
-def recovery_totals(
-    classes: bytes, losses: Sequence[float]
-) -> tuple[float, float]:
-    """Raw ``(on_time, eventually)`` sums over ternary recovery states."""
-    started = time.perf_counter()
-    if active_backend() == "numpy" and len(classes) >= VECTOR_MIN_CASES:
-        np = _numpy()
-        weights = _recovery_weights_vector(np, [list(losses)])
-        totals = _class_sums_vector(np, classes, weights)[0]
-        _charge("vector", 1, time.perf_counter() - started)
-        return totals
-    totals = _recovery_totals_pure(classes, losses)
-    _charge("pure", 1, time.perf_counter() - started)
-    return totals
-
-
-def recovery_totals_batch(
-    classes: bytes, losses_rows: Sequence[Sequence[float]]
-) -> list[tuple[float, float]]:
-    """:func:`recovery_totals` for many loss vectors (one classification)."""
-    if not losses_rows:
-        return []
-    started = time.perf_counter()
-    if active_backend() == "numpy" and len(classes) >= VECTOR_MIN_CASES:
-        np = _numpy()
-        weights = _recovery_weights_vector(np, losses_rows)
-        totals = _class_sums_vector(np, classes, weights)
-        _charge("vector", len(losses_rows), time.perf_counter() - started)
-        return totals
-    totals = [_recovery_totals_pure(classes, row) for row in losses_rows]
-    _charge("pure", len(losses_rows), time.perf_counter() - started)
-    return totals
+    return result

@@ -7,13 +7,15 @@ path whose latency (current effective latencies) is within the deadline.
 
 The computation conditions on the *uncertain* edges only: edges with zero
 loss always survive, edges with 100% loss never do, and the remaining
-``L`` lossy edges span ``2^L`` cases (``3^L`` with hop recovery).  At
-most two Dijkstra runs (every lossy edge absent, every one present)
+``L`` lossy edges span ``radix^L`` cases: ``2^L`` plain, ``3^L`` with
+hop recovery, one classifier and one accumulation for both radices.
+At most two Dijkstra runs (every lossy edge absent, every one present)
 decide most windows outright; otherwise one label-setting pass per
 chunk of 4096 cases finds every case's earliest arrival at once,
 carrying a set of cases per label (:func:`_classify_cases`).  Real
 problem episodes degrade a handful of links, so ``L`` stays small; a
-hard cap protects against pathological inputs.
+hard cap on the enumerated windows, checked after the fast paths,
+protects against pathological inputs.
 
 ``delivery_probabilities`` returns both the on-time probability and the
 delivered-eventually probability, which the result layer splits into
@@ -32,14 +34,10 @@ from repro.simulation import kernel
 from repro.util.validation import require
 
 __all__ = [
+    "Classification",
     "DeliveryProbabilities",
-    "MaskClassification",
-    "RecoveryClassification",
     "ReliabilityLimitError",
-    "accumulate_mask_probabilities",
-    "accumulate_mask_probabilities_batch",
-    "accumulate_recovery_probabilities",
-    "accumulate_recovery_probabilities_batch",
+    "accumulate_probabilities",
     "classify_delivery_masks",
     "classify_recovery_states",
     "delivery_probabilities",
@@ -96,8 +94,8 @@ class DeliveryProbabilities:
 
 
 @dataclass(frozen=True)
-class MaskClassification:
-    """The loss-value-independent core of :func:`delivery_probabilities`.
+class Classification:
+    """The loss-value-independent core of both exact engines.
 
     Which enumeration cases arrive on time / at all depends only on the
     graph structure, the effective latencies and *which* edges are lossy
@@ -105,20 +103,21 @@ class MaskClassification:
     only weight the cases.  Splitting the computation lets the replay
     engine reuse one classification across every window that differs
     only in loss rates (the dominant kind of condition change in real
-    traces), skipping the classification of all ``2^L`` cases.
+    traces), skipping the classification of all ``radix^L`` cases.
 
     ``certain`` short-circuits the fast paths whose outcome is decided
-    regardless of the lossy edges' loss values; otherwise ``classes[m]``
+    regardless of the lossy edges' loss values; otherwise ``classes[c]``
     holds the outcome code (0 lost, 1 late, 2 on time) of enumeration
-    case ``m`` (bit ``b`` of ``m`` = lossy edge ``lossy_slots[b]``
-    survives) and ``best_on_time`` records whether the all-survive case
-    met the deadline (the numerical hygiene cap of the accumulation).
+    case ``c``, whose base-``radix`` digit ``p`` (least significant
+    first) is the state of lossy edge ``lossy_slots[p]``: 0 absent, 1
+    survives (radix 2); 0 fast, 1 recovered (slow copy), 2 dead (radix
+    3, hop recovery).
     """
 
     certain: DeliveryProbabilities | None
+    radix: int = 2
     lossy_slots: tuple[int, ...] = ()
     classes: bytes = b""
-    best_on_time: bool = False
 
 
 def classify_delivery_masks(
@@ -127,14 +126,59 @@ def classify_delivery_masks(
     latency_of: Callable[[Edge], float],
     loss_of: Callable[[Edge], float],
     max_lossy_edges: int = MAX_EXACT_LOSSY_EDGES,
-) -> tuple[MaskClassification, list[float]]:
-    """Classify every lossy-edge enumeration case of ``graph``.
+) -> tuple[Classification, list[float]]:
+    """Classify every lossy-edge enumeration case of ``graph`` (radix 2).
 
     Returns the classification plus the loss values read for the lossy
-    slots (in slot order), so :func:`accumulate_mask_probabilities` can
+    slots (in slot order), so :func:`accumulate_probabilities` can
     finish the computation without consulting ``loss_of`` again.
     """
+    return _classify(
+        graph, deadline_ms, latency_of, loss_of, None, max_lossy_edges
+    )
+
+
+def classify_recovery_states(
+    graph: DisseminationGraph,
+    deadline_ms: float,
+    latency_of: Callable[[Edge], float],
+    loss_of: Callable[[Edge], float],
+    recovery_latency_of: Callable[[Edge], float],
+    max_lossy_edges: int = MAX_RECOVERY_LOSSY_EDGES,
+) -> tuple[Classification, list[float]]:
+    """Classify every ternary recovery state of ``graph`` (radix 3).
+
+    Returns the classification plus the lossy slots' loss values (in
+    slot order) so :func:`accumulate_probabilities` can finish without
+    consulting ``loss_of`` again.
+    """
+    return _classify(
+        graph,
+        deadline_ms,
+        latency_of,
+        loss_of,
+        recovery_latency_of,
+        max_lossy_edges,
+    )
+
+
+def _classify(
+    graph: DisseminationGraph,
+    deadline_ms: float,
+    latency_of: Callable[[Edge], float],
+    loss_of: Callable[[Edge], float],
+    recovery_latency_of: Callable[[Edge], float] | None,
+    max_lossy_edges: int,
+) -> tuple[Classification, list[float]]:
+    """The one classifier body; ``recovery_latency_of`` selects radix 3.
+
+    The fast paths run before the lossy-edge cap, so a window they
+    decide gets its exact answer however many lossy edges it has; only
+    a window whose cases must be enumerated can raise
+    :class:`ReliabilityLimitError`.
+    """
     require(deadline_ms > 0, f"deadline must be positive, got {deadline_ms}")
+    radix = 2 if recovery_latency_of is None else 3
     edges, rank, adjacency = _index_graph(graph)
     latencies: list[float] = []
     present: list[bool] = []
@@ -146,17 +190,17 @@ def classify_delivery_masks(
         latency = latency_of(edge)
         require(latency >= 0.0, f"negative latency on {edge!r}: {latency}")
         latencies.append(latency)
-        # Certain edges: zero loss always survives, total loss never does;
+        # Certain edges: zero loss always survives, total loss never does
+        # (with hop recovery even the retransmission is lost);
         # fractional-loss slots are toggled from case to case.
         present.append(loss <= 0.0)
         if 0.0 < loss < 1.0:
             lossy_slots.append(slot)
             losses.append(loss)
-    if len(lossy_slots) > max_lossy_edges:
-        raise ReliabilityLimitError(
-            f"{len(lossy_slots)} lossy edges exceed the exact-enumeration cap "
-            f"({max_lossy_edges})"
-        )
+
+    def certain(on_time: float, eventually: float):
+        probabilities = DeliveryProbabilities(on_time, eventually)
+        return Classification(certain=probabilities, radix=radix), losses
 
     source, destination = rank[graph.source], rank[graph.destination]
 
@@ -165,29 +209,42 @@ def classify_delivery_masks(
         source, destination, adjacency, latencies, present
     )
     if baseline <= deadline_ms:
-        certain = DeliveryProbabilities(on_time=1.0, eventually=1.0)
-        return MaskClassification(certain=certain), losses
+        return certain(1.0, 1.0)
     if not lossy_slots:
         # Past the fast-path return above, ``baseline > deadline_ms``
         # always holds: the certain subgraph delivers late or never.
-        eventually = 1.0 if baseline < _INF else 0.0
-        certain = DeliveryProbabilities(on_time=0.0, eventually=eventually)
-        return MaskClassification(certain=certain), losses
+        return certain(0.0, 1.0 if baseline < _INF else 0.0)
+    if recovery_latency_of is None:
+        # Fast path the other way: even with every lossy edge surviving
+        # the packet cannot arrive (e.g. deadline impossible).
+        for slot in lossy_slots:
+            present[slot] = True
+        best_case = _earliest_arrival_indexed(
+            source, destination, adjacency, latencies, present
+        )
+        if not best_case < _INF:
+            return certain(0.0, 0.0)
 
-    # Fast path the other way: even with every lossy edge surviving the
-    # packet cannot arrive (e.g. deadline impossible) -- probability 0.
-    for slot in lossy_slots:
-        present[slot] = True
-    best_case = _earliest_arrival_indexed(
-        source, destination, adjacency, latencies, present
-    )
-    if not best_case < _INF:
-        certain = DeliveryProbabilities(on_time=0.0, eventually=0.0)
-        return MaskClassification(certain=certain), losses
-    best_on_time = best_case <= deadline_ms
-
-    # Bit ``b`` of a case: 0 = lossy edge ``lossy_slots[b]`` absent,
-    # 1 = it survives at its latency.
+    if len(lossy_slots) > max_lossy_edges:
+        raise ReliabilityLimitError(
+            f"{len(lossy_slots)} lossy edges exceed the exact-enumeration cap "
+            f"({max_lossy_edges}) of the {radix}^L cases"
+        )
+    # Per lossy edge, its latency in each digit state (``None`` = absent).
+    # The normal latencies were read once above; a callback must not be
+    # invoked a second time per edge (a non-pure callable would silently
+    # diverge between the two reads).
+    if recovery_latency_of is None:
+        state_latencies = [(None, latencies[slot]) for slot in lossy_slots]
+    else:
+        state_latencies = []
+        for slot in lossy_slots:
+            edge = edges[slot]
+            slow = recovery_latency_of(edge)
+            require(
+                slow >= 0.0, f"negative recovery latency on {edge!r}: {slow}"
+            )
+            state_latencies.append((latencies[slot], slow, None))
     classes = _classify_cases(
         source,
         destination,
@@ -195,67 +252,45 @@ def classify_delivery_masks(
         latencies,
         present,
         lossy_slots,
-        [(None, latencies[slot]) for slot in lossy_slots],
-        2,
+        state_latencies,
+        radix,
         deadline_ms,
     )
-    classification = MaskClassification(
+    classification = Classification(
         certain=None,
+        radix=radix,
         lossy_slots=tuple(lossy_slots),
         classes=classes,
-        best_on_time=best_on_time,
     )
     return classification, losses
 
 
-def _finalize_mask_totals(
-    classification: MaskClassification, totals: tuple[float, float]
-) -> DeliveryProbabilities:
-    """Shared finalization: best-case hygiene zeroing plus the clamps."""
-    on_time_total, eventually_total = totals
-    if not classification.best_on_time:
-        on_time_total = 0.0  # numerical hygiene: cannot exceed best case
-    return DeliveryProbabilities(
-        on_time=min(1.0, on_time_total), eventually=min(1.0, eventually_total)
-    )
-
-
-def accumulate_mask_probabilities(
-    classification: MaskClassification, losses: list[float]
-) -> DeliveryProbabilities:
-    """Weight a classification by the lossy edges' current loss values.
-
-    ``losses`` aligns with ``classification.lossy_slots``.  The
-    arithmetic runs on the active :mod:`repro.simulation.kernel`
-    backend: the pure path performs the identical float-operation
-    sequence as the historical fused loop (same per-mask multiply order,
-    same mask order, same final clamps), so reusing a cached
-    classification is bitwise-exact; the numpy path agrees up to
-    summation reassociation (see the kernel module docstring).
-    """
-    if classification.certain is not None:
-        return classification.certain
-    return _finalize_mask_totals(
-        classification, kernel.mask_totals(classification.classes, losses)
-    )
-
-
-def accumulate_mask_probabilities_batch(
-    classification: MaskClassification, losses_rows: Sequence[Sequence[float]]
+def accumulate_probabilities(
+    classification: Classification, losses_rows: Sequence[Sequence[float]]
 ) -> list[DeliveryProbabilities]:
-    """One accumulation call for many loss vectors of one classification.
+    """Weight a classification by its lossy edges' loss values, per row.
 
-    The replay engine feeds whole runs of loss-only windows through this
-    entry point so the vector backend builds a single weight matrix for
-    the run; row ``i`` equals ``accumulate_mask_probabilities(c,
-    rows[i])`` bitwise on either backend (the kernel's batch contract).
+    Each row of ``losses_rows`` aligns with ``classification.lossy_slots``;
+    the replay engine feeds whole runs of loss-only windows through one
+    call, so the vector backend builds a single weight matrix for the
+    run.  Per lossy edge the state weights are ``p`` (absent) and
+    ``1 - p`` (survives) in radix 2, ``1 - p`` (fast), ``p * (1 - p)``
+    (recovered) and ``p * p`` (dead) in radix 3, multiplied in digit
+    order.  The pure :mod:`repro.simulation.kernel` backend performs the
+    identical float-operation sequence as the historical loops, so
+    reusing a cached classification is bitwise-exact; the numpy path
+    agrees up to summation reassociation (see the kernel module
+    docstring).  Row ``i`` equals the one-row call on ``rows[i]``
+    bitwise on either backend (the kernel's batch contract).
     """
     if classification.certain is not None:
         return [classification.certain] * len(losses_rows)
     return [
-        _finalize_mask_totals(classification, totals)
-        for totals in kernel.mask_totals_batch(
-            classification.classes, losses_rows
+        DeliveryProbabilities(
+            on_time=min(1.0, on_time), eventually=min(1.0, eventually)
+        )
+        for on_time, eventually in kernel.totals(
+            classification.classes, classification.radix, losses_rows
         )
     ]
 
@@ -443,141 +478,6 @@ def _case_bytes(cases: int, width: int) -> int:
     return int.from_bytes(digits.translate(_BIT_BYTES), "big")
 
 
-@dataclass(frozen=True)
-class RecoveryClassification:
-    """Loss-value-independent core of the hop-recovery engine.
-
-    The ternary analogue of :class:`MaskClassification`: ``classes[c]``
-    holds the outcome code of recovery state ``c``, whose base-3 digit
-    ``p`` (least significant first) is the state of lossy edge
-    ``lossy_slots[p]`` -- 0 fast, 1 recovered (slow copy), 2 dead.
-    Which states deliver on time depends only on the graph structure and
-    the fast/slow latencies, so the replay engine caches this across
-    loss-only condition changes exactly like the binary engine.
-    """
-
-    certain: DeliveryProbabilities | None
-    lossy_slots: tuple[int, ...] = ()
-    classes: bytes = b""
-
-
-def classify_recovery_states(
-    graph: DisseminationGraph,
-    deadline_ms: float,
-    latency_of: Callable[[Edge], float],
-    loss_of: Callable[[Edge], float],
-    recovery_latency_of: Callable[[Edge], float],
-    max_lossy_edges: int = MAX_RECOVERY_LOSSY_EDGES,
-) -> tuple[RecoveryClassification, list[float]]:
-    """Classify every ternary recovery state of ``graph``.
-
-    Returns the classification plus the lossy slots' loss values (in
-    slot order) so :func:`accumulate_recovery_probabilities` can finish
-    without consulting ``loss_of`` again.
-    """
-    require(deadline_ms > 0, f"deadline must be positive, got {deadline_ms}")
-    edges, rank, adjacency = _index_graph(graph)
-    latency: list[float] = []
-    present: list[bool] = []
-    lossy: list[tuple[int, float]] = []
-    for slot, edge in enumerate(edges):
-        loss = loss_of(edge)
-        require(0.0 <= loss <= 1.0, f"loss out of range on {edge!r}: {loss}")
-        normal = latency_of(edge)
-        require(normal >= 0.0, f"negative latency on {edge!r}: {normal}")
-        latency.append(normal)
-        # Zero loss always survives; total loss never does (even the
-        # retransmission is lost: permanently dead).
-        present.append(loss <= 0.0)
-        if 0.0 < loss < 1.0:
-            lossy.append((slot, loss))
-    if len(lossy) > max_lossy_edges:
-        raise ReliabilityLimitError(
-            f"{len(lossy)} lossy edges exceed the recovery-enumeration cap "
-            f"({max_lossy_edges})"
-        )
-    source, destination = rank[graph.source], rank[graph.destination]
-    baseline = _earliest_arrival_indexed(
-        source, destination, adjacency, latency, present
-    )
-    losses = [loss for _slot, loss in lossy]
-    if baseline <= deadline_ms:
-        certain = DeliveryProbabilities(on_time=1.0, eventually=1.0)
-        return RecoveryClassification(certain=certain), losses
-    if not lossy:
-        eventually = 1.0 if baseline < _INF else 0.0
-        certain = DeliveryProbabilities(on_time=0.0, eventually=eventually)
-        return RecoveryClassification(certain=certain), losses
-
-    lossy_slots = [slot for slot, _loss in lossy]
-    # Edge states: 0 = fast, 1 = recovered (slow), 2 = dead.  The normal
-    # latencies were already read into ``latency`` above; the callback
-    # must not be invoked a second time per edge (a non-pure callable
-    # would silently diverge between the two reads).
-    state_latencies = []
-    for slot in lossy_slots:
-        edge = edges[slot]
-        slow = recovery_latency_of(edge)
-        require(slow >= 0.0, f"negative recovery latency on {edge!r}: {slow}")
-        state_latencies.append((latency[slot], slow, None))
-    classes = _classify_cases(
-        source,
-        destination,
-        adjacency,
-        latency,
-        present,
-        lossy_slots,
-        state_latencies,
-        3,
-        deadline_ms,
-    )
-    classification = RecoveryClassification(
-        certain=None, lossy_slots=tuple(lossy_slots), classes=classes
-    )
-    return classification, losses
-
-
-def _finalize_recovery_totals(
-    totals: tuple[float, float],
-) -> DeliveryProbabilities:
-    on_time_total, eventually_total = totals
-    return DeliveryProbabilities(
-        on_time=min(1.0, on_time_total), eventually=min(1.0, eventually_total)
-    )
-
-
-def accumulate_recovery_probabilities(
-    classification: RecoveryClassification, losses: list[float]
-) -> DeliveryProbabilities:
-    """Weight a recovery classification by the current loss values.
-
-    ``losses`` aligns with ``classification.lossy_slots``; the state
-    weights are ``1 - p`` (fast), ``p * (1 - p)`` (recovered) and
-    ``p * p`` (dead) per edge, multiplied in base-3 digit order -- on
-    the pure backend this is the historical ``3^L`` loop bit for bit.
-    """
-    if classification.certain is not None:
-        return classification.certain
-    return _finalize_recovery_totals(
-        kernel.recovery_totals(classification.classes, losses)
-    )
-
-
-def accumulate_recovery_probabilities_batch(
-    classification: RecoveryClassification,
-    losses_rows: Sequence[Sequence[float]],
-) -> list[DeliveryProbabilities]:
-    """Batched :func:`accumulate_recovery_probabilities` (one vector call)."""
-    if classification.certain is not None:
-        return [classification.certain] * len(losses_rows)
-    return [
-        _finalize_recovery_totals(totals)
-        for totals in kernel.recovery_totals_batch(
-            classification.classes, losses_rows
-        )
-    ]
-
-
 def delivery_probabilities_with_recovery(
     graph: DisseminationGraph,
     deadline_ms: float,
@@ -601,8 +501,8 @@ def delivery_probabilities_with_recovery(
     retransmission's flight time, on the order of three link latencies.
 
     Implemented as :func:`classify_recovery_states` followed by
-    :func:`accumulate_recovery_probabilities`, mirroring the plain
-    engine's split so the replay engine can cache the classification.
+    :func:`accumulate_probabilities`, the plain engine's split, so the
+    replay engine can cache the classification.
     """
     classification, losses = classify_recovery_states(
         graph,
@@ -612,7 +512,7 @@ def delivery_probabilities_with_recovery(
         recovery_latency_of,
         max_lossy_edges,
     )
-    return accumulate_recovery_probabilities(classification, losses)
+    return accumulate_probabilities(classification, [losses])[0]
 
 
 def delivery_probabilities(
@@ -630,14 +530,14 @@ def delivery_probabilities(
     loss.
 
     Implemented as :func:`classify_delivery_masks` (the shortest-path
-    classification) followed by :func:`accumulate_mask_probabilities` (the
+    classification) followed by :func:`accumulate_probabilities` (the
     loss-value weighting); callers that see repeated loss-only condition
     changes can cache the classification and skip the first phase.
     """
     classification, losses = classify_delivery_masks(
         graph, deadline_ms, latency_of, loss_of, max_lossy_edges
     )
-    return accumulate_mask_probabilities(classification, losses)
+    return accumulate_probabilities(classification, [losses])[0]
 
 
 def on_time_probability(

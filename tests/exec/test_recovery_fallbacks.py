@@ -1,8 +1,8 @@
 """Lower-bound hop-recovery windows are counted everywhere they are reported.
 
-A hop-recovery window with more lossy edges than
-``max_recovery_lossy_edges`` is answered with the no-recovery lower
-bound.  The memo counts it in ``recovery_fallbacks``; that count must
+A hop-recovery window that no fast path decides and that has more lossy
+edges than ``max_recovery_lossy_edges`` is answered with the no-recovery
+lower bound.  The memo counts it in ``recovery_fallbacks``; that count must
 reach exec telemetry, the ``exec.prob_cache.*`` metrics, the serve
 memo sums and the ``evaluate --trace`` manifest.
 """
@@ -28,14 +28,15 @@ CONFIG = ReplayConfig(hop_recovery=True, max_recovery_lossy_edges=1)
 
 def _case():
     topology = braided_topology()
-    # S-A and A-B are lossy together over [60, 110): a graph using both
-    # exceeds the cap of one.
+    # S-A and S-C, the source's only links, are lossy together over
+    # [60, 110): without them nothing arrives (so the baseline fast path
+    # cannot decide), and a graph using both exceeds the cap of one.
     timeline = ConditionTimeline(
         topology,
         600.0,
         [
             Contribution(("S", "A"), 40.0, 110.0, LinkState(loss_rate=0.3)),
-            Contribution(("A", "B"), 60.0, 110.0, LinkState(loss_rate=0.3)),
+            Contribution(("S", "C"), 60.0, 110.0, LinkState(loss_rate=0.3)),
         ],
     )
     return topology, timeline, (FlowSpec("S", "T"),), ServiceSpec(deadline_ms=8.0)
@@ -75,6 +76,8 @@ class TestRecoveryFallbacksReported:
 
     def test_evaluate_trace_manifest(self, tmp_path, monkeypatch):
         # ``evaluate`` has no hop-recovery flag; pin the config it builds.
+        # Seed 2's trace has flooding windows that need their lossy edges
+        # to arrive on time (seed 5's are all decided by a fast path).
         monkeypatch.setattr(
             repro.serve.session,
             "ReplayConfig",
@@ -84,7 +87,7 @@ class TestRecoveryFallbacksReported:
         )
         code = repro.cli.main(
             [
-                "evaluate", "--weeks", "0.02", "--seed", "5", "--no-cache",
+                "evaluate", "--weeks", "0.02", "--seed", "2", "--no-cache",
                 "--schemes", "flooding",
                 "--trace", "--trace-out", str(tmp_path),
             ]

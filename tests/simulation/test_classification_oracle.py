@@ -6,8 +6,7 @@ chunk of cases.  The reference below is the enumeration they replaced --
 one full Dijkstra run per case -- frozen inline so that a change to
 ``repro.simulation.reliability`` cannot silently move the goalposts.
 Every comparison is on whole classification objects: fast-path
-verdicts, lossy slots, the class bytes, ``best_on_time`` and the loss
-values read.
+verdicts, radix, lossy slots, the class bytes and the loss values read.
 """
 
 from __future__ import annotations
@@ -19,9 +18,8 @@ from hypothesis import strategies as st
 
 from repro.core.dgraph import DisseminationGraph
 from repro.simulation.reliability import (
+    Classification,
     DeliveryProbabilities,
-    MaskClassification,
-    RecoveryClassification,
     classify_delivery_masks,
     classify_recovery_states,
 )
@@ -80,11 +78,11 @@ def reference_classify_delivery_masks(graph, deadline_ms, latency_of, loss_of):
     )
     if baseline <= deadline_ms:
         certain = DeliveryProbabilities(on_time=1.0, eventually=1.0)
-        return MaskClassification(certain=certain), losses
+        return Classification(certain=certain, radix=2), losses
     if not lossy_slots:
         eventually = 1.0 if baseline < _INF else 0.0
         certain = DeliveryProbabilities(on_time=0.0, eventually=eventually)
-        return MaskClassification(certain=certain), losses
+        return Classification(certain=certain, radix=2), losses
     for slot in lossy_slots:
         present[slot] = True
     best_case = _reference_earliest_arrival(
@@ -92,7 +90,7 @@ def reference_classify_delivery_masks(graph, deadline_ms, latency_of, loss_of):
     )
     if not best_case < _INF:
         certain = DeliveryProbabilities(on_time=0.0, eventually=0.0)
-        return MaskClassification(certain=certain), losses
+        return Classification(certain=certain, radix=2), losses
     count = len(lossy_slots)
     classes = bytearray(1 << count)
     for mask in range(1 << count):
@@ -105,11 +103,11 @@ def reference_classify_delivery_masks(graph, deadline_ms, latency_of, loss_of):
             classes[mask] = 2
         elif arrival < _INF:
             classes[mask] = 1
-    classification = MaskClassification(
+    classification = Classification(
         certain=None,
+        radix=2,
         lossy_slots=tuple(lossy_slots),
         classes=bytes(classes),
-        best_on_time=best_case <= deadline_ms,
     )
     return classification, losses
 
@@ -132,11 +130,11 @@ def reference_classify_recovery_states(
     losses = [loss for _slot, loss in lossy]
     if baseline <= deadline_ms:
         certain = DeliveryProbabilities(on_time=1.0, eventually=1.0)
-        return RecoveryClassification(certain=certain), losses
+        return Classification(certain=certain, radix=3), losses
     if not lossy:
         eventually = 1.0 if baseline < _INF else 0.0
         certain = DeliveryProbabilities(on_time=0.0, eventually=eventually)
-        return RecoveryClassification(certain=certain), losses
+        return Classification(certain=certain, radix=3), losses
     count = len(lossy)
     slow_latency = [recovery_latency_of(edges[slot]) for slot, _loss in lossy]
     base_latency = [latency[slot] for slot, _loss in lossy]
@@ -162,8 +160,9 @@ def reference_classify_recovery_states(
             classes[code] = 2
         elif arrival < _INF:
             classes[code] = 1
-    classification = RecoveryClassification(
+    classification = Classification(
         certain=None,
+        radix=3,
         lossy_slots=tuple(slot for slot, _loss in lossy),
         classes=bytes(classes),
     )
@@ -245,6 +244,19 @@ class TestRandomWindows:
     def test_ternary_matches_per_case_dijkstra(self, window):
         graph, deadline, latency, loss, recovery = window
         _assert_ternary_matches(graph, deadline, latency, loss, recovery)
+
+    @given(window=windows(max_lossy=10))
+    @settings(max_examples=300, deadline=None)
+    def test_late_best_case_means_no_on_time_case(self, window):
+        """Dropping lossy edges only removes paths, so when the case in
+        which every lossy edge survives (the last) is not on time, no
+        case is: the accumulation needs no best-case zeroing."""
+        graph, deadline, latency, loss, _recovery = window
+        classification, _losses = classify_delivery_masks(
+            graph, deadline, latency.get, loss.get
+        )
+        if classification.certain is None and classification.classes[-1] != 2:
+            assert 2 not in classification.classes
 
 
 # -- deterministic windows ---------------------------------------------------------

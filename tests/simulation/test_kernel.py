@@ -10,11 +10,14 @@ The dual-backend contract under test:
 * batching never changes bits: ``batch(rows)[i]`` equals the single-row
   call on ``rows[i]`` exactly, and the vector threshold depends only on
   the classification size, never on how many rows ride in one call.
+
+One entry point, :func:`repro.simulation.kernel.totals`, serves the
+binary masks (radix 2) and the hop-recovery states (radix 3); every
+contract is checked on both.
 """
 
 from __future__ import annotations
 
-import os
 import struct
 
 import pytest
@@ -25,9 +28,7 @@ from repro.core.dgraph import DisseminationGraph
 from repro.simulation import kernel
 from repro.simulation.reliability import (
     DeliveryProbabilities,
-    accumulate_mask_probabilities,
-    accumulate_mask_probabilities_batch,
-    accumulate_recovery_probabilities_batch,
+    accumulate_probabilities,
     classify_delivery_masks,
     classify_recovery_states,
 )
@@ -40,6 +41,11 @@ requires_numpy = pytest.mark.skipif(
 def _bits(value: float) -> bytes:
     """IEEE-754 bytes of a float -- the bitwise-equality comparator."""
     return struct.pack("<d", value)
+
+
+def _single(classes, radix, losses):
+    """One single-row kernel call: the shape of a one-window miss."""
+    return kernel.totals(classes, radix, [losses])[0]
 
 
 # -- frozen reference loops --------------------------------------------------------
@@ -150,17 +156,15 @@ def recovery_cases(draw, max_edges: int = 4):
 class TestBackendSelection:
     def test_unknown_backend_rejected(self):
         with pytest.raises(ValueError, match="unknown kernel backend"):
-            kernel.set_backend("fortran")
+            with kernel.force_backend("fortran"):
+                pass
 
-    def test_force_backend_exports_env_and_restores(self):
-        previous = os.environ.get(kernel.KERNEL_ENV)
+    def test_force_backend_pins_and_restores(self):
+        previous = kernel.active_backend()
         with kernel.force_backend("pure") as resolved:
             assert resolved == "pure"
             assert kernel.active_backend() == "pure"
-            # Pool workers are fresh interpreters: they resolve the
-            # backend from the environment, which must carry the pin.
-            assert os.environ[kernel.KERNEL_ENV] == "pure"
-        assert os.environ.get(kernel.KERNEL_ENV) == previous
+        assert kernel.active_backend() == previous
 
     def test_auto_prefers_numpy_when_available(self):
         with kernel.force_backend("auto"):
@@ -171,13 +175,11 @@ class TestBackendSelection:
         monkeypatch.setattr(kernel, "_numpy_module", None)
         monkeypatch.setattr(kernel, "_backend_override", None)
         with pytest.raises(ValueError, match="not importable"):
-            kernel.set_backend("numpy")
-        monkeypatch.setenv(kernel.KERNEL_ENV, "numpy")
-        with pytest.raises(ValueError, match="not importable"):
-            kernel.active_backend()
-        # auto degrades silently -- that is its contract
-        monkeypatch.setenv(kernel.KERNEL_ENV, "auto")
+            with kernel.force_backend("numpy"):
+                pass
+        # auto falls back to pure silently -- that is its contract
         assert kernel.active_backend() == "pure"
+        assert kernel.describe()["backend"] == "pure"
 
     def test_describe_names_the_contract(self):
         with kernel.force_backend("pure"):
@@ -196,7 +198,7 @@ class TestPureBitwise:
     def test_mask_totals_match_reference_bitwise(self, case):
         classes, losses = case
         with kernel.force_backend("pure"):
-            on_time, eventually = kernel.mask_totals(classes, losses)
+            on_time, eventually = _single(classes, 2, losses)
         ref_on, ref_event = _reference_mask_totals(classes, losses)
         assert _bits(on_time) == _bits(ref_on)
         assert _bits(eventually) == _bits(ref_event)
@@ -206,20 +208,21 @@ class TestPureBitwise:
     def test_recovery_totals_match_reference_bitwise(self, case):
         classes, losses = case
         with kernel.force_backend("pure"):
-            on_time, eventually = kernel.recovery_totals(classes, losses)
+            on_time, eventually = _single(classes, 3, losses)
         ref_on, ref_event = _reference_recovery_totals(classes, losses)
         assert _bits(on_time) == _bits(ref_on)
         assert _bits(eventually) == _bits(ref_event)
 
     def test_batch_equals_singles_bitwise(self):
-        classes = bytes((mask * 7) % 3 for mask in range(1 << 5))
-        rows = [[0.1 + 0.02 * i] * 5 for i in range(9)]
-        with kernel.force_backend("pure"):
-            batched = kernel.mask_totals_batch(classes, rows)
-            singles = [kernel.mask_totals(classes, row) for row in rows]
-        assert [tuple(map(_bits, pair)) for pair in batched] == [
-            tuple(map(_bits, pair)) for pair in singles
-        ]
+        for radix in (2, 3):
+            classes = bytes((case * 7) % 3 for case in range(radix**5))
+            rows = [[0.1 + 0.02 * i] * 5 for i in range(9)]
+            with kernel.force_backend("pure"):
+                batched = kernel.totals(classes, radix, rows)
+                singles = [_single(classes, radix, row) for row in rows]
+            assert [tuple(map(_bits, pair)) for pair in batched] == [
+                tuple(map(_bits, pair)) for pair in singles
+            ]
 
 
 # -- numpy backend agreement -------------------------------------------------------
@@ -232,12 +235,12 @@ class TestVectorAgreement:
     def test_mask_totals_within_reassociation_tolerance(self, case):
         classes, losses = case
         with kernel.force_backend("pure"):
-            pure = kernel.mask_totals(classes, losses)
+            pure = _single(classes, 2, losses)
         with kernel.force_backend("numpy"):
             # Bypass the size threshold: compare the vector arithmetic
             # itself, not the dispatch decision.
             np = kernel._numpy()
-            weights = kernel._mask_weights_vector(np, [list(losses)])
+            weights = kernel._weights_vector(np, 2, [list(losses)])
             vector = kernel._class_sums_vector(np, classes, weights)[0]
         assert vector[0] == pytest.approx(pure[0], abs=1e-9)
         assert vector[1] == pytest.approx(pure[1], abs=1e-9)
@@ -247,43 +250,49 @@ class TestVectorAgreement:
     def test_recovery_totals_within_reassociation_tolerance(self, case):
         classes, losses = case
         with kernel.force_backend("pure"):
-            pure = kernel.recovery_totals(classes, losses)
+            pure = _single(classes, 3, losses)
         np = kernel._numpy()
-        weights = kernel._recovery_weights_vector(np, [list(losses)])
+        weights = kernel._weights_vector(np, 3, [list(losses)])
         vector = kernel._class_sums_vector(np, classes, weights)[0]
         assert vector[0] == pytest.approx(pure[0], abs=1e-9)
         assert vector[1] == pytest.approx(pure[1], abs=1e-9)
 
     def test_vector_batch_equals_vector_singles_bitwise(self):
-        # 2^7 cases clears VECTOR_MIN_CASES, so singles take the vector
-        # path too -- the batch contract is bitwise, not approximate.
-        classes = bytes((mask * 5) % 3 for mask in range(1 << 7))
-        rows = [[0.05 * (i + 1) % 0.9 + 0.01] * 7 for i in range(11)]
-        with kernel.force_backend("numpy"):
-            batched = kernel.mask_totals_batch(classes, rows)
-            singles = [kernel.mask_totals(classes, row) for row in rows]
-        assert [tuple(map(_bits, pair)) for pair in batched] == [
-            tuple(map(_bits, pair)) for pair in singles
-        ]
+        # 2^7 (3^7) cases clear VECTOR_MIN_CASES, so singles take the
+        # vector path too -- the batch contract is bitwise, not
+        # approximate.
+        for radix in (2, 3):
+            classes = bytes((case * 5) % 3 for case in range(radix**7))
+            rows = [[0.05 * (i + 1) % 0.9 + 0.01] * 7 for i in range(11)]
+            with kernel.force_backend("numpy"):
+                batched = kernel.totals(classes, radix, rows)
+                singles = [_single(classes, radix, row) for row in rows]
+            assert [tuple(map(_bits, pair)) for pair in batched] == [
+                tuple(map(_bits, pair)) for pair in singles
+            ]
 
     def test_threshold_depends_on_classification_not_batch_size(self):
-        small = bytes([2, 1, 0, 2])  # 2 lossy edges: 4 cases, under threshold
-        large = bytes(
-            (mask * 3) % 3 for mask in range(kernel.VECTOR_MIN_CASES)
-        )  # exactly at threshold: vector path
-        with kernel.force_backend("numpy"):
-            before = kernel.counters()
-            # Many rows of a tiny classification stay pure: the threshold
-            # must not flip with batch size, or the same (classification,
-            # losses) pair would change bits across call shapes.
-            kernel.mask_totals_batch(small, [[0.25, 0.5]] * 200)
-            mid = kernel.counters()
-            kernel.mask_totals(large, [0.3] * 6)
-            after = kernel.counters()
-        assert mid["pure_calls"] - before["pure_calls"] == 1
-        assert mid["vector_calls"] == before["vector_calls"]
-        assert after["vector_calls"] - mid["vector_calls"] == 1
-        assert after["pure_calls"] == mid["pure_calls"]
+        # 2^6 = 64 cases sit exactly at the threshold, 3^4 = 81 above it:
+        # the vector path either way.
+        for radix, large_edges in ((2, 6), (3, 4)):
+            # 2 lossy edges: 4 (9) cases, under the threshold.
+            small = bytes((case * 2) % 3 for case in range(radix**2))
+            large = bytes((case * 3) % 3 for case in range(radix**large_edges))
+            assert len(large) >= kernel.VECTOR_MIN_CASES
+            with kernel.force_backend("numpy"):
+                before = kernel.counters()
+                # Many rows of a tiny classification stay pure: the
+                # threshold must not flip with batch size, or the same
+                # (classification, losses) pair would change bits across
+                # call shapes.
+                kernel.totals(small, radix, [[0.25, 0.5]] * 200)
+                mid = kernel.counters()
+                _single(large, radix, [0.3] * large_edges)
+                after = kernel.counters()
+            assert mid["pure_calls"] - before["pure_calls"] == 1
+            assert mid["vector_calls"] == before["vector_calls"]
+            assert after["vector_calls"] - mid["vector_calls"] == 1
+            assert after["pure_calls"] == mid["pure_calls"]
 
 
 # -- counters ----------------------------------------------------------------------
@@ -291,23 +300,25 @@ class TestVectorAgreement:
 
 class TestCounters:
     def test_counters_charge_calls_rows_and_time(self):
-        classes = bytes([2, 0])
-        with kernel.force_backend("pure"):
-            before = kernel.counters()
-            kernel.mask_totals_batch(classes, [[0.5]] * 7)
-            kernel.mask_totals(classes, [0.5])
-            after = kernel.counters()
-        delta = {name: after[name] - before[name] for name in after}
-        assert delta["pure_calls"] == 2
-        assert delta["pure_rows"] == 8
-        assert delta["pure_s"] >= 0.0
-        assert delta["vector_calls"] == 0
-        assert delta["vector_rows"] == 0
+        for radix in (2, 3):
+            classes = bytes([2, 0, 1][:radix])
+            with kernel.force_backend("pure"):
+                before = kernel.counters()
+                kernel.totals(classes, radix, [[0.5]] * 7)
+                # A single call charges one call and one row.
+                _single(classes, radix, [0.5])
+                after = kernel.counters()
+            delta = {name: after[name] - before[name] for name in after}
+            assert delta["pure_calls"] == 2
+            assert delta["pure_rows"] == 8
+            assert delta["pure_s"] >= 0.0
+            assert delta["vector_calls"] == 0
+            assert delta["vector_rows"] == 0
 
     def test_empty_batch_charges_nothing(self):
         before = kernel.counters()
-        assert kernel.mask_totals_batch(bytes([2, 0]), []) == []
-        assert kernel.recovery_totals_batch(bytes([2, 0, 1]), []) == []
+        assert kernel.totals(bytes([2, 0]), 2, []) == []
+        assert kernel.totals(bytes([2, 0, 1]), 3, []) == []
         assert kernel.counters() == before
 
 
@@ -349,9 +360,9 @@ class TestReliabilityIntegration:
         classification, losses = self._classification()
         assert len(classification.classes) == 64  # 6 lossy edges
         with kernel.force_backend("pure"):
-            pure = accumulate_mask_probabilities(classification, losses)
+            [pure] = accumulate_probabilities(classification, [losses])
         with kernel.force_backend("numpy"):
-            vector = accumulate_mask_probabilities(classification, losses)
+            [vector] = accumulate_probabilities(classification, [losses])
         assert vector.on_time == pytest.approx(pure.on_time, abs=1e-9)
         assert vector.eventually == pytest.approx(pure.eventually, abs=1e-9)
 
@@ -362,7 +373,7 @@ class TestReliabilityIntegration:
         assert classification.certain == DeliveryProbabilities(1.0, 1.0)
         assert losses == []
         before = kernel.counters()
-        results = accumulate_mask_probabilities_batch(classification, [[], []])
+        results = accumulate_probabilities(classification, [[], []])
         assert results == [classification.certain] * 2
         assert kernel.counters() == before
 
@@ -373,6 +384,6 @@ class TestReliabilityIntegration:
         )
         assert classification.certain == DeliveryProbabilities(1.0, 1.0)
         before = kernel.counters()
-        results = accumulate_recovery_probabilities_batch(classification, [[]])
+        results = accumulate_probabilities(classification, [[]])
         assert results == [classification.certain]
         assert kernel.counters() == before

@@ -8,8 +8,9 @@ from repro.core.dgraph import DisseminationGraph
 from repro.netmodel.conditions import ConditionTimeline, Contribution, LinkState
 from repro.netmodel.topology import FlowSpec, ServiceSpec
 from repro.routing.registry import make_policy
-from repro.simulation.interval import replay_flow
+from repro.simulation.interval import _ProbabilityCache, replay_flow
 from repro.simulation.reliability import (
+    DeliveryProbabilities,
     ReliabilityLimitError,
     delivery_probabilities,
     delivery_probabilities_with_recovery,
@@ -97,6 +98,40 @@ class TestRecoveryProbabilities:
                 constant(20.0),
                 max_lossy_edges=5,
             )
+
+    def test_ternary_cap_spares_windows_the_baseline_decides(self):
+        """13 lossy spokes against a cap of 5: the clean direct edge is
+        on time by itself, so the window is exact, not an error."""
+        spokes = frozenset({("S", f"M{i}") for i in range(13)})
+        wide = DisseminationGraph("S", "T", spokes | {("M0", "T"), ("S", "T")})
+        result = delivery_probabilities_with_recovery(
+            wide,
+            30.0,
+            constant(5.0),
+            losses({edge: 0.5 for edge in spokes}),
+            constant(20.0),
+            max_lossy_edges=5,
+        )
+        assert result == DeliveryProbabilities(1.0, 1.0)
+
+    def test_baseline_decided_window_is_no_fallback(self, diamond):
+        """Over the ternary cap but on time without its lossy edges (the
+        clean 6 ms S-B-T path): the memo answers exactly and counts no
+        lower-bound fallback."""
+        both = DisseminationGraph.from_paths([["S", "A", "T"], ["S", "B", "T"]])
+        cache = _ProbabilityCache(
+            deadline_ms=15.0,
+            max_lossy_edges=20,
+            hop_recovery=True,
+            max_recovery_lossy_edges=1,
+        )
+        degraded = {
+            ("S", "A"): LinkState(loss_rate=0.5),
+            ("A", "T"): LinkState(loss_rate=0.5),
+        }
+        result = cache.probabilities(diamond, both, degraded)
+        assert result == DeliveryProbabilities(1.0, 1.0)
+        assert cache.recovery_fallbacks == 0
 
     @pytest.mark.parametrize("bad", [-5.0, float("nan")])
     def test_bad_latency_rejected(self, bad):

@@ -143,6 +143,26 @@ class TestEdgeCases:
                 wide, 10.0, constant(1.0), constant(0.5), max_lossy_edges=10
             )
 
+    def test_cap_spares_windows_a_fast_path_decides(self):
+        """The cap bounds enumeration only: 25 lossy edges against a cap
+        of 10 still get the exact answer when a fast path decides."""
+        spokes = frozenset({("S", f"M{i}") for i in range(25)})
+        # Baseline: the clean direct edge is on time without the spokes.
+        direct = DisseminationGraph("S", "T", spokes | {("M0", "T"), ("S", "T")})
+        loss_map = {edge: 0.5 for edge in spokes}
+        classification, read = classify_delivery_masks(
+            direct, 10.0, constant(1.0), losses(loss_map), max_lossy_edges=10
+        )
+        assert classification.certain == DeliveryProbabilities(1.0, 1.0)
+        assert len(read) == 25
+        # Best case: the only way on to T is dead, so even with every
+        # spoke surviving the packet cannot arrive.
+        dead_end = DisseminationGraph("S", "T", spokes | {("M0", "T")})
+        loss_map[("M0", "T")] = 1.0
+        assert delivery_probabilities(
+            dead_end, 10.0, constant(1.0), losses(loss_map), max_lossy_edges=10
+        ) == DeliveryProbabilities(0.0, 0.0)
+
     def test_on_time_probability_wrapper(self):
         assert on_time_probability(
             SINGLE, 10.0, constant(1.0), losses({("S", "A"): 0.3})
