@@ -4,7 +4,10 @@ Everything here operates on a plain *weighted adjacency mapping*
 (``node -> {neighbor: weight}``) so the algorithms stay decoupled from the
 :class:`~repro.core.graph.Topology` type and are easy to property-test
 against reference implementations.  :func:`adjacency_from_topology` bridges
-the two representations.
+the two representations.  The exception is
+:class:`~repro.core.algorithms.routing_index.RoutingIndex`, the
+integer-indexed graph per-update routing searches under changing
+weights.
 """
 
 from repro.core.algorithms.adjacency import (

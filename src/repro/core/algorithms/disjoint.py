@@ -15,12 +15,12 @@ an intermediate node would share its fate.
 
 from __future__ import annotations
 
-from typing import Hashable, Sequence
+from typing import Callable, Hashable, Sequence
 
-from repro.core.algorithms.adjacency import Adjacency, split_nodes
+from repro.core.algorithms.adjacency import Adjacency, split_nodes, unsplit_path
 from repro.core.algorithms.mincostflow import MinCostFlow
 
-__all__ = ["disjoint_paths", "strip_cycles"]
+__all__ = ["disjoint_paths", "flow_network", "solve_disjoint", "strip_cycles"]
 
 Node = Hashable
 
@@ -73,30 +73,45 @@ def disjoint_paths(
         flow_source = source
         flow_target = target
 
+    def weight_of(path: Sequence[Node]) -> float:
+        return sum(adjacency[u][v] for u, v in zip(path, path[1:]))
+
+    return solve_disjoint(
+        flow_network(work), flow_source, flow_target, k, node_disjoint, weight_of
+    )
+
+
+def flow_network(work: Adjacency) -> MinCostFlow:
+    """A unit-capacity arc per edge of ``work``, in its iteration order."""
     solver = MinCostFlow()
     for node in work:
         solver.add_node(node)
     for node, neighbors in work.items():
         for neighbor, weight in neighbors.items():
             solver.add_arc(node, neighbor, 1, weight)
+    return solver
+
+
+def solve_disjoint(
+    solver: MinCostFlow,
+    flow_source: Node,
+    flow_target: Node,
+    k: int,
+    node_disjoint: bool,
+    weight_of: Callable[[Sequence[Node]], float],
+) -> list[list[Node]]:
+    """Send ``k`` units through a built network and read back the paths.
+
+    Shared by :func:`disjoint_paths` and the routing index's reusable
+    per-flow network.  With ``node_disjoint`` the network's nodes are
+    ``(node, role)`` split pairs, collapsed back to node ids here.  Paths
+    are sorted by ``weight_of``, ties by the ``repr`` of their nodes.
+    """
     sent, _cost = solver.send(flow_source, flow_target, k)
     if sent == 0:
         return []
-    raw_paths = solver.decompose_paths(flow_source, flow_target)
-
     paths: list[list[Node]] = []
-    for raw in raw_paths:
-        if node_disjoint:
-            collapsed: list[Node] = []
-            for original, _role in raw:
-                if not collapsed or collapsed[-1] != original:
-                    collapsed.append(original)
-            paths.append(strip_cycles(collapsed))
-        else:
-            paths.append(strip_cycles(raw))
-
-    def weight_of(path: Sequence[Node]) -> float:
-        return sum(adjacency[u][v] for u, v in zip(path, path[1:]))
-
+    for raw in solver.decompose_paths(flow_source, flow_target):
+        paths.append(strip_cycles(unsplit_path(raw) if node_disjoint else raw))
     paths.sort(key=lambda path: (weight_of(path), [repr(node) for node in path]))
     return paths

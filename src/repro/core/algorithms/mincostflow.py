@@ -7,37 +7,24 @@ of ``k`` edge-disjoint paths, and node splitting extends this to
 node-disjointness.  Implementing the flow once keeps the disjoint-path
 logic small and correct in the presence of antiparallel overlay links.
 
-Costs must be non-negative when arcs are added; Johnson potentials keep
-reduced costs non-negative so every augmentation is a plain Dijkstra.
+Costs must be non-negative; Johnson potentials keep reduced costs
+non-negative so every augmentation is a plain Dijkstra.
+
+Nodes are interned to dense ids and arcs live in parallel lists (arc
+``i`` and its residual twin ``i ^ 1``), so a network built once can be
+re-solved under new costs and capacities with :meth:`MinCostFlow.reset`
+-- how the routing index reuses one node-split network per flow.
 """
 
 from __future__ import annotations
 
 import heapq
-from dataclasses import dataclass
-from typing import Hashable
+from typing import Hashable, Iterator, Sequence
 
-__all__ = ["MinCostFlow", "Arc"]
+__all__ = ["MinCostFlow"]
 
 Node = Hashable
 _INF = float("inf")
-
-
-@dataclass
-class Arc:
-    """One directed arc plus its residual twin (paired by index)."""
-
-    source: Node
-    target: Node
-    capacity: int
-    cost: float
-    flow: int = 0
-    is_reverse: bool = False
-
-    @property
-    def residual_capacity(self) -> int:
-        """Capacity still available on this arc."""
-        return self.capacity - self.flow
 
 
 class MinCostFlow:
@@ -50,12 +37,24 @@ class MinCostFlow:
     """
 
     def __init__(self) -> None:
-        self._arcs: list[Arc] = []
-        self._incident: dict[Node, list[int]] = {}
+        self._ids: dict[Node, int] = {}
+        self._nodes: list[Node] = []
+        self._keys: list[str] = []  # repr(node): decomposition's successor order
+        self._incident: list[list[int]] = []
+        self._head: list[int] = []
+        self._capacity: list[int] = []
+        self._cost: list[float] = []
+        self._residual: list[int] = []
 
-    def add_node(self, node: Node) -> None:
-        """Register a node with no arcs (safe to call repeatedly)."""
-        self._incident.setdefault(node, [])
+    def add_node(self, node: Node) -> int:
+        """Register a node (safe to call repeatedly); returns its id."""
+        index = self._ids.get(node)
+        if index is None:
+            index = self._ids[node] = len(self._nodes)
+            self._nodes.append(node)
+            self._keys.append(repr(node))
+            self._incident.append([])
+        return index
 
     def add_arc(self, source: Node, target: Node, capacity: int, cost: float) -> int:
         """Add a forward arc and its residual twin; returns the arc index."""
@@ -63,12 +62,34 @@ class MinCostFlow:
             raise ValueError(f"capacity must be >= 0, got {capacity}")
         if cost < 0:
             raise ValueError(f"cost must be >= 0, got {cost}")
-        index = len(self._arcs)
-        self._arcs.append(Arc(source, target, capacity, cost))
-        self._arcs.append(Arc(target, source, 0, -cost, is_reverse=True))
-        self._incident.setdefault(source, []).append(index)
-        self._incident.setdefault(target, []).append(index + 1)
+        tail = self.add_node(source)
+        head = self.add_node(target)
+        index = len(self._head)
+        self._head += (head, tail)
+        self._capacity += (capacity, 0)
+        self._cost += (cost, -cost)
+        self._residual += (capacity, 0)
+        self._incident[tail].append(index)
+        self._incident[head].append(index + 1)
         return index
+
+    def reset(self, costs: Sequence[float], capacities: Sequence[int]) -> None:
+        """Reuse every arc with new costs and capacities and no flow.
+
+        ``costs`` / ``capacities`` give one value per forward arc, in
+        :meth:`add_arc` order; a capacity of 0 takes the arc out of the
+        network without disturbing the order of the others.
+        """
+        if min(costs, default=0.0) < 0:
+            raise ValueError("costs must be >= 0")
+        if min(capacities, default=0) < 0:
+            raise ValueError("capacities must be >= 0")
+        self._cost[0::2] = costs
+        self._cost[1::2] = [-cost for cost in costs]
+        self._capacity[0::2] = capacities
+        residual = [0] * len(self._head)
+        residual[0::2] = capacities
+        self._residual = residual
 
     # -- solving -------------------------------------------------------------
 
@@ -78,70 +99,80 @@ class MinCostFlow:
         Stops early when the sink becomes unreachable (max flow reached).
         Calling ``send`` again continues from the current flow state.
         """
-        if source not in self._incident or sink not in self._incident:
+        if source not in self._ids or sink not in self._ids:
             raise KeyError("source or sink not present in the flow network")
         if max_units < 0:
             raise ValueError(f"max_units must be >= 0, got {max_units}")
-        potentials: dict[Node, float] = {node: 0.0 for node in self._incident}
+        start, end = self._ids[source], self._ids[sink]
+        head, cost, residual = self._head, self._cost, self._residual
+        potentials = [0.0] * len(self._nodes)
         sent = 0
         total_cost = 0.0
         while sent < max_units:
-            distances, predecessor_arc = self._dijkstra(source, potentials)
-            if sink not in distances:
+            distances, predecessor_arc = self._dijkstra(start, potentials)
+            if distances[end] == _INF:
                 break
-            for node, distance in distances.items():
-                potentials[node] += distance
+            for node, distance in enumerate(distances):
+                if distance != _INF:
+                    potentials[node] += distance
             # Unit capacities: each augmentation pushes exactly one unit.
             path_cost = 0.0
-            node = sink
-            while node != source:
-                arc_index = predecessor_arc[node]
-                arc = self._arcs[arc_index]
-                twin = self._arcs[arc_index ^ 1]
-                arc.flow += 1
-                twin.flow -= 1
-                path_cost += arc.cost
-                node = arc.source
+            node = end
+            while node != start:
+                arc = predecessor_arc[node]
+                residual[arc] -= 1
+                residual[arc ^ 1] += 1
+                path_cost += cost[arc]
+                node = head[arc ^ 1]
             total_cost += path_cost
             sent += 1
         return sent, total_cost
 
     def _dijkstra(
-        self, source: Node, potentials: dict[Node, float]
-    ) -> tuple[dict[Node, float], dict[Node, int]]:
-        distances: dict[Node, float] = {source: 0.0}
-        predecessor_arc: dict[Node, int] = {}
-        heap: list[tuple[float, int, Node]] = [(0.0, 0, source)]
+        self, source: int, potentials: list[float]
+    ) -> tuple[list[float], list[int]]:
+        incident, head = self._incident, self._head
+        cost, residual = self._cost, self._residual
+        distances = [_INF] * len(self._nodes)
+        distances[source] = 0.0
+        predecessor_arc = [-1] * len(self._nodes)
+        heap: list[tuple[float, int, int]] = [(0.0, 0, source)]
         counter = 1
         while heap:
             distance, _tie, node = heapq.heappop(heap)
-            if distance > distances.get(node, _INF):
+            if distance > distances[node]:
                 continue
-            for arc_index in self._incident[node]:
-                arc = self._arcs[arc_index]
-                if arc.residual_capacity <= 0:
+            potential = potentials[node]
+            for arc in incident[node]:
+                if residual[arc] <= 0:
                     continue
-                reduced = arc.cost + potentials[node] - potentials[arc.target]
+                target = head[arc]
+                reduced = cost[arc] + potential - potentials[target]
                 # Reduced costs are >= 0 up to float error; clamp the noise.
                 if reduced < 0:
                     reduced = 0.0
                 candidate = distance + reduced
-                if candidate < distances.get(arc.target, _INF) - 1e-15:
-                    distances[arc.target] = candidate
-                    predecessor_arc[arc.target] = arc_index
-                    heapq.heappush(heap, (candidate, counter, arc.target))
+                if candidate < distances[target] - 1e-15:
+                    distances[target] = candidate
+                    predecessor_arc[target] = arc
+                    heapq.heappush(heap, (candidate, counter, target))
                     counter += 1
         return distances, predecessor_arc
 
     # -- results ---------------------------------------------------------------
 
+    def _flows(self) -> Iterator[tuple[int, int, int]]:
+        """``(tail, head, units)`` per forward arc carrying flow, in order."""
+        head, capacity, residual = self._head, self._capacity, self._residual
+        for arc in range(0, len(head), 2):
+            units = capacity[arc] - residual[arc]
+            if units > 0:
+                yield head[arc + 1], head[arc], units
+
     def flow_arcs(self) -> list[tuple[Node, Node]]:
         """Original arcs carrying positive flow, in insertion order."""
-        return [
-            (arc.source, arc.target)
-            for arc in self._arcs
-            if not arc.is_reverse and arc.flow > 0
-        ]
+        nodes = self._nodes
+        return [(nodes[tail], nodes[head]) for tail, head, _units in self._flows()]
 
     def decompose_paths(self, source: Node, sink: Node) -> list[list[Node]]:
         """Decompose the current integral flow into source->sink paths.
@@ -149,25 +180,24 @@ class MinCostFlow:
         With unit capacities each path carries one unit.  Leftover zero-cost
         cycles (possible only when some arcs cost 0) are ignored.
         """
-        remaining: dict[Node, list[tuple[Node, int]]] = {}
-        for index, arc in enumerate(self._arcs):
-            if not arc.is_reverse and arc.flow > 0:
-                for _ in range(arc.flow):
-                    remaining.setdefault(arc.source, []).append((arc.target, index))
+        remaining: dict[int, list[int]] = {}
+        for tail, head, units in self._flows():
+            remaining.setdefault(tail, []).extend([head] * units)
         for successors in remaining.values():
-            successors.sort(key=lambda item: repr(item[0]))
+            successors.sort(key=self._keys.__getitem__)
+        start, end = self._ids.get(source), self._ids.get(sink)
         paths: list[list[Node]] = []
-        while remaining.get(source):
-            path = [source]
-            node = source
-            while node != sink:
+        while remaining.get(start):
+            path = [start]
+            node = start
+            while node != end:
                 successors = remaining.get(node)
                 if not successors:
                     raise RuntimeError(
-                        f"flow decomposition stuck at {node!r}; "
+                        f"flow decomposition stuck at {self._nodes[node]!r}; "
                         "flow conservation violated"
                     )
-                node, _arc_index = successors.pop(0)
+                node = successors.pop(0)
                 path.append(node)
-            paths.append(path)
+            paths.append([self._nodes[node] for node in path])
         return paths

@@ -17,6 +17,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterable, Iterator, Mapping
 
+from repro.core.algorithms.routing_index import RoutingIndex
 from repro.util.validation import require
 
 __all__ = ["NodeId", "Edge", "Link", "Topology"]
@@ -69,6 +70,7 @@ class Topology:
         self._in: dict[NodeId, list[NodeId]] = {}
         self._frozen = False
         self._edge_index: dict[Edge, int] | None = None
+        self._routing_index: RoutingIndex | None = None
 
     # -- construction ------------------------------------------------------
 
@@ -205,6 +207,14 @@ class Topology:
         require(self._frozen, "edge_index requires a frozen topology")
         assert self._edge_index is not None
         return self._edge_index
+
+    @property
+    def routing_index(self) -> RoutingIndex:
+        """Integer-indexed routing graph, built on first use (frozen only)."""
+        require(self._frozen, "routing_index requires a frozen topology")
+        if self._routing_index is None:
+            self._routing_index = RoutingIndex(self)
+        return self._routing_index
 
     def edge_at(self, index: int) -> Edge:
         """Inverse of :attr:`edge_index`."""

@@ -17,10 +17,12 @@ tolerance-based equality:
 * a time shard returns its per-window records, and the merge re-runs
   ``add_window`` over all windows in chronological order -- the same
   floating-point addition sequence the serial engine performs;
-* every shard steps its policy through the *whole* trace (policies carry
-  history-dependent state such as hysteresis), so decision timelines and
-  ``decision_changes`` are the serial values regardless of sharding; only
-  the expensive probability accumulation is windowed.
+* every shard reads its policy's decision timeline over the *whole* trace
+  (policies carry history-dependent state such as hysteresis), so
+  decision timelines and ``decision_changes`` are the serial values
+  regardless of sharding; only the expensive probability accumulation is
+  windowed.  A context steps the policy once and reuses the timeline for
+  the pair's following shards.
 """
 
 from __future__ import annotations
@@ -247,6 +249,8 @@ class ShardContext:
     Mirrors the reuse structure of :func:`repro.simulation.interval.run_replay`:
     the merged boundary list, per-boundary views, and the probability
     memo are computed once and shared by all shards this context runs.
+    Consecutive shards of one (flow, scheme) pair also share its decision
+    timeline, so a time-sharded pair steps its policy once per context.
     """
 
     def __init__(
@@ -274,6 +278,10 @@ class ShardContext:
             recovery_extra_ms=config.recovery_extra_ms,
             max_recovery_lossy_edges=config.max_recovery_lossy_edges,
         )
+        # The last pair's decision timeline: a pair's time shards run next
+        # to each other in the plan, and each needs the whole timeline.
+        # One entry keeps a long-lived context at one timeline.
+        self._last_pair: tuple[tuple[str, FlowSpec], str, list] | None = None
 
     def run(
         self, shard: ShardSpec, tracer=None, parent_id: int | None = None
@@ -285,27 +293,34 @@ class ShardContext:
         policy stepping and window accumulation -- as child spans of
         ``parent_id``.
         """
-        policy = make_policy(shard.scheme)
         phase_start = tracer.now() if tracer is not None else 0.0
-        spans = build_decision_timeline(
-            self.topology,
-            self.timeline,
-            shard.flow,
-            self.service,
-            policy,
-            detection_delay_s=self.config.detection_delay_s,
-            boundaries=list(self.boundaries),
-            observed_views=list(self.observed_views),
-            observed_deltas=self.observed_deltas,
-        )
+        pair = (shard.scheme, shard.flow)
+        last = self._last_pair
+        if last is not None and last[0] == pair:
+            _pair, scheme_name, spans = last
+        else:
+            policy = make_policy(shard.scheme)
+            spans = build_decision_timeline(
+                self.topology,
+                self.timeline,
+                shard.flow,
+                self.service,
+                policy,
+                detection_delay_s=self.config.detection_delay_s,
+                boundaries=list(self.boundaries),
+                observed_views=list(self.observed_views),
+                observed_deltas=self.observed_deltas,
+            )
+            scheme_name = policy.name
+            self._last_pair = (pair, scheme_name, spans)
         if tracer is not None:
             tracer.complete(
                 "shard.policy", "exec", phase_start, tracer.now(),
                 parent_id=parent_id, shard=shard.label,
             )
             phase_start = tracer.now()
-        group = f"{policy.name}/{shard.flow.name}"
-        stats = FlowSchemeStats(flow=shard.flow, scheme=policy.name)
+        group = f"{scheme_name}/{shard.flow.name}"
+        stats = FlowSchemeStats(flow=shard.flow, scheme=scheme_name)
         stats.decision_changes = len(spans) - 1
         _replay_windows(
             stats,
@@ -331,7 +346,7 @@ class ShardContext:
         return ShardResult(
             flow_source=shard.flow.source,
             flow_destination=shard.flow.destination,
-            scheme=policy.name,
+            scheme=scheme_name,
             start_s=shard.start_s,
             end_s=shard.end_s,
             index=shard.index,

@@ -20,7 +20,7 @@ Schemes (paper Section VI):
 =====================  ==========================================================
 """
 
-from repro.routing.base import RoutingPolicy, observed_adjacency
+from repro.routing.base import RoutingPolicy
 from repro.routing.dynamic import DynamicSinglePathPolicy, DynamicTwoDisjointPolicy
 from repro.routing.flooding import TimeConstrainedFloodingPolicy
 from repro.routing.registry import (
@@ -43,6 +43,5 @@ __all__ = [
     "TargetedRedundancyPolicy",
     "TimeConstrainedFloodingPolicy",
     "make_policy",
-    "observed_adjacency",
     "standard_policies",
 ]

@@ -17,6 +17,7 @@ from __future__ import annotations
 import abc
 from typing import Mapping
 
+from repro.core.algorithms.routing_index import RoutingIndex
 from repro.core.dgraph import DisseminationGraph
 from repro.core.graph import Edge, NodeId, Topology
 from repro.netmodel.conditions import LinkState
@@ -25,9 +26,10 @@ from repro.util.validation import require
 
 __all__ = [
     "RoutingPolicy",
-    "observed_adjacency",
     "degraded_edge_set",
     "graph_connects",
+    "inflation_key",
+    "observed_weights",
     "on_time_edges",
     "timely_edge_latencies",
 ]
@@ -42,6 +44,8 @@ DEAD_LOSS_THRESHOLD = 0.99
 # clean alternative -- however long -- wins, but among unavoidable lossy
 # edges the least-lossy is chosen.
 LOSS_PENALTY_MS_PER_UNIT = 1000.0
+
+_INF = float("inf")
 
 
 class RoutingPolicy(abc.ABC):
@@ -170,6 +174,22 @@ def degraded_edge_set(
     )
 
 
+def inflation_key(observed: Mapping[Edge, LinkState]) -> tuple:
+    """The observed latency inflations as a sorted ``(edge, extra_ms)`` tuple.
+
+    Observed latencies differ from the base ones exactly on these edges,
+    so anything computed from observed latencies alone is a function of
+    this key.
+    """
+    return tuple(
+        sorted(
+            (edge, state.extra_latency_ms)
+            for edge, state in observed.items()
+            if state.extra_latency_ms > 0.0
+        )
+    )
+
+
 def graph_connects(
     graph: DisseminationGraph,
     observed: Mapping[Edge, LinkState],
@@ -236,53 +256,42 @@ def timely_edge_latencies(
 
     The quantity :func:`on_time_edges` thresholds, exposed so callers
     that must *rank* edges (candidate pruning at large N) reuse the same
-    two Dijkstra passes instead of running their own.
+    two Dijkstra passes instead of running their own.  Edges are in
+    sorted order.
     """
-    from repro.core.algorithms import single_source_distances
-    from repro.core.algorithms.adjacency import reverse_adjacency
-
-    adjacency = observed_adjacency(topology, observed)
-    from_source = single_source_distances(adjacency, source)
-    to_destination = single_source_distances(
-        reverse_adjacency(adjacency), destination
-    )
+    index = topology.routing_index
+    weights = observed_weights(index, observed)
+    from_source = index.distances(weights, source)
+    to_destination = index.distances(weights, destination, reverse=True)
     through: dict[Edge, float] = {}
-    for node, neighbors in adjacency.items():
-        head = from_source.get(node)
-        if head is None:
-            continue
-        for neighbor, weight in neighbors.items():
-            tail = to_destination.get(neighbor)
-            if tail is None:
-                continue
-            through[(node, neighbor)] = head + weight + tail
+    for link, (tail, head) in enumerate(index.edges):
+        before = from_source[index.rank[tail]]
+        after = to_destination[index.rank[head]]
+        if before != _INF and after != _INF:
+            through[(tail, head)] = before + weights[link] + after
     return through
 
 
-def observed_adjacency(
-    topology: Topology,
+def observed_weights(
+    index: RoutingIndex,
     observed: Mapping[Edge, LinkState],
-    exclude: frozenset[Edge] = frozenset(),
     penalize_loss: bool = False,
-) -> dict[NodeId, dict[NodeId, float]]:
-    """Adjacency weighted by *observed* effective latency.
+) -> list[float]:
+    """Per-link weights (by link id) at *observed* effective latency.
 
-    ``exclude`` drops edges outright (the normal way dynamic schemes avoid
-    degraded links).  With ``penalize_loss`` the lossy edges stay but carry
-    a large latency surcharge proportional to loss -- the fallback when
-    exclusion would disconnect the flow.
+    The base latencies plus each observed edge's latency inflation.  With
+    ``penalize_loss`` lossy edges also carry a large latency surcharge
+    proportional to loss -- the fallback when excluding them would
+    disconnect the flow.
     """
-    adjacency: dict[NodeId, dict[NodeId, float]] = {
-        node: {} for node in topology.nodes
-    }
-    for link in topology.iter_links():
-        if link.edge in exclude:
+    weights = list(index.latencies)
+    link_id = index.link_id
+    for edge, state in observed.items():
+        link = link_id.get(edge)
+        if link is None:
             continue
-        state = observed.get(link.edge)
-        weight = link.latency_ms
-        if state is not None:
-            weight += state.extra_latency_ms
-            if penalize_loss:
-                weight += state.loss_rate * LOSS_PENALTY_MS_PER_UNIT
-        adjacency[link.source][link.target] = weight
-    return adjacency
+        weight = weights[link] + state.extra_latency_ms
+        if penalize_loss:
+            weight += state.loss_rate * LOSS_PENALTY_MS_PER_UNIT
+        weights[link] = weight
+    return weights

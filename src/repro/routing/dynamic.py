@@ -12,21 +12,27 @@ option is used rather than giving up.
 
 Decisions are cached on the observed degraded-edge fingerprint: replay
 engines call ``update`` at every segment boundary, and most boundaries do
-not change the relevant view.
+not change the relevant view.  A decision the un-penalised search made
+is a pure function of that fingerprint, so it is also remembered for the
+fingerprint's later recurrences; loss-penalised fallbacks are always
+recomputed.  The searches run on the topology's
+:class:`~repro.core.algorithms.routing_index.RoutingIndex`.
 """
 
 from __future__ import annotations
 
 from typing import Mapping
 
-from repro.core.algorithms import NoPathError, disjoint_paths, shortest_path
+from repro.core.algorithms import NoPathError
+from repro.core.algorithms.routing_index import SplitNetwork
 from repro.core.dgraph import DisseminationGraph
 from repro.core.graph import Edge
 from repro.netmodel.conditions import LinkState
 from repro.routing.base import (
     RoutingPolicy,
     degraded_edge_set,
-    observed_adjacency,
+    inflation_key,
+    observed_weights,
 )
 from repro.util.validation import require, require_probability
 
@@ -43,6 +49,10 @@ class _DynamicPolicyBase(RoutingPolicy):
         self._cache_key: object = None
         self._cache_graph: DisseminationGraph | None = None
         self._relevant_edges: frozenset[Edge] = frozenset()
+        # Fingerprint -> decision, for decisions the un-penalised search
+        # made (see _recompute).  Unbounded: it gains at most one entry per
+        # decision boundary, and a policy replays one pair.
+        self._decisions: dict[object, DisseminationGraph] = {}
 
     def reset(self) -> None:
         """Clear temporal and cache state for a fresh replay."""
@@ -50,18 +60,14 @@ class _DynamicPolicyBase(RoutingPolicy):
         self._cache_key = None
         self._cache_graph = None
         self._relevant_edges = frozenset()
+        self._decisions = {}
 
     def _fingerprint(self, observed: Mapping[Edge, LinkState]) -> object:
         """What the decision depends on: degraded set + latency inflations."""
-        degraded = degraded_edge_set(observed, self.loss_threshold)
-        inflations = tuple(
-            sorted(
-                (edge, state.extra_latency_ms)
-                for edge, state in observed.items()
-                if state.extra_latency_ms > 0.0
-            )
+        return (
+            degraded_edge_set(observed, self.loss_threshold),
+            inflation_key(observed),
         )
-        return (degraded, inflations)
 
     def _delta_is_irrelevant(
         self, changed: frozenset[Edge], observed: Mapping[Edge, LinkState]
@@ -97,7 +103,12 @@ class _DynamicPolicyBase(RoutingPolicy):
             return self._cache_graph
         key = self._fingerprint(observed)
         if key != self._cache_key or self._cache_graph is None:
-            self._cache_graph = self._recompute(observed, key[0])
+            graph = self._decisions.get(key)
+            if graph is None:
+                graph, penalized = self._recompute(observed, key[0])
+                if not penalized:
+                    self._decisions[key] = graph
+            self._cache_graph = graph
             self._cache_key = key
             self._relevant_edges = key[0].union(
                 edge for edge, _extra in key[1]
@@ -106,7 +117,15 @@ class _DynamicPolicyBase(RoutingPolicy):
 
     def _recompute(
         self, observed: Mapping[Edge, LinkState], degraded: frozenset[Edge]
-    ) -> DisseminationGraph:
+    ) -> tuple[DisseminationGraph, bool]:
+        """The decision for ``observed``, and whether the fallback made it.
+
+        A decision the un-penalised search made reads only the degraded
+        set and the inflated latencies -- the fingerprint -- so
+        :meth:`_decide` may reuse it whenever the fingerprint recurs.  The
+        loss-penalised fallback reads every observed loss rate, so its
+        decisions are never reused.
+        """
         raise NotImplementedError
 
 
@@ -117,18 +136,24 @@ class DynamicSinglePathPolicy(_DynamicPolicyBase):
 
     def _recompute(
         self, observed: Mapping[Edge, LinkState], degraded: frozenset[Edge]
-    ) -> DisseminationGraph:
+    ) -> tuple[DisseminationGraph, bool]:
         source, destination = self.flow.source, self.flow.destination
-        adjacency = observed_adjacency(self.topology, observed, exclude=degraded)
-        try:
-            path, _latency = shortest_path(adjacency, source, destination)
-        except NoPathError:
+        index = self.topology.routing_index
+        excluded = index.link_ids(degraded)
+        path = index.shortest_path(
+            observed_weights(index, observed), source, destination, excluded
+        )
+        penalized = path is None
+        if penalized:
             # Unavoidable loss: pick the least-lossy path instead.
-            penalized = observed_adjacency(
-                self.topology, observed, penalize_loss=True
+            path = index.shortest_path(
+                observed_weights(index, observed, penalize_loss=True),
+                source,
+                destination,
             )
-            path, _latency = shortest_path(penalized, source, destination)
-        return DisseminationGraph.from_path(path, name=self.name)
+            if path is None:  # pragma: no cover - topology is connected by contract
+                raise NoPathError(source, destination)
+        return DisseminationGraph.from_path(path, name=self.name), penalized
 
 
 class DynamicTwoDisjointPolicy(_DynamicPolicyBase):
@@ -143,20 +168,26 @@ class DynamicTwoDisjointPolicy(_DynamicPolicyBase):
         if k != 2:
             words = {3: "three"}
             self.name = f"dynamic-{words.get(k, k)}-disjoint"
+        self._network: SplitNetwork | None = None
 
     def _recompute(
         self, observed: Mapping[Edge, LinkState], degraded: frozenset[Edge]
-    ) -> DisseminationGraph:
+    ) -> tuple[DisseminationGraph, bool]:
         source, destination = self.flow.source, self.flow.destination
-        adjacency = observed_adjacency(self.topology, observed, exclude=degraded)
-        paths = disjoint_paths(adjacency, source, destination, k=self.k)
-        if len(paths) < self.k:
+        index = self.topology.routing_index
+        if self._network is None:
+            self._network = SplitNetwork(index, source, destination)
+        excluded = index.link_ids(degraded)
+        paths = self._network.disjoint_paths(
+            observed_weights(index, observed), self.k, excluded
+        )
+        penalized = len(paths) < self.k
+        if penalized:
             # Not enough clean disjoint paths: re-admit lossy links with a
             # surcharge so the pairing maximises cleanliness first.
-            penalized = observed_adjacency(
-                self.topology, observed, penalize_loss=True
+            paths = self._network.disjoint_paths(
+                observed_weights(index, observed, penalize_loss=True), self.k
             )
-            paths = disjoint_paths(penalized, source, destination, k=self.k)
         if not paths:  # pragma: no cover - topology is connected by contract
             raise NoPathError(source, destination)
-        return DisseminationGraph.from_paths(paths, name=self.name)
+        return DisseminationGraph.from_paths(paths, name=self.name), penalized

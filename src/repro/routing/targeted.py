@@ -21,7 +21,8 @@ from __future__ import annotations
 
 from typing import Mapping
 
-from repro.core.algorithms import NoPathError, disjoint_paths
+from repro.core.algorithms import NoPathError
+from repro.core.algorithms.routing_index import SplitNetwork
 from repro.core.builders import (
     destination_problem_graph,
     k_disjoint_paths_graph,
@@ -35,10 +36,11 @@ from repro.netmodel.conditions import LinkState
 from repro.routing.base import (
     RoutingPolicy,
     degraded_edge_set,
-    observed_adjacency,
+    inflation_key,
+    observed_weights,
     timely_edge_latencies,
 )
-from repro.util.validation import require, require_non_negative
+from repro.util.validation import require, require_non_negative, require_probability
 
 __all__ = ["TargetedRedundancyPolicy"]
 
@@ -58,6 +60,10 @@ class TargetedRedundancyPolicy(RoutingPolicy):
         max_candidate_edges: int | None = None,
     ) -> None:
         super().__init__()
+        require_probability(loss_threshold, "loss_threshold")
+        require(
+            endpoint_link_threshold >= 1, "endpoint_link_threshold must be >= 1"
+        )
         require_non_negative(hold_down_s, "hold_down_s")
         require(
             max_entry_links is None or max_entry_links >= 1,
@@ -87,6 +93,9 @@ class TargetedRedundancyPolicy(RoutingPolicy):
         self._problem_graphs: dict[ProblemType, DisseminationGraph] = {}
         self._middle_cache_key: object = None
         self._middle_cache_graph: DisseminationGraph | None = None
+        # Inflation key -> (timely edges considered, kept link ids).
+        self._timely: dict[tuple, tuple[int, frozenset[int]]] = {}
+        self._network: SplitNetwork | None = None
         # Sticky memory of recently degraded edges: edge -> last time seen
         # degraded.  Bursty outages flap faster than they heal; a link seen
         # lossy within the hold-down stays excluded from re-routing even
@@ -146,6 +155,7 @@ class TargetedRedundancyPolicy(RoutingPolicy):
             self._on_attach()  # rebuild detector state; graphs are pure
         self._middle_cache_key = None
         self._middle_cache_graph = None
+        self._timely = {}
         self._recently_degraded = {}
 
     # -- decisions ----------------------------------------------------------------
@@ -202,40 +212,43 @@ class TargetedRedundancyPolicy(RoutingPolicy):
             return self.max_candidate_edges
         return max(64, 4 * self.topology.num_nodes)
 
-    def _candidate_edges(self, observed: Mapping[Edge, LinkState]) -> frozenset[Edge]:
-        """Timely candidate edges for re-routing, beam-capped at scale.
+    def _candidate_edges(
+        self, observed: Mapping[Edge, LinkState], inflated: tuple | None = None
+    ) -> frozenset[int]:
+        """Timely candidate link ids for re-routing, beam-capped at scale.
 
         This is the targeted search's hot spot on large topologies (two
         Dijkstra passes over the full mesh plus a disjoint-path search
         over the surviving edges), so it is the one place the policy
         reports to :mod:`repro.obs`: a ``routing.targeted.candidates``
-        span and considered/kept counters.  When more edges are timely
-        than the cap admits, the best by through-latency win (ties by
-        edge name) -- pruning the longest detours first, which are the
-        edges a deadline-meeting disjoint pair is least likely to use.
+        span and considered/kept counters, on every call.  When more
+        edges are timely than the cap admits, the best by through-latency
+        win (ties by edge name) -- pruning the longest detours first,
+        which are the edges a deadline-meeting disjoint pair is least
+        likely to use.
+
+        The set reads only observed latencies, which differ from the base
+        ones exactly on the inflated edges (inflation is never negative),
+        so it is computed once per distinct :func:`inflation_key`
+        (``inflated``, when the caller already built it).
         """
         obs = self.obs
         start_s = obs.tracer.now() if obs is not None else 0.0
-        through = timely_edge_latencies(
-            self.topology, observed, self.flow.source, self.flow.destination
-        )
-        deadline = self.service.deadline_ms
-        timely = [edge for edge, ms in through.items() if ms <= deadline]
-        cap = self.candidate_cap
-        if len(timely) > cap:
-            timely.sort(key=lambda edge: (through[edge], edge))
-            kept = frozenset(timely[:cap])
-        else:
-            kept = frozenset(timely)
+        if inflated is None:
+            inflated = inflation_key(observed)
+        entry = self._timely.get(inflated)
+        if entry is None:
+            entry = self._timely[inflated] = self._timely_candidates(observed)
+        considered, kept = entry
         if obs is not None:
             metrics = obs.metrics
             metrics.counter("routing.targeted.candidates.considered").inc(
-                len(timely)
+                considered
             )
             metrics.counter("routing.targeted.candidates.kept").inc(len(kept))
-            if len(timely) > len(kept):
+            if considered > len(kept):
                 metrics.counter("routing.targeted.candidates.pruned").inc(
-                    len(timely) - len(kept)
+                    considered - len(kept)
                 )
             obs.tracer.complete(
                 "targeted.candidates",
@@ -243,11 +256,27 @@ class TargetedRedundancyPolicy(RoutingPolicy):
                 start_s,
                 obs.tracer.now(),
                 flow=self.flow.name,
-                considered=len(timely),
+                considered=considered,
                 kept=len(kept),
-                cap=cap,
+                cap=self.candidate_cap,
             )
         return kept
+
+    def _timely_candidates(
+        self, observed: Mapping[Edge, LinkState]
+    ) -> tuple[int, frozenset[int]]:
+        """``(timely edges, kept link ids)``: the uncached candidate search."""
+        through = timely_edge_latencies(
+            self.topology, observed, self.flow.source, self.flow.destination
+        )
+        deadline = self.service.deadline_ms
+        timely = [edge for edge, ms in through.items() if ms <= deadline]
+        considered = len(timely)
+        cap = self.candidate_cap
+        if considered > cap:
+            timely.sort(key=lambda edge: (through[edge], edge))
+            timely = timely[:cap]
+        return considered, frozenset(self.topology.routing_index.link_ids(timely))
 
     def _sticky_degraded(self, now_s: float) -> frozenset[Edge]:
         """Edges seen degraded within the hold-down window."""
@@ -268,36 +297,30 @@ class TargetedRedundancyPolicy(RoutingPolicy):
         meet the deadline at observed latencies.
         """
         degraded = self._sticky_degraded(now_s)
-        timely = self._candidate_edges(observed)
-        inflated = tuple(
-            sorted(
-                (edge, state.extra_latency_ms)
-                for edge, state in observed.items()
-                if state.extra_latency_ms > 0.0
-            )
-        )
+        inflated = inflation_key(observed)
+        timely = self._candidate_edges(observed, inflated)
         cache_key = (degraded, timely, inflated)
         if cache_key == self._middle_cache_key and self._middle_cache_graph:
             return self._middle_cache_graph
         source, destination = self.flow.source, self.flow.destination
-        not_timely = frozenset(self.topology.edges) - timely
-        adjacency = observed_adjacency(
-            self.topology, observed, exclude=degraded | not_timely
+        index = self.topology.routing_index
+        if self._network is None:
+            self._network = SplitNetwork(index, source, destination)
+        not_timely = frozenset(range(len(index.edges))) - timely
+        paths = self._network.disjoint_paths(
+            observed_weights(index, observed),
+            2,
+            index.link_ids(degraded) | not_timely,
         )
-        paths = disjoint_paths(adjacency, source, destination, k=2)
         if len(paths) < 2 and not_timely:
             # No clean timely pair: re-admit lossy-but-timely edges with a
             # loss surcharge so the pairing maximises cleanliness.
-            penalized = observed_adjacency(
-                self.topology, observed, exclude=not_timely, penalize_loss=True
-            )
-            paths = disjoint_paths(penalized, source, destination, k=2)
+            penalized = observed_weights(index, observed, penalize_loss=True)
+            paths = self._network.disjoint_paths(penalized, 2, not_timely)
         if len(paths) < 2:
             # Deadline unmeetable on two paths: best effort over everything.
-            penalized = observed_adjacency(
-                self.topology, observed, penalize_loss=True
-            )
-            paths = disjoint_paths(penalized, source, destination, k=2)
+            penalized = observed_weights(index, observed, penalize_loss=True)
+            paths = self._network.disjoint_paths(penalized, 2)
         if not paths:  # pragma: no cover - topology is connected by contract
             raise NoPathError(source, destination)
         graph = DisseminationGraph.from_paths(paths, name=f"{self.name}/reroute")

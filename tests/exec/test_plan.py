@@ -228,3 +228,41 @@ class TestExactEquivalence:
             time_shards,
         )
         assert_exactly_equal(serial, sharded)
+
+
+class TestDecisionTimelineReuse:
+    def test_time_sharded_pair_steps_its_policy_once(self, monkeypatch):
+        """Serial time shards of one pair share one decision timeline."""
+        import repro.exec.plan as plan_module
+
+        calls = []
+        original = plan_module.build_decision_timeline
+
+        def counting(topology, timeline, flow, service, policy, **kwargs):
+            calls.append((policy.name, flow.name))
+            return original(topology, timeline, flow, service, policy, **kwargs)
+
+        monkeypatch.setattr(plan_module, "build_decision_timeline", counting)
+        topology = build_reference_topology()
+        flows = reference_flows()[:3]
+        _events, timeline = generate_timeline(
+            topology, Scenario(duration_s=0.01 * WEEK_S), seed=7
+        )
+        config = ReplayConfig()
+        plan = build_plan(timeline, flows, SMALL_SCHEMES, config, time_shards=4)
+        assert all(shard.of == 4 for shard in plan)
+        _result, telemetry = run_replay_parallel(
+            topology,
+            timeline,
+            flows,
+            ServiceSpec(),
+            SMALL_SCHEMES,
+            config,
+            max_workers=0,
+            time_shards=4,
+            use_cache=False,
+        )
+        assert telemetry.shards_total == 4 * len(flows) * len(SMALL_SCHEMES)
+        assert sorted(calls) == sorted(
+            (scheme, flow.name) for scheme in SMALL_SCHEMES for flow in flows
+        )

@@ -1,4 +1,4 @@
-"""Shared routing helpers: observed adjacency and timely-edge filtering."""
+"""Shared routing helpers: observed weights on the routing index, timely edges."""
 
 from __future__ import annotations
 
@@ -7,7 +7,7 @@ import pytest
 from repro.netmodel.conditions import LinkState
 from repro.routing.base import (
     degraded_edge_set,
-    observed_adjacency,
+    observed_weights,
     on_time_edges,
 )
 
@@ -25,27 +25,42 @@ class TestDegradedEdgeSet:
 
 
 class TestObservedAdjacency:
+    """The observed view as the routing index sees it: weights by link id."""
+
+    @staticmethod
+    def weight(topology, weights, edge):
+        return weights[topology.routing_index.link_id[edge]]
+
     def test_base_latencies(self, diamond):
-        adjacency = observed_adjacency(diamond, {})
-        assert adjacency["S"]["A"] == 2.0
+        weights = observed_weights(diamond.routing_index, {})
+        assert self.weight(diamond, weights, ("S", "A")) == 2.0
+        assert weights == list(diamond.routing_index.latencies)
 
     def test_inflation_added(self, diamond):
         observed = {("S", "A"): LinkState(extra_latency_ms=10.0)}
-        adjacency = observed_adjacency(diamond, observed)
-        assert adjacency["S"]["A"] == 12.0
+        weights = observed_weights(diamond.routing_index, observed)
+        assert self.weight(diamond, weights, ("S", "A")) == 12.0
+        assert self.weight(diamond, weights, ("A", "S")) == 2.0
 
     def test_exclusion(self, diamond):
-        adjacency = observed_adjacency(
-            diamond, {}, exclude=frozenset({("S", "A")})
-        )
-        assert "A" not in adjacency["S"]
+        index = diamond.routing_index
+        weights = observed_weights(index, {})
+        assert index.shortest_path(weights, "S", "T") == ["S", "A", "T"]
+        excluded = index.link_ids({("S", "A")})
+        assert index.shortest_path(weights, "S", "T", excluded) == ["S", "B", "T"]
+        both = index.link_ids({("S", "A"), ("S", "B")})
+        assert index.shortest_path(weights, "S", "T", both) is None
 
     def test_loss_penalty(self, diamond):
         observed = {("S", "A"): LinkState(loss_rate=0.5)}
-        plain = observed_adjacency(diamond, observed)
-        penalized = observed_adjacency(diamond, observed, penalize_loss=True)
-        assert plain["S"]["A"] == 2.0
-        assert penalized["S"]["A"] == pytest.approx(2.0 + 500.0)
+        plain = observed_weights(diamond.routing_index, observed)
+        penalized = observed_weights(
+            diamond.routing_index, observed, penalize_loss=True
+        )
+        assert self.weight(diamond, plain, ("S", "A")) == 2.0
+        assert self.weight(diamond, penalized, ("S", "A")) == pytest.approx(
+            2.0 + 500.0
+        )
 
 
 class TestOnTimeEdges:

@@ -159,6 +159,15 @@ class TestValidation:
         with pytest.raises(ValidationError):
             TargetedRedundancyPolicy(max_entry_links=0)
 
+    @pytest.mark.parametrize("loss_threshold", [1.5, -0.1])
+    def test_bad_loss_threshold_rejected_at_construction(self, loss_threshold):
+        with pytest.raises(ValidationError, match="loss_threshold"):
+            TargetedRedundancyPolicy(loss_threshold=loss_threshold)
+
+    def test_bad_endpoint_link_threshold_rejected_at_construction(self):
+        with pytest.raises(ValidationError, match="endpoint_link_threshold"):
+            TargetedRedundancyPolicy(endpoint_link_threshold=0)
+
     def test_reset_restores_clean_state(self, reference_topology):
         policy = make(reference_topology, hold_down_s=100.0)
         policy.update(0.0, destination_problem())
