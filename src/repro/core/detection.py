@@ -26,7 +26,12 @@ from dataclasses import dataclass, field
 from typing import Mapping
 
 from repro.core.graph import Edge, NodeId, Topology
-from repro.util.validation import require, require_non_negative, require_probability
+from repro.util.validation import (
+    fail,
+    require,
+    require_non_negative,
+    require_probability,
+)
 
 __all__ = [
     "ProblemType",
@@ -109,8 +114,10 @@ class ProblemClassifier:
         loss_rates: Mapping[Edge, float],
     ) -> ProblemAssessment:
         """Classify the loss pattern as seen by flow ``source->destination``."""
-        require(topology.has_node(source), f"unknown source {source!r}")
-        require(topology.has_node(destination), f"unknown destination {destination!r}")
+        if not (topology.has_node(source)):
+            fail(f"unknown source {source!r}")
+        if not (topology.has_node(destination)):
+            fail(f"unknown destination {destination!r}")
         degraded = self.degraded_edges(loss_rates)
         source_links = tuple(
             sorted(e for e in degraded if source in e)
@@ -176,10 +183,8 @@ class ProblemDetector:
 
     def update(self, now_s: float, loss_rates: Mapping[Edge, float]) -> ProblemType:
         """Feed the current (already-propagated) loss view; get the decision."""
-        require(
-            now_s >= self._last_update_s,
-            f"time went backwards: {now_s} < {self._last_update_s}",
-        )
+        if not (now_s >= self._last_update_s):
+            fail(f"time went backwards: {now_s} < {self._last_update_s}")
         self._last_update_s = now_s
         assessment = self.classifier.classify(
             self.topology, self.source, self.destination, loss_rates

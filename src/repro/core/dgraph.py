@@ -20,7 +20,7 @@ from dataclasses import dataclass, field
 from typing import Callable, Iterable, Mapping
 
 from repro.core.graph import Edge, NodeId
-from repro.util.validation import require
+from repro.util.validation import fail, require
 
 __all__ = ["DisseminationGraph"]
 
@@ -44,11 +44,10 @@ class DisseminationGraph:
     def __post_init__(self) -> None:
         require(self.source != self.destination, "source must differ from destination")
         for edge in self.edges:
-            require(
-                isinstance(edge, tuple) and len(edge) == 2,
-                f"edge must be a (source, target) pair, got {edge!r}",
-            )
-            require(edge[0] != edge[1], f"self-loop edge {edge!r}")
+            if not (isinstance(edge, tuple) and len(edge) == 2):
+                fail(f"edge must be a (source, target) pair, got {edge!r}")
+            if not (edge[0] != edge[1]):
+                fail(f"self-loop edge {edge!r}")
 
     # -- constructors --------------------------------------------------------
 
@@ -59,7 +58,8 @@ class DisseminationGraph:
         """Build a single-path graph from a node sequence."""
         nodes = list(path)
         require(len(nodes) >= 2, "a path needs at least two nodes")
-        require(len(set(nodes)) == len(nodes), f"path revisits a node: {nodes!r}")
+        if not (len(set(nodes)) == len(nodes)):
+            fail(f"path revisits a node: {nodes!r}")
         edges = frozenset(zip(nodes, nodes[1:]))
         return cls(nodes[0], nodes[-1], edges, name=name)
 

@@ -18,7 +18,8 @@ from dataclasses import dataclass
 from typing import Iterable, Iterator, Mapping
 
 from repro.core.algorithms.routing_index import RoutingIndex
-from repro.util.validation import require
+from repro.util.digest import stable_hash
+from repro.util.validation import fail, require
 
 __all__ = ["NodeId", "Edge", "Link", "Topology"]
 
@@ -71,6 +72,7 @@ class Topology:
         self._frozen = False
         self._edge_index: dict[Edge, int] | None = None
         self._routing_index: RoutingIndex | None = None
+        self._digest: str | None = None
 
     # -- construction ------------------------------------------------------
 
@@ -143,7 +145,8 @@ class Topology:
 
     def node_attributes(self, node: NodeId) -> Mapping[str, float]:
         """A copy of the node's attribute mapping (e.g. lat/lon)."""
-        require(node in self._nodes, f"unknown node {node!r}")
+        if not (node in self._nodes):
+            fail(f"unknown node {node!r}")
         return dict(self._nodes[node])
 
     def has_node(self, node: NodeId) -> bool:
@@ -156,7 +159,8 @@ class Topology:
 
     def link(self, source: NodeId, target: NodeId) -> Link:
         """The :class:`Link` for a directed edge (raises if absent)."""
-        require((source, target) in self._links, f"no link {(source, target)!r}")
+        if not ((source, target) in self._links):
+            fail(f"no link {(source, target)!r}")
         return self._links[(source, target)]
 
     def latency(self, source: NodeId, target: NodeId) -> float:
@@ -169,17 +173,20 @@ class Topology:
 
     def out_neighbors(self, node: NodeId) -> tuple[NodeId, ...]:
         """Targets of the node's outgoing edges, sorted."""
-        require(node in self._nodes, f"unknown node {node!r}")
+        if not (node in self._nodes):
+            fail(f"unknown node {node!r}")
         return tuple(self._out[node])
 
     def in_neighbors(self, node: NodeId) -> tuple[NodeId, ...]:
         """Sources of the node's incoming edges, sorted."""
-        require(node in self._nodes, f"unknown node {node!r}")
+        if not (node in self._nodes):
+            fail(f"unknown node {node!r}")
         return tuple(self._in[node])
 
     def adjacent_edges(self, node: NodeId) -> tuple[Edge, ...]:
         """All directed edges touching ``node`` (either endpoint)."""
-        require(node in self._nodes, f"unknown node {node!r}")
+        if not (node in self._nodes):
+            fail(f"unknown node {node!r}")
         incident = [(node, neighbor) for neighbor in self._out[node]]
         incident += [(neighbor, node) for neighbor in self._in[node]]
         return tuple(sorted(incident))
@@ -215,6 +222,34 @@ class Topology:
         if self._routing_index is None:
             self._routing_index = RoutingIndex(self)
         return self._routing_index
+
+    @property
+    def digest(self) -> str:
+        """Hex SHA-256 of the topology's content: name, nodes, links.
+
+        The replay cache keys and run manifests share this one digest.
+        A frozen topology computes it once and keeps it; a mutable one
+        recomputes it on every read.  Two threads racing on the first
+        read compute the same string, so the race is harmless.
+        """
+        if self._digest is not None:
+            return self._digest
+        digest = stable_hash(
+            {
+                "name": self.name,
+                "nodes": {
+                    node: dict(attributes)
+                    for node, attributes in self._nodes.items()
+                },
+                "links": [
+                    [link.source, link.target, link.latency_ms, link.cost]
+                    for link in self.iter_links()
+                ],
+            }
+        )
+        if self._frozen:
+            self._digest = digest
+        return digest
 
     def edge_at(self, index: int) -> Edge:
         """Inverse of :attr:`edge_index`."""
@@ -260,7 +295,8 @@ class Topology:
         """Validate that every edge exists and return them sorted."""
         result = []
         for edge in edges:
-            require(edge in self._links, f"edge {edge!r} not in topology")
+            if not (edge in self._links):
+                fail(f"edge {edge!r} not in topology")
             result.append(edge)
         return tuple(sorted(result))
 

@@ -52,7 +52,7 @@ from repro.netmodel.topology import FlowSpec, ServiceSpec
 from repro.routing.registry import STANDARD_SCHEME_NAMES
 from repro.simulation import kernel
 from repro.simulation.results import ReplayConfig, ReplayResult
-from repro.util.validation import require
+from repro.util.validation import fail, require
 
 __all__ = ["run_replay_parallel"]
 
@@ -124,6 +124,30 @@ def _default_executor_factory(
 
 
 # -- engine ----------------------------------------------------------------------
+
+
+def _require_matching_context(
+    context: ShardContext,
+    topology: Topology,
+    timeline: ConditionTimeline,
+    service: ServiceSpec,
+    config: ReplayConfig,
+) -> None:
+    """Reject a context built from inputs with a different context key.
+
+    The context's own objects skip the comparison; otherwise both keys
+    are built from the memoised content digests, which costs
+    microseconds once each timeline has been digested.
+    """
+    inputs = (topology, timeline, service, config)
+    built_from = (context.topology, context.timeline, context.service, context.config)
+    if all(mine is theirs for mine, theirs in zip(inputs, built_from)):
+        return
+    if context_key(*built_from) != context_key(*inputs):
+        fail(
+            "context was built from other inputs than this replay "
+            "(topology, timeline, service or config differ)"
+        )
 
 
 def _run_pooled(
@@ -259,12 +283,15 @@ def run_replay_parallel(
     ``context`` supplies a pre-built (warm) :class:`ShardContext` for
     in-process shard runs, so a long-lived caller (the ``repro serve``
     daemon) reuses the probability memo and mask-classification cache
-    across invocations.  It MUST have been built from the same topology,
-    timeline, service and config; results stay bitwise-identical because
-    cache sharing is canonical-key exact.  When the context's cache is
-    shared with concurrent invocations, the per-run ``prob_*`` counter
-    deltas may include the other runs' activity (telemetry only -- the
-    replay output is unaffected).
+    across invocations.  It must have been built from inputs with the
+    same context key (same topology, timeline, service and config
+    content); a mismatched context raises ``ValidationError`` before any
+    shard runs or is stored, since its shards would describe the
+    context's timeline under this call's cache keys.  Results stay
+    bitwise-identical because cache sharing is canonical-key exact.
+    When the context's cache is shared with concurrent invocations, the
+    per-run ``prob_*`` counter deltas may include the other runs'
+    activity (telemetry only -- the replay output is unaffected).
     """
     require(bool(flows), "need at least one flow")
     require(bool(scheme_names), "need at least one scheme")
@@ -274,6 +301,8 @@ def run_replay_parallel(
     if max_workers is None:
         max_workers = os.cpu_count() or 1
     require(max_workers >= 0, f"max_workers must be >= 0, got {max_workers}")
+    if context is not None:
+        _require_matching_context(context, topology, timeline, service, config)
     started = time.perf_counter()
     root_span_id: int | None = None
     if obs is not None:

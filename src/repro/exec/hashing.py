@@ -8,16 +8,16 @@ a digest over every ``.py`` file of the installed ``repro`` package, so
 editing any engine module invalidates prior results rather than serving
 stale ones.
 
-Hashes are built from canonical JSON (sorted keys, no whitespace).
-Python's ``repr``-based float serialisation round-trips exactly, so two
-runs with bitwise-identical inputs produce identical keys.
+Hashes are built from canonical JSON (sorted keys, no whitespace; see
+:mod:`repro.util.digest`).  Python's ``repr``-based float serialisation
+round-trips exactly, so two runs with bitwise-identical inputs produce
+identical keys.
 """
 
 from __future__ import annotations
 
 import functools
 import hashlib
-import json
 import os
 from pathlib import Path
 
@@ -26,6 +26,7 @@ from repro.netmodel.conditions import ConditionTimeline
 from repro.netmodel.topology import FlowSpec, ServiceSpec
 from repro.simulation import kernel
 from repro.simulation.results import ReplayConfig
+from repro.util.digest import canonical_json, stable_hash
 
 __all__ = [
     "CODE_VERSION_ENV",
@@ -38,16 +39,6 @@ __all__ = [
 
 #: Override the computed code fingerprint (used by tests to pin keys).
 CODE_VERSION_ENV = "REPRO_EXEC_CODE_VERSION"
-
-
-def canonical_json(value: object) -> str:
-    """Deterministic JSON encoding: sorted keys, compact separators."""
-    return json.dumps(value, sort_keys=True, separators=(",", ":"))
-
-
-def stable_hash(value: object) -> str:
-    """Hex SHA-256 of the canonical JSON encoding of ``value``."""
-    return hashlib.sha256(canonical_json(value).encode("utf-8")).hexdigest()
 
 
 @functools.lru_cache(maxsize=1)
@@ -68,54 +59,31 @@ def code_fingerprint() -> str:
     return digest.hexdigest()[:16]
 
 
-def _topology_fingerprint(topology: Topology) -> dict:
-    return {
-        "name": topology.name,
-        "nodes": {
-            node: dict(topology.node_attributes(node)) for node in topology.nodes
-        },
-        "links": [
-            [link.source, link.target, link.latency_ms, link.cost]
-            for link in topology.iter_links()
-        ],
-    }
-
-
-def _timeline_fingerprint(timeline: ConditionTimeline) -> dict:
-    # The compiled segment list is canonical: timelines built from
-    # different (overlapping) contribution sets but identical effective
-    # conditions fingerprint equal.
-    return {
-        "duration_s": timeline.duration_s,
-        "contributions": [
-            [
-                contribution.edge[0],
-                contribution.edge[1],
-                contribution.start_s,
-                contribution.end_s,
-                contribution.state.loss_rate,
-                contribution.state.extra_latency_ms,
-            ]
-            for contribution in timeline.to_contributions()
-        ],
-    }
-
-
 def context_key(
     topology: Topology,
     timeline: ConditionTimeline,
     service: ServiceSpec,
     config: ReplayConfig,
 ) -> str:
-    """Key of everything shards of one replay share (computed once per run)."""
+    """Key of everything shards of one replay share.
+
+    The key is built afresh on every call: the code fingerprint, the
+    kernel backend, the service and the config are not properties of the
+    timeline.  What is cached is the two content digests, each on its own
+    object: a frozen topology and a timeline each compute theirs once
+    (:attr:`Topology.digest`, :attr:`ConditionTimeline.digest`), so many
+    engine calls on one timeline pay for one timeline digest.  Digests
+    follow content, not identity: a separately generated but equal
+    timeline keys equal.
+    """
     return stable_hash(
         {
             "code": code_fingerprint(),
             # The two kernel backends agree only up to float reassociation,
             # so their shard payloads must never share disk-cache entries.
             "kernel": kernel.active_backend(),
-            "topology": _topology_fingerprint(topology),
-            "timeline": _timeline_fingerprint(timeline),
+            "topology": topology.digest,
+            "timeline": timeline.digest,
             "service": {
                 "deadline_ms": service.deadline_ms,
                 "send_interval_ms": service.send_interval_ms,

@@ -47,7 +47,7 @@ from repro.simulation.timeline import (
     decision_boundaries,
     observed_views_with_deltas,
 )
-from repro.util.validation import require
+from repro.util.validation import fail, require
 
 __all__ = [
     "ShardSpec",
@@ -223,7 +223,8 @@ def build_plan(
     require(bool(scheme_names), "need at least one scheme")
     pairs = Counter((scheme, flow.name) for scheme in scheme_names for flow in flows)
     for (scheme, flow_name), count in pairs.items():
-        require(count == 1, f"duplicate (scheme, flow) pair {scheme}/{flow_name}")
+        if not (count == 1):
+            fail(f"duplicate (scheme, flow) pair {scheme}/{flow_name}")
     cuts = time_cuts(timeline, config.detection_delay_s, time_shards)
     pieces = list(zip(cuts, cuts[1:]))
     plan: list[ShardSpec] = []
@@ -391,14 +392,10 @@ def _merge_pair(
     stats.decision_changes = first.decision_changes
     for shard in sorted(shards, key=lambda s: s.start_s):
         result = results[shard]
-        require(
-            result.decision_changes == first.decision_changes,
-            f"inconsistent decision timelines across shards of {shard.label}",
-        )
-        require(
-            result.windows is not None,
-            f"time shard {shard.label} is missing its window records",
-        )
+        if not (result.decision_changes == first.decision_changes):
+            fail(f"inconsistent decision timelines across shards of {shard.label}")
+        if not (result.windows is not None):
+            fail(f"time shard {shard.label} is missing its window records")
         for window in result.windows:
             stats.add_window(
                 window.start_s,
@@ -426,7 +423,8 @@ def merge_results(
     """
     require(bool(plan), "empty plan")
     for shard in plan:
-        require(shard in results, f"missing result for shard {shard.label}")
+        if not (shard in results):
+            fail(f"missing result for shard {shard.label}")
     merged = ReplayResult(service, config)
     groups: dict[tuple[str, str], list[ShardSpec]] = {}
     for shard in plan:

@@ -24,7 +24,13 @@ from dataclasses import dataclass
 from typing import Iterable, Iterator, Mapping
 
 from repro.core.graph import Edge, Topology
-from repro.util.validation import require, require_non_negative, require_probability
+from repro.util.digest import stable_hash
+from repro.util.validation import (
+    fail,
+    require,
+    require_non_negative,
+    require_probability,
+)
 
 __all__ = ["LinkState", "Contribution", "ConditionTimeline", "CLEAN"]
 
@@ -83,10 +89,11 @@ class ConditionTimeline:
         self.duration_s = float(duration_s)
         per_edge: dict[Edge, list[Contribution]] = {}
         for contribution in contributions:
-            require(
-                topology.has_edge(*contribution.edge),
-                f"contribution references unknown edge {contribution.edge!r}",
-            )
+            if not (topology.has_edge(*contribution.edge)):
+                fail(
+                    "contribution references unknown edge "
+                    f"{contribution.edge!r}"
+                )
             clipped = self._clip(contribution)
             if clipped is not None:
                 per_edge.setdefault(clipped.edge, []).append(clipped)
@@ -98,6 +105,7 @@ class ConditionTimeline:
             self._times[edge] = times
             self._states[edge] = states
         self._change_times = self._global_change_times()
+        self._digest: str | None = None
 
     def _clip(self, contribution: Contribution) -> Contribution | None:
         start = max(0.0, contribution.start_s)
@@ -147,10 +155,8 @@ class ConditionTimeline:
 
     def state_at(self, edge: Edge, time_s: float) -> LinkState:
         """Conditions on ``edge`` at ``time_s`` (clean outside any record)."""
-        require(
-            0.0 <= time_s <= self.duration_s,
-            f"time {time_s} outside [0, {self.duration_s}]",
-        )
+        if not (0.0 <= time_s <= self.duration_s):
+            fail(f"time {time_s} outside [0, {self.duration_s}]")
         times = self._times.get(edge)
         if times is None:
             return CLEAN
@@ -203,11 +209,11 @@ class ConditionTimeline:
         cursor = 0
         previous_time = float("-inf")
         for time_s in times:
-            require(
-                time_s >= previous_time,
-                f"view query times must be non-decreasing "
-                f"({time_s} after {previous_time})",
-            )
+            if not (time_s >= previous_time):
+                fail(
+                    f"view query times must be non-decreasing "
+                    f"({time_s} after {previous_time})"
+                )
             previous_time = time_s
             # Drain every segment start up to the query time; per edge only
             # the latest one matters, which the dict overwrite keeps.
@@ -276,6 +282,38 @@ class ConditionTimeline:
                 if any(not state.clean for state in states)
             )
         )
+
+    @property
+    def digest(self) -> str:
+        """Hex SHA-256 of the compiled conditions, computed once.
+
+        It covers the duration and every non-clean compiled segment, read
+        straight from the per-edge segment arrays, so timelines built
+        from different (overlapping) contribution sets but with equal
+        compiled segments digest equal.  A timeline has no mutators, so
+        the first read's value holds for good; two threads racing on it
+        compute the same string.
+        """
+        if self._digest is None:
+            self._digest = stable_hash(
+                {
+                    "duration_s": self.duration_s,
+                    "segments": [
+                        [
+                            edge[0],
+                            edge[1],
+                            start,
+                            end,
+                            state.loss_rate,
+                            state.extra_latency_ms,
+                        ]
+                        for edge in sorted(self._times)
+                        for start, end, state in self.edge_segments(edge)
+                        if not state.clean
+                    ],
+                }
+            )
+        return self._digest
 
     def to_contributions(self) -> list[Contribution]:
         """Export the compiled non-clean segments (for trace persistence)."""

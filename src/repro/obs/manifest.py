@@ -17,7 +17,6 @@ from pathlib import Path
 from typing import Mapping
 
 from repro.core.graph import Topology
-from repro.exec.hashing import _topology_fingerprint, stable_hash
 from repro.util.validation import require
 
 __all__ = [
@@ -31,8 +30,12 @@ MANIFEST_VERSION = 1
 
 
 def topology_fingerprint(topology: Topology) -> str:
-    """Short stable digest of a topology's nodes, links, and attributes."""
-    return stable_hash(_topology_fingerprint(topology))[:16]
+    """Short stable digest of a topology's nodes, links, and attributes.
+
+    The first 16 hex characters of :attr:`Topology.digest`, the digest
+    the replay cache keys are built from.
+    """
+    return topology.digest[:16]
 
 
 @dataclass

@@ -22,7 +22,7 @@ from repro.core.dgraph import DisseminationGraph
 from repro.core.graph import Edge, NodeId, Topology
 from repro.netmodel.conditions import LinkState
 from repro.netmodel.topology import FlowSpec, ServiceSpec
-from repro.util.validation import require
+from repro.util.validation import fail, require
 
 __all__ = [
     "RoutingPolicy",
@@ -104,21 +104,24 @@ class RoutingPolicy(abc.ABC):
     @property
     def topology(self) -> Topology:
         """The attached topology (raises if unattached)."""
-        require(self._topology is not None, f"policy {self.name} is not attached")
+        if not (self._topology is not None):
+            fail(f"policy {self.name} is not attached")
         assert self._topology is not None
         return self._topology
 
     @property
     def flow(self) -> FlowSpec:
         """The attached flow (raises if unattached)."""
-        require(self._flow is not None, f"policy {self.name} is not attached")
+        if not (self._flow is not None):
+            fail(f"policy {self.name} is not attached")
         assert self._flow is not None
         return self._flow
 
     @property
     def service(self) -> ServiceSpec:
         """The attached service spec (raises if unattached)."""
-        require(self._service is not None, f"policy {self.name} is not attached")
+        if not (self._service is not None):
+            fail(f"policy {self.name} is not attached")
         assert self._service is not None
         return self._service
 
@@ -141,12 +144,13 @@ class RoutingPolicy(abc.ABC):
         Callers that pass deltas are responsible for their accuracy: an
         understated delta silently yields stale decisions.
         """
-        require(self._topology is not None, f"policy {self.name} is not attached")
-        require(
-            now_s >= self._last_update_s,
-            f"policy updates must move forward in time "
-            f"({now_s} < {self._last_update_s})",
-        )
+        if not (self._topology is not None):
+            fail(f"policy {self.name} is not attached")
+        if not (now_s >= self._last_update_s):
+            fail(
+                f"policy updates must move forward in time "
+                f"({now_s} < {self._last_update_s})"
+            )
         self._last_update_s = now_s
         self._observed_changed = changed
         return self._decide(now_s, observed)

@@ -41,11 +41,12 @@ from repro.simulation.reliability import (
     MAX_RECOVERY_LOSSY_EDGES,
     Classification,
     DeliveryProbabilities,
+    IndexedGraph,
     ReliabilityLimitError,
     accumulate_probabilities,
-    classify_delivery_masks,
-    classify_recovery_states,
-    delivery_probabilities,
+    classify_indexed,
+    delivery_probabilities_indexed,
+    index_graph,
 )
 from repro.simulation.results import FlowSchemeStats, ReplayConfig, ReplayResult
 from repro.simulation.timeline import (
@@ -94,9 +95,15 @@ _PER_EDGE_BYTES = 120
 
 _UNSET: object = object()
 
-#: The one radix-generic accumulation under the per-engine names
-#: (plain masks, hop-recovery states) that the miss path looks up at
-#: call time, like the classifiers.
+#: The names the miss path looks up at call time, so wrappers installed
+#: on this module's names see every call: the one classifier body and
+#: the one radix-generic accumulation under per-engine names (plain
+#: masks, hop-recovery states), and the fused exact computation.  Each
+#: takes the canonical entry's :class:`IndexedGraph` plus per-slot
+#: arrays, never the graph and per-edge callbacks.
+classify_delivery_masks = classify_indexed
+classify_recovery_states = classify_indexed
+delivery_probabilities = delivery_probabilities_indexed
 accumulate_mask_probabilities_batch = accumulate_probabilities
 accumulate_recovery_probabilities_batch = accumulate_probabilities
 
@@ -225,17 +232,18 @@ class _ProbabilityCache:
             tuple[DeliveryProbabilities | Classification, str | None, int],
         ] = {}
         self._bytes = 0
-        # Per-graph canonical forms, keyed by the graph value itself and
-        # excluded from the byte cap.  On the reference overlay distinct
-        # graphs per replay number in the hundreds; dynamic schemes on
-        # generated large meshes can mint one per decision boundary, so
-        # the memo carries its own LRU entry cap (insertion order doubles
-        # as recency order, exactly like ``_entries``).  Eviction is safe:
-        # entries are pure functions of (topology, graph), so a re-computed
-        # entry is identical to the evicted one.
+        # Per-graph canonical forms (the classifier's index included),
+        # keyed by the graph value itself and excluded from the byte cap.
+        # On the reference overlay distinct graphs per replay number in
+        # the hundreds; dynamic schemes on generated large meshes can mint
+        # one per decision boundary, so the memo carries its own LRU entry
+        # cap (insertion order doubles as recency order, exactly like
+        # ``_entries``).  Eviction is safe: entries are pure functions of
+        # (topology, graph), so a re-computed entry is identical to the
+        # evicted one.
         self._canonical: dict[
             DisseminationGraph,
-            tuple[tuple[Edge, ...], tuple, tuple[float, ...], dict[Edge, int]],
+            tuple[IndexedGraph, tuple[float, ...], dict[Edge, int]],
         ] = {}
         self.max_canonical_entries = default_prob_canonical_max_entries()
         self.hits = 0
@@ -256,30 +264,25 @@ class _ProbabilityCache:
 
     def _canonical_graph(
         self, topology: Topology, graph: DisseminationGraph
-    ) -> tuple[tuple[Edge, ...], tuple, tuple[float, ...], dict[Edge, int]]:
-        """``(sorted edges, structure, base latencies, edge->slot)``.
+    ) -> tuple[IndexedGraph, tuple[float, ...], dict[Edge, int]]:
+        """``(index, base latencies, edge->slot)``, built once per graph.
 
-        ``structure`` is the graph with every node replaced by its rank in
-        sorted-name order: relabeled edge list (in sorted-edge order) plus
-        the endpoint ranks.  The relabeling is monotone, which is what
-        makes canonical-key sharing bitwise-exact (see class docstring).
+        ``index.structure`` is the graph with every node replaced by its
+        rank in sorted-name order: relabeled edge list (in sorted-edge
+        order) plus the endpoint ranks.  The relabeling is monotone,
+        which is what makes canonical-key sharing bitwise-exact (see
+        class docstring).  The classifier runs on the same index, so a
+        graph is relabelled once per entry, not once per classification.
         """
         with self._lock:
             entry = self._canonical.pop(graph, None)
             if entry is None:
-                edges = graph.sorted_edges()
-                rank = {
-                    node: position
-                    for position, node in enumerate(sorted(graph.nodes))
-                }
-                structure = (
-                    tuple((rank[u], rank[v]) for u, v in edges),
-                    rank[graph.source],
-                    rank[graph.destination],
+                indexed = index_graph(graph)
+                base_latency = tuple(
+                    topology.latency(u, v) for u, v in indexed.edges
                 )
-                base_latency = tuple(topology.latency(u, v) for u, v in edges)
-                slot_of = {edge: slot for slot, edge in enumerate(edges)}
-                entry = (edges, structure, base_latency, slot_of)
+                slot_of = {edge: slot for slot, edge in enumerate(indexed.edges)}
+                entry = (indexed, base_latency, slot_of)
             self._canonical[graph] = entry  # (re-)insert: most recently used
             cap = self.max_canonical_entries
             if cap is not None:
@@ -339,23 +342,23 @@ class _ProbabilityCache:
         group: str | None = None,
     ) -> DeliveryProbabilities:
         """Outcome under base conditions (no loss, base latencies)."""
-        edges, structure, base_latency, _slot_of = self._canonical_graph(
+        indexed, base_latency, _slot_of = self._canonical_graph(
             topology, graph
         )
-        key = (structure, base_latency)
+        key = (indexed.structure, base_latency)
         # Clean lookups stay outside the hit/miss counters (as they always
         # have), so they must not feed ``shared_hits`` either -- the
         # counters would otherwise stop being comparable as rates.
         cached = self._lookup(key, None)
         if cached is None:
             cached = delivery_probabilities(
-                graph,
+                indexed,
                 self.deadline_ms,
-                lambda edge: topology.latency(*edge),
-                lambda edge: 0.0,
+                base_latency,
+                [0.0] * len(base_latency),
                 max_lossy_edges=self.max_lossy_edges,
             )
-            self._store(key, cached, group, len(edges))
+            self._store(key, cached, group, len(base_latency))
         return cached
 
     def probabilities(
@@ -403,9 +406,9 @@ class _ProbabilityCache:
         """
         if not degraded_list:
             return []
-        edges, structure, base_latency, slot_of = self._canonical_graph(
-            topology, graph
-        )
+        indexed, base_latency, slot_of = self._canonical_graph(topology, graph)
+        structure = indexed.structure
+        edges = indexed.edges
         results: list[DeliveryProbabilities | None] = [None] * len(degraded_list)
         first_miss: dict[tuple, int] = {}
         aliases: list[tuple[int, tuple]] = []
@@ -445,7 +448,7 @@ class _ProbabilityCache:
             misses.append((key, tuple(effective_latency), loss_vector, position))
         if misses:
             computed = self._resolve_misses(
-                graph, edges, slot_of, structure, misses, group, contexts
+                graph, indexed, misses, group, contexts
             )
             computed.sort(key=lambda item: item[0])
             by_key: dict[tuple, DeliveryProbabilities] = {}
@@ -459,9 +462,7 @@ class _ProbabilityCache:
 
     def _classification(
         self,
-        graph: DisseminationGraph,
-        edges: tuple[Edge, ...],
-        slot_of: dict[Edge, int],
+        indexed: IndexedGraph,
         class_key: tuple,
         effective_latency: tuple[float, ...],
         loss_vector: list[float],
@@ -479,37 +480,34 @@ class _ProbabilityCache:
                 self.mask_hits += 1
         if entry is not None:
             return entry[0]
-
-        def latency_of(edge: Edge) -> float:
-            return effective_latency[slot_of[edge]]
-
-        def loss_of(edge: Edge) -> float:
-            return loss_vector[slot_of[edge]]
-
         if self.hop_recovery:
+            # Ack timeout (~2x link latency + slack) + retransmission
+            # flight time.
+            recovery = [
+                3.0 * latency + self.recovery_extra_ms
+                for latency in effective_latency
+            ]
             classification, _losses = classify_recovery_states(
-                graph,
+                indexed,
                 self.deadline_ms,
-                latency_of,
-                loss_of,
-                # Ack timeout (~2x link latency + slack) + retransmission
-                # flight time.
-                lambda edge: 3.0 * latency_of(edge) + self.recovery_extra_ms,
-                max_lossy_edges=self.max_recovery_lossy_edges,
+                effective_latency,
+                loss_vector,
+                self.max_recovery_lossy_edges,
+                recovery,
             )
         else:
             classification, _losses = classify_delivery_masks(
-                graph,
+                indexed,
                 self.deadline_ms,
-                latency_of,
-                loss_of,
-                max_lossy_edges=self.max_lossy_edges,
+                effective_latency,
+                loss_vector,
+                self.max_lossy_edges,
             )
         self._store(
             class_key,
             classification,
             group,
-            len(edges),
+            len(indexed.edges),
             extra_bytes=len(classification.classes),
         )
         return classification
@@ -517,9 +515,7 @@ class _ProbabilityCache:
     def _resolve_misses(
         self,
         graph: DisseminationGraph,
-        edges: tuple[Edge, ...],
-        slot_of: dict[Edge, int],
-        structure: tuple,
+        indexed: IndexedGraph,
         misses: list[tuple[tuple, tuple[float, ...], list[float], int]],
         group: str | None,
         contexts: Sequence[str | None] | None,
@@ -547,11 +543,10 @@ class _ProbabilityCache:
                 0 if loss <= 0.0 else 2 if loss >= 1.0 else 1
                 for loss in loss_vector
             )
-            class_key = (tag, structure, effective_latency, categories)
+            class_key = (tag, indexed.structure, effective_latency, categories)
             try:
                 classification = self._classification(
-                    graph, edges, slot_of, class_key, effective_latency,
-                    loss_vector, group,
+                    indexed, class_key, effective_latency, loss_vector, group
                 )
             except ReliabilityLimitError as error:
                 if not self.hop_recovery:
@@ -562,10 +557,10 @@ class _ProbabilityCache:
                     self.recovery_fallbacks += 1
                 try:
                     result = delivery_probabilities(
-                        graph,
+                        indexed,
                         self.deadline_ms,
-                        lambda edge: effective_latency[slot_of[edge]],
-                        lambda edge: loss_vector[slot_of[edge]],
+                        effective_latency,
+                        loss_vector,
                         max_lossy_edges=self.max_lossy_edges,
                     )
                 except ReliabilityLimitError as fallback_error:

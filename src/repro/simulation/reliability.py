@@ -17,6 +17,12 @@ problem episodes degrade a handful of links, so ``L`` stays small; a
 hard cap on the enumerated windows, checked after the fast paths,
 protects against pathological inputs.
 
+The one classifier body, :func:`classify_indexed`, reads a graph
+relabelled once (:func:`index_graph`) plus per-slot latency and loss
+arrays.  The callback entry points index the graph and read each
+callback once per edge; the replay's memo keeps one index per graph
+and passes its arrays directly.
+
 ``delivery_probabilities`` returns both the on-time probability and the
 delivered-eventually probability, which the result layer splits into
 *lost* (never delivered) versus *late* (delivered past the deadline).
@@ -29,19 +35,23 @@ from dataclasses import dataclass
 from typing import Callable, Sequence
 
 from repro.core.dgraph import DisseminationGraph
-from repro.core.graph import Edge, NodeId
+from repro.core.graph import Edge
 from repro.simulation import kernel
-from repro.util.validation import require
+from repro.util.validation import fail
 
 __all__ = [
     "Classification",
     "DeliveryProbabilities",
+    "IndexedGraph",
     "ReliabilityLimitError",
     "accumulate_probabilities",
     "classify_delivery_masks",
+    "classify_indexed",
     "classify_recovery_states",
     "delivery_probabilities",
+    "delivery_probabilities_indexed",
     "delivery_probabilities_with_recovery",
+    "index_graph",
     "on_time_probability",
 ]
 
@@ -75,11 +85,11 @@ class DeliveryProbabilities:
     eventually: float
 
     def __post_init__(self) -> None:
-        require(
-            -1e-9 <= self.on_time <= self.eventually + 1e-9,
-            f"inconsistent probabilities: on_time={self.on_time}, "
-            f"eventually={self.eventually}",
-        )
+        if not (-1e-9 <= self.on_time <= self.eventually + 1e-9):
+            fail(
+                f"inconsistent probabilities: on_time={self.on_time}, "
+                f"eventually={self.eventually}"
+            )
 
     @property
     def late(self) -> float:
@@ -120,6 +130,65 @@ class Classification:
     classes: bytes = b""
 
 
+@dataclass(frozen=True)
+class IndexedGraph:
+    """A graph compiled for the classifier: the one rank relabelling.
+
+    Nodes are relabelled to their rank in sorted-name order; edges keep
+    their :meth:`DisseminationGraph.sorted_edges` position as a *slot*
+    into per-slot latency/loss arrays.  ``structure`` is the ranked edge
+    list (in slot order) plus the ranked endpoints; ``adjacency[node]``
+    lists the node's ``(neighbor, slot)`` out-arcs in slot order.
+
+    Because the relabelling is monotone in node-name order, every
+    Dijkstra and label pass over it performs the very same float
+    operations in the very same order as the historical name-keyed
+    dictionaries did (edge iteration order and heap tie-breaks both
+    follow the sort order).  The same monotonicity makes ``structure``
+    a bitwise-safe canonical key: the replay's probability memo keys on
+    it and keeps one index per graph for the classifier.
+    """
+
+    edges: tuple[Edge, ...]
+    structure: tuple[tuple[tuple[int, int], ...], int, int]
+    adjacency: tuple[tuple[tuple[int, int], ...], ...]
+
+
+def index_graph(graph: DisseminationGraph) -> IndexedGraph:
+    """Relabel ``graph`` for the classifier (see :class:`IndexedGraph`)."""
+    edges = graph.sorted_edges()
+    rank = {node: position for position, node in enumerate(sorted(graph.nodes))}
+    arcs = tuple((rank[u], rank[v]) for u, v in edges)
+    adjacency: list[list[tuple[int, int]]] = [[] for _ in rank]
+    for slot, (u, v) in enumerate(arcs):
+        adjacency[u].append((v, slot))
+    return IndexedGraph(
+        edges=edges,
+        structure=(arcs, rank[graph.source], rank[graph.destination]),
+        adjacency=tuple(tuple(out_arcs) for out_arcs in adjacency),
+    )
+
+
+def _read_callbacks(
+    graph: DisseminationGraph,
+    latency_of: Callable[[Edge], float],
+    loss_of: Callable[[Edge], float],
+) -> tuple[IndexedGraph, list[float], list[float]]:
+    """Index ``graph`` and read each edge's loss and latency once.
+
+    Each callback is invoked exactly once per edge, loss first, in slot
+    order; the classifier then works on the stored values only (a
+    non-pure callable read twice could silently diverge).
+    """
+    indexed = index_graph(graph)
+    latencies: list[float] = []
+    losses: list[float] = []
+    for edge in indexed.edges:
+        losses.append(loss_of(edge))
+        latencies.append(latency_of(edge))
+    return indexed, latencies, losses
+
+
 def classify_delivery_masks(
     graph: DisseminationGraph,
     deadline_ms: float,
@@ -133,8 +202,9 @@ def classify_delivery_masks(
     slots (in slot order), so :func:`accumulate_probabilities` can
     finish the computation without consulting ``loss_of`` again.
     """
-    return _classify(
-        graph, deadline_ms, latency_of, loss_of, None, max_lossy_edges
+    indexed, latencies, losses = _read_callbacks(graph, latency_of, loss_of)
+    return classify_indexed(
+        indexed, deadline_ms, latencies, losses, max_lossy_edges
     )
 
 
@@ -152,57 +222,63 @@ def classify_recovery_states(
     slot order) so :func:`accumulate_probabilities` can finish without
     consulting ``loss_of`` again.
     """
-    return _classify(
-        graph,
-        deadline_ms,
-        latency_of,
-        loss_of,
-        recovery_latency_of,
-        max_lossy_edges,
+    indexed, latencies, losses = _read_callbacks(graph, latency_of, loss_of)
+    recovery = [recovery_latency_of(edge) for edge in indexed.edges]
+    return classify_indexed(
+        indexed, deadline_ms, latencies, losses, max_lossy_edges, recovery
     )
 
 
-def _classify(
-    graph: DisseminationGraph,
+def classify_indexed(
+    indexed: IndexedGraph,
     deadline_ms: float,
-    latency_of: Callable[[Edge], float],
-    loss_of: Callable[[Edge], float],
-    recovery_latency_of: Callable[[Edge], float] | None,
+    latencies: Sequence[float],
+    losses: Sequence[float],
     max_lossy_edges: int,
+    recovery_latencies: Sequence[float] | None = None,
 ) -> tuple[Classification, list[float]]:
-    """The one classifier body; ``recovery_latency_of`` selects radix 3.
+    """The one classifier body; ``recovery_latencies`` selects radix 3.
+
+    ``latencies``, ``losses`` and ``recovery_latencies`` are per-slot
+    arrays aligned with ``indexed.edges``: each edge's effective
+    latency, loss rate and (radix 3) the total latency of a recovered
+    copy.  Returns the classification plus the lossy slots' loss values
+    in slot order.  The callback entry points above read their
+    callbacks into these arrays; the replay's probability memo passes
+    its canonical entry's index and its per-window arrays directly.
 
     The fast paths run before the lossy-edge cap, so a window they
     decide gets its exact answer however many lossy edges it has; only
     a window whose cases must be enumerated can raise
     :class:`ReliabilityLimitError`.
     """
-    require(deadline_ms > 0, f"deadline must be positive, got {deadline_ms}")
-    radix = 2 if recovery_latency_of is None else 3
-    edges, rank, adjacency = _index_graph(graph)
-    latencies: list[float] = []
+    if not (deadline_ms > 0):
+        fail(f"deadline must be positive, got {deadline_ms}")
+    radix = 2 if recovery_latencies is None else 3
+    edges = indexed.edges
     present: list[bool] = []
     lossy_slots: list[int] = []
-    losses: list[float] = []
-    for slot, edge in enumerate(edges):
-        loss = loss_of(edge)
-        require(0.0 <= loss <= 1.0, f"loss out of range on {edge!r}: {loss}")
-        latency = latency_of(edge)
-        require(latency >= 0.0, f"negative latency on {edge!r}: {latency}")
-        latencies.append(latency)
+    lossy_losses: list[float] = []
+    for slot, loss in enumerate(losses):
+        if not (0.0 <= loss <= 1.0):
+            fail(f"loss out of range on {edges[slot]!r}: {loss}")
+        latency = latencies[slot]
+        if not (latency >= 0.0):
+            fail(f"negative latency on {edges[slot]!r}: {latency}")
         # Certain edges: zero loss always survives, total loss never does
         # (with hop recovery even the retransmission is lost);
         # fractional-loss slots are toggled from case to case.
         present.append(loss <= 0.0)
         if 0.0 < loss < 1.0:
             lossy_slots.append(slot)
-            losses.append(loss)
+            lossy_losses.append(loss)
 
     def certain(on_time: float, eventually: float):
         probabilities = DeliveryProbabilities(on_time, eventually)
-        return Classification(certain=probabilities, radix=radix), losses
+        return Classification(certain=probabilities, radix=radix), lossy_losses
 
-    source, destination = rank[graph.source], rank[graph.destination]
+    _arcs, source, destination = indexed.structure
+    adjacency = indexed.adjacency
 
     # Fast path: all certain edges surviving already decides both outcomes.
     baseline = _earliest_arrival_indexed(
@@ -214,7 +290,7 @@ def _classify(
         # Past the fast-path return above, ``baseline > deadline_ms``
         # always holds: the certain subgraph delivers late or never.
         return certain(0.0, 1.0 if baseline < _INF else 0.0)
-    if recovery_latency_of is None:
+    if recovery_latencies is None:
         # Fast path the other way: even with every lossy edge surviving
         # the packet cannot arrive (e.g. deadline impossible).
         for slot in lossy_slots:
@@ -231,19 +307,14 @@ def _classify(
             f"({max_lossy_edges}) of the {radix}^L cases"
         )
     # Per lossy edge, its latency in each digit state (``None`` = absent).
-    # The normal latencies were read once above; a callback must not be
-    # invoked a second time per edge (a non-pure callable would silently
-    # diverge between the two reads).
-    if recovery_latency_of is None:
+    if recovery_latencies is None:
         state_latencies = [(None, latencies[slot]) for slot in lossy_slots]
     else:
         state_latencies = []
         for slot in lossy_slots:
-            edge = edges[slot]
-            slow = recovery_latency_of(edge)
-            require(
-                slow >= 0.0, f"negative recovery latency on {edge!r}: {slow}"
-            )
+            slow = recovery_latencies[slot]
+            if not (slow >= 0.0):
+                fail(f"negative recovery latency on {edges[slot]!r}: {slow}")
             state_latencies.append((latencies[slot], slow, None))
     classes = _classify_cases(
         source,
@@ -262,7 +333,7 @@ def _classify(
         lossy_slots=tuple(lossy_slots),
         classes=classes,
     )
-    return classification, losses
+    return classification, lossy_losses
 
 
 def accumulate_probabilities(
@@ -295,33 +366,11 @@ def accumulate_probabilities(
     ]
 
 
-def _index_graph(
-    graph: DisseminationGraph,
-) -> tuple[tuple[Edge, ...], dict[NodeId, int], list[list[tuple[int, int]]]]:
-    """Compile a graph to rank-indexed adjacency lists for the enumeration.
-
-    Nodes are relabeled to their rank in sorted-name order; edges keep
-    their :meth:`DisseminationGraph.sorted_edges` position as a *slot*
-    into parallel latency/presence arrays.  Because the relabeling is
-    monotone in node-name order, the Dijkstra runs below perform the very
-    same float operations in the very same order as the historical
-    name-keyed dictionaries did (edge iteration order and Dijkstra heap
-    tie-breaks both follow the sort order) -- only the interpreter-level
-    cost of hashing strings is gone.
-    """
-    edges = graph.sorted_edges()
-    rank = {node: position for position, node in enumerate(sorted(graph.nodes))}
-    adjacency: list[list[tuple[int, int]]] = [[] for _ in rank]
-    for slot, (u, v) in enumerate(edges):
-        adjacency[rank[u]].append((rank[v], slot))
-    return edges, rank, adjacency
-
-
 def _earliest_arrival_indexed(
     source: int,
     destination: int,
-    adjacency: list[list[tuple[int, int]]],
-    latency: list[float],
+    adjacency: Sequence[Sequence[tuple[int, int]]],
+    latency: Sequence[float],
     present: list[bool],
 ) -> float:
     """Dijkstra over the slots marked present; returns arrival or inf.
@@ -354,7 +403,7 @@ def _earliest_arrival_indexed(
 def _classify_cases(
     source: int,
     destination: int,
-    adjacency: list[list[tuple[int, int]]],
+    adjacency: Sequence[Sequence[tuple[int, int]]],
     latencies: Sequence[float],
     present: Sequence[bool],
     lossy_slots: Sequence[int],
@@ -529,15 +578,30 @@ def delivery_probabilities(
     graph contains more than ``max_lossy_edges`` edges with fractional
     loss.
 
-    Implemented as :func:`classify_delivery_masks` (the shortest-path
-    classification) followed by :func:`accumulate_probabilities` (the
-    loss-value weighting); callers that see repeated loss-only condition
-    changes can cache the classification and skip the first phase.
+    Implemented as the shortest-path classification followed by
+    :func:`accumulate_probabilities` (the loss-value weighting); callers
+    that see repeated loss-only condition changes can cache the
+    classification (:func:`classify_delivery_masks`) and skip the first
+    phase.
     """
-    classification, losses = classify_delivery_masks(
-        graph, deadline_ms, latency_of, loss_of, max_lossy_edges
+    indexed, latencies, losses = _read_callbacks(graph, latency_of, loss_of)
+    return delivery_probabilities_indexed(
+        indexed, deadline_ms, latencies, losses, max_lossy_edges
     )
-    return accumulate_probabilities(classification, [losses])[0]
+
+
+def delivery_probabilities_indexed(
+    indexed: IndexedGraph,
+    deadline_ms: float,
+    latencies: Sequence[float],
+    losses: Sequence[float],
+    max_lossy_edges: int = MAX_EXACT_LOSSY_EDGES,
+) -> DeliveryProbabilities:
+    """:func:`delivery_probabilities` on an indexed graph's slot arrays."""
+    classification, lossy_losses = classify_indexed(
+        indexed, deadline_ms, latencies, losses, max_lossy_edges
+    )
+    return accumulate_probabilities(classification, [lossy_losses])[0]
 
 
 def on_time_probability(

@@ -20,7 +20,7 @@ from repro.core.graph import Edge, Topology
 from repro.netmodel.conditions import ConditionTimeline, LinkState
 from repro.netmodel.topology import FlowSpec, ServiceSpec
 from repro.routing.base import RoutingPolicy
-from repro.util.validation import require, require_non_negative
+from repro.util.validation import fail, require, require_non_negative
 
 __all__ = [
     "DecisionSpan",
@@ -155,10 +155,8 @@ def build_decision_timeline(
         boundaries = decision_boundaries(timeline, detection_delay_s)
     require(len(boundaries) >= 2, "need at least two decision boundaries")
     for left, right in zip(boundaries, boundaries[1:]):
-        require(
-            right > left,
-            f"boundaries must be strictly increasing ({right} after {left})",
-        )
+        if not (right > left):
+            fail(f"boundaries must be strictly increasing ({right} after {left})")
     if observed_views is None:
         observed_views, observed_deltas = observed_views_with_deltas(
             timeline, boundaries, detection_delay_s

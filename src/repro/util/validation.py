@@ -16,6 +16,13 @@ def require(condition: bool, message: str) -> None:
     This is used for *caller* errors (bad arguments), never for internal
     invariants -- internal invariants use ``assert`` so they can be compiled
     out and so that their failure clearly indicates a library bug.
+
+    ``message`` is built before the call whether or not the check fails,
+    so a check that runs per edge, window or update with a formatted
+    message is written ``if not (condition): fail(f"...")`` instead: the
+    message is then only formatted on failure.  Keep ``condition``
+    verbatim inside ``not (...)`` -- ``x >= 0`` rejects NaN, while the
+    "simplified" ``x < 0`` would let it through.
     """
     if not condition:
         raise ValidationError(message)
@@ -28,19 +35,22 @@ def fail(message: str) -> NoReturn:
 
 def require_probability(value: float, name: str) -> float:
     """Validate that ``value`` is a probability in ``[0, 1]`` and return it."""
-    require(0.0 <= value <= 1.0, f"{name} must be in [0, 1], got {value!r}")
+    if not (0.0 <= value <= 1.0):
+        fail(f"{name} must be in [0, 1], got {value!r}")
     return float(value)
 
 
 def require_positive(value: float, name: str) -> float:
     """Validate that ``value`` is strictly positive and return it."""
-    require(value > 0, f"{name} must be > 0, got {value!r}")
+    if not (value > 0):
+        fail(f"{name} must be > 0, got {value!r}")
     return float(value)
 
 
 def require_non_negative(value: float, name: str) -> float:
     """Validate that ``value`` is >= 0 and return it."""
-    require(value >= 0, f"{name} must be >= 0, got {value!r}")
+    if not (value >= 0):
+        fail(f"{name} must be >= 0, got {value!r}")
     return float(value)
 
 

@@ -141,6 +141,27 @@ class TestConcurrentEquivalence:
         assert metrics["serve.cache.shards_cached"]["value"] > 0
         assert metrics["serve.requests.completed"]["value"] >= 2
 
+    def test_warm_request_digests_its_timeline_once(
+        self, warm_server, monkeypatch
+    ):
+        """The context lookup and the engine's cache keys share one
+        timeline digest per request."""
+        from repro.netmodel import conditions
+
+        request = EvaluateRequest(weeks=0.02, seed=13, schemes=SCHEMES)
+        warm_server.run(request)
+        digests = []
+        original = conditions.stable_hash
+
+        def counting(value):
+            digests.append(value)
+            return original(value)
+
+        monkeypatch.setattr(conditions, "stable_hash", counting)
+        _result, manifest, _progress = warm_server.run(request)
+        assert manifest["extra"]["serve"]["context_warm"] is True
+        assert len(digests) == 1
+
     def test_status_reports_cache_and_scheduler(self, warm_server):
         status = warm_server.status()
         assert status["server"] == "repro-serve"

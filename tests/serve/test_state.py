@@ -37,6 +37,21 @@ class TestContextCache:
             "hits": 1, "misses": 1, "evictions": 0, "entries": 1,
         }
 
+    def test_separately_generated_equal_timelines_share_one_context(
+        self, topology
+    ):
+        """The daemon generates a fresh timeline per request: contexts
+        must be keyed by content, never by object identity."""
+        cache = ContextCache(capacity=2)
+        service, config = ServiceSpec(), ReplayConfig()
+        first_timeline, second_timeline = _timeline(topology), _timeline(topology)
+        assert first_timeline is not second_timeline
+        first, _ = cache.get(topology, first_timeline, service, config)
+        second, warm = cache.get(topology, second_timeline, service, config)
+        assert warm is True
+        assert second is first
+        assert cache.counters()["entries"] == 1
+
     def test_different_config_gets_its_own_context(self, topology):
         # Sharing a memo across different deadlines would be silently
         # wrong; the context key must separate them.

@@ -7,19 +7,31 @@ one full Dijkstra run per case -- frozen inline so that a change to
 ``repro.simulation.reliability`` cannot silently move the goalposts.
 Every comparison is on whole classification objects: fast-path
 verdicts, radix, lossy slots, the class bytes and the loss values read.
+
+The replay does not call those callback entry points: its probability
+memo hands the classifier its canonical entry's index and the window's
+effective-latency and loss arrays.  :class:`TestProbabilityCachePath`
+runs the same random windows, with latency inflation, through the memo
+and holds what it classifies to the same reference.
 """
 
 from __future__ import annotations
 
 import heapq
+from unittest import mock
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.core.dgraph import DisseminationGraph
+from repro.core.graph import Topology
+from repro.netmodel.conditions import LinkState
+from repro.simulation import interval
+from repro.simulation.interval import _ProbabilityCache
 from repro.simulation.reliability import (
     Classification,
     DeliveryProbabilities,
+    accumulate_probabilities,
     classify_delivery_masks,
     classify_recovery_states,
 )
@@ -327,3 +339,83 @@ class TestDeterministicWindows:
         recovery = {edge: 30.0 for edge in latency}
         ternary = _assert_ternary_matches(graph, 20.0, latency, loss, recovery)
         assert ternary.classes == b"\x02\x01\x00"
+
+
+# -- the replay's path: the probability memo's canonical index -------------------
+
+#: Latency inflation on top of a base latency (0.1 + 0.2 rounds).
+EXTRA_POOL = (0.0, 0.0, 0.2, 1.0, _INF)
+RECOVERY_EXTRA_MS = 0.5
+
+
+@st.composite
+def inflated_windows(draw, max_lossy: int):
+    """A random window as a frozen topology plus a degraded view: base
+    latencies from the topology, extra latency and loss per edge."""
+    graph, deadline, base, loss, _recovery = draw(windows(max_lossy=max_lossy))
+    extra = {edge: draw(st.sampled_from(EXTRA_POOL)) for edge in graph.edges}
+    topology = Topology("oracle")
+    for node in sorted(graph.nodes):
+        topology.add_node(node)
+    for u, v in graph.sorted_edges():
+        topology.add_link(u, v, base[(u, v)], bidirectional=False)
+    degraded = {
+        edge: LinkState(loss_rate=loss[edge], extra_latency_ms=extra[edge])
+        for edge in graph.edges
+        if loss[edge] > 0.0 or extra[edge] > 0.0
+    }
+    # The effective latency the memo computes: base + extra, one addition.
+    effective = {edge: base[edge] + extra[edge] for edge in graph.edges}
+    return topology.freeze(), graph, deadline, degraded, effective, loss
+
+
+def _through_cache(window, hop_recovery: bool):
+    """Classify ``window`` on the memo's path; also run the reference."""
+    topology, graph, deadline, degraded, effective, loss = window
+    cache = _ProbabilityCache(
+        deadline_ms=deadline,
+        max_lossy_edges=20,
+        hop_recovery=hop_recovery,
+        recovery_extra_ms=RECOVERY_EXTRA_MS,
+    )
+    name = "classify_recovery_states" if hop_recovery else "classify_delivery_masks"
+    original = getattr(interval, name)
+    seen = []
+
+    def recording(*args, **kwargs):
+        seen.append(original(*args, **kwargs))
+        return seen[-1]
+
+    with mock.patch.object(interval, name, recording):
+        result = cache.probabilities(topology, graph, degraded)
+    if hop_recovery:
+        want = reference_classify_recovery_states(
+            graph,
+            deadline,
+            effective.get,
+            loss.get,
+            lambda edge: 3.0 * effective[edge] + RECOVERY_EXTRA_MS,
+        )
+    else:
+        want = reference_classify_delivery_masks(
+            graph, deadline, effective.get, loss.get
+        )
+    return seen, result, want
+
+
+class TestProbabilityCachePath:
+    @given(window=inflated_windows(max_lossy=10))
+    @settings(max_examples=150, deadline=None)
+    def test_binary_matches_per_case_dijkstra(self, window):
+        seen, result, want = _through_cache(window, hop_recovery=False)
+        if window[3]:  # a degraded window is classified on the index
+            assert seen == [want]
+        assert result == accumulate_probabilities(want[0], [want[1]])[0]
+
+    @given(window=inflated_windows(max_lossy=6))
+    @settings(max_examples=150, deadline=None)
+    def test_ternary_matches_per_case_dijkstra(self, window):
+        seen, result, want = _through_cache(window, hop_recovery=True)
+        if window[3]:
+            assert seen == [want]
+        assert result == accumulate_probabilities(want[0], [want[1]])[0]
