@@ -37,17 +37,16 @@ import time
 
 import common
 
+from repro.exec.plan import ShardContext
 from repro.netmodel.scenarios import WEEK_S, Scenario, generate_timeline
 from repro.routing.registry import STANDARD_SCHEME_NAMES, make_policy
 from repro.simulation import kernel
-from repro.simulation.interval import _ProbabilityCache, replay_flow
 from repro.simulation.reliability import DeliveryProbabilities
 from repro.simulation.results import FlowSchemeStats, ReplayConfig
 from repro.simulation.timeline import (
     DecisionSpan,
     decision_boundaries,
     observed_view,
-    observed_views_with_deltas,
 )
 from repro.util.tables import render_table
 
@@ -279,33 +278,14 @@ def _reference_replay(topology, timeline, flows, service, config):
 
 
 def _optimized_replay(topology, timeline, flows, service, config):
-    """The current serial path, with an inspectable shared cache."""
-    boundaries = decision_boundaries(timeline, config.detection_delay_s)
-    observed_views, observed_deltas = observed_views_with_deltas(
-        timeline, boundaries, config.detection_delay_s
-    )
-    actual_views, actual_deltas = timeline.degraded_views(
-        list(boundaries[:-1])
-    )
-    cache = _ProbabilityCache(service.deadline_ms, config.max_lossy_edges)
-    stats_by_pair = {}
-    for scheme_name in STANDARD_SCHEME_NAMES:
-        for flow in flows:
-            stats_by_pair[(scheme_name, flow.name)] = replay_flow(
-                topology,
-                timeline,
-                flow,
-                service,
-                make_policy(scheme_name),
-                config,
-                boundaries=boundaries,
-                observed_views=observed_views,
-                actual_views=actual_views,
-                cache=cache,
-                observed_deltas=observed_deltas,
-                actual_deltas=actual_deltas,
-            )
-    return stats_by_pair, cache
+    """The current replay path: every pair on one shared context."""
+    context = ShardContext(topology, timeline, service, config)
+    stats_by_pair = {
+        (scheme_name, flow.name): context.replay(flow, make_policy(scheme_name))
+        for scheme_name in STANDARD_SCHEME_NAMES
+        for flow in flows
+    }
+    return stats_by_pair, context.probability_cache
 
 
 def _harvest_kernel_stream(topology, timeline, flows, service, config):

@@ -1,12 +1,12 @@
-"""Parallel experiment execution: work plans, worker pools, result cache.
+"""Experiment execution: work plans, worker pools, result cache.
 
-The execution engine (subsystem S17) turns a full replay into a
-shard-and-merge job:
+The execution engine (subsystem S17) runs every replay, ``run_replay``
+included, as a shard-and-merge job:
 
 * :mod:`repro.exec.plan` -- decompose a replay into independent
-  (flow, scheme[, time window]) shards and merge shard outputs back into
-  a :class:`~repro.simulation.results.ReplayResult` that is *exactly*
-  equal to the serial engine's;
+  (flow, scheme[, time window]) shards, run each on a ``ShardContext``,
+  and merge shard outputs back into a ``ReplayResult`` that is *exactly*
+  equal to a serial, unsharded run's;
 * :mod:`repro.exec.engine` -- run shards on a process pool with retry,
   per-shard timeout, and graceful serial fallback;
 * :mod:`repro.exec.cache` -- content-addressed disk cache keyed by

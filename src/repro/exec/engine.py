@@ -1,12 +1,11 @@
-"""The parallel experiment execution engine.
+"""The execution engine, which ``run_replay`` is one call of.
 
-``run_replay_parallel`` is the shard-and-merge counterpart of
-:func:`repro.simulation.interval.run_replay`: it decomposes the replay
-into a work plan (:mod:`repro.exec.plan`), satisfies shards from the
-content-addressed disk cache (:mod:`repro.exec.cache`) when allowed,
-runs the remainder on a ``ProcessPoolExecutor``, and merges shard
-outputs into a :class:`~repro.simulation.results.ReplayResult` that is
-exactly equal to the serial engine's.
+``run_replay_parallel`` decomposes a replay into a work plan
+(:mod:`repro.exec.plan`), satisfies shards from the content-addressed
+disk cache (:mod:`repro.exec.cache`) when allowed, runs the remainder on
+a ``ProcessPoolExecutor`` or in-process, and merges shard outputs into
+a :class:`~repro.simulation.results.ReplayResult` that is bitwise the
+same whatever the worker count, sharding or cache.
 
 Failure handling is layered: a shard that raises (or whose worker dies,
 or that exceeds the per-shard timeout) is retried up to ``retries``
@@ -14,8 +13,8 @@ times -- rebuilding the pool when it broke -- and finally falls back to
 in-process serial execution, so a sick pool degrades to the serial
 engine instead of failing the replay.
 
-``max_workers=0`` skips the pool entirely and runs every shard
-in-process with the same shared-state reuse as ``run_replay``.
+``max_workers=0`` (``run_replay``'s default) skips the pool and runs
+every shard in-process on one :class:`~repro.exec.plan.ShardContext`.
 """
 
 from __future__ import annotations
@@ -272,9 +271,9 @@ def run_replay_parallel(
 ) -> tuple[ReplayResult, ExecTelemetry]:
     """Replay every flow under every scheme via the execution engine.
 
-    Returns ``(result, telemetry)`` where ``result`` is exactly equal to
-    ``run_replay``'s output on the same inputs.  ``max_workers=None``
-    uses the machine's core count; ``0`` runs serially in-process.
+    Returns ``(result, telemetry)``; ``result`` is bitwise the same for
+    any workers, shards and cache.  ``max_workers=None`` uses the
+    machine's core count; ``0`` runs serially in-process.
 
     ``obs`` (an :class:`repro.obs.Observability`) records shard spans,
     cache-hit instants, ``exec.*`` counters mirroring the telemetry, and

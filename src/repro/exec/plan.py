@@ -8,15 +8,14 @@ unit of work; :func:`build_plan` produces the canonical shard list and
 :func:`merge_results` reassembles shard outputs into a
 :class:`~repro.simulation.results.ReplayResult`.
 
-The merge contract is *exact* equality with the serial engine, not
-tolerance-based equality:
+Every replay runs on a :class:`ShardContext`, and the merge is *exact*
+equality with a serial, unsharded run, not tolerance-based equality:
 
-* a full-range shard runs the very same accumulation loop as
-  :func:`repro.simulation.interval.replay_flow`, so its totals are
-  bitwise identical to the serial totals;
+* a full-range shard's totals are the serial loop's totals, because the
+  shard *is* the serial loop;
 * a time shard returns its per-window records, and the merge re-runs
   ``add_window`` over all windows in chronological order -- the same
-  floating-point addition sequence the serial engine performs;
+  floating-point addition sequence one full-range shard performs;
 * every shard reads its policy's decision timeline over the *whole* trace
   (policies carry history-dependent state such as hysteresis), so
   decision timelines and ``decision_changes`` are the serial values
@@ -34,6 +33,7 @@ from typing import Mapping, Sequence
 from repro.core.graph import Topology
 from repro.netmodel.conditions import ConditionTimeline
 from repro.netmodel.topology import FlowSpec, ServiceSpec
+from repro.routing.base import RoutingPolicy
 from repro.routing.registry import make_policy
 from repro.simulation.interval import _ProbabilityCache, _replay_windows
 from repro.simulation.results import (
@@ -43,6 +43,7 @@ from repro.simulation.results import (
     WindowRecord,
 )
 from repro.simulation.timeline import (
+    DecisionSpan,
     build_decision_timeline,
     decision_boundaries,
     observed_views_with_deltas,
@@ -214,10 +215,9 @@ def build_plan(
 ) -> list[ShardSpec]:
     """The canonical shard list: scheme-major, flow-minor, time-ascending.
 
-    The ordering mirrors the serial engine's insertion order, so a merge
-    over this plan produces a :class:`ReplayResult` whose scheme/flow
-    iteration order is identical to ``run_replay``'s.  A repeated
-    (scheme, flow) pair is an error, as it is for ``run_replay``.
+    The merged :class:`ReplayResult` iterates schemes and flows in this
+    order.  A repeated (scheme, flow) pair is rejected here, before any
+    policy is built.
     """
     require(bool(flows), "need at least one flow")
     require(bool(scheme_names), "need at least one scheme")
@@ -245,11 +245,12 @@ def build_plan(
 
 
 class ShardContext:
-    """Shared per-replay state reused across every shard run in one process.
+    """The one replay path: per-trace state, and the steps that replay a pair.
 
-    Mirrors the reuse structure of :func:`repro.simulation.interval.run_replay`:
-    the merged boundary list, per-boundary views, and the probability
-    memo are computed once and shared by all shards this context runs.
+    The merged boundary list, the per-boundary views with their deltas,
+    and the probability memo are built once and shared by every pair.
+    :meth:`run` replays an engine shard and :meth:`replay` a caller-built
+    policy, through one decision step and one accumulation step.
     Consecutive shards of one (flow, scheme) pair also share its decision
     timeline, so a time-sharded pair steps its policy once per context.
     """
@@ -284,6 +285,16 @@ class ShardContext:
         # One entry keeps a long-lived context at one timeline.
         self._last_pair: tuple[tuple[str, FlowSpec], str, list] | None = None
 
+    def replay(self, flow: FlowSpec, policy: RoutingPolicy) -> FlowSchemeStats:
+        """Replay ``flow`` under the caller's ``policy`` over the whole trace."""
+        return self._accumulate(
+            flow,
+            policy.name,
+            self._decide(flow, policy),
+            (0.0, self.timeline.duration_s),
+            self.config.collect_windows,
+        )
+
     def run(
         self, shard: ShardSpec, tracer=None, parent_id: int | None = None
     ) -> ShardResult:
@@ -301,17 +312,7 @@ class ShardContext:
             _pair, scheme_name, spans = last
         else:
             policy = make_policy(shard.scheme)
-            spans = build_decision_timeline(
-                self.topology,
-                self.timeline,
-                shard.flow,
-                self.service,
-                policy,
-                detection_delay_s=self.config.detection_delay_s,
-                boundaries=list(self.boundaries),
-                observed_views=list(self.observed_views),
-                observed_deltas=self.observed_deltas,
-            )
+            spans = self._decide(shard.flow, policy)
             scheme_name = policy.name
             self._last_pair = (pair, scheme_name, spans)
         if tracer is not None:
@@ -320,20 +321,10 @@ class ShardContext:
                 parent_id=parent_id, shard=shard.label,
             )
             phase_start = tracer.now()
-        group = f"{scheme_name}/{shard.flow.name}"
-        stats = FlowSchemeStats(flow=shard.flow, scheme=scheme_name)
-        stats.decision_changes = len(spans) - 1
-        _replay_windows(
-            stats,
-            self.probability_cache,
-            self.topology,
-            self.boundaries,
-            spans,
-            self.actual_views,
-            self.actual_deltas,
-            group,
-            True,
-            shard_range=(shard.start_s, shard.end_s),
+        # Records are built only where the result carries them.
+        collect = not shard.full_range or self.config.collect_windows
+        stats = self._accumulate(
+            shard.flow, scheme_name, spans, (shard.start_s, shard.end_s), collect
         )
         if tracer is not None:
             tracer.complete(
@@ -341,9 +332,6 @@ class ShardContext:
                 parent_id=parent_id, shard=shard.label,
                 decision_changes=stats.decision_changes,
             )
-        windows: list[WindowRecord] | None = stats.windows
-        if shard.full_range and not self.config.collect_windows:
-            windows = None
         return ShardResult(
             flow_source=shard.flow.source,
             flow_destination=shard.flow.destination,
@@ -358,8 +346,47 @@ class ShardContext:
             late_s=stats.late_s,
             message_seconds=stats.message_seconds,
             decision_changes=stats.decision_changes,
-            windows=windows,
+            windows=stats.windows if collect else None,
         )
+
+    def _decide(self, flow: FlowSpec, policy: RoutingPolicy) -> list[DecisionSpan]:
+        """The decision step: ``policy``'s spans over the shared views."""
+        return build_decision_timeline(
+            self.topology,
+            self.timeline,
+            flow,
+            self.service,
+            policy,
+            detection_delay_s=self.config.detection_delay_s,
+            boundaries=list(self.boundaries),
+            observed_views=list(self.observed_views),
+            observed_deltas=self.observed_deltas,
+        )
+
+    def _accumulate(
+        self,
+        flow: FlowSpec,
+        scheme: str,
+        spans: list[DecisionSpan],
+        shard_range: tuple[float, float],
+        collect: bool,
+    ) -> FlowSchemeStats:
+        """The accumulation step: the pair's windows inside ``shard_range``."""
+        stats = FlowSchemeStats(flow=flow, scheme=scheme)
+        stats.decision_changes = len(spans) - 1
+        _replay_windows(
+            stats,
+            self.probability_cache,
+            self.topology,
+            self.boundaries,
+            spans,
+            self.actual_views,
+            self.actual_deltas,
+            f"{scheme}/{flow.name}",
+            collect,
+            shard_range,
+        )
+        return stats
 
 
 def _merge_pair(

@@ -9,7 +9,9 @@ within the deadline, and at what cost.  Two engines implement this:
   probability of a dissemination graph is computed exactly
   (:mod:`repro.simulation.reliability`), so multi-week traces reduce to a
   few thousand window computations instead of hundreds of millions of
-  per-packet draws.  This powers the headline tables.
+  per-packet draws.  This powers the headline tables.  ``run_replay``
+  and ``replay_flow`` run on :class:`repro.exec.plan.ShardContext`, the
+  one replay path, serial and in-process by default.
 
 * :mod:`repro.simulation.packet_sim` -- the *per-packet Monte-Carlo*
   engine with common random numbers across schemes (every scheme sees the
@@ -27,12 +29,9 @@ from repro.simulation.packet_sim import simulate_packets
 from repro.simulation.reliability import delivery_probabilities, on_time_probability
 from repro.simulation.results import FlowSchemeStats, ReplayConfig, ReplayResult
 from repro.simulation.timeline import DecisionSpan, build_decision_timeline
-from repro.simulation.validation import EngineComparison, compare_engines
 
 __all__ = [
     "DecisionSpan",
-    "EngineComparison",
-    "compare_engines",
     "FlowSchemeStats",
     "ReplayConfig",
     "ReplayResult",

@@ -6,10 +6,13 @@ individual packets: within every window where (a) all link conditions and
 distribution is identical for every packet, so one exact probability
 computation (:mod:`repro.simulation.reliability`) covers the window.
 
+This module holds the window loop and the probability memo; every
+replay runs them on a :class:`repro.exec.plan.ShardContext`.
+
 Three layers of reuse keep multi-week replays fast:
 
 * the merged boundary list and the per-boundary observed/actual views are
-  computed once per replay (by one incremental delta walk each) and
+  computed once per context (by one incremental delta walk each) and
   shared across all (flow, scheme) pairs; the changed-edge deltas let
   policies and the window loop skip boundaries that cannot affect them;
 * probability computations are memoised on a *canonical* key -- the
@@ -36,7 +39,7 @@ from repro.core.graph import Edge, Topology
 from repro.netmodel.conditions import ConditionTimeline, LinkState
 from repro.netmodel.topology import FlowSpec, ServiceSpec
 from repro.routing.base import RoutingPolicy
-from repro.routing.registry import STANDARD_SCHEME_NAMES, make_policy
+from repro.routing.registry import STANDARD_SCHEME_NAMES
 from repro.simulation.reliability import (
     MAX_RECOVERY_LOSSY_EDGES,
     Classification,
@@ -49,13 +52,8 @@ from repro.simulation.reliability import (
     index_graph,
 )
 from repro.simulation.results import FlowSchemeStats, ReplayConfig, ReplayResult
-from repro.simulation.timeline import (
-    DecisionSpan,
-    build_decision_timeline,
-    decision_boundaries,
-    observed_views_with_deltas,
-)
-from repro.util.validation import env_cap, require
+from repro.simulation.timeline import DecisionSpan
+from repro.util.validation import env_cap
 
 __all__ = [
     "PROB_CACHE_MAX_BYTES_ENV",
@@ -615,24 +613,24 @@ def _replay_windows(
     boundaries: Sequence[float],
     spans: Sequence[DecisionSpan],
     actual_views: Sequence[dict],
-    actual_deltas: Sequence[frozenset[Edge]] | None,
+    actual_deltas: Sequence[frozenset[Edge]],
     group: str,
     collect: bool,
-    shard_range: tuple[float, float] | None = None,
+    shard_range: tuple[float, float],
 ) -> None:
-    """The engine's window loop, shared by serial replay and shards.
+    """The engine's window loop: every replay accumulates through it.
 
     Walks the boundary windows in order, accumulating each into
     ``stats``.  Maximal runs of consecutive windows under the same
     installed graph are resolved with one :meth:`probabilities_batch`
     call: within a run only the first window and the windows whose
     changed-edge delta touches the graph need computation (the rest
-    reuse the previous window's probabilities, exactly as the sequential
-    loop did), and those computed windows ride a single batched cache
-    call so loss-only runs hit the vector kernel once.
+    reuse the previous window's probabilities -- the object a fresh
+    lookup would return), and those computed windows ride a single
+    batched cache call so loss-only runs hit the vector kernel once.
 
-    ``shard_range`` restricts accumulation to windows overlapping
-    ``[start, end)``; a skipped window breaks the delta chain (the held
+    Only windows overlapping ``shard_range`` (``[start, end)``) are
+    accumulated; a skipped window breaks the delta chain (the held
     probabilities no longer describe the previous window), so the next
     accumulated window starts a fresh run.
     """
@@ -642,17 +640,14 @@ def _replay_windows(
         if not run:
             return
         graph = run[0][3]
-        if actual_deltas is None:
-            compute_at = list(range(len(run)))
-        else:
-            # The first window of a run always computes: a run starts at
-            # a graph change, a shard skip, or the trace start, all of
-            # which break the reuse chain.
-            compute_at = [0]
-            for offset in range(1, len(run)):
-                index = run[offset][0]
-                if any(edge in graph.edges for edge in actual_deltas[index]):
-                    compute_at.append(offset)
+        # The first window of a run always computes: a run starts at a
+        # graph change, a shard skip, or the trace start, all of which
+        # break the reuse chain.
+        compute_at = [0]
+        for offset in range(1, len(run)):
+            index = run[offset][0]
+            if any(edge in graph.edges for edge in actual_deltas[index]):
+                compute_at.append(offset)
         views = [actual_views[run[offset][0]] for offset in compute_at]
         contexts = [
             f"pair {group}, window [{run[offset][1]:g}s, {run[offset][2]:g}s)"
@@ -683,9 +678,7 @@ def _replay_windows(
         run.clear()
 
     for index, (start, end, graph) in enumerate(_iter_windows(boundaries, spans)):
-        if shard_range is not None and (
-            end <= shard_range[0] or start >= shard_range[1]
-        ):
+        if end <= shard_range[0] or start >= shard_range[1]:
             flush()
             continue
         if run and graph != run[0][3]:
@@ -701,65 +694,15 @@ def replay_flow(
     service: ServiceSpec,
     policy: RoutingPolicy,
     config: ReplayConfig = ReplayConfig(),
-    boundaries: Sequence[float] | None = None,
-    observed_views: Sequence[dict] | None = None,
-    actual_views: Sequence[dict] | None = None,
-    cache: _ProbabilityCache | None = None,
-    observed_deltas: Sequence[frozenset[Edge]] | None = None,
-    actual_deltas: Sequence[frozenset[Edge]] | None = None,
 ) -> FlowSchemeStats:
     """Replay one flow under one policy over the whole trace.
 
-    ``observed_deltas``/``actual_deltas`` are per-boundary changed-edge
-    sets aligned with the views (see
-    :meth:`ConditionTimeline.degraded_views`); when available, boundaries
-    whose changes cannot touch this flow's installed graph reuse the
-    previous window's probabilities without a cache lookup.
+    Pairs replayed on one :class:`~repro.exec.plan.ShardContext` share
+    its views and probability memo; this builds a context of its own.
     """
-    if boundaries is None:
-        boundaries = decision_boundaries(timeline, config.detection_delay_s)
-    if observed_views is None:
-        observed_views, observed_deltas = observed_views_with_deltas(
-            timeline, boundaries, config.detection_delay_s
-        )
-    if actual_views is None:
-        actual_views, actual_deltas = timeline.degraded_views(
-            list(boundaries[:-1])
-        )
-    if cache is None:
-        cache = _ProbabilityCache(
-            service.deadline_ms,
-            config.max_lossy_edges,
-            hop_recovery=config.hop_recovery,
-            recovery_extra_ms=config.recovery_extra_ms,
-            max_recovery_lossy_edges=config.max_recovery_lossy_edges,
-        )
-    spans = build_decision_timeline(
-        topology,
-        timeline,
-        flow,
-        service,
-        policy,
-        detection_delay_s=config.detection_delay_s,
-        boundaries=list(boundaries),
-        observed_views=list(observed_views),
-        observed_deltas=observed_deltas,
-    )
-    group = f"{policy.name}/{flow.name}"
-    stats = FlowSchemeStats(flow=flow, scheme=policy.name)
-    stats.decision_changes = len(spans) - 1
-    _replay_windows(
-        stats,
-        cache,
-        topology,
-        boundaries,
-        spans,
-        actual_views,
-        actual_deltas,
-        group,
-        config.collect_windows,
-    )
-    return stats
+    from repro.exec.plan import ShardContext
+
+    return ShardContext(topology, timeline, service, config).replay(flow, policy)
 
 
 def run_replay(
@@ -770,64 +713,29 @@ def run_replay(
     scheme_names: Sequence[str] = STANDARD_SCHEME_NAMES,
     config: ReplayConfig = ReplayConfig(),
     *,
-    parallel: bool = False,
-    max_workers: int | None = None,
+    max_workers: int | None = 0,
     time_shards: int = 1,
     use_cache: bool = False,
 ) -> ReplayResult:
     """Replay every flow under every scheme; the evaluation workhorse.
 
-    ``parallel=True`` (or an explicit ``max_workers``/``time_shards``)
-    routes through :func:`repro.exec.engine.run_replay_parallel`; the
-    sharded result is exactly equal to the serial one.  ``use_cache``
-    additionally serves shards from the content-addressed disk cache.
+    One :func:`repro.exec.engine.run_replay_parallel` call, recorded in
+    the current telemetry session: serial and in-process unless
+    ``max_workers`` asks for a pool (``None`` = one worker per core).
+    The result is bitwise the same under every ``max_workers``,
+    ``time_shards`` and ``use_cache``.
     """
-    if parallel or max_workers is not None or time_shards > 1 or use_cache:
-        from repro.exec.engine import run_replay_parallel
+    from repro.exec.engine import run_replay_parallel
 
-        result, _telemetry = run_replay_parallel(
-            topology,
-            timeline,
-            flows,
-            service,
-            scheme_names,
-            config,
-            max_workers=max_workers,
-            time_shards=time_shards,
-            use_cache=use_cache,
-        )
-        return result
-    require(bool(flows), "need at least one flow")
-    require(bool(scheme_names), "need at least one scheme")
-    boundaries = decision_boundaries(timeline, config.detection_delay_s)
-    observed_views, observed_deltas = observed_views_with_deltas(
-        timeline, boundaries, config.detection_delay_s
+    result, _telemetry = run_replay_parallel(
+        topology,
+        timeline,
+        flows,
+        service,
+        scheme_names,
+        config,
+        max_workers=max_workers,
+        time_shards=time_shards,
+        use_cache=use_cache,
     )
-    actual_views, actual_deltas = timeline.degraded_views(list(boundaries[:-1]))
-    cache = _ProbabilityCache(
-        service.deadline_ms,
-        config.max_lossy_edges,
-        hop_recovery=config.hop_recovery,
-        recovery_extra_ms=config.recovery_extra_ms,
-        max_recovery_lossy_edges=config.max_recovery_lossy_edges,
-    )
-    result = ReplayResult(service, config)
-    for scheme_name in scheme_names:
-        for flow in flows:
-            policy = make_policy(scheme_name)
-            stats = replay_flow(
-                topology,
-                timeline,
-                flow,
-                service,
-                policy,
-                config,
-                boundaries=boundaries,
-                observed_views=observed_views,
-                actual_views=actual_views,
-                cache=cache,
-                observed_deltas=observed_deltas,
-                actual_deltas=actual_deltas,
-            )
-            result.add(stats)
     return result

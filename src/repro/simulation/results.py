@@ -23,7 +23,7 @@ __all__ = [
 
 @dataclass(frozen=True)
 class ReplayConfig:
-    """Knobs shared by both replay engines.
+    """Knobs of a replay (the packet engine reads ``detection_delay_s``).
 
     ``detection_delay_s`` models the end-to-end reaction latency of the
     monitoring + link-state machinery: a condition change becomes visible

@@ -306,6 +306,7 @@ class TestRealProcessPool:
 
 class TestRunReplayPassthrough:
     def test_run_replay_parallel_flag_matches_serial(self):
+        """``run_replay``'s engine options pass through to the engine."""
         topology, timeline, flows, service = small_case()
         serial = run_replay(topology, timeline, flows, service, SMALL_SCHEMES)
         routed = run_replay(
@@ -314,7 +315,6 @@ class TestRunReplayPassthrough:
             flows,
             service,
             SMALL_SCHEMES,
-            parallel=True,
             max_workers=0,
             time_shards=2,
         )

@@ -1,4 +1,4 @@
-"""Shard/merge equivalence: sharded output is exactly the serial output."""
+"""Shard/merge equivalence: sharded output is exactly the reference replay's."""
 
 from __future__ import annotations
 
@@ -17,8 +17,10 @@ from repro.netmodel.topology import (
     build_reference_topology,
     reference_flows,
 )
-from repro.simulation.interval import run_replay
+from repro.routing.registry import STANDARD_SCHEME_NAMES
 from repro.simulation.results import ReplayConfig
+
+from tests.simulation.replayref import reference_run_replay
 
 SMALL_SCHEMES = ("dynamic-single", "static-two-disjoint", "targeted")
 
@@ -59,7 +61,8 @@ def braided_topology() -> Topology:
 
 
 def run_both(topology, timeline, flows, service, config, time_shards):
-    serial = run_replay(
+    """(independent reference replay, in-process sharded engine run)."""
+    serial = reference_run_replay(
         topology, timeline, flows, service, SMALL_SCHEMES, config
     )
     sharded, _telemetry = run_replay_parallel(
@@ -134,7 +137,7 @@ class TestPlan:
 
 class TestExactEquivalence:
     def test_time_sharded_equals_serial_on_reference_topology(self):
-        """Acceptance: sharded replay == serial run_replay, all six schemes."""
+        """Acceptance: sharded replay == the reference, all six schemes."""
         topology = build_reference_topology()
         flows = reference_flows()
         service = ServiceSpec()
@@ -142,7 +145,9 @@ class TestExactEquivalence:
         _events, timeline = generate_timeline(
             topology, Scenario(duration_s=0.01 * WEEK_S), seed=7
         )
-        serial = run_replay(topology, timeline, flows, service, config=config)
+        serial = reference_run_replay(
+            topology, timeline, flows, service, STANDARD_SCHEME_NAMES, config
+        )
         sharded, telemetry = run_replay_parallel(
             topology,
             timeline,
@@ -205,9 +210,11 @@ class TestExactEquivalence:
         time_shards=st.integers(min_value=1, max_value=5),
         detection_delay_s=st.sampled_from([0.0, 1.0, 2.5]),
         deadline_ms=st.sampled_from([4.0, 8.0, 100.0]),
+        hop_recovery=st.booleans(),
     )
     def test_property_sharded_equals_serial(
-        self, contributions, time_shards, detection_delay_s, deadline_ms
+        self, contributions, time_shards, detection_delay_s, deadline_ms,
+        hop_recovery,
     ):
         topology = braided_topology()
         timeline = ConditionTimeline(
@@ -218,7 +225,9 @@ class TestExactEquivalence:
                 for edge, start, length, loss, extra in contributions
             ],
         )
-        config = ReplayConfig(detection_delay_s=detection_delay_s)
+        config = ReplayConfig(
+            detection_delay_s=detection_delay_s, hop_recovery=hop_recovery
+        )
         serial, sharded = run_both(
             topology,
             timeline,
@@ -228,6 +237,51 @@ class TestExactEquivalence:
             time_shards,
         )
         assert_exactly_equal(serial, sharded)
+
+
+class TestWindowRecords:
+    def test_full_range_shards_build_no_window_records(self, monkeypatch):
+        """Records are built only where the result carries them."""
+        import repro.simulation.results as results_module
+
+        built = []
+        original = results_module.WindowRecord
+
+        def counting(*args, **kwargs):
+            built.append(args[:2])
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(results_module, "WindowRecord", counting)
+        topology = braided_topology()
+        timeline = ConditionTimeline(
+            topology,
+            600.0,
+            [
+                Contribution(("S", "A"), 50.0, 100.0, LinkState(loss_rate=0.5)),
+                Contribution(("B", "T"), 200.0, 400.0, LinkState(loss_rate=0.9)),
+            ],
+        )
+
+        def replay(time_shards):
+            result, _telemetry = run_replay_parallel(
+                topology,
+                timeline,
+                (FlowSpec("S", "T"),),
+                ServiceSpec(deadline_ms=8.0),
+                SMALL_SCHEMES,
+                ReplayConfig(),
+                max_workers=0,
+                time_shards=time_shards,
+                use_cache=False,
+            )
+            return result
+
+        full_range = replay(1)
+        assert built == []
+        # The patch does see the records a time shard's merge needs.
+        sharded = replay(2)
+        assert built
+        assert_exactly_equal(full_range, sharded)
 
 
 class TestDecisionTimelineReuse:

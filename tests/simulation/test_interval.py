@@ -6,9 +6,14 @@ import pytest
 
 from repro.core.dgraph import DisseminationGraph
 from repro.core.graph import Topology
+from repro.exec.plan import ShardContext
+from repro.exec.telemetry import telemetry_session
 from repro.netmodel.conditions import ConditionTimeline, Contribution, LinkState
+from repro.netmodel.scenarios import Scenario, generate_timeline
 from repro.netmodel.topology import FlowSpec, ServiceSpec
+from repro.routing.base import RoutingPolicy
 from repro.routing.registry import make_policy
+from repro.routing.targeted import TargetedRedundancyPolicy
 from repro.simulation.interval import (
     PROB_CACHE_MAX_BYTES_ENV,
     PROB_CANONICAL_MAX_ENTRIES_ENV,
@@ -19,10 +24,8 @@ from repro.simulation.interval import (
     run_replay,
 )
 from repro.simulation.results import ReplayConfig
-from repro.simulation.timeline import (
-    decision_boundaries,
-    observed_views_with_deltas,
-)
+
+from tests.simulation.replayref import reference_replay_flow
 
 FLOW = FlowSpec("S", "T")
 SERVICE = ServiceSpec(deadline_ms=15.0, send_interval_ms=10.0, rtt_budget_ms=30.0)
@@ -171,6 +174,49 @@ class TestRunReplay:
     def test_empty_flows_rejected(self, diamond):
         with pytest.raises(Exception):
             run_replay(diamond, tl(diamond), [], SERVICE)
+
+    @pytest.mark.parametrize("repeat", ("scheme", "flow"))
+    def test_repeated_pair_rejected_before_any_policy(
+        self, reference_topology, monkeypatch, repeat
+    ):
+        attached = []
+        original = RoutingPolicy.attach
+
+        def counting(policy, *args, **kwargs):
+            attached.append(policy.name)
+            return original(policy, *args, **kwargs)
+
+        monkeypatch.setattr(RoutingPolicy, "attach", counting)
+        flows = [FlowSpec("NYC", "DEN"), FlowSpec("NYC", "SJC")]
+        schemes = ["targeted"]
+        if repeat == "scheme":
+            schemes.append("targeted")
+        else:
+            flows.append(FlowSpec("NYC", "DEN"))
+        pattern = r"duplicate \(scheme, flow\) pair targeted/NYC->DEN"
+        with pytest.raises(ValueError, match=pattern):
+            run_replay(
+                reference_topology,
+                ConditionTimeline(reference_topology, 100.0),
+                flows,
+                ServiceSpec(),
+                schemes,
+            )
+        assert attached == []
+
+    def test_time_shards_alone_start_no_pool(self, diamond):
+        timeline = tl(
+            diamond, Contribution(("S", "A"), 10.0, 30.0, LinkState(loss_rate=0.5))
+        )
+        with telemetry_session("run_replay") as session:
+            result = run_replay(
+                diamond, timeline, [FLOW], SERVICE, ("flooding",), time_shards=2
+            )
+        (telemetry,) = session.records()
+        assert telemetry.workers == 0
+        assert telemetry.time_shards == 2
+        assert telemetry.shards_total == 2
+        assert result.totals("flooding").duration_s == pytest.approx(100.0)
 
     def test_deterministic(self, diamond):
         timeline = tl(
@@ -371,8 +417,23 @@ class TestCanonicalMemoCap:
         assert keeper in cache._canonical
 
 
+BITWISE_FIELDS = (
+    "duration_s", "unavailable_s", "lost_s", "late_s", "message_seconds",
+)
+
+
+def assert_bitwise(stats, reference, label):
+    for attribute in BITWISE_FIELDS:
+        got = getattr(stats, attribute)
+        expected = getattr(reference, attribute)
+        assert got.hex() == expected.hex(), (label, attribute)
+    assert stats.decision_changes == reference.decision_changes, label
+    assert stats.windows == reference.windows, label
+
+
 class TestDeltaReuseEquivalence:
     def test_delta_hinted_replay_is_bitwise_identical(self, diamond):
+        """One shared context's delta-skipping replay == the reference."""
         timeline = tl(
             diamond,
             Contribution(("S", "A"), 10.0, 30.0, LinkState(loss_rate=0.5)),
@@ -380,31 +441,40 @@ class TestDeltaReuseEquivalence:
             Contribution(("A", "T"), 45.0, 70.0, LinkState(loss_rate=0.2)),
         )
         config = ReplayConfig(detection_delay_s=1.0)
-        boundaries = decision_boundaries(timeline, config.detection_delay_s)
-        observed_views, observed_deltas = observed_views_with_deltas(
-            timeline, boundaries, config.detection_delay_s
-        )
-        actual_views, actual_deltas = timeline.degraded_views(
-            list(boundaries[:-1])
-        )
+        context = ShardContext(diamond, timeline, SERVICE, config)
         for scheme in ("static-single", "dynamic-single", "targeted", "flooding"):
-            with_deltas = replay_flow(
-                diamond, timeline, FLOW, SERVICE, make_policy(scheme), config,
-                boundaries=boundaries, observed_views=observed_views,
-                actual_views=actual_views, observed_deltas=observed_deltas,
-                actual_deltas=actual_deltas,
+            hinted = context.replay(FLOW, make_policy(scheme))
+            reference = reference_replay_flow(
+                diamond, timeline, FLOW, SERVICE, make_policy(scheme), config
             )
-            without_deltas = replay_flow(
-                diamond, timeline, FLOW, SERVICE, make_policy(scheme), config,
-                boundaries=boundaries, observed_views=observed_views,
-                actual_views=actual_views, observed_deltas=None,
-                actual_deltas=None,
+            assert_bitwise(hinted, reference, scheme)
+
+    @pytest.mark.parametrize(
+        "settings",
+        [
+            {"hold_down_s": 0.0},
+            {"hold_down_s": 30.0},
+            {"max_entry_links": 1},
+            {"hold_down_s": 5.0, "max_entry_links": 2, "max_exit_links": 1},
+        ],
+        ids=lambda settings: ",".join(f"{k}={v}" for k, v in settings.items()),
+    )
+    def test_configured_targeted_policy_matches_reference(
+        self, reference_topology, flows, settings
+    ):
+        """``replay_flow`` carries any policy instance, not just registry ones."""
+        _events, timeline = generate_timeline(
+            reference_topology, Scenario(duration_s=9 * 3600.0), seed=7
+        )
+        config = ReplayConfig(collect_windows=True)
+        service = ServiceSpec()
+        for flow in flows:
+            stats = replay_flow(
+                reference_topology, timeline, flow, service,
+                TargetedRedundancyPolicy(**settings), config,
             )
-            for attribute in (
-                "duration_s", "unavailable_s", "lost_s", "late_s",
-                "message_seconds",
-            ):
-                hinted = getattr(with_deltas, attribute)
-                plain = getattr(without_deltas, attribute)
-                assert hinted.hex() == plain.hex(), (scheme, attribute)
-            assert with_deltas.decision_changes == without_deltas.decision_changes
+            reference = reference_replay_flow(
+                reference_topology, timeline, flow, service,
+                TargetedRedundancyPolicy(**settings), config,
+            )
+            assert_bitwise(stats, reference, flow.name)
