@@ -18,9 +18,10 @@ import common
 
 from repro.analysis.metrics import gap_coverage
 from repro.core.builders import time_constrained_flooding_graph
+from repro.exec.plan import ShardContext
 from repro.netmodel.scenarios import WEEK_S, Scenario, generate_timeline
 from repro.routing.targeted import TargetedRedundancyPolicy
-from repro.simulation.interval import replay_flow, run_replay
+from repro.simulation.interval import run_replay
 from repro.simulation.results import ReplayConfig
 from repro.util.tables import render_table
 
@@ -32,6 +33,17 @@ def ablation_trace():
         common.topology(),
         Scenario(duration_s=ABLATION_WEEKS * WEEK_S),
         seed=common.BENCH_SEED,
+    )
+
+
+def ablation_context(timeline) -> ShardContext:
+    """One replay context for a sweep's policy settings: they share the
+    trace's views and probability memo."""
+    return ShardContext(
+        common.topology(),
+        timeline,
+        common.service(),
+        ReplayConfig(detection_delay_s=common.DETECTION_DELAY_S),
     )
 
 
@@ -69,16 +81,10 @@ def test_e8b_hold_down(benchmark):
     flow = common.flows()[0]
 
     def sweep():
+        context = ablation_context(timeline)
         rows = []
         for hold in (0.0, 5.0, 30.0, 120.0):
-            stats = replay_flow(
-                common.topology(),
-                timeline,
-                flow,
-                common.service(),
-                TargetedRedundancyPolicy(hold_down_s=hold),
-                ReplayConfig(detection_delay_s=common.DETECTION_DELAY_S),
-            )
+            stats = context.replay(flow, TargetedRedundancyPolicy(hold_down_s=hold))
             rows.append(
                 [
                     f"{hold:g}s",
@@ -104,17 +110,14 @@ def test_e8c_targeted_breadth(benchmark):
     flow = common.flows()[0]
 
     def sweep():
+        context = ablation_context(timeline)
         rows = []
         for limit in (1, 2, 3, None):
-            stats = replay_flow(
-                common.topology(),
-                timeline,
+            stats = context.replay(
                 flow,
-                common.service(),
                 TargetedRedundancyPolicy(
                     max_entry_links=limit, max_exit_links=limit
                 ),
-                ReplayConfig(detection_delay_s=common.DETECTION_DELAY_S),
             )
             rows.append(
                 [

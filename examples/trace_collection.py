@@ -20,10 +20,10 @@ Run:  python examples/trace_collection.py
 """
 
 from repro import FlowSpec, ReplayConfig, ServiceSpec, build_reference_topology
+from repro.exec.plan import ShardContext
 from repro.netmodel.conditions import ConditionTimeline, Contribution, LinkState
 from repro.overlay.collect import collect_measured_trace
 from repro.routing.registry import make_policy
-from repro.simulation.interval import replay_flow
 
 FLOW = FlowSpec("WAS", "LAX")
 RUN_S = 180.0
@@ -74,12 +74,16 @@ def main() -> None:
     print(f"{'scheme':22s} {'ground truth':>14s} {'measured':>10s}")
     config = ReplayConfig(detection_delay_s=1.0)
     service = ServiceSpec()
+    # One replay context per trace: every scheme shares its views and
+    # probability memo.
+    contexts = [
+        ShardContext(topology, timeline, service, config)
+        for timeline in (ground_truth, measured)
+    ]
     for scheme in SCHEMES:
         row = [scheme]
-        for timeline in (ground_truth, measured):
-            stats = replay_flow(
-                topology, timeline, FLOW, service, make_policy(scheme), config
-            )
+        for context in contexts:
+            stats = context.replay(FLOW, make_policy(scheme))
             row.append(stats.unavailable_s)
         print(f"{row[0]:22s} {row[1]:14.1f} {row[2]:10.1f}")
     print(

@@ -42,6 +42,7 @@ __all__ = [
     "source_problem_graph",
     "destination_problem_graph",
     "robust_source_destination_graph",
+    "union_problem_graphs",
     "overlay_flooding_graph",
 ]
 
@@ -338,5 +339,23 @@ def robust_source_destination_graph(
         max_exit_links=max_exit_links,
         deadline_ms=deadline_ms,
     )
+    return union_problem_graphs(
+        topology, destination_graph, source_graph, deadline_ms, name
+    )
+
+
+def union_problem_graphs(
+    topology: Topology,
+    destination_graph: DisseminationGraph,
+    source_graph: DisseminationGraph,
+    deadline_ms: float | None,
+    name: str,
+) -> DisseminationGraph:
+    """The robust graph from built destination- and source-problem graphs.
+
+    Their edge union, pruned to edges that can still carry an on-time
+    copy.  A caller that already holds both problem graphs (targeted
+    redundancy builds all three at attach) builds each of them once.
+    """
     union = destination_graph.union(source_graph, name=name)
     return _deadline_prune(topology, union, deadline_ms, name)

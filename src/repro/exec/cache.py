@@ -1,10 +1,15 @@
 """Content-addressed disk cache for shard results.
 
 Entries live under ``<root>/<key[:2]>/<key>.json``; the root defaults to
-``$REPRO_EXEC_CACHE_DIR`` or ``~/.cache/repro-dgraphs/exec``.  Every
-entry wraps its payload with a SHA-256 digest; a load recomputes the
-digest and discards (and deletes) the entry on any mismatch or decode
-error, so a corrupted or truncated file is recomputed, never trusted.
+``$REPRO_EXEC_CACHE_DIR`` or ``~/.cache/repro-dgraphs/exec``.  An entry
+is the canonical JSON of ``{"payload": <payload>, "sha256": "<hex>"}``,
+whose digest is :func:`~repro.util.digest.stable_hash` of the payload:
+the SHA-256 of the payload's canonical bytes, which is exactly what the
+entry holds between its fixed head and tail.  A load checks that
+framing, hashes the payload bytes as stored and parses them only if the
+digest matches; any mismatch or decode error discards (and deletes) the
+entry, so a corrupted, truncated or non-canonical file is recomputed,
+never trusted.
 
 Writes go through a temporary file plus ``os.replace`` so a crashed
 writer can at worst leave a stale temp file, never a half-written entry
@@ -19,14 +24,15 @@ survives across processes.
 
 from __future__ import annotations
 
+import hashlib
 import json
 import os
 import tempfile
 from dataclasses import dataclass
 from pathlib import Path
 
-from repro.exec.hashing import stable_hash
 from repro.exec.plan import ShardResult
+from repro.util.digest import canonical_json
 from repro.util.validation import env_cap
 
 __all__ = [
@@ -40,6 +46,14 @@ __all__ = [
 
 CACHE_DIR_ENV = "REPRO_EXEC_CACHE_DIR"
 CACHE_MAX_BYTES_ENV = "REPRO_EXEC_CACHE_MAX_BYTES"
+
+# An entry is _HEAD + payload + _TAIL + 64 hex digits + _END, which is
+# the canonical JSON of the wrapper ("payload" sorts before "sha256").
+_HEAD = b'{"payload":'
+_TAIL = b',"sha256":"'
+_END = b'"}'
+_DIGEST_AT = -len(_END) - 64
+_TAIL_AT = _DIGEST_AT - len(_TAIL)
 
 
 def default_cache_dir() -> Path:
@@ -73,28 +87,40 @@ class ResultCache:
         max_bytes: int | None = None,
     ) -> None:
         self.root = Path(root) if root is not None else default_cache_dir()
+        self._root = os.fspath(self.root)
         self.max_bytes = max_bytes if max_bytes is not None else default_max_bytes()
         self.hits = 0
         self.misses = 0
         self.corrupt = 0
         self.evictions = 0
 
+    def _file(self, key: str) -> str:
+        return f"{self._root}/{key[:2]}/{key}.json"
+
     def _path(self, key: str) -> Path:
-        return self.root / key[:2] / f"{key}.json"
+        return Path(self._file(key))
 
     def load(self, key: str) -> ShardResult | None:
         """The cached result for ``key``, or ``None`` (miss or corrupt)."""
-        path = self._path(key)
+        path = self._file(key)
         try:
-            text = path.read_text(encoding="utf-8")
+            with open(path, "rb") as handle:
+                data = handle.read()
         except OSError:
             self.misses += 1
             return None
         try:
-            wrapper = json.loads(text)
-            payload = wrapper["payload"]
-            if wrapper.get("sha256") != stable_hash(payload):
+            if not (
+                data.startswith(_HEAD)
+                and data.endswith(_END)
+                and data[_TAIL_AT:_DIGEST_AT] == _TAIL
+            ):
+                raise ValueError("not a canonical cache entry")
+            body = data[len(_HEAD):_TAIL_AT]
+            digest = hashlib.sha256(body).hexdigest().encode()
+            if digest != data[_DIGEST_AT:-len(_END)]:
                 raise ValueError("payload digest mismatch")
+            payload = json.loads(body)
             if payload.get("key") != key:
                 raise ValueError("entry key mismatch")
             result = ShardResult.from_payload(payload)
@@ -102,7 +128,7 @@ class ResultCache:
             # Corrupted entry: drop it so the recomputed result replaces it.
             self.corrupt += 1
             try:
-                path.unlink()
+                os.unlink(path)
             except OSError:
                 pass
             return None
@@ -117,16 +143,17 @@ class ResultCache:
 
     def store(self, key: str, result: ShardResult) -> None:
         """Persist ``result`` under ``key`` (atomic replace)."""
-        payload = result.to_payload(key)
-        wrapper = {"sha256": stable_hash(payload), "payload": payload}
-        path = self._path(key)
-        path.parent.mkdir(parents=True, exist_ok=True)
+        body = canonical_json(result.to_payload(key)).encode()
+        digest = hashlib.sha256(body).hexdigest().encode()
+        path = self._file(key)
+        directory = os.path.dirname(path)
+        os.makedirs(directory, exist_ok=True)
         descriptor, temp_name = tempfile.mkstemp(
-            dir=path.parent, prefix=".tmp-", suffix=".json"
+            dir=directory, prefix=".tmp-", suffix=".json"
         )
         try:
-            with os.fdopen(descriptor, "w", encoding="utf-8") as handle:
-                json.dump(wrapper, handle)
+            with os.fdopen(descriptor, "wb") as handle:
+                handle.write(_HEAD + body + _TAIL + digest + _END)
                 # Flush user and kernel buffers before the rename: a crash
                 # mid-write must leave either the old entry or the complete
                 # new one, never a torn file under the final name.

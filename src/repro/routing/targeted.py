@@ -26,8 +26,8 @@ from repro.core.algorithms.routing_index import SplitNetwork
 from repro.core.builders import (
     destination_problem_graph,
     k_disjoint_paths_graph,
-    robust_source_destination_graph,
     source_problem_graph,
+    union_problem_graphs,
 )
 from repro.core.detection import ProblemClassifier, ProblemDetector, ProblemType
 from repro.core.dgraph import DisseminationGraph
@@ -110,31 +110,31 @@ class TargetedRedundancyPolicy(RoutingPolicy):
             self.topology, source, destination, k=2, name=f"{self.name}/base"
         )
         deadline = self.service.deadline_ms
+        source_graph = source_problem_graph(
+            self.topology,
+            source,
+            destination,
+            max_exit_links=self.max_exit_links,
+            deadline_ms=deadline,
+            name=f"{self.name}/source-problem",
+        )
+        destination_graph = destination_problem_graph(
+            self.topology,
+            source,
+            destination,
+            max_entry_links=self.max_entry_links,
+            deadline_ms=deadline,
+            name=f"{self.name}/destination-problem",
+        )
         self._problem_graphs = {
-            ProblemType.SOURCE: source_problem_graph(
+            ProblemType.SOURCE: source_graph,
+            ProblemType.DESTINATION: destination_graph,
+            ProblemType.SOURCE_AND_DESTINATION: union_problem_graphs(
                 self.topology,
-                source,
-                destination,
-                max_exit_links=self.max_exit_links,
-                deadline_ms=deadline,
-                name=f"{self.name}/source-problem",
-            ),
-            ProblemType.DESTINATION: destination_problem_graph(
-                self.topology,
-                source,
-                destination,
-                max_entry_links=self.max_entry_links,
-                deadline_ms=deadline,
-                name=f"{self.name}/destination-problem",
-            ),
-            ProblemType.SOURCE_AND_DESTINATION: robust_source_destination_graph(
-                self.topology,
-                source,
-                destination,
-                max_entry_links=self.max_entry_links,
-                max_exit_links=self.max_exit_links,
-                deadline_ms=deadline,
-                name=f"{self.name}/robust",
+                destination_graph,
+                source_graph,
+                deadline,
+                f"{self.name}/robust",
             ),
         }
         self._detector = ProblemDetector(

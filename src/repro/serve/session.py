@@ -101,7 +101,10 @@ def run_evaluate(
     """Build (or take) the trace and replay it: (result, telemetry, manifest).
 
     ``on_phase(phase, **detail)`` announces ``generate-trace`` and
-    ``replay`` with the detail the daemon streams as progress.
+    ``replay`` with the detail the daemon streams as progress.  With
+    ``contexts``, a request whose trace recipe built a resident context
+    takes that context's timeline and the recipe's event count: it
+    generates no trace and announces no ``generate-trace``.
     """
     topology = workload.topology
     schemes = tuple(request.schemes or STANDARD_SCHEME_NAMES)
@@ -111,7 +114,22 @@ def run_evaluate(
     service = ServiceSpec(deadline_ms=request.deadline_ms)
     config = ReplayConfig(detection_delay_s=request.detection_delay_s)
 
-    if trace is not None:
+    recipe = known = None
+    if contexts is not None and trace is None:
+        # What the generated trace depends on; the deadline and the
+        # detection delay pick the context, not the trace.
+        recipe = (
+            topology.digest,
+            request.preset,
+            request.scenario_family,
+            request.seed,
+            request.scenario_seed,
+            request.weeks,
+        )
+        known = contexts.resident_trace(recipe)
+    if known is not None:
+        timeline, event_count = known
+    elif trace is not None:
         events, timeline = trace
     elif request.scenario_family is not None:
         from repro.scenarios import compile_family
@@ -142,13 +160,17 @@ def run_evaluate(
         events, timeline = generate_timeline(
             topology, scenario, seed=request.seed
         )
+    if known is None:
+        event_count = len(events)
 
     context, context_warm = None, False
     if contexts is not None:
         context, context_warm = contexts.get(topology, timeline, service, config)
+        if recipe is not None and known is None:
+            contexts.remember(recipe, context, event_count)
     on_phase(
         "replay",
-        events=len(events),
+        events=event_count,
         schemes=list(schemes),
         flows=len(flows),
         workers=request.workers,

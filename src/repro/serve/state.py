@@ -8,7 +8,10 @@ process is that the expensive per-trace state survives between requests:
   the probability/mask-classification memo -- keyed by the execution
   engine's *context key* (topology + timeline + service + config), so a
   repeated or overlapping request reuses the warm memo instead of
-  rebuilding it;
+  rebuilding it.  It also remembers the *trace recipe* (topology digest,
+  preset or scenario family, seeds, weeks) that built each resident
+  context's timeline, so a request with a known recipe takes that
+  timeline instead of generating and digesting the trace again;
 * one shared :class:`~repro.exec.cache.ResultCache` serves
   content-addressed shards across all requests;
 * :class:`ServeRuntime` bundles the above with the reference topology
@@ -26,6 +29,7 @@ memo is exact by construction.
 from __future__ import annotations
 
 import threading
+from typing import Hashable
 
 from repro.core.graph import Topology
 from repro.exec.cache import ResultCache
@@ -50,12 +54,20 @@ class ContextCache:
     trace), so it happens outside the lock; when two threads race to
     build the same key, the first stored entry wins and both callers
     share it.
+
+    The recipe index maps a trace recipe to the key of the resident
+    context it built and the event count of its trace.  It holds at most
+    ``capacity`` recipes, and a context's eviction drops the recipes
+    that point at it.  The event count belongs to the recipe: two
+    recipes can yield equal timelines, and so one context, from
+    different event lists.
     """
 
     def __init__(self, capacity: int = 4) -> None:
         require(capacity >= 1, f"context capacity must be >= 1, got {capacity}")
         self.capacity = capacity
         self._entries: dict[str, ShardContext] = {}
+        self._recipes: dict[Hashable, tuple[str, int]] = {}
         self._lock = threading.Lock()
         self.hits = 0
         self.misses = 0
@@ -86,7 +98,40 @@ class ContextCache:
                 oldest = next(iter(self._entries))
                 del self._entries[oldest]
                 self.evictions += 1
+                self._recipes = {
+                    recipe: known
+                    for recipe, known in self._recipes.items()
+                    if known[0] != oldest
+                }
         return resident, existing is not None
+
+    def resident_trace(
+        self, recipe: Hashable
+    ) -> tuple[ConditionTimeline, int] | None:
+        """The resident timeline ``recipe`` built and its event count, if known."""
+        with self._lock:
+            known = self._recipes.pop(recipe, None)
+            if known is None:
+                return None
+            self._recipes[recipe] = known  # most recently used
+            key, events = known
+            return self._entries[key].timeline, events
+
+    def remember(self, recipe: Hashable, context: ShardContext, events: int) -> None:
+        """Record that ``recipe`` built ``context``'s trace of ``events`` events.
+
+        Nothing is recorded once the context has left the LRU.
+        """
+        with self._lock:
+            for key, resident in self._entries.items():
+                if resident is context:
+                    break
+            else:
+                return
+            self._recipes.pop(recipe, None)
+            self._recipes[recipe] = (key, events)
+            while len(self._recipes) > self.capacity:
+                del self._recipes[next(iter(self._recipes))]
 
     def counters(self) -> dict[str, int]:
         """Context-level counters plus entry count."""

@@ -6,6 +6,7 @@ import json
 
 from repro.exec.cache import ResultCache
 from repro.exec.hashing import (
+    canonical_json,
     code_fingerprint,
     context_key,
     shard_key,
@@ -123,6 +124,65 @@ class TestCorruption:
         cache.store(KEY, sample_result())
         assert cache.load(KEY) == sample_result()
         assert cache.corrupt == 1
+
+
+class TestEntryFormat:
+    """An entry is the canonical JSON of ``{"payload", "sha256"}``, and a
+    load verifies the payload bytes exactly as stored."""
+
+    def test_entry_is_the_canonical_wrapper(self, tmp_path):
+        cache = ResultCache(tmp_path)
+        cache.store(KEY, sample_result())
+        text = cache._path(KEY).read_text()
+        payload = sample_result().to_payload(KEY)
+        wrapper = json.loads(text)
+        assert wrapper["sha256"] == stable_hash(payload)
+        assert text == canonical_json(
+            {"payload": payload, "sha256": stable_hash(payload)}
+        )
+
+    def test_byte_flipped_inside_payload_is_corrupt(self, tmp_path):
+        cache = ResultCache(tmp_path)
+        cache.store(KEY, sample_result())
+        path = cache._path(KEY)
+        text = path.read_text()
+        at = text.index('"unavailable_s":1.25') + len('"unavailable_s":1.2')
+        path.write_text(text[:at] + "6" + text[at + 1:])  # 1.25 -> 1.26
+        assert json.loads(path.read_text())["payload"]["unavailable_s"] == 1.26
+        assert cache.load(KEY) is None
+        assert cache.corrupt == 1
+        assert not path.exists()
+
+    def test_non_canonical_entry_is_rejected_and_recomputed(self, tmp_path):
+        """Equal content with a correct digest, but not in canonical form
+        (the key order and spacing of a plain ``json.dumps``)."""
+        cache = ResultCache(tmp_path)
+        path = cache._path(KEY)
+        path.parent.mkdir(parents=True)
+        payload = sample_result().to_payload(KEY)
+        path.write_text(
+            json.dumps({"sha256": stable_hash(payload), "payload": payload})
+        )
+        assert cache.load(KEY) is None
+        assert cache.corrupt == 1
+        assert not path.exists()
+        cache.store(KEY, sample_result())
+        assert cache.load(KEY) == sample_result()
+
+    def test_store_encodes_its_payload_once(self, tmp_path, monkeypatch):
+        encodes = []
+        original = json.JSONEncoder.iterencode
+
+        def counting(self, value, *args, **kwargs):
+            encodes.append(value)
+            return original(self, value, *args, **kwargs)
+
+        cache = ResultCache(tmp_path)
+        monkeypatch.setattr(json.JSONEncoder, "iterencode", counting)
+        cache.store(KEY, sample_result())
+        monkeypatch.undo()
+        assert encodes == [sample_result().to_payload(KEY)]
+        assert cache.load(KEY) == sample_result()
 
 
 class TestKeys:

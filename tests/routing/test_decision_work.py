@@ -1,4 +1,4 @@
-"""Deterministic work counts of the per-update routing decisions.
+"""Deterministic work counts of the routing decisions.
 
 The dynamic and targeted policies compute each distinct routing input
 once: targeted's timely candidate set once per distinct latency
@@ -6,13 +6,15 @@ inflation, and a dynamic decision once per distinct fingerprint unless
 the loss-penalised fallback made it.  A return to per-update
 recomputation multiplies these counts, which a wall-clock bound could
 not catch reliably.  Counted on the seed-7 9-hour trace of the 12-site
-overlay, all 16 flows.
+overlay, all 16 flows.  Targeted's attach builds each of its problem
+graphs once, counted per attach on the same overlay.
 """
 
 from __future__ import annotations
 
 import pytest
 
+import repro.core.builders as builders
 import repro.routing.targeted as targeted_module
 from repro.core.algorithms.mincostflow import MinCostFlow
 from repro.netmodel import scenarios
@@ -88,3 +90,35 @@ def test_dynamic_two_disjoint_flow_solves(trace, monkeypatch):
     # one and the penalised one).  Recomputing at every fingerprint change
     # made 1,348 solves.
     assert solves == 672
+
+
+@pytest.mark.parametrize(
+    ("step", "calls"),
+    [
+        ("disjoint_paths", 3),
+        ("time_constrained_flooding_graph", 3),
+        ("steiner_arborescence", 2),
+        ("adjacency_from_topology", 10),
+        ("single_source_distances", 8),
+    ],
+)
+def test_targeted_attach_builds_each_problem_graph_once(
+    trace, monkeypatch, step, calls
+):
+    """The robust graph is the union of the source- and
+    destination-problem graphs the attach has just built; rebuilding
+    them for it made 5 disjoint-path solves, 5 flooding graphs, 4
+    Steiner arborescences, 18 adjacency builds and 14 Dijkstra passes."""
+    workload, *_rest = trace
+    counted = []
+    original = getattr(builders, step)
+
+    def counting(*args, **kwargs):
+        counted.append(1)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(builders, step, counting)
+    for flow in workload.flows:
+        counted.clear()
+        TargetedRedundancyPolicy().attach(workload.topology, flow, ServiceSpec())
+        assert len(counted) == calls, flow.name

@@ -144,23 +144,34 @@ class TestConcurrentEquivalence:
     def test_warm_request_digests_its_timeline_once(
         self, warm_server, monkeypatch
     ):
-        """The context lookup and the engine's cache keys share one
-        timeline digest per request."""
+        """A warm request takes the resident context's timeline, which was
+        digested when the cold request built the context: it generates,
+        digests and announces no trace of its own."""
         from repro.netmodel import conditions
+        from repro.serve import session
 
         request = EvaluateRequest(weeks=0.02, seed=13, schemes=SCHEMES)
-        warm_server.run(request)
-        digests = []
-        original = conditions.stable_hash
+        cold, _manifest, _progress = warm_server.run(request)
+        digests, generated = [], []
+        original_hash = conditions.stable_hash
+        original_generate = session.generate_timeline
 
-        def counting(value):
+        def counting_hash(value):
             digests.append(value)
-            return original(value)
+            return original_hash(value)
 
-        monkeypatch.setattr(conditions, "stable_hash", counting)
-        _result, manifest, _progress = warm_server.run(request)
+        def counting_generate(*args, **kwargs):
+            generated.append(args)
+            return original_generate(*args, **kwargs)
+
+        monkeypatch.setattr(conditions, "stable_hash", counting_hash)
+        monkeypatch.setattr(session, "generate_timeline", counting_generate)
+        result, manifest, progress = warm_server.run(request)
         assert manifest["extra"]["serve"]["context_warm"] is True
-        assert len(digests) == 1
+        assert len(digests) == 0
+        assert len(generated) == 0
+        assert [event["phase"] for event in progress] == ["replay"]
+        assert result == cold
 
     def test_status_reports_cache_and_scheduler(self, warm_server):
         status = warm_server.status()

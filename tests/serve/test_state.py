@@ -2,13 +2,22 @@
 
 from __future__ import annotations
 
+from dataclasses import replace
+
 import pytest
 
 from repro.netmodel.presets import preset_scenario
 from repro.netmodel.scenarios import generate_timeline
-from repro.netmodel.topology import ServiceSpec, build_reference_topology
+from repro.netmodel.topology import (
+    ServiceSpec,
+    build_reference_topology,
+    reference_flows,
+)
+from repro.serve import session
+from repro.serve.schema import EvaluateRequest
 from repro.serve.state import ContextCache, ServeRuntime
 from repro.simulation.results import ReplayConfig
+from repro.topogen import Workload
 from repro.util.validation import ValidationError
 
 
@@ -90,6 +99,243 @@ class TestContextCache:
         assert totals["hits"] == 5
         assert totals["misses"] == 2
         assert set(totals) == set(context.probability_cache.counters())
+
+
+REQUEST = EvaluateRequest(
+    weeks=0.02,
+    seed=13,
+    schemes=("static-single",),
+    flows=(reference_flows()[0].name,),
+)
+
+
+@pytest.fixture(scope="module")
+def workload(topology):
+    return Workload(topology=topology, flows=reference_flows(), generated=None)
+
+
+@pytest.fixture
+def generated(monkeypatch):
+    """Every trace the session generates or compiles, in call order."""
+    import repro.scenarios
+
+    calls = []
+    original_generate = session.generate_timeline
+    original_compile = repro.scenarios.compile_family
+
+    def generate(*args, **kwargs):
+        calls.append("preset")
+        return original_generate(*args, **kwargs)
+
+    def compile_family(*args, **kwargs):
+        calls.append("family")
+        return original_compile(*args, **kwargs)
+
+    monkeypatch.setattr(session, "generate_timeline", generate)
+    monkeypatch.setattr(repro.scenarios, "compile_family", compile_family)
+    return calls
+
+
+def evaluate(request, workload, contexts):
+    """``run_evaluate`` as the daemon calls it: (payload parts, phases)."""
+    phases = []
+
+    def on_phase(phase, **detail):
+        phases.append((phase, detail))
+
+    result, _telemetry, manifest = session.run_evaluate(
+        request,
+        workload,
+        label="test",
+        cache=None,
+        on_phase=on_phase,
+        contexts=contexts,
+    )
+    replay = dict(phases)["replay"]
+    outcome = (
+        replay["events"],
+        manifest.duration_s,
+        [(stats.scheme, stats.flow.name, stats.unavailable_s) for stats in result],
+    )
+    return outcome, replay["context_warm"], [phase for phase, _ in phases]
+
+
+class TestRecipeIndex:
+    """A request whose trace recipe built a resident context takes its trace."""
+
+    def test_identical_request_takes_the_resident_trace(
+        self, workload, generated
+    ):
+        contexts = ContextCache(capacity=2)
+        cold, cold_warm, cold_phases = evaluate(REQUEST, workload, contexts)
+        warm, warm_warm, warm_phases = evaluate(REQUEST, workload, contexts)
+        assert cold_phases == ["generate-trace", "replay"]
+        assert warm_phases == ["replay"]
+        assert generated == ["preset"]
+        assert (cold_warm, warm_warm) == (False, True)
+        assert warm == cold  # event count, duration and every stat
+        assert warm == evaluate(REQUEST, workload, None)[0]
+
+    @pytest.mark.parametrize(
+        ("base", "fields"),
+        [
+            ({}, {"preset": "stormy"}),
+            ({}, {"scenario_family": "srlg-outage"}),
+            ({"scenario_family": "srlg-outage"}, {"scenario_seed": 4}),
+            ({}, {"seed": 14}),
+            ({}, {"weeks": 0.03}),
+        ],
+        ids=["preset", "scenario-family", "scenario-seed", "seed", "weeks"],
+    )
+    def test_each_recipe_component_misses(
+        self, workload, generated, base, fields
+    ):
+        contexts = ContextCache(capacity=4)
+        evaluate(replace(REQUEST, **base), workload, contexts)
+        variant = replace(REQUEST, **base, **fields)
+        outcome, _warm, phases = evaluate(variant, workload, contexts)
+        assert phases == ["generate-trace", "replay"]
+        assert len(generated) == 2
+        assert outcome == evaluate(variant, workload, None)[0]
+
+    def test_topology_is_part_of_the_recipe(self, workload, generated):
+        contexts = ContextCache(capacity=4)
+        evaluate(REQUEST, workload, contexts)
+        other = Workload(
+            topology=build_reference_topology(name="renamed-overlay"),
+            flows=workload.flows,
+            generated=None,
+        )
+        _outcome, warm, phases = evaluate(REQUEST, other, contexts)
+        assert phases == ["generate-trace", "replay"]
+        assert warm is False
+        assert contexts.counters()["entries"] == 2
+
+    @pytest.mark.parametrize(
+        "fields",
+        [{"deadline_ms": 130.0}, {"detection_delay_s": 3.0}],
+        ids=["deadline", "detection-delay"],
+    )
+    def test_each_context_input_misses(self, workload, generated, fields):
+        """The deadline and the detection delay pick the context: the
+        resident trace is replayed in a context of their own."""
+        contexts = ContextCache(capacity=4)
+        evaluate(REQUEST, workload, contexts)
+        variant = replace(REQUEST, **fields)
+        outcome, warm, phases = evaluate(variant, workload, contexts)
+        assert warm is False
+        assert phases == ["replay"]
+        assert contexts.counters()["misses"] == 2
+        assert outcome == evaluate(variant, workload, None)[0]
+
+    def test_evicted_context_forgets_its_recipe(self, workload, generated):
+        """Two more deadlines on the same trace evict the context its
+        recipe built; the next identical request generates it once."""
+        contexts = ContextCache(capacity=2)
+        evaluate(REQUEST, workload, contexts)
+        for deadline_ms in (80.0, 130.0):
+            evaluate(replace(REQUEST, deadline_ms=deadline_ms), workload, contexts)
+        assert contexts.counters()["evictions"] == 1
+        assert generated == ["preset"]
+        _outcome, warm, phases = evaluate(REQUEST, workload, contexts)
+        assert warm is False
+        assert phases == ["generate-trace", "replay"]
+        assert generated == ["preset", "preset"]
+
+    def test_recipe_index_holds_at_most_capacity_recipes(
+        self, workload, generated
+    ):
+        """Family requests that differ only in ``seed`` share one trace
+        (the scenario seed drives it) but each is a recipe of its own."""
+        contexts = ContextCache(capacity=2)
+        family = replace(REQUEST, scenario_family="srlg-outage", scenario_seed=3)
+        for seed in (1, 2, 3):
+            evaluate(replace(family, seed=seed), workload, contexts)
+        assert contexts.counters()["entries"] == 1
+        assert evaluate(replace(family, seed=3), workload, contexts)[2] == ["replay"]
+        _outcome, warm, phases = evaluate(replace(family, seed=1), workload, contexts)
+        assert warm is True  # the trace is resident ...
+        assert phases == ["generate-trace", "replay"]  # ... its recipe is not
+
+    def test_scenario_family_served_warm_without_compiling(
+        self, workload, generated
+    ):
+        contexts = ContextCache(capacity=2)
+        family = replace(REQUEST, scenario_family="srlg-outage", scenario_seed=3)
+        cold, _warm, _phases = evaluate(family, workload, contexts)
+        warm_outcome, warm, phases = evaluate(family, workload, contexts)
+        assert generated == ["family"]
+        assert warm is True
+        assert phases == ["replay"]
+        assert warm_outcome == cold
+
+
+class TestRecipeIndexThreads:
+    def test_recipes_point_at_resident_contexts_under_contention(
+        self, topology
+    ):
+        """Eight threads look up, build and record four recipes in a
+        two-context LRU with a tiny switch interval: every hit returns
+        its own recipe's timeline and event count, and no recipe is left
+        pointing at an evicted context."""
+        import sys
+        import threading
+
+        from repro.netmodel.conditions import (
+            ConditionTimeline,
+            Contribution,
+            LinkState,
+        )
+
+        timelines = [
+            ConditionTimeline(
+                topology,
+                600.0,
+                [Contribution(("NYC", "CHI"), 10.0, 60.0 + recipe, LinkState(0.4))],
+            )
+            for recipe in range(4)
+        ]
+        contexts = ContextCache(capacity=2)
+        service, config = ServiceSpec(), ReplayConfig()
+        errors, hits, gets = [], [], []
+
+        def worker(lane):
+            try:
+                for step in range(60):
+                    recipe = (lane + step) % 4
+                    known = contexts.resident_trace(recipe)
+                    if known is not None:
+                        timeline, events = known
+                        assert timeline.digest == timelines[recipe].digest
+                        assert events == recipe
+                        hits.append(recipe)
+                        continue
+                    context, _warm = contexts.get(
+                        topology, timelines[recipe], service, config
+                    )
+                    gets.append(recipe)
+                    contexts.remember(recipe, context, recipe)
+            except Exception as error:  # reported below, with its lane
+                errors.append((lane, repr(error)))
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [
+                threading.Thread(target=worker, args=(lane,)) for lane in range(8)
+            ]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=60.0)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        assert errors == []
+        assert hits  # the index served some lookups
+        counters = contexts.counters()
+        assert counters["entries"] <= 2
+        assert counters["hits"] + counters["misses"] == len(gets)
 
 
 class TestServeRuntime:
