@@ -1,5 +1,14 @@
 """Content-addressed disk cache for shard results.
 
+A shard's result is the pair's
+:class:`~repro.simulation.results.FlowSchemeStats` over the shard's time
+range.  Its payload (:func:`to_payload`) holds the entry's own ``key``,
+the ``flow`` as ``[source, destination]``, the ``scheme``, the five
+accumulated totals, ``decision_changes`` and the ``windows`` as
+seven-element lists in :class:`~repro.simulation.results.WindowRecord`
+field order (empty when the shard recorded none).  The shard's position
+on the time axis is not stored: the key already pins it.
+
 Entries live under ``<root>/<key[:2]>/<key>.json``; the root defaults to
 ``$REPRO_EXEC_CACHE_DIR`` or ``~/.cache/repro-dgraphs/exec``.  An entry
 is the canonical JSON of ``{"payload": <payload>, "sha256": "<hex>"}``,
@@ -30,8 +39,10 @@ import os
 import tempfile
 from dataclasses import dataclass
 from pathlib import Path
+from typing import Mapping
 
-from repro.exec.plan import ShardResult
+from repro.netmodel.topology import FlowSpec
+from repro.simulation.results import FlowSchemeStats, WindowRecord
 from repro.util.digest import canonical_json
 from repro.util.validation import env_cap
 
@@ -42,6 +53,8 @@ __all__ = [
     "ResultCache",
     "default_cache_dir",
     "default_max_bytes",
+    "from_payload",
+    "to_payload",
 ]
 
 CACHE_DIR_ENV = "REPRO_EXEC_CACHE_DIR"
@@ -67,6 +80,60 @@ def default_cache_dir() -> Path:
 def default_max_bytes() -> int | None:
     """Size cap from ``$REPRO_EXEC_CACHE_MAX_BYTES``; ``None`` = unlimited."""
     return env_cap(CACHE_MAX_BYTES_ENV, None, "byte count")
+
+
+def to_payload(key: str, stats: FlowSchemeStats) -> dict:
+    """The JSON-safe cache payload of one shard's stats, stored under ``key``."""
+    return {
+        "key": key,
+        "flow": [stats.flow.source, stats.flow.destination],
+        "scheme": stats.scheme,
+        "duration_s": stats.duration_s,
+        "unavailable_s": stats.unavailable_s,
+        "lost_s": stats.lost_s,
+        "late_s": stats.late_s,
+        "message_seconds": stats.message_seconds,
+        "decision_changes": stats.decision_changes,
+        "windows": [
+            [
+                w.start_s,
+                w.end_s,
+                w.graph_name,
+                w.graph_edges,
+                w.on_time_probability,
+                w.lost_probability,
+                w.late_probability,
+            ]
+            for w in stats.windows
+        ],
+    }
+
+
+def from_payload(payload: Mapping) -> FlowSchemeStats:
+    """Rebuild a shard's stats from its cache payload (raises on bad shape)."""
+    flow = payload["flow"]
+    return FlowSchemeStats(
+        flow=FlowSpec(str(flow[0]), str(flow[1])),
+        scheme=str(payload["scheme"]),
+        duration_s=float(payload["duration_s"]),
+        unavailable_s=float(payload["unavailable_s"]),
+        lost_s=float(payload["lost_s"]),
+        late_s=float(payload["late_s"]),
+        message_seconds=float(payload["message_seconds"]),
+        decision_changes=int(payload["decision_changes"]),
+        windows=[
+            WindowRecord(
+                float(w[0]),
+                float(w[1]),
+                str(w[2]),
+                int(w[3]),
+                float(w[4]),
+                float(w[5]),
+                float(w[6]),
+            )
+            for w in payload["windows"]
+        ],
+    )
 
 
 @dataclass(frozen=True)
@@ -100,8 +167,8 @@ class ResultCache:
     def _path(self, key: str) -> Path:
         return Path(self._file(key))
 
-    def load(self, key: str) -> ShardResult | None:
-        """The cached result for ``key``, or ``None`` (miss or corrupt)."""
+    def load(self, key: str) -> FlowSchemeStats | None:
+        """The cached stats for ``key``, or ``None`` (miss or corrupt)."""
         path = self._file(key)
         try:
             with open(path, "rb") as handle:
@@ -123,7 +190,7 @@ class ResultCache:
             payload = json.loads(body)
             if payload.get("key") != key:
                 raise ValueError("entry key mismatch")
-            result = ShardResult.from_payload(payload)
+            stats = from_payload(payload)
         except (ValueError, KeyError, TypeError, IndexError):
             # Corrupted entry: drop it so the recomputed result replaces it.
             self.corrupt += 1
@@ -139,11 +206,11 @@ class ResultCache:
             os.utime(path)
         except OSError:
             pass
-        return result
+        return stats
 
-    def store(self, key: str, result: ShardResult) -> None:
-        """Persist ``result`` under ``key`` (atomic replace)."""
-        body = canonical_json(result.to_payload(key)).encode()
+    def store(self, key: str, stats: FlowSchemeStats) -> None:
+        """Persist ``stats`` under ``key`` (atomic replace)."""
+        body = canonical_json(to_payload(key, stats)).encode()
         digest = hashlib.sha256(body).hexdigest().encode()
         path = self._file(key)
         directory = os.path.dirname(path)

@@ -32,13 +32,7 @@ from repro.core.graph import Topology
 from repro.exec.cache import ResultCache
 from repro.obs.trace import TraceContext, Tracer, spans_to_relative
 from repro.exec.hashing import context_key, shard_key
-from repro.exec.plan import (
-    ShardContext,
-    ShardResult,
-    ShardSpec,
-    build_plan,
-    merge_results,
-)
+from repro.exec.plan import ShardContext, ShardSpec, build_plan, merge_results
 from repro.exec.telemetry import (
     ExecTelemetry,
     counter_delta,
@@ -50,7 +44,7 @@ from repro.netmodel.conditions import ConditionTimeline
 from repro.netmodel.topology import FlowSpec, ServiceSpec
 from repro.routing.registry import STANDARD_SCHEME_NAMES
 from repro.simulation import kernel
-from repro.simulation.results import ReplayConfig, ReplayResult
+from repro.simulation.results import FlowSchemeStats, ReplayConfig, ReplayResult
 from repro.util.validation import fail, require
 
 __all__ = ["run_replay_parallel"]
@@ -58,7 +52,11 @@ __all__ = ["run_replay_parallel"]
 #: How many times a broken pool is rebuilt before abandoning it.
 _MAX_POOL_REBUILDS = 2
 
-# -- worker-process side ---------------------------------------------------------
+#: What a shard run returns: ``(stats, wall seconds, memo and kernel
+#: counter delta, clock-relative spans or None)``.
+_Outcome = tuple[FlowSchemeStats, float, dict[str, float], list[dict] | None]
+
+# -- the shard runner --------------------------------------------------------------
 
 _WORKER_CONTEXT: ShardContext | None = None
 _WORKER_TRACE: TraceContext | None = None
@@ -79,39 +77,45 @@ def _worker_init(
     )
 
 
-def _worker_run(
+def _run_shard(
     shard: ShardSpec,
-) -> tuple[ShardResult, float, dict[str, float], list[dict] | None]:
-    """Run one shard in a pool worker.
+    context: ShardContext | None = None,
+    trace: TraceContext | None = None,
+) -> _Outcome:
+    """Run one shard, in a pool worker or in-process.
 
-    Returns ``(result, wall seconds, memo and kernel counter delta,
-    worker spans)``.  Workers are separate processes, so memo and kernel
-    counters travel home with each shard as a before/after difference;
-    they must *not* ride inside the shard result, whose payload is
-    content-addressed.  When the parent propagated a trace context
-    (``_worker_init``'s ``trace_wire``), the shard runs under a local
-    tracer whose spans carry the parent's trace id and are shipped back
-    clock-relative (see :func:`repro.obs.trace.spans_to_relative`) for
-    the parent to graft into its own trace tree.
+    ``context=None`` means a pool worker: the shard runs on the worker's
+    context under the trace its parent propagated (``_worker_init``).
+    Memo and kernel counters come back as a before/after difference:
+    they must *not* ride inside the stats, whose payload is
+    content-addressed.  When traced, the shard's ``shard.policy`` and
+    ``shard.windows`` phases are recorded on a local tracer carrying the
+    parent's trace id -- under a ``worker.shard`` root in a worker -- and
+    come back clock-relative (see :func:`repro.obs.trace.spans_to_relative`)
+    for the parent to graft under its ``shard`` span.
     """
-    require(_WORKER_CONTEXT is not None, "worker used before initialization")
-    before = counter_snapshot(_WORKER_CONTEXT.probability_cache)
+    in_worker = context is None
+    if in_worker:
+        require(_WORKER_CONTEXT is not None, "worker used before initialization")
+        context, trace = _WORKER_CONTEXT, _WORKER_TRACE
+    before = counter_snapshot(context.probability_cache)
     started = time.perf_counter()
-    worker_spans: list[dict] | None = None
-    if _WORKER_TRACE is not None:
-        tracer = Tracer(time.perf_counter, trace_id=_WORKER_TRACE.trace_id)
-        tracer.context = {"trace_id": tracer.trace_id, "pid": os.getpid()}
-        root = tracer.open("shard", "worker.shard", "exec", shard=shard.label)
-        result = _WORKER_CONTEXT.run(shard, tracer=tracer, parent_id=root.span_id)
-        tracer.close("shard")
-        worker_spans = spans_to_relative(tracer.spans, base_s=started)
+    spans: list[dict] | None = None
+    if trace is None:
+        stats = context.run(shard)
     else:
-        result = _WORKER_CONTEXT.run(shard)
+        tracer = Tracer(time.perf_counter, trace_id=trace.trace_id)
+        if in_worker:
+            tracer.context = {"trace_id": tracer.trace_id, "pid": os.getpid()}
+            root = tracer.open("shard", "worker.shard", "exec", shard=shard.label)
+            stats = context.run(shard, tracer=tracer, parent_id=root.span_id)
+            tracer.close("shard")
+        else:
+            stats = context.run(shard, tracer=tracer)
+        spans = spans_to_relative(tracer.spans, base_s=started)
     wall = time.perf_counter() - started
-    delta = counter_delta(
-        before, counter_snapshot(_WORKER_CONTEXT.probability_cache)
-    )
-    return result, wall, delta, worker_spans
+    delta = counter_delta(before, counter_snapshot(context.probability_cache))
+    return stats, wall, delta, spans
 
 
 def _default_executor_factory(
@@ -151,18 +155,19 @@ def _require_matching_context(
 
 def _run_pooled(
     pending: list[ShardSpec],
-    results: dict[ShardSpec, ShardResult],
+    finish: Callable[[ShardSpec, _Outcome, str], None],
     telemetry: ExecTelemetry,
-    run_locally: Callable[[ShardSpec], ShardResult],
     executor_factory: Callable,
     max_workers: int,
     initargs: tuple,
     shard_timeout_s: float | None,
     retries: int,
-    obs: "Observability | None" = None,
-    parent_span_id: int | None = None,
-) -> None:
-    """Run ``pending`` on a worker pool; fall back serially on failure."""
+) -> list[ShardSpec]:
+    """Run ``pending`` on a worker pool; returns the shards it gave up on.
+
+    Each shard that comes home goes to ``finish``; the caller runs the
+    returned shards in-process.
+    """
     attempts = {shard: 0 for shard in pending}
     queue = list(pending)
     fallback: list[ShardSpec] = []
@@ -187,7 +192,7 @@ def _run_pooled(
                     fallback.extend(queue)
                     queue = []
                     break
-            futures = [(shard, executor.submit(_worker_run, shard)) for shard in queue]
+            futures = [(shard, executor.submit(_run_shard, shard)) for shard in queue]
             next_queue: list[ShardSpec] = []
             broken = False
             for shard, future in futures:
@@ -197,9 +202,7 @@ def _run_pooled(
                     next_queue.append(shard)
                     continue
                 try:
-                    shard_result, shard_wall, cache_delta, worker_spans = (
-                        future.result(timeout=shard_timeout_s)
-                    )
+                    outcome = future.result(timeout=shard_timeout_s)
                 except (BrokenExecutor, concurrent.futures.TimeoutError):
                     # A dead worker or a hung shard poisons the whole pool:
                     # tear it down and rebuild before retrying.
@@ -210,29 +213,8 @@ def _run_pooled(
                     attempts[shard] += 1
                     give_up(shard)
                 else:
-                    results[shard] = shard_result
+                    finish(shard, outcome, "pool")
                     telemetry.shards_run += 1
-                    telemetry.shard_wall_s.append(shard_wall)
-                    telemetry.add_counters(cache_delta)
-                    if obs is not None:
-                        # Workers are separate processes; the span is
-                        # reconstructed parent-side from the returned wall
-                        # time, ending at the moment the result arrived.
-                        end = obs.tracer.now()
-                        shard_span = obs.tracer.complete(
-                            "shard", "exec", end - shard_wall, end,
-                            parent_id=parent_span_id,
-                            shard=shard.label, mode="pool",
-                        )
-                        if worker_spans:
-                            # Worker times are offsets from its shard
-                            # start; re-base them onto this clock so the
-                            # worker tree nests inside the shard span.
-                            obs.tracer.graft(
-                                worker_spans,
-                                base_s=end - shard_wall,
-                                parent_id=shard_span.span_id,
-                            )
             if broken:
                 executor.shutdown(wait=False, cancel_futures=True)
                 executor = None
@@ -244,9 +226,7 @@ def _run_pooled(
     finally:
         if executor is not None:
             executor.shutdown(wait=False, cancel_futures=True)
-    for shard in fallback:
-        results[shard] = run_locally(shard)
-        telemetry.shards_fallback += 1
+    return fallback
 
 
 def run_replay_parallel(
@@ -317,7 +297,7 @@ def run_replay_parallel(
         kernel_backend=kernel.active_backend(),
     )
 
-    results: dict[ShardSpec, ShardResult] = {}
+    results: dict[ShardSpec, FlowSchemeStats] = {}
     keys: dict[ShardSpec, str] = {}
     if use_cache:
         if cache is None:
@@ -325,15 +305,7 @@ def run_replay_parallel(
         context_digest = context_key(topology, timeline, service, config)
         corrupt_before = cache.corrupt
         for shard in plan:
-            keys[shard] = shard_key(
-                context_digest,
-                shard.flow,
-                shard.scheme,
-                shard.start_s,
-                shard.end_s,
-                shard.index,
-                shard.of,
-            )
+            keys[shard] = shard_key(context_digest, shard)
             hit = cache.load(keys[shard])
             if hit is not None:
                 results[shard] = hit
@@ -346,51 +318,60 @@ def run_replay_parallel(
         telemetry.cache_corrupt = cache.corrupt - corrupt_before
 
     pending = [shard for shard in plan if shard not in results]
+    trace = (
+        obs.tracer.trace_context(root_span_id) if obs is not None else None
+    )
     local_context: ShardContext | None = context
 
-    def run_locally(shard: ShardSpec) -> ShardResult:
+    def finish(shard: ShardSpec, outcome: _Outcome, mode: str) -> None:
+        stats, shard_wall, delta, spans = outcome
+        results[shard] = stats
+        telemetry.shard_wall_s.append(shard_wall)
+        telemetry.add_counters(delta)
+        if obs is not None:
+            # The span is reconstructed from the returned wall time, ending
+            # at the moment the result arrived; the shard's own spans are
+            # offsets from its start, re-based onto this clock.
+            end = obs.tracer.now()
+            shard_span = obs.tracer.complete(
+                "shard", "exec", end - shard_wall, end,
+                parent_id=root_span_id, shard=shard.label, mode=mode,
+            )
+            if spans:
+                obs.tracer.graft(
+                    spans, base_s=end - shard_wall, parent_id=shard_span.span_id
+                )
+
+    def run_in_process(shard: ShardSpec) -> None:
         nonlocal local_context
         if local_context is None:
             local_context = ShardContext(topology, timeline, service, config)
-        before = counter_snapshot(local_context.probability_cache)
-        shard_started = time.perf_counter()
-        span_start = obs.tracer.now() if obs is not None else 0.0
-        result = local_context.run(shard)
-        shard_wall = time.perf_counter() - shard_started
-        telemetry.shard_wall_s.append(shard_wall)
-        after = counter_snapshot(local_context.probability_cache)
-        telemetry.add_counters(counter_delta(before, after))
-        if obs is not None:
-            obs.tracer.complete(
-                "shard", "exec", span_start, span_start + shard_wall,
-                parent_id=root_span_id, shard=shard.label, mode="serial",
-            )
-        return result
+        finish(shard, _run_shard(shard, local_context, trace), "serial")
 
-    if pending:
-        if max_workers > 0 and len(pending) > 1:
-            trace_wire = (
-                obs.tracer.trace_context(root_span_id).to_wire()
-                if obs is not None
-                else None
-            )
-            _run_pooled(
-                pending,
-                results,
-                telemetry,
-                run_locally,
-                executor_factory or _default_executor_factory,
-                max_workers,
-                (topology, timeline, service, config, trace_wire),
-                shard_timeout_s,
-                retries,
-                obs,
-                root_span_id,
-            )
-        else:
-            for shard in pending:
-                results[shard] = run_locally(shard)
-                telemetry.shards_run += 1
+    if max_workers > 0 and len(pending) > 1:
+        fallback = _run_pooled(
+            pending,
+            finish,
+            telemetry,
+            executor_factory or _default_executor_factory,
+            max_workers,
+            (
+                topology,
+                timeline,
+                service,
+                config,
+                trace.to_wire() if trace is not None else None,
+            ),
+            shard_timeout_s,
+            retries,
+        )
+        for shard in fallback:
+            run_in_process(shard)
+            telemetry.shards_fallback += 1
+    else:
+        for shard in pending:
+            run_in_process(shard)
+            telemetry.shards_run += 1
 
     if use_cache and cache is not None:
         for shard in pending:

@@ -22,8 +22,9 @@ import os
 from pathlib import Path
 
 from repro.core.graph import Topology
+from repro.exec.plan import ShardSpec
 from repro.netmodel.conditions import ConditionTimeline
-from repro.netmodel.topology import FlowSpec, ServiceSpec
+from repro.netmodel.topology import ServiceSpec
 from repro.simulation import kernel
 from repro.simulation.results import ReplayConfig
 from repro.util.digest import canonical_json, stable_hash
@@ -101,16 +102,16 @@ def context_key(
     )
 
 
-def shard_key(context: str, flow: FlowSpec, scheme: str, start_s: float, end_s: float, index: int, of: int) -> str:
+def shard_key(context: str, shard: ShardSpec) -> str:
     """Content-addressed key of one shard within a replay context."""
     return stable_hash(
         {
             "context": context,
-            "flow": [flow.source, flow.destination],
-            "scheme": scheme,
-            "start_s": start_s,
-            "end_s": end_s,
-            "index": index,
-            "of": of,
+            "flow": [shard.flow.source, shard.flow.destination],
+            "scheme": shard.scheme,
+            "start_s": shard.start_s,
+            "end_s": shard.end_s,
+            "index": shard.index,
+            "of": shard.of,
         }
     )

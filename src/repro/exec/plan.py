@@ -4,16 +4,19 @@ A full replay is a grid of (flow, scheme) pairs; each pair's window
 accumulation is independent of every other pair, and -- because windows
 are accumulated additively -- the time axis of one pair can additionally
 be cut at any decision boundary.  A :class:`ShardSpec` names one such
-unit of work; :func:`build_plan` produces the canonical shard list and
-:func:`merge_results` reassembles shard outputs into a
+unit of work; :func:`build_plan` produces the canonical shard list.
+Every shard runs on a :class:`ShardContext` and returns the pair's
+:class:`~repro.simulation.results.FlowSchemeStats` over its time range,
+which is what pool workers send home and the disk cache stores;
+:func:`merge_results` reassembles those stats into a
 :class:`~repro.simulation.results.ReplayResult`.
 
-Every replay runs on a :class:`ShardContext`, and the merge is *exact*
-equality with a serial, unsharded run, not tolerance-based equality:
+The merge is *exact* equality with a serial, unsharded run, not
+tolerance-based equality:
 
-* a full-range shard's totals are the serial loop's totals, because the
-  shard *is* the serial loop;
-* a time shard returns its per-window records, and the merge re-runs
+* a full-range shard's stats are the pair's result, because the shard
+  *is* the serial loop;
+* a time shard's stats carry its per-window records, and the merge re-runs
   ``add_window`` over all windows in chronological order -- the same
   floating-point addition sequence one full-range shard performs;
 * every shard reads its policy's decision timeline over the *whole* trace
@@ -36,12 +39,7 @@ from repro.netmodel.topology import FlowSpec, ServiceSpec
 from repro.routing.base import RoutingPolicy
 from repro.routing.registry import make_policy
 from repro.simulation.interval import _ProbabilityCache, _replay_windows
-from repro.simulation.results import (
-    FlowSchemeStats,
-    ReplayConfig,
-    ReplayResult,
-    WindowRecord,
-)
+from repro.simulation.results import FlowSchemeStats, ReplayConfig, ReplayResult
 from repro.simulation.timeline import (
     DecisionSpan,
     build_decision_timeline,
@@ -52,7 +50,6 @@ from repro.util.validation import fail, require
 
 __all__ = [
     "ShardSpec",
-    "ShardResult",
     "ShardContext",
     "build_plan",
     "merge_results",
@@ -90,101 +87,6 @@ class ShardSpec:
         """Human-readable shard name for telemetry and logs."""
         suffix = "" if self.full_range else f" [{self.index + 1}/{self.of}]"
         return f"{self.scheme}/{self.flow.name}{suffix}"
-
-
-@dataclass
-class ShardResult:
-    """The outcome of one shard: accumulated totals plus window records.
-
-    ``windows`` is ``None`` only for full-range shards whose caller did
-    not ask for window collection; time shards always carry their windows
-    because the merge re-accumulates them chronologically.
-    """
-
-    flow_source: str
-    flow_destination: str
-    scheme: str
-    start_s: float
-    end_s: float
-    index: int
-    of: int
-    duration_s: float
-    unavailable_s: float
-    lost_s: float
-    late_s: float
-    message_seconds: float
-    decision_changes: int
-    windows: list[WindowRecord] | None
-
-    # -- cache serialisation ---------------------------------------------------
-
-    def to_payload(self, key: str) -> dict:
-        """JSON-safe payload for the content-addressed cache."""
-        windows = None
-        if self.windows is not None:
-            windows = [
-                [
-                    w.start_s,
-                    w.end_s,
-                    w.graph_name,
-                    w.graph_edges,
-                    w.on_time_probability,
-                    w.lost_probability,
-                    w.late_probability,
-                ]
-                for w in self.windows
-            ]
-        return {
-            "key": key,
-            "flow": [self.flow_source, self.flow_destination],
-            "scheme": self.scheme,
-            "start_s": self.start_s,
-            "end_s": self.end_s,
-            "index": self.index,
-            "of": self.of,
-            "duration_s": self.duration_s,
-            "unavailable_s": self.unavailable_s,
-            "lost_s": self.lost_s,
-            "late_s": self.late_s,
-            "message_seconds": self.message_seconds,
-            "decision_changes": self.decision_changes,
-            "windows": windows,
-        }
-
-    @classmethod
-    def from_payload(cls, payload: Mapping) -> "ShardResult":
-        """Rebuild a result from its cache payload (raises on bad shape)."""
-        windows = payload["windows"]
-        if windows is not None:
-            windows = [
-                WindowRecord(
-                    float(w[0]),
-                    float(w[1]),
-                    str(w[2]),
-                    int(w[3]),
-                    float(w[4]),
-                    float(w[5]),
-                    float(w[6]),
-                )
-                for w in windows
-            ]
-        flow = payload["flow"]
-        return cls(
-            flow_source=str(flow[0]),
-            flow_destination=str(flow[1]),
-            scheme=str(payload["scheme"]),
-            start_s=float(payload["start_s"]),
-            end_s=float(payload["end_s"]),
-            index=int(payload["index"]),
-            of=int(payload["of"]),
-            duration_s=float(payload["duration_s"]),
-            unavailable_s=float(payload["unavailable_s"]),
-            lost_s=float(payload["lost_s"]),
-            late_s=float(payload["late_s"]),
-            message_seconds=float(payload["message_seconds"]),
-            decision_changes=int(payload["decision_changes"]),
-            windows=windows,
-        )
 
 
 def time_cuts(
@@ -297,8 +199,12 @@ class ShardContext:
 
     def run(
         self, shard: ShardSpec, tracer=None, parent_id: int | None = None
-    ) -> ShardResult:
+    ) -> FlowSchemeStats:
         """Execute one shard: full policy stepping, windowed accumulation.
+
+        Returns the pair's stats over the shard's time range.  For a
+        full-range shard that is the pair's result; a time shard's
+        stats carry its window records for the merge.
 
         ``tracer`` (a :class:`repro.obs.Tracer`, or ``None`` for the
         uninstrumented hot path) records the shard's two phases --
@@ -321,7 +227,8 @@ class ShardContext:
                 parent_id=parent_id, shard=shard.label,
             )
             phase_start = tracer.now()
-        # Records are built only where the result carries them.
+        # A time shard always records its windows: the merge re-accumulates
+        # them.  A full-range shard records them only for the caller.
         collect = not shard.full_range or self.config.collect_windows
         stats = self._accumulate(
             shard.flow, scheme_name, spans, (shard.start_s, shard.end_s), collect
@@ -332,22 +239,7 @@ class ShardContext:
                 parent_id=parent_id, shard=shard.label,
                 decision_changes=stats.decision_changes,
             )
-        return ShardResult(
-            flow_source=shard.flow.source,
-            flow_destination=shard.flow.destination,
-            scheme=scheme_name,
-            start_s=shard.start_s,
-            end_s=shard.end_s,
-            index=shard.index,
-            of=shard.of,
-            duration_s=stats.duration_s,
-            unavailable_s=stats.unavailable_s,
-            lost_s=stats.lost_s,
-            late_s=stats.late_s,
-            message_seconds=stats.message_seconds,
-            decision_changes=stats.decision_changes,
-            windows=stats.windows if collect else None,
-        )
+        return stats
 
     def _decide(self, flow: FlowSpec, policy: RoutingPolicy) -> list[DecisionSpan]:
         """The decision step: ``policy``'s spans over the shared views."""
@@ -390,40 +282,25 @@ class ShardContext:
 
 
 def _merge_pair(
-    flow: FlowSpec,
     shards: Sequence[ShardSpec],
-    results: Mapping[ShardSpec, ShardResult],
+    results: Mapping[ShardSpec, FlowSchemeStats],
     config: ReplayConfig,
 ) -> FlowSchemeStats:
     """Reassemble one (flow, scheme) pair from its time shards."""
     first = results[shards[0]]
-    if len(shards) == 1 and shards[0].full_range:
-        stats = FlowSchemeStats(
-            flow=flow,
-            scheme=first.scheme,
-            duration_s=first.duration_s,
-            unavailable_s=first.unavailable_s,
-            lost_s=first.lost_s,
-            late_s=first.late_s,
-            message_seconds=first.message_seconds,
-        )
-        stats.decision_changes = first.decision_changes
-        if config.collect_windows:
-            require(
-                first.windows is not None,
-                f"shard {shards[0].label} lacks windows for collection",
-            )
-            stats.windows = list(first.windows)
-        return stats
-    stats = FlowSchemeStats(flow=flow, scheme=first.scheme)
+    if shards[0].full_range:
+        return first
+    for shard in shards:
+        if not (results[shard].decision_changes == first.decision_changes):
+            fail(f"inconsistent decision timelines across shards of {shard.label}")
+    stats = FlowSchemeStats(flow=first.flow, scheme=first.scheme)
     stats.decision_changes = first.decision_changes
     for shard in sorted(shards, key=lambda s: s.start_s):
-        result = results[shard]
-        if not (result.decision_changes == first.decision_changes):
-            fail(f"inconsistent decision timelines across shards of {shard.label}")
-        if not (result.windows is not None):
+        windows = results[shard].windows
+        # Cuts fall on decision boundaries, so a time shard has a window.
+        if not windows:
             fail(f"time shard {shard.label} is missing its window records")
-        for window in result.windows:
+        for window in windows:
             stats.add_window(
                 window.start_s,
                 window.end_s,
@@ -441,7 +318,7 @@ def merge_results(
     service: ServiceSpec,
     config: ReplayConfig,
     plan: Sequence[ShardSpec],
-    results: Mapping[ShardSpec, ShardResult],
+    results: Mapping[ShardSpec, FlowSchemeStats],
 ) -> ReplayResult:
     """Deterministic merge: shard outputs -> one :class:`ReplayResult`.
 
@@ -457,5 +334,5 @@ def merge_results(
     for shard in plan:
         groups.setdefault((shard.scheme, shard.flow.name), []).append(shard)
     for shards in groups.values():
-        merged.add(_merge_pair(shards[0].flow, shards, results, config))
+        merged.add(_merge_pair(shards, results, config))
     return merged

@@ -139,11 +139,6 @@ class Scenario:
             "partial loss range must satisfy 0 < low <= high <= 1",
         )
 
-    @property
-    def duration_days(self) -> float:
-        """Trace length in days."""
-        return self.duration_s / DAY_S
-
 
 def _event_times(
     stream: DeterministicStream, rate_per_day: float, duration_s: float, kind: str

@@ -91,10 +91,6 @@ class FlowSpec:
         """Canonical flow name, e.g. ``"NYC->SJC"``."""
         return f"{self.source}->{self.destination}"
 
-    def as_tuple(self) -> tuple[NodeId, NodeId]:
-        """The flow as a ``(source, destination)`` pair."""
-        return (self.source, self.destination)
-
 
 @dataclass(frozen=True)
 class ServiceSpec:

@@ -24,7 +24,7 @@ from __future__ import annotations
 import math
 import re
 from dataclasses import dataclass, field
-from typing import Iterable, Mapping
+from typing import Mapping
 
 from repro.obs.metrics import Counter, Gauge, Histogram, MetricsRegistry
 from repro.util.validation import require
@@ -38,7 +38,6 @@ __all__ = [
     "parse_exposition",
     "sample_value",
     "histogram_quantile",
-    "families_with_prefix",
 ]
 
 #: The Content-Type a conforming scraper expects from ``/v1/metrics``.
@@ -68,10 +67,6 @@ def _format_value(value: float) -> str:
     if float(value).is_integer() and abs(value) < 1e15:
         return str(int(value))
     return repr(float(value))
-
-
-def _escape_label(value: str) -> str:
-    return value.replace("\\", "\\\\").replace('"', '\\"').replace("\n", "\\n")
 
 
 def render_exposition(registry: MetricsRegistry) -> str:
@@ -255,12 +250,3 @@ def histogram_quantile(family: Family, q: float) -> float | None:
             return bound
     return max(finite) if finite else math.inf
 
-
-def families_with_prefix(
-    families: Mapping[str, Family], dotted_prefix: str
-) -> Iterable[Family]:
-    """Families whose exported name matches a dotted registry prefix."""
-    prefix = metric_name(dotted_prefix)
-    return (
-        family for name, family in families.items() if name.startswith(prefix)
-    )

@@ -29,6 +29,7 @@ memo is exact by construction.
 from __future__ import annotations
 
 import threading
+from concurrent.futures import Future
 from typing import Hashable
 
 from repro.core.graph import Topology
@@ -51,9 +52,11 @@ class ContextCache:
     ``get`` returns ``(context, warm)`` where ``warm`` says whether the
     context (and therefore its probability memo) was already resident.
     Building a context is expensive (one delta walk over the whole
-    trace), so it happens outside the lock; when two threads race to
-    build the same key, the first stored entry wins and both callers
-    share it.
+    trace), so it happens outside the lock, and each key is built by
+    one thread at a time: a ``get`` that finds its key being built
+    waits for that build and counts as a hit.  Every miss is one build
+    that entered the LRU, so ``misses == entries + evictions``.  If a
+    build raises, its waiters are released and try again.
 
     The recipe index maps a trace recipe to the key of the resident
     context it built and the event count of its trace.  It holds at most
@@ -67,6 +70,9 @@ class ContextCache:
         require(capacity >= 1, f"context capacity must be >= 1, got {capacity}")
         self.capacity = capacity
         self._entries: dict[str, ShardContext] = {}
+        # Builds in flight; each future resolves to the built context,
+        # or to None if the build raised.
+        self._building: dict[str, Future] = {}
         self._recipes: dict[Hashable, tuple[str, int]] = {}
         self._lock = threading.Lock()
         self.hits = 0
@@ -82,17 +88,33 @@ class ContextCache:
     ) -> tuple[ShardContext, bool]:
         """The warm context for these inputs, building it on first use."""
         key = context_key(topology, timeline, service, config)
+        while True:
+            with self._lock:
+                resident = self._entries.pop(key, None)
+                if resident is not None:
+                    self._entries[key] = resident  # most recently used
+                    self.hits += 1
+                    return resident, True
+                pending = self._building.get(key)
+                if pending is None:
+                    pending = self._building[key] = Future()
+                    break
+            built = pending.result()
+            if built is not None:
+                with self._lock:
+                    self.hits += 1
+                return built, True
+            # The build raised: try again, as the builder or a waiter.
+        try:
+            built = ShardContext(topology, timeline, service, config)
+        except BaseException:
+            with self._lock:
+                del self._building[key]
+            pending.set_result(None)
+            raise
         with self._lock:
-            resident = self._entries.pop(key, None)
-            if resident is not None:
-                self._entries[key] = resident  # most recently used
-                self.hits += 1
-                return resident, True
-        built = ShardContext(topology, timeline, service, config)
-        with self._lock:
-            existing = self._entries.pop(key, None)
-            resident = existing if existing is not None else built
-            self._entries[key] = resident
+            del self._building[key]
+            self._entries[key] = built
             self.misses += 1
             while len(self._entries) > self.capacity:
                 oldest = next(iter(self._entries))
@@ -103,7 +125,8 @@ class ContextCache:
                     for recipe, known in self._recipes.items()
                     if known[0] != oldest
                 }
-        return resident, existing is not None
+        pending.set_result(built)
+        return built, False
 
     def resident_trace(
         self, recipe: Hashable

@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import json
 
-from repro.exec.cache import ResultCache
+from repro.exec.cache import ResultCache, to_payload
 from repro.exec.hashing import (
     canonical_json,
     code_fingerprint,
@@ -12,21 +12,16 @@ from repro.exec.hashing import (
     shard_key,
     stable_hash,
 )
-from repro.exec.plan import ShardResult
+from repro.exec.plan import ShardSpec
 from repro.netmodel.conditions import ConditionTimeline, Contribution, LinkState
 from repro.netmodel.topology import FlowSpec, ServiceSpec, build_reference_topology
-from repro.simulation.results import ReplayConfig, WindowRecord
+from repro.simulation.results import FlowSchemeStats, ReplayConfig, WindowRecord
 
 
-def sample_result(windows: bool = True) -> ShardResult:
-    return ShardResult(
-        flow_source="S",
-        flow_destination="T",
+def sample_result(windows: bool = True) -> FlowSchemeStats:
+    return FlowSchemeStats(
+        flow=FlowSpec("S", "T"),
         scheme="targeted",
-        start_s=0.0,
-        end_s=600.0,
-        index=0,
-        of=2,
         duration_s=600.0,
         unavailable_s=1.25,
         lost_s=1.0,
@@ -36,7 +31,7 @@ def sample_result(windows: bool = True) -> ShardResult:
         windows=(
             [WindowRecord(0.0, 300.0, "targeted", 4, 0.999, 0.0005, 0.0005)]
             if windows
-            else None
+            else []
         ),
     )
 
@@ -134,7 +129,7 @@ class TestEntryFormat:
         cache = ResultCache(tmp_path)
         cache.store(KEY, sample_result())
         text = cache._path(KEY).read_text()
-        payload = sample_result().to_payload(KEY)
+        payload = to_payload(KEY, sample_result())
         wrapper = json.loads(text)
         assert wrapper["sha256"] == stable_hash(payload)
         assert text == canonical_json(
@@ -159,7 +154,7 @@ class TestEntryFormat:
         cache = ResultCache(tmp_path)
         path = cache._path(KEY)
         path.parent.mkdir(parents=True)
-        payload = sample_result().to_payload(KEY)
+        payload = to_payload(KEY, sample_result())
         path.write_text(
             json.dumps({"sha256": stable_hash(payload), "payload": payload})
         )
@@ -181,7 +176,7 @@ class TestEntryFormat:
         monkeypatch.setattr(json.JSONEncoder, "iterencode", counting)
         cache.store(KEY, sample_result())
         monkeypatch.undo()
-        assert encodes == [sample_result().to_payload(KEY)]
+        assert encodes == [to_payload(KEY, sample_result())]
         assert cache.load(KEY) == sample_result()
 
 
@@ -219,9 +214,9 @@ class TestKeys:
         topology, timeline = self.make_context()
         context = context_key(topology, timeline, ServiceSpec(), ReplayConfig())
         flow = FlowSpec("NYC", "SJC")
-        a = shard_key(context, flow, "targeted", 0.0, 500.0, 0, 2)
-        b = shard_key(context, flow, "targeted", 500.0, 1000.0, 1, 2)
-        c = shard_key(context, flow, "flooding", 0.0, 500.0, 0, 2)
+        a = shard_key(context, ShardSpec(flow, "targeted", 0.0, 500.0, 0, 2))
+        b = shard_key(context, ShardSpec(flow, "targeted", 500.0, 1000.0, 1, 2))
+        c = shard_key(context, ShardSpec(flow, "flooding", 0.0, 500.0, 0, 2))
         assert len({a, b, c}) == 3
 
     def test_code_fingerprint_env_override(self, monkeypatch):

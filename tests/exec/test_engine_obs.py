@@ -61,6 +61,23 @@ class TestShardSpans:
         assert all(s.args["mode"] == "serial" for s in shards)
         assert all(s.duration_s >= 0.0 for s in shards)
 
+    def test_serial_shards_record_their_phases(self):
+        """A serial shard records the same two phases a pooled one does,
+        each inside its ``shard`` span."""
+        obs = Observability()
+        _run(obs, time_shards=2)
+        spans = obs.tracer.spans
+        shards = [s for s in spans if s.name == "shard"]
+        assert shards
+        for shard in shards:
+            children = [s for s in spans if s.parent_id == shard.span_id]
+            assert sorted(s.name for s in children) == [
+                "shard.policy", "shard.windows",
+            ]
+            for child in children:
+                assert shard.start_s - 1e-6 <= child.start_s
+                assert child.end_s <= shard.end_s + 1e-6
+
     def test_cache_hits_become_instants(self, tmp_path):
         _run(None, cache_dir=tmp_path, use_cache=True)
         obs = Observability()

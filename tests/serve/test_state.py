@@ -2,6 +2,9 @@
 
 from __future__ import annotations
 
+import sys
+import threading
+import time
 from dataclasses import replace
 
 import pytest
@@ -13,7 +16,7 @@ from repro.netmodel.topology import (
     build_reference_topology,
     reference_flows,
 )
-from repro.serve import session
+from repro.serve import session, state
 from repro.serve.schema import EvaluateRequest
 from repro.serve.state import ContextCache, ServeRuntime
 from repro.simulation.results import ReplayConfig
@@ -99,6 +102,120 @@ class TestContextCache:
         assert totals["hits"] == 5
         assert totals["misses"] == 2
         assert set(totals) == set(context.probability_cache.counters())
+
+
+def _small_timelines(topology, count: int):
+    from repro.netmodel.conditions import ConditionTimeline, Contribution, LinkState
+
+    return [
+        ConditionTimeline(
+            topology,
+            600.0,
+            [Contribution(("NYC", "CHI"), 10.0, 60.0 + index, LinkState(0.4))],
+        )
+        for index in range(count)
+    ]
+
+
+def _run_threads(target, count: int) -> None:
+    threads = [threading.Thread(target=target, args=(lane,)) for lane in range(count)]
+    for thread in threads:
+        thread.start()
+    for thread in threads:
+        thread.join(timeout=60.0)
+    assert not any(thread.is_alive() for thread in threads)
+
+
+class TestConcurrentBuilds:
+    """However many requests race for a key, its context is built once.
+
+    The context build is replaced by a slow stand-in, so the races the
+    daemon's worker threads can run into happen on every run.
+    """
+
+    def test_racing_gets_share_one_build(self, topology, monkeypatch):
+        builds = []
+
+        def slow_build(*_inputs):
+            time.sleep(0.05)
+            builds.append(object())
+            return builds[-1]
+
+        monkeypatch.setattr(state, "ShardContext", slow_build)
+        cache = ContextCache(capacity=2)
+        (timeline,) = _small_timelines(topology, 1)
+        barrier = threading.Barrier(8)
+        got = []
+
+        def worker(_lane):
+            barrier.wait(timeout=10.0)
+            got.append(cache.get(topology, timeline, ServiceSpec(), ReplayConfig()))
+
+        _run_threads(worker, 8)
+        assert len(builds) == 1
+        assert cache.counters() == {
+            "hits": 7, "misses": 1, "evictions": 0, "entries": 1,
+        }
+        assert all(context is builds[0] for context, _warm in got)
+        assert sorted(warm for _context, warm in got) == [False] + [True] * 7
+
+    def test_every_miss_is_one_entry_under_thrash(self, topology, monkeypatch):
+        def slow_build(*_inputs):
+            time.sleep(0.002)
+            return object()
+
+        monkeypatch.setattr(state, "ShardContext", slow_build)
+        timelines = _small_timelines(topology, 4)
+        cache = ContextCache(capacity=2)
+
+        def worker(lane):
+            for step in range(40):
+                timeline = timelines[(lane + step // 3) % 4]
+                cache.get(topology, timeline, ServiceSpec(), ReplayConfig())
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            _run_threads(worker, 8)
+        finally:
+            sys.setswitchinterval(interval)
+        counters = cache.counters()
+        assert counters["hits"] + counters["misses"] == 8 * 40
+        assert counters["misses"] == counters["entries"] + counters["evictions"]
+
+    def test_raising_build_releases_its_waiters(self, topology, monkeypatch):
+        lock, calls = threading.Lock(), []
+
+        def first_build_fails(*_inputs):
+            with lock:
+                first = not calls
+                calls.append(None)
+            time.sleep(0.05)
+            if first:
+                raise RuntimeError("build failed")
+            return object()
+
+        monkeypatch.setattr(state, "ShardContext", first_build_fails)
+        cache = ContextCache(capacity=2)
+        (timeline,) = _small_timelines(topology, 1)
+        barrier = threading.Barrier(4)
+        got, errors = [], []
+
+        def worker(_lane):
+            barrier.wait(timeout=10.0)
+            try:
+                got.append(
+                    cache.get(topology, timeline, ServiceSpec(), ReplayConfig())
+                )
+            except RuntimeError as error:
+                errors.append(error)
+
+        _run_threads(worker, 4)
+        assert len(errors) == 1
+        assert len(got) == 3
+        assert len({id(context) for context, _warm in got}) == 1
+        counters = cache.counters()
+        assert (counters["misses"], counters["entries"]) == (1, 1)
 
 
 REQUEST = EvaluateRequest(

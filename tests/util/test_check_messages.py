@@ -16,7 +16,7 @@ import pytest
 from repro.core.detection import ProblemClassifier, ProblemDetector
 from repro.core.dgraph import DisseminationGraph
 from repro.core.graph import Topology
-from repro.exec.plan import ShardResult, ShardSpec, build_plan, merge_results
+from repro.exec.plan import ShardSpec, build_plan, merge_results
 from repro.netmodel.conditions import ConditionTimeline, Contribution, LinkState
 from repro.netmodel.topology import FlowSpec, ServiceSpec
 from repro.routing.registry import make_policy
@@ -27,7 +27,7 @@ from repro.simulation.reliability import (
     classify_recovery_states,
     index_graph,
 )
-from repro.simulation.results import ReplayConfig
+from repro.simulation.results import FlowSchemeStats, ReplayConfig
 from repro.simulation.timeline import build_decision_timeline
 from repro.util.validation import (
     ValidationError,
@@ -116,9 +116,8 @@ def _merge_time_shards(decision_changes: tuple[int, int], windows):
         ShardSpec(FLOW, "flooding", 1.0, 2.0, 1, 2),
     ]
     results = {
-        shard: ShardResult(
-            "S", "T", "flooding", shard.start_s, shard.end_s, shard.index, 2,
-            1.0, 0.0, 0.0, 0.0, 1.0, changes, windows,
+        shard: FlowSchemeStats(
+            FLOW, "flooding", 1.0, 0.0, 0.0, 0.0, 1.0, changes, windows
         )
         for shard, changes in zip(plan, decision_changes)
     }
@@ -261,7 +260,7 @@ CASES = [
         "inconsistent decision timelines across shards of flooding/S->T [2/2]",
     ),
     _case(
-        lambda: _merge_time_shards((0, 0), None),
+        lambda: _merge_time_shards((0, 0), []),
         "time shard flooding/S->T [1/2] is missing its window records",
     ),
 ]
