@@ -67,7 +67,8 @@ def test_e1_unavailability_attribution(benchmark):
         share = 100 * seconds / total if total else 0.0
         print(f"  {category:20s} {seconds:10.1f} s   {share:5.1f}%")
     endpoint = total - attribution["middle"] - attribution["none"]
+    endpoint_share = 100 * endpoint / total if total else 0.0
     print(
-        f"  => {100 * endpoint / total:.1f}% of two-disjoint failures involve "
+        f"  => {endpoint_share:.1f}% of two-disjoint failures involve "
         "a source/destination problem (paper: 'typically')"
     )

@@ -4,8 +4,8 @@ Subcommands mirror the evaluation workflow:
 
 * ``generate-trace`` -- synthesise a multi-week condition trace to a file;
 * ``evaluate`` -- replay all schemes over a trace (or a fresh one) and
-  print the headline performance and cost tables; ``--workers``,
-  ``--time-shards`` and ``--no-cache`` control the execution engine;
+  print the headline performance and cost tables; ``--workers`` and
+  ``--no-cache`` control the execution engine;
 * ``classify`` -- print the problem-classification distribution of a
   trace (experiment E1);
 * ``graphs`` -- print every dissemination-graph family for one flow;
@@ -204,12 +204,6 @@ def _add_evaluate_arguments(parser: argparse.ArgumentParser) -> None:
         "serial; a served request is capped at the daemon's --workers)",
     )
     parser.add_argument(
-        "--time-shards",
-        type=int,
-        default=1,
-        help="additionally cut each (flow, scheme) pair into this many time shards",
-    )
-    parser.add_argument(
         "--no-cache",
         action="store_true",
         help="bypass the content-addressed result cache",
@@ -226,7 +220,6 @@ def _evaluate_request(args: argparse.Namespace):
         preset=args.preset,
         deadline_ms=args.deadline_ms,
         detection_delay_s=args.detection_delay_s,
-        time_shards=args.time_shards,
         workers=args.workers,
         schemes=_split_names(args.schemes),
         flows=_split_names(args.flows),

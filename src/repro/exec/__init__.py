@@ -3,10 +3,10 @@
 The execution engine (subsystem S17) runs every replay, ``run_replay``
 included, as a shard-and-merge job:
 
-* :mod:`repro.exec.plan` -- decompose a replay into independent
-  (flow, scheme[, time window]) shards, run each on a ``ShardContext``
-  into the pair's ``FlowSchemeStats``, and merge those back into a
-  ``ReplayResult`` that is *exactly* equal to a serial, unsharded run's;
+* :mod:`repro.exec.plan` -- decompose a replay into one shard per
+  (flow, scheme) pair, run each on a ``ShardContext`` into the pair's
+  ``FlowSchemeStats``, and merge those into a ``ReplayResult`` that is
+  *exactly* equal to a serial run's;
 * :mod:`repro.exec.engine` -- run every shard through one runner, on a
   process pool with retry, per-shard timeout, and graceful serial
   fallback, or in-process;

@@ -1,13 +1,12 @@
 """Content-addressed disk cache for shard results.
 
-A shard's result is the pair's
-:class:`~repro.simulation.results.FlowSchemeStats` over the shard's time
-range.  Its payload (:func:`to_payload`) holds the entry's own ``key``,
-the ``flow`` as ``[source, destination]``, the ``scheme``, the five
-accumulated totals, ``decision_changes`` and the ``windows`` as
-seven-element lists in :class:`~repro.simulation.results.WindowRecord`
-field order (empty when the shard recorded none).  The shard's position
-on the time axis is not stored: the key already pins it.
+A shard's result is its (flow, scheme) pair's
+:class:`~repro.simulation.results.FlowSchemeStats`.  Its payload
+(:func:`to_payload`) holds the entry's own ``key``, the ``flow`` as
+``[source, destination]``, the ``scheme``, the five accumulated totals,
+``decision_changes`` and the ``windows`` as seven-element lists in
+:class:`~repro.simulation.results.WindowRecord` field order (empty when
+the shard recorded none).
 
 Entries live under ``<root>/<key[:2]>/<key>.json``; the root defaults to
 ``$REPRO_EXEC_CACHE_DIR`` or ``~/.cache/repro-dgraphs/exec``.  An entry
@@ -16,9 +15,9 @@ whose digest is :func:`~repro.util.digest.stable_hash` of the payload:
 the SHA-256 of the payload's canonical bytes, which is exactly what the
 entry holds between its fixed head and tail.  A load checks that
 framing, hashes the payload bytes as stored and parses them only if the
-digest matches; any mismatch or decode error discards (and deletes) the
-entry, so a corrupted, truncated or non-canonical file is recomputed,
-never trusted.
+digest matches; any mismatch, decode error or payload that is not an
+object of the stored shape discards (and deletes) the entry, so a
+corrupted, truncated or non-canonical file is recomputed, never trusted.
 
 Writes go through a temporary file plus ``os.replace`` so a crashed
 writer can at worst leave a stale temp file, never a half-written entry
@@ -188,6 +187,8 @@ class ResultCache:
             if digest != data[_DIGEST_AT:-len(_END)]:
                 raise ValueError("payload digest mismatch")
             payload = json.loads(body)
+            if not isinstance(payload, dict):
+                raise ValueError("payload is not a JSON object")
             if payload.get("key") != key:
                 raise ValueError("entry key mismatch")
             stats = from_payload(payload)

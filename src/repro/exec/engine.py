@@ -5,7 +5,7 @@
 disk cache (:mod:`repro.exec.cache`) when allowed, runs the remainder on
 a ``ProcessPoolExecutor`` or in-process, and merges shard outputs into
 a :class:`~repro.simulation.results.ReplayResult` that is bitwise the
-same whatever the worker count, sharding or cache.
+same whatever the worker count or cache.
 
 Failure handling is layered: a shard that raises (or whose worker dies,
 or that exceeds the per-shard timeout) is retried up to ``retries``
@@ -238,7 +238,6 @@ def run_replay_parallel(
     config: ReplayConfig = ReplayConfig(),
     *,
     max_workers: int | None = None,
-    time_shards: int = 1,
     use_cache: bool = True,
     cache: ResultCache | None = None,
     cache_dir: str | None = None,
@@ -252,7 +251,7 @@ def run_replay_parallel(
     """Replay every flow under every scheme via the execution engine.
 
     Returns ``(result, telemetry)``; ``result`` is bitwise the same for
-    any workers, shards and cache.  ``max_workers=None`` uses the
+    any workers and cache.  ``max_workers=None`` uses the
     machine's core count; ``0`` runs serially in-process.
 
     ``obs`` (an :class:`repro.obs.Observability`) records shard spans,
@@ -288,11 +287,10 @@ def run_replay_parallel(
         root_span_id = obs.tracer.open(
             ("replay", label), "replay", "exec", label=label
         ).span_id
-    plan = build_plan(timeline, flows, scheme_names, config, time_shards)
+    plan = build_plan(flows, scheme_names)
     telemetry = ExecTelemetry(
         label=label,
         workers=max_workers,
-        time_shards=time_shards,
         shards_total=len(plan),
         kernel_backend=kernel.active_backend(),
     )

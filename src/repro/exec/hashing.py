@@ -3,10 +3,9 @@
 A shard's cache key must change whenever anything that could change its
 output changes: the topology (nodes, link latencies/costs), the compiled
 condition timeline, the flow, the scheme, the service spec, the replay
-config, the shard window -- and the code itself.  The code component is
-a digest over every ``.py`` file of the installed ``repro`` package, so
-editing any engine module invalidates prior results rather than serving
-stale ones.
+config -- and the code itself.  The code component is a digest over
+every ``.py`` file of the installed ``repro`` package, so editing any
+engine module invalidates prior results rather than serving stale ones.
 
 Hashes are built from canonical JSON (sorted keys, no whitespace; see
 :mod:`repro.util.digest`).  Python's ``repr``-based float serialisation
@@ -103,15 +102,11 @@ def context_key(
 
 
 def shard_key(context: str, shard: ShardSpec) -> str:
-    """Content-addressed key of one shard within a replay context."""
+    """Content-addressed key of one shard's pair within a replay context."""
     return stable_hash(
         {
             "context": context,
             "flow": [shard.flow.source, shard.flow.destination],
             "scheme": shard.scheme,
-            "start_s": shard.start_s,
-            "end_s": shard.end_s,
-            "index": shard.index,
-            "of": shard.of,
         }
     )

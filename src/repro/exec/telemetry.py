@@ -60,7 +60,6 @@ class ExecTelemetry:
 
     label: str = "replay"
     workers: int = 0
-    time_shards: int = 1
     shards_total: int = 0
     shards_run: int = 0
     shards_cached: int = 0
@@ -175,12 +174,11 @@ class ExecTelemetry:
 
 
 #: The fields :func:`aggregate_telemetry` sums: every numeric one except
-#: the worker and time-shard settings, which aggregate as a maximum.
+#: the worker setting, which aggregates as a maximum.
 _SUMMED_FIELDS = tuple(
     spec.name
     for spec in fields(ExecTelemetry)
-    if isinstance(spec.default, (int, float))
-    and spec.name not in ("workers", "time_shards")
+    if isinstance(spec.default, (int, float)) and spec.name != "workers"
 )
 
 
@@ -225,7 +223,6 @@ def aggregate_telemetry(
     total = ExecTelemetry(
         label=label or f"session ({len(records)} runs)",
         workers=max(t.workers for t in records),
-        time_shards=max(t.time_shards for t in records),
         kernel_backend=records[-1].kernel_backend,
     )
     for telemetry in records:

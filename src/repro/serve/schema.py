@@ -160,7 +160,6 @@ class EvaluateRequest:
     preset: str = "default"
     deadline_ms: float = 65.0
     detection_delay_s: float = 1.0
-    time_shards: int = 1
     workers: int = 0
     schemes: tuple[str, ...] | None = None  # None = the standard six
     flows: tuple[str, ...] | None = None  # None = all 16 reference flows
@@ -185,7 +184,6 @@ class EvaluateRequest:
         _check_str(self.preset, "preset")
         _check_float(self.deadline_ms, "deadline_ms", positive=True)
         _check_float(self.detection_delay_s, "detection_delay_s", minimum=0.0)
-        _check_int(self.time_shards, "time_shards", minimum=1)
         _check_int(self.workers, "workers", minimum=0)
         _check_names(self.schemes, "schemes")
         _check_names(self.flows, "flows")

@@ -191,7 +191,6 @@ def run_evaluate(
             schemes,
             config,
             max_workers=request.workers,
-            time_shards=request.time_shards,
             use_cache=cache is not None,
             cache=cache,
             label=label,

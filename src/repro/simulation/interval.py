@@ -18,8 +18,7 @@ Three layers of reuse keep multi-week replays fast:
 * probability computations are memoised on a *canonical* key -- the
   graph relabeled to a deterministic node order plus its effective
   per-edge latency/loss vectors -- so congruent graphs under congruent
-  conditions share one entry across windows, flows, schemes and time
-  shards;
+  conditions share one entry across windows, flows and schemes;
 * the memo is LRU-bounded (``$REPRO_PROB_CACHE_MAX_BYTES``) so pool
   workers cannot creep without limit on multi-week replays.
 
@@ -147,9 +146,9 @@ class _ProbabilityCache:
     sorted-name order and the conditions are reduced to per-slot effective
     latency and loss vectors.  Two congruent situations -- the same shape
     under an order-preserving node relabeling, with identical effective
-    latencies and losses -- therefore share one entry across flows,
-    schemes and time shards, where the historical raw key (edge set +
-    endpoints + conditions) could never hit across endpoint pairs.
+    latencies and losses -- therefore share one entry across flows and
+    schemes, where the historical raw key (edge set + endpoints +
+    conditions) could never hit across endpoint pairs.
 
     Sharing is bitwise-safe: the probability computation consumes the
     graph only through its sorted-edge order, per-edge latency/loss
@@ -616,7 +615,6 @@ def _replay_windows(
     actual_deltas: Sequence[frozenset[Edge]],
     group: str,
     collect: bool,
-    shard_range: tuple[float, float],
 ) -> None:
     """The engine's window loop: every replay accumulates through it.
 
@@ -628,11 +626,6 @@ def _replay_windows(
     reuse the previous window's probabilities -- the object a fresh
     lookup would return), and those computed windows ride a single
     batched cache call so loss-only runs hit the vector kernel once.
-
-    Only windows overlapping ``shard_range`` (``[start, end)``) are
-    accumulated; a skipped window breaks the delta chain (the held
-    probabilities no longer describe the previous window), so the next
-    accumulated window starts a fresh run.
     """
     run: list[tuple[int, float, float, DisseminationGraph]] = []
 
@@ -641,8 +634,8 @@ def _replay_windows(
             return
         graph = run[0][3]
         # The first window of a run always computes: a run starts at a
-        # graph change, a shard skip, or the trace start, all of which
-        # break the reuse chain.
+        # graph change or the trace start, both of which break the reuse
+        # chain.
         compute_at = [0]
         for offset in range(1, len(run)):
             index = run[offset][0]
@@ -678,9 +671,6 @@ def _replay_windows(
         run.clear()
 
     for index, (start, end, graph) in enumerate(_iter_windows(boundaries, spans)):
-        if end <= shard_range[0] or start >= shard_range[1]:
-            flush()
-            continue
         if run and graph != run[0][3]:
             flush()
         run.append((index, start, end, graph))
@@ -714,7 +704,6 @@ def run_replay(
     config: ReplayConfig = ReplayConfig(),
     *,
     max_workers: int | None = 0,
-    time_shards: int = 1,
     use_cache: bool = False,
 ) -> ReplayResult:
     """Replay every flow under every scheme; the evaluation workhorse.
@@ -722,8 +711,8 @@ def run_replay(
     One :func:`repro.exec.engine.run_replay_parallel` call, recorded in
     the current telemetry session: serial and in-process unless
     ``max_workers`` asks for a pool (``None`` = one worker per core).
-    The result is bitwise the same under every ``max_workers``,
-    ``time_shards`` and ``use_cache``.
+    The result is bitwise the same under every ``max_workers`` and
+    ``use_cache``.
     """
     from repro.exec.engine import run_replay_parallel
 
@@ -735,7 +724,6 @@ def run_replay(
         scheme_names,
         config,
         max_workers=max_workers,
-        time_shards=time_shards,
         use_cache=use_cache,
     )
     return result

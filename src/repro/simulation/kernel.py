@@ -32,8 +32,8 @@ regardless of call shape:
   :data:`VECTOR_MIN_CASES` enumeration cases -- a property of the
   *classification*, never of the batch size -- so a given
   ``(classification, losses)`` pair always takes the same code path and
-  yields the same bits whether it is computed alone, inside a batch, in
-  a pool worker, or in a time shard;
+  yields the same bits whether it is computed alone, inside a batch, or
+  in a pool worker;
 * a batched row is computed with row-independent array operations, so
   ``totals(rows)[i]`` is bitwise-equal to the one-row call on
   ``rows[i]``.

@@ -4,6 +4,8 @@ from __future__ import annotations
 
 import json
 
+import pytest
+
 from repro.exec.cache import ResultCache, to_payload
 from repro.exec.hashing import (
     canonical_json,
@@ -164,6 +166,24 @@ class TestEntryFormat:
         cache.store(KEY, sample_result())
         assert cache.load(KEY) == sample_result()
 
+    @pytest.mark.parametrize(
+        "payload", ([KEY], KEY, 7, None), ids=("list", "string", "number", "null")
+    )
+    def test_non_object_payload_is_corrupt(self, tmp_path, payload):
+        """A canonical entry with a correct digest whose payload is not a
+        JSON object is deleted and recomputed, not raised out of ``load``."""
+        cache = ResultCache(tmp_path)
+        path = cache._path(KEY)
+        path.parent.mkdir(parents=True)
+        path.write_text(
+            canonical_json({"payload": payload, "sha256": stable_hash(payload)})
+        )
+        assert cache.load(KEY) is None
+        assert cache.corrupt == 1
+        assert not path.exists()
+        cache.store(KEY, sample_result())
+        assert cache.load(KEY) == sample_result()
+
     def test_store_encodes_its_payload_once(self, tmp_path, monkeypatch):
         encodes = []
         original = json.JSONEncoder.iterencode
@@ -210,14 +230,23 @@ class TestKeys:
         other_timeline = ConditionTimeline(topology, 1000.0, [])
         assert base != context_key(topology, other_timeline, service, config)
 
-    def test_shard_key_distinguishes_windows(self):
+    def test_shard_key_distinguishes_pairs(self):
         topology, timeline = self.make_context()
         context = context_key(topology, timeline, ServiceSpec(), ReplayConfig())
-        flow = FlowSpec("NYC", "SJC")
-        a = shard_key(context, ShardSpec(flow, "targeted", 0.0, 500.0, 0, 2))
-        b = shard_key(context, ShardSpec(flow, "targeted", 500.0, 1000.0, 1, 2))
-        c = shard_key(context, ShardSpec(flow, "flooding", 0.0, 500.0, 0, 2))
-        assert len({a, b, c}) == 3
+        other_context = context_key(
+            topology, timeline, ServiceSpec(deadline_ms=50.0), ReplayConfig()
+        )
+        flow, reverse = FlowSpec("NYC", "SJC"), FlowSpec("SJC", "NYC")
+        keys = {
+            shard_key(context, ShardSpec(flow, "targeted")),
+            shard_key(context, ShardSpec(reverse, "targeted")),
+            shard_key(context, ShardSpec(flow, "flooding")),
+            shard_key(other_context, ShardSpec(flow, "targeted")),
+        }
+        assert len(keys) == 4
+        assert shard_key(context, ShardSpec(flow, "targeted")) == shard_key(
+            context, ShardSpec(FlowSpec("NYC", "SJC"), "targeted")
+        )
 
     def test_code_fingerprint_env_override(self, monkeypatch):
         monkeypatch.setenv("REPRO_EXEC_CODE_VERSION", "pinned-for-test")

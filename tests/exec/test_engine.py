@@ -305,10 +305,12 @@ class TestRealProcessPool:
 
 
 class TestRunReplayPassthrough:
-    def test_run_replay_parallel_flag_matches_serial(self):
+    def test_run_replay_parallel_flag_matches_serial(self, tmp_path, monkeypatch):
         """``run_replay``'s engine options pass through to the engine."""
+        monkeypatch.setenv("REPRO_EXEC_CACHE_DIR", str(tmp_path))
         topology, timeline, flows, service = small_case()
         serial = run_replay(topology, timeline, flows, service, SMALL_SCHEMES)
+        assert not list(tmp_path.glob("*/*.json"))
         routed = run_replay(
             topology,
             timeline,
@@ -316,6 +318,8 @@ class TestRunReplayPassthrough:
             service,
             SMALL_SCHEMES,
             max_workers=0,
-            time_shards=2,
+            use_cache=True,
         )
         assert_exactly_equal(serial, routed)
+        entries = list(tmp_path.glob("*/*.json"))
+        assert len(entries) == len(flows) * len(SMALL_SCHEMES)

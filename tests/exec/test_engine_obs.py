@@ -65,7 +65,7 @@ class TestShardSpans:
         """A serial shard records the same two phases a pooled one does,
         each inside its ``shard`` span."""
         obs = Observability()
-        _run(obs, time_shards=2)
+        _run(obs)
         spans = obs.tracer.spans
         shards = [s for s in spans if s.name == "shard"]
         assert shards

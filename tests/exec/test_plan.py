@@ -1,4 +1,4 @@
-"""Shard/merge equivalence: sharded output is exactly the reference replay's."""
+"""Shard/merge equivalence: the engine's output is exactly the reference replay's."""
 
 from __future__ import annotations
 
@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 
 from repro.core.graph import Topology
 from repro.exec.engine import run_replay_parallel
-from repro.exec.plan import build_plan, time_cuts
+from repro.exec.plan import build_plan
 from repro.netmodel.conditions import ConditionTimeline, Contribution, LinkState
 from repro.netmodel.scenarios import WEEK_S, Scenario, generate_timeline
 from repro.netmodel.topology import (
@@ -60,8 +60,8 @@ def braided_topology() -> Topology:
     return topology.freeze()
 
 
-def run_both(topology, timeline, flows, service, config, time_shards):
-    """(independent reference replay, in-process sharded engine run)."""
+def run_both(topology, timeline, flows, service, config):
+    """(independent reference replay, in-process engine run)."""
     serial = reference_run_replay(
         topology, timeline, flows, service, SMALL_SCHEMES, config
     )
@@ -73,46 +73,21 @@ def run_both(topology, timeline, flows, service, config, time_shards):
         SMALL_SCHEMES,
         config,
         max_workers=0,
-        time_shards=time_shards,
         use_cache=False,
     )
     return serial, sharded
 
 
 class TestPlan:
-    def test_time_cuts_align_with_boundaries(self):
-        topology = braided_topology()
-        timeline = ConditionTimeline(
-            topology,
-            600.0,
-            [
-                Contribution(("S", "A"), 50.0, 100.0, LinkState(loss_rate=0.5)),
-                Contribution(("B", "T"), 200.0, 400.0, LinkState(loss_rate=0.9)),
-            ],
-        )
-        cuts = time_cuts(timeline, 1.0, 4)
-        assert cuts[0] == 0.0
-        assert cuts[-1] == 600.0
-        assert cuts == sorted(set(cuts))
-        # every interior cut is a decision boundary
-        from repro.simulation.timeline import decision_boundaries
-
-        boundaries = set(decision_boundaries(timeline, 1.0))
-        assert all(cut in boundaries for cut in cuts)
-
     def test_plan_order_is_scheme_major(self):
-        topology = braided_topology()
-        timeline = ConditionTimeline(topology, 100.0, [])
         flows = (FlowSpec("S", "T"), FlowSpec("T", "S"))
-        plan = build_plan(timeline, flows, SMALL_SCHEMES, ReplayConfig(), 1)
+        plan = build_plan(flows, SMALL_SCHEMES)
         assert [s.scheme for s in plan[:2]] == [SMALL_SCHEMES[0]] * 2
         assert [s.flow.name for s in plan[:2]] == ["S->T", "T->S"]
         assert len(plan) == len(flows) * len(SMALL_SCHEMES)
 
     @pytest.mark.parametrize("repeat", ("scheme", "flow"))
     def test_repeated_pair_is_rejected(self, repeat):
-        topology = braided_topology()
-        timeline = ConditionTimeline(topology, 100.0)
         flows = [FlowSpec("S", "T")]
         schemes = ["targeted", "flooding"]
         if repeat == "scheme":
@@ -121,22 +96,11 @@ class TestPlan:
             flows.append(FlowSpec("S", "T"))
         pattern = r"duplicate \(scheme, flow\) pair targeted/S->T"
         with pytest.raises(ValueError, match=pattern):
-            build_plan(timeline, flows, schemes, ReplayConfig(), 2)
-
-    def test_more_shards_than_windows_degrades_gracefully(self):
-        topology = braided_topology()
-        timeline = ConditionTimeline(topology, 100.0, [])
-        plan = build_plan(
-            timeline, (FlowSpec("S", "T"),), SMALL_SCHEMES, ReplayConfig(), 50
-        )
-        # a clean timeline has very few boundaries; the plan shrinks to fit
-        per_pair = len(plan) // len(SMALL_SCHEMES)
-        assert per_pair >= 1
-        assert all(shard.of == per_pair for shard in plan)
+            build_plan(flows, schemes)
 
 
 class TestExactEquivalence:
-    def test_time_sharded_equals_serial_on_reference_topology(self):
+    def test_sharded_equals_serial_on_reference_topology(self):
         """Acceptance: sharded replay == the reference, all six schemes."""
         topology = build_reference_topology()
         flows = reference_flows()
@@ -155,7 +119,6 @@ class TestExactEquivalence:
             service,
             config=config,
             max_workers=0,
-            time_shards=4,
             use_cache=False,
         )
         assert serial.schemes == sharded.schemes
@@ -171,7 +134,7 @@ class TestExactEquivalence:
                 assert a.decision_changes == b.decision_changes
         for sa, sb in zip(serial.all_totals(), sharded.all_totals()):
             assert sa == sb
-        assert telemetry.shards_total > len(flows) * len(serial.schemes)
+        assert telemetry.shards_total == len(flows) * len(serial.schemes)
 
     def test_collect_windows_survives_sharding(self):
         topology = braided_topology()
@@ -187,7 +150,7 @@ class TestExactEquivalence:
         config = ReplayConfig(collect_windows=True)
         serial, sharded = run_both(
             topology, timeline, (FlowSpec("S", "T"),), ServiceSpec(deadline_ms=8.0),
-            config, 3,
+            config,
         )
         assert_exactly_equal(serial, sharded)
         stats = sharded.get("S->T", "targeted")
@@ -207,14 +170,12 @@ class TestExactEquivalence:
             ),
             max_size=6,
         ),
-        time_shards=st.integers(min_value=1, max_value=5),
         detection_delay_s=st.sampled_from([0.0, 1.0, 2.5]),
         deadline_ms=st.sampled_from([4.0, 8.0, 100.0]),
         hop_recovery=st.booleans(),
     )
     def test_property_sharded_equals_serial(
-        self, contributions, time_shards, detection_delay_s, deadline_ms,
-        hop_recovery,
+        self, contributions, detection_delay_s, deadline_ms, hop_recovery
     ):
         topology = braided_topology()
         timeline = ConditionTimeline(
@@ -234,14 +195,13 @@ class TestExactEquivalence:
             (FlowSpec("S", "T"),),
             ServiceSpec(deadline_ms=deadline_ms),
             config,
-            time_shards,
         )
         assert_exactly_equal(serial, sharded)
 
 
 class TestWindowRecords:
     def test_full_range_shards_build_no_window_records(self, monkeypatch):
-        """Records are built only where the result carries them."""
+        """Records are built only when ``collect_windows`` asks for them."""
         import repro.simulation.results as results_module
 
         built = []
@@ -262,31 +222,29 @@ class TestWindowRecords:
             ],
         )
 
-        def replay(time_shards):
+        def replay(collect_windows):
             result, _telemetry = run_replay_parallel(
                 topology,
                 timeline,
                 (FlowSpec("S", "T"),),
                 ServiceSpec(deadline_ms=8.0),
                 SMALL_SCHEMES,
-                ReplayConfig(),
+                ReplayConfig(collect_windows=collect_windows),
                 max_workers=0,
-                time_shards=time_shards,
                 use_cache=False,
             )
             return result
 
-        full_range = replay(1)
+        replay(False)
         assert built == []
-        # The patch does see the records a time shard's merge needs.
-        sharded = replay(2)
-        assert built
-        assert_exactly_equal(full_range, sharded)
+        # The patch does see the records a collecting run builds.
+        collected = replay(True)
+        assert len(built) == sum(len(stats.windows) for stats in collected)
 
 
 class TestDecisionTimelineReuse:
-    def test_time_sharded_pair_steps_its_policy_once(self, monkeypatch):
-        """Serial time shards of one pair share one decision timeline."""
+    def test_each_pair_builds_one_decision_timeline(self, monkeypatch):
+        """A serial run steps each (flow, scheme) pair's policy once."""
         import repro.exec.plan as plan_module
 
         calls = []
@@ -302,21 +260,17 @@ class TestDecisionTimelineReuse:
         _events, timeline = generate_timeline(
             topology, Scenario(duration_s=0.01 * WEEK_S), seed=7
         )
-        config = ReplayConfig()
-        plan = build_plan(timeline, flows, SMALL_SCHEMES, config, time_shards=4)
-        assert all(shard.of == 4 for shard in plan)
         _result, telemetry = run_replay_parallel(
             topology,
             timeline,
             flows,
             ServiceSpec(),
             SMALL_SCHEMES,
-            config,
+            ReplayConfig(),
             max_workers=0,
-            time_shards=4,
             use_cache=False,
         )
-        assert telemetry.shards_total == 4 * len(flows) * len(SMALL_SCHEMES)
+        assert telemetry.shards_total == len(flows) * len(SMALL_SCHEMES)
         assert sorted(calls) == sorted(
             (scheme, flow.name) for scheme in SMALL_SCHEMES for flow in flows
         )

@@ -31,15 +31,12 @@ class TestParser:
                 "evaluate",
                 "--workers",
                 "4",
-                "--time-shards",
-                "3",
                 "--no-cache",
                 "--cache-dir",
                 "/tmp/x",
             ]
         )
         assert parsed.workers == 4
-        assert parsed.time_shards == 3
         assert parsed.no_cache is True
         assert parsed.cache_dir == "/tmp/x"
 
@@ -195,7 +192,7 @@ class TestExecutionEngineCommands:
         assert main(argv) == 0
         assert not list(tmp_path.glob("*/*.json"))
 
-    def test_evaluate_with_workers_and_time_shards(self, tmp_path, capsys):
+    def test_evaluate_with_workers(self, tmp_path, capsys):
         argv = [
             "evaluate",
             "--weeks",
@@ -204,8 +201,6 @@ class TestExecutionEngineCommands:
             "5",
             "--workers",
             "2",
-            "--time-shards",
-            "2",
             "--cache-dir",
             str(tmp_path),
         ]
@@ -213,6 +208,13 @@ class TestExecutionEngineCommands:
         output = capsys.readouterr().out
         assert "targeted" in output
         assert "execution engine" in output
+
+    def test_evaluate_rejects_time_shards(self, capsys):
+        """A pair is one shard: ``--time-shards`` is an unknown flag."""
+        with pytest.raises(SystemExit) as exit_info:
+            main(["evaluate", "--weeks", "0.01", "--no-cache", "--time-shards", "2"])
+        assert exit_info.value.code == 2
+        assert "--time-shards" in capsys.readouterr().err
 
     def test_cache_info_and_clear(self, tmp_path, capsys):
         argv = self.EVALUATE + ["--cache-dir", str(tmp_path)]

@@ -40,7 +40,6 @@ class TestParseRequest:
             seed=11,
             schemes=("targeted", "static-single"),
             flows=("NYC->LAX",),
-            time_shards=4,
             workers=2,
         )
         payload = request_to_payload(request)
@@ -76,6 +75,12 @@ class TestParseRequest:
         with pytest.raises(ValidationError, match="unknown field.*turbo"):
             parse_request(_evaluate_payload(turbo=True))
 
+    def test_rejects_time_shards(self):
+        """A pair is one shard: ``time_shards`` is an unknown field."""
+        message = r"^unknown field\(s\) for evaluate: time_shards; known: "
+        with pytest.raises(ValidationError, match=message):
+            parse_request(_evaluate_payload(time_shards=2))
+
     def test_rejects_wrong_types(self):
         with pytest.raises(ValidationError, match="weeks"):
             parse_request(_evaluate_payload(weeks="many"))
@@ -92,8 +97,8 @@ class TestParseRequest:
     def test_rejects_out_of_range(self):
         with pytest.raises(ValidationError, match="weeks"):
             parse_request(_evaluate_payload(weeks=0.0))
-        with pytest.raises(ValidationError, match="time_shards"):
-            parse_request(_evaluate_payload(time_shards=0))
+        with pytest.raises(ValidationError, match="workers"):
+            parse_request(_evaluate_payload(workers=-1))
         with pytest.raises(ValidationError, match="crashes"):
             parse_request(
                 {"version": PROTOCOL_VERSION, "kind": "chaos", "crashes": -1}

@@ -57,7 +57,6 @@ def _expected_evaluate_payload(request: EvaluateRequest) -> dict:
         request.schemes,
         config,
         max_workers=0,
-        time_shards=request.time_shards,
         use_cache=False,
     )
     payload = {
@@ -114,9 +113,9 @@ class TestConcurrentEquivalence:
         # served result must equal its own cold serial reference.
         requests = [
             EvaluateRequest(weeks=0.02, seed=3, schemes=SCHEMES),
-            EvaluateRequest(weeks=0.02, seed=5, schemes=SCHEMES, time_shards=2),
+            EvaluateRequest(weeks=0.02, seed=5, schemes=SCHEMES),
             EvaluateRequest(weeks=0.02, seed=3, schemes=SCHEMES),
-            EvaluateRequest(weeks=0.02, seed=5, schemes=SCHEMES, time_shards=2),
+            EvaluateRequest(weeks=0.02, seed=5, schemes=SCHEMES),
         ]
         expected = {
             request: _expected_evaluate_payload(request)

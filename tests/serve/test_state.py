@@ -387,72 +387,85 @@ class TestRecipeIndex:
         assert warm_outcome == cold
 
 
+def _contend_for_recipes(topology, capacity):
+    """Eight threads look up, build and record four recipes in a
+    ``capacity``-context LRU with a tiny switch interval.
+
+    Returns ``(contexts, timelines, errors, hits, gets)``: every hit has
+    already been checked to return its own recipe's timeline and event
+    count, and ``errors`` holds each lane's failure.
+    """
+    timelines = _small_timelines(topology, 4)
+    contexts = ContextCache(capacity=capacity)
+    service, config = ServiceSpec(), ReplayConfig()
+    errors, hits, gets = [], [], []
+
+    def worker(lane):
+        try:
+            for step in range(60):
+                recipe = (lane + step) % 4
+                known = contexts.resident_trace(recipe)
+                if known is not None:
+                    timeline, events = known
+                    assert timeline.digest == timelines[recipe].digest
+                    assert events == recipe
+                    hits.append(recipe)
+                    continue
+                context, _warm = contexts.get(
+                    topology, timelines[recipe], service, config
+                )
+                gets.append(recipe)
+                contexts.remember(recipe, context, recipe)
+        except Exception as error:  # reported below, with its lane
+            errors.append((lane, repr(error)))
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        _run_threads(worker, 8)
+    finally:
+        sys.setswitchinterval(interval)
+    return contexts, timelines, errors, hits, gets
+
+
 class TestRecipeIndexThreads:
     def test_recipes_point_at_resident_contexts_under_contention(
         self, topology
     ):
-        """Eight threads look up, build and record four recipes in a
-        two-context LRU with a tiny switch interval: every hit returns
-        its own recipe's timeline and event count, and no recipe is left
+        """Four recipes thrash a two-context LRU: every hit returns its
+        own recipe's timeline and event count, and no recipe is left
         pointing at an evicted context."""
-        import sys
-        import threading
-
-        from repro.netmodel.conditions import (
-            ConditionTimeline,
-            Contribution,
-            LinkState,
+        contexts, timelines, errors, hits, gets = _contend_for_recipes(
+            topology, capacity=2
         )
-
-        timelines = [
-            ConditionTimeline(
-                topology,
-                600.0,
-                [Contribution(("NYC", "CHI"), 10.0, 60.0 + recipe, LinkState(0.4))],
-            )
-            for recipe in range(4)
-        ]
-        contexts = ContextCache(capacity=2)
-        service, config = ServiceSpec(), ReplayConfig()
-        errors, hits, gets = [], [], []
-
-        def worker(lane):
-            try:
-                for step in range(60):
-                    recipe = (lane + step) % 4
-                    known = contexts.resident_trace(recipe)
-                    if known is not None:
-                        timeline, events = known
-                        assert timeline.digest == timelines[recipe].digest
-                        assert events == recipe
-                        hits.append(recipe)
-                        continue
-                    context, _warm = contexts.get(
-                        topology, timelines[recipe], service, config
-                    )
-                    gets.append(recipe)
-                    contexts.remember(recipe, context, recipe)
-            except Exception as error:  # reported below, with its lane
-                errors.append((lane, repr(error)))
-
-        interval = sys.getswitchinterval()
-        sys.setswitchinterval(1e-6)
-        try:
-            threads = [
-                threading.Thread(target=worker, args=(lane,)) for lane in range(8)
-            ]
-            for thread in threads:
-                thread.start()
-            for thread in threads:
-                thread.join(timeout=60.0)
-        finally:
-            sys.setswitchinterval(interval)
-        assert not any(thread.is_alive() for thread in threads)
         assert errors == []
-        assert hits  # the index served some lookups
         counters = contexts.counters()
         assert counters["entries"] <= 2
         assert counters["hits"] + counters["misses"] == len(gets)
+        assert len(hits) + len(gets) == 8 * 60
+        for recipe, timeline in enumerate(timelines):
+            known = contexts.resident_trace(recipe)
+            if known is not None:
+                assert known[0].digest == timeline.digest
+                assert known[1] == recipe
+
+    def test_index_serves_lookups_when_every_context_fits(self, topology):
+        """With all four contexts resident, no remembered recipe is ever
+        evicted, so each lane's second visit to a recipe is a hit."""
+        contexts, timelines, errors, hits, gets = _contend_for_recipes(
+            topology, capacity=4
+        )
+        assert errors == []
+        assert hits  # the index served lookups
+        assert len(hits) + len(gets) == 8 * 60
+        assert contexts.counters() == {
+            "hits": len(gets) - 4,
+            "misses": 4,
+            "evictions": 0,
+            "entries": 4,
+        }
+        for recipe, timeline in enumerate(timelines):
+            assert contexts.resident_trace(recipe) == (timeline, recipe)
 
 
 class TestServeRuntime:

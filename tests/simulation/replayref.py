@@ -3,13 +3,12 @@
 The engine (:class:`repro.exec.plan.ShardContext` under
 :func:`repro.exec.engine.run_replay_parallel`) shares one set of views
 and one probability memo across pairs, hands policies changed-edge
-hints, batches runs of windows under one graph, skips the windows whose
-changes miss the installed graph, and cuts pairs into time shards.  This
-replay does none of that: each pair gets a fresh policy and a fresh
-``_ProbabilityCache``, its policy sees per-boundary views rebuilt from
-scratch with no hints, and every window is looked up on its own.  The
-engine's reuse layers are correct exactly when they agree with it
-bitwise.
+hints, batches runs of windows under one graph, and skips the windows
+whose changes miss the installed graph.  This replay does none of
+that: each pair gets a fresh policy and a fresh ``_ProbabilityCache``,
+its policy sees per-boundary views rebuilt from scratch with no hints,
+and every window is looked up on its own.  The engine's reuse layers
+are correct exactly when they agree with it bitwise.
 """
 
 from __future__ import annotations

@@ -7,7 +7,6 @@ import pytest
 from repro.core.dgraph import DisseminationGraph
 from repro.core.graph import Topology
 from repro.exec.plan import ShardContext
-from repro.exec.telemetry import telemetry_session
 from repro.netmodel.conditions import ConditionTimeline, Contribution, LinkState
 from repro.netmodel.scenarios import Scenario, generate_timeline
 from repro.netmodel.topology import FlowSpec, ServiceSpec
@@ -203,20 +202,6 @@ class TestRunReplay:
                 schemes,
             )
         assert attached == []
-
-    def test_time_shards_alone_start_no_pool(self, diamond):
-        timeline = tl(
-            diamond, Contribution(("S", "A"), 10.0, 30.0, LinkState(loss_rate=0.5))
-        )
-        with telemetry_session("run_replay") as session:
-            result = run_replay(
-                diamond, timeline, [FLOW], SERVICE, ("flooding",), time_shards=2
-            )
-        (telemetry,) = session.records()
-        assert telemetry.workers == 0
-        assert telemetry.time_shards == 2
-        assert telemetry.shards_total == 2
-        assert result.totals("flooding").duration_s == pytest.approx(100.0)
 
     def test_deterministic(self, diamond):
         timeline = tl(

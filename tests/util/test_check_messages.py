@@ -27,7 +27,7 @@ from repro.simulation.reliability import (
     classify_recovery_states,
     index_graph,
 )
-from repro.simulation.results import FlowSchemeStats, ReplayConfig
+from repro.simulation.results import ReplayConfig
 from repro.simulation.timeline import build_decision_timeline
 from repro.util.validation import (
     ValidationError,
@@ -105,23 +105,8 @@ def _case(call, message: str, label: str | None = None):
 
 
 def _merge_missing():
-    plan = [ShardSpec(FLOW, "flooding", 0.0, 1.0, 0, 1)]
+    plan = [ShardSpec(FLOW, "flooding")]
     merge_results(ServiceSpec(), ReplayConfig(), plan, {})
-
-
-def _merge_time_shards(decision_changes: tuple[int, int], windows):
-    """Merge a pair's two time shards whose results disagree."""
-    plan = [
-        ShardSpec(FLOW, "flooding", 0.0, 1.0, 0, 2),
-        ShardSpec(FLOW, "flooding", 1.0, 2.0, 1, 2),
-    ]
-    results = {
-        shard: FlowSchemeStats(
-            FLOW, "flooding", 1.0, 0.0, 0.0, 0.0, 1.0, changes, windows
-        )
-        for shard, changes in zip(plan, decision_changes)
-    }
-    merge_results(ServiceSpec(), ReplayConfig(), plan, results)
 
 
 CASES = [
@@ -246,23 +231,10 @@ CASES = [
     ),
     # -- the execution plan --
     _case(
-        lambda: build_plan(
-            ConditionTimeline(_line(), 4.0),
-            [FLOW, FLOW],
-            ["flooding"],
-            ReplayConfig(),
-        ),
+        lambda: build_plan([FLOW, FLOW], ["flooding"]),
         "duplicate (scheme, flow) pair flooding/S->T",
     ),
     _case(_merge_missing, "missing result for shard flooding/S->T"),
-    _case(
-        lambda: _merge_time_shards((0, 1), []),
-        "inconsistent decision timelines across shards of flooding/S->T [2/2]",
-    ),
-    _case(
-        lambda: _merge_time_shards((0, 0), []),
-        "time shard flooding/S->T [1/2] is missing its window records",
-    ),
 ]
 
 
