@@ -8,7 +8,17 @@ node-disjointness.  Implementing the flow once keeps the disjoint-path
 logic small and correct in the presence of antiparallel overlay links.
 
 Costs must be non-negative; Johnson potentials keep reduced costs
-non-negative so every augmentation is a plain Dijkstra.
+non-negative so every augmentation is a plain Dijkstra.  The potentials
+live on the solver, so a second :meth:`MinCostFlow.send` continues the
+same min-cost flow.
+
+Two things keep each Dijkstra small without changing what it finds.  A
+residual twin has capacity only once its forward arc carried flow, so a
+node relaxes its whole incident list only if it heads such an arc and
+otherwise just its forward arcs -- the live arcs, in the same order
+either way.  And the last augmentation of a call stops once the sink is
+settled: nothing popped later can change the sink's distance or the
+predecessors of the path to it.
 
 Nodes are interned to dense ids and arcs live in parallel lists (arc
 ``i`` and its residual twin ``i ^ 1``), so a network built once can be
@@ -41,10 +51,23 @@ class MinCostFlow:
         self._nodes: list[Node] = []
         self._keys: list[str] = []  # repr(node): decomposition's successor order
         self._incident: list[list[int]] = []
+        self._forward: list[list[int]] = []  # the incident list's forward arcs
         self._head: list[int] = []
         self._capacity: list[int] = []
         self._cost: list[float] = []
         self._residual: list[int] = []
+        self._clear_flow_state()
+
+    def _clear_flow_state(self) -> None:
+        """Forget the potentials and live twins of any flow sent so far."""
+        self._potentials = [0.0] * len(self._nodes)
+        # (distances, sink distance) of a call's last, early-stopped
+        # Dijkstra, folded into the potentials if ``send`` is called again.
+        self._unsettled: tuple[list[float], float] | None = None
+        # The arcs each node relaxes: its forward arcs, or its whole
+        # incident list once it heads an arc that carried flow (only then
+        # can a residual twin leaving it have capacity).
+        self._relax = self._forward.copy()
 
     def add_node(self, node: Node) -> int:
         """Register a node (safe to call repeatedly); returns its id."""
@@ -54,6 +77,9 @@ class MinCostFlow:
             self._nodes.append(node)
             self._keys.append(repr(node))
             self._incident.append([])
+            self._forward.append([])
+            self._relax.append(self._forward[-1])
+            self._potentials.append(0.0)
         return index
 
     def add_arc(self, source: Node, target: Node, capacity: int, cost: float) -> int:
@@ -70,6 +96,7 @@ class MinCostFlow:
         self._cost += (cost, -cost)
         self._residual += (capacity, 0)
         self._incident[tail].append(index)
+        self._forward[tail].append(index)
         self._incident[head].append(index + 1)
         return index
 
@@ -90,6 +117,7 @@ class MinCostFlow:
         residual = [0] * len(self._head)
         residual[0::2] = capacities
         self._residual = residual
+        self._clear_flow_state()
 
     # -- solving -------------------------------------------------------------
 
@@ -97,7 +125,9 @@ class MinCostFlow:
         """Send up to ``max_units`` of flow; returns ``(units_sent, cost)``.
 
         Stops early when the sink becomes unreachable (max flow reached).
-        Calling ``send`` again continues from the current flow state.
+        Calling ``send`` again continues from the current flow state: the
+        potentials carry over, so the flow stays min-cost.  Arcs should
+        all be added before the first ``send`` (or the next ``reset``).
         """
         if source not in self._ids or sink not in self._ids:
             raise KeyError("source or sink not present in the flow network")
@@ -105,16 +135,32 @@ class MinCostFlow:
             raise ValueError(f"max_units must be >= 0, got {max_units}")
         start, end = self._ids[source], self._ids[sink]
         head, cost, residual = self._head, self._cost, self._residual
-        potentials = [0.0] * len(self._nodes)
+        incident, relax = self._incident, self._relax
+        potentials = self._potentials
+        if self._unsettled is not None:
+            # The last Dijkstra stopped at the sink, at distance ``reach``;
+            # nodes it had not settled are at least that far, and capping
+            # every distance at ``reach`` keeps all reduced costs >= 0.
+            distances, reach = self._unsettled
+            self._unsettled = None
+            for node, distance in enumerate(distances):
+                potentials[node] += distance if distance < reach else reach
         sent = 0
         total_cost = 0.0
         while sent < max_units:
-            distances, predecessor_arc = self._dijkstra(start, potentials)
+            last = sent + 1 == max_units
+            distances, predecessor_arc = self._dijkstra(
+                start, potentials, end if last else -1
+            )
             if distances[end] == _INF:
                 break
-            for node, distance in enumerate(distances):
-                if distance != _INF:
-                    potentials[node] += distance
+            if last:
+                self._unsettled = (distances, distances[end])
+            else:
+                self._potentials = potentials = [
+                    potential + distance if distance != _INF else potential
+                    for potential, distance in zip(potentials, distances)
+                ]
             # Unit capacities: each augmentation pushes exactly one unit.
             path_cost = 0.0
             node = end
@@ -123,27 +169,32 @@ class MinCostFlow:
                 residual[arc] -= 1
                 residual[arc ^ 1] += 1
                 path_cost += cost[arc]
+                relax[node] = incident[node]  # the twin ``arc ^ 1`` leaves it
                 node = head[arc ^ 1]
             total_cost += path_cost
             sent += 1
         return sent, total_cost
 
     def _dijkstra(
-        self, source: int, potentials: list[float]
+        self, source: int, potentials: list[float], stop: int
     ) -> tuple[list[float], list[int]]:
-        incident, head = self._incident, self._head
+        """Distances and predecessor arcs, settled up to ``stop`` (-1: all)."""
+        relax, head = self._relax, self._head
         cost, residual = self._cost, self._residual
         distances = [_INF] * len(self._nodes)
         distances[source] = 0.0
         predecessor_arc = [-1] * len(self._nodes)
         heap: list[tuple[float, int, int]] = [(0.0, 0, source)]
+        pop, push = heapq.heappop, heapq.heappush
         counter = 1
         while heap:
-            distance, _tie, node = heapq.heappop(heap)
+            distance, _tie, node = pop(heap)
             if distance > distances[node]:
                 continue
+            if node == stop:
+                break
             potential = potentials[node]
-            for arc in incident[node]:
+            for arc in relax[node]:
                 if residual[arc] <= 0:
                     continue
                 target = head[arc]
@@ -155,7 +206,7 @@ class MinCostFlow:
                 if candidate < distances[target] - 1e-15:
                     distances[target] = candidate
                     predecessor_arc[target] = arc
-                    heapq.heappush(heap, (candidate, counter, target))
+                    push(heap, (candidate, counter, target))
                     counter += 1
         return distances, predecessor_arc
 

@@ -74,6 +74,7 @@ class ExecTelemetry:
     prob_evictions: int = 0
     prob_canonical_evictions: int = 0
     prob_recovery_fallbacks: int = 0
+    prob_on_time_skips: int = 0
     kernel_backend: str = "pure"
     kernel_vector_calls: int = 0
     kernel_pure_calls: int = 0
@@ -129,6 +130,7 @@ class ExecTelemetry:
             ["prob-cache mask hits", str(self.prob_mask_hits)],
             ["prob-cache evictions", str(self.prob_evictions)],
             ["prob-cache recovery fallbacks", str(self.prob_recovery_fallbacks)],
+            ["prob-cache on-time skips", str(self.prob_on_time_skips)],
             ["kernel backend", self.kernel_backend],
             [
                 "kernel calls (vector/pure)",

@@ -93,6 +93,8 @@ class TargetedRedundancyPolicy(RoutingPolicy):
         self._problem_graphs: dict[ProblemType, DisseminationGraph] = {}
         self._middle_cache_key: object = None
         self._middle_cache_graph: DisseminationGraph | None = None
+        # Re-route cache key -> the graph its un-penalised search found.
+        self._reroutes: dict[tuple, DisseminationGraph] = {}
         # Inflation key -> (timely edges considered, kept link ids).
         self._timely: dict[tuple, tuple[int, frozenset[int]]] = {}
         self._network: SplitNetwork | None = None
@@ -155,6 +157,7 @@ class TargetedRedundancyPolicy(RoutingPolicy):
             self._on_attach()  # rebuild detector state; graphs are pure
         self._middle_cache_key = None
         self._middle_cache_graph = None
+        self._reroutes = {}
         self._timely = {}
         self._recently_degraded = {}
 
@@ -295,13 +298,34 @@ class TargetedRedundancyPolicy(RoutingPolicy):
         link seen lossy during this episode stays excluded through the
         burst gaps) and the search is restricted to edges that can still
         meet the deadline at observed latencies.
+
+        The un-penalised search reads only the cache key -- the excluded
+        links and the inflated latencies -- so every re-route it finds is
+        kept for the life of the policy, like the dynamic policies'
+        fingerprint decisions.  A loss-penalised fallback also reads the
+        loss rates, so it is reused only while the key stays the same.
         """
         degraded = self._sticky_degraded(now_s)
         inflated = inflation_key(observed)
         timely = self._candidate_edges(observed, inflated)
         cache_key = (degraded, timely, inflated)
-        if cache_key == self._middle_cache_key and self._middle_cache_graph:
-            return self._middle_cache_graph
+        graph = self._reroutes.get(cache_key)
+        if graph is None:
+            if cache_key == self._middle_cache_key and self._middle_cache_graph:
+                return self._middle_cache_graph
+            graph = self._compute_reroute(observed, degraded, timely, cache_key)
+        self._middle_cache_key = cache_key
+        self._middle_cache_graph = graph
+        return graph
+
+    def _compute_reroute(
+        self,
+        observed: Mapping[Edge, LinkState],
+        degraded: frozenset[Edge],
+        timely: frozenset[int],
+        cache_key: tuple,
+    ) -> DisseminationGraph:
+        """The re-route search; keeps the graph if no fallback was needed."""
         source, destination = self.flow.source, self.flow.destination
         index = self.topology.routing_index
         if self._network is None:
@@ -312,7 +336,8 @@ class TargetedRedundancyPolicy(RoutingPolicy):
             2,
             index.link_ids(degraded) | not_timely,
         )
-        if len(paths) < 2 and not_timely:
+        clean = len(paths) == 2
+        if not clean and not_timely:
             # No clean timely pair: re-admit lossy-but-timely edges with a
             # loss surcharge so the pairing maximises cleanliness.
             penalized = observed_weights(index, observed, penalize_loss=True)
@@ -324,6 +349,6 @@ class TargetedRedundancyPolicy(RoutingPolicy):
         if not paths:  # pragma: no cover - topology is connected by contract
             raise NoPathError(source, destination)
         graph = DisseminationGraph.from_paths(paths, name=f"{self.name}/reroute")
-        self._middle_cache_key = cache_key
-        self._middle_cache_graph = graph
+        if clean:
+            self._reroutes[cache_key] = graph
         return graph

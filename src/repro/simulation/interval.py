@@ -49,6 +49,7 @@ from repro.simulation.reliability import (
     classify_indexed,
     delivery_probabilities_indexed,
     index_graph,
+    on_time_path,
 )
 from repro.simulation.results import FlowSchemeStats, ReplayConfig, ReplayResult
 from repro.simulation.timeline import DecisionSpan
@@ -92,6 +93,9 @@ _PER_EDGE_BYTES = 120
 
 _UNSET: object = object()
 
+#: What the classifier returns for a view its first fast path decides.
+_ON_TIME = DeliveryProbabilities(1.0, 1.0)
+
 #: The names the miss path looks up at call time, so wrappers installed
 #: on this module's names see every call: the one classifier body and
 #: the one radix-generic accumulation under per-engine names (plain
@@ -108,18 +112,20 @@ accumulate_recovery_probabilities_batch = accumulate_probabilities
 def _limit_error_with_context(
     error: ReliabilityLimitError,
     graph: DisseminationGraph,
-    context: str | None,
+    group: str | None,
+    window: tuple[float, float] | None,
 ) -> ReliabilityLimitError:
     """Re-raiseable limit error naming the graph (and window) that tripped.
 
     The engine-level message only counts lossy edges; a failing N=500
     replay is diagnosable only if the error also names which flow's
     installed graph, between which endpoints, in which window hit the
-    cap.
+    cap.  The window is formatted here, only on failure.
     """
     detail = f"graph {graph.name!r} ({graph.source} -> {graph.destination})"
-    if context:
-        detail = f"{detail}; {context}"
+    if window is not None:
+        start, end = window
+        detail = f"{detail}; pair {group}, window [{start:g}s, {end:g}s)"
     return ReliabilityLimitError(f"{error} [{detail}]")
 
 
@@ -185,8 +191,11 @@ class _ProbabilityCache:
     Dijkstra enumeration was skipped via a cached classification, and
     ``evictions`` counts entries dropped by the byte bound,
     ``canonical_evictions`` the canonical forms dropped by the entry cap,
-    and ``recovery_fallbacks`` the hop-recovery misses answered with the
-    no-recovery lower bound because they exceed the ternary cap.
+    ``recovery_fallbacks`` the hop-recovery misses answered with the
+    no-recovery lower bound because they exceed the ternary cap, and
+    ``on_time_skips`` the degraded views answered certain on time
+    without a lookup because they touch no edge of the graph's clean
+    on-time path (:meth:`probabilities_batch`).
     """
 
     #: The health counters, in :meth:`counters` order.  These keys are
@@ -201,6 +210,7 @@ class _ProbabilityCache:
         "evictions",
         "canonical_evictions",
         "recovery_fallbacks",
+        "on_time_skips",
     )
 
     def __init__(
@@ -240,7 +250,12 @@ class _ProbabilityCache:
         # evicted one.
         self._canonical: dict[
             DisseminationGraph,
-            tuple[IndexedGraph, tuple[float, ...], dict[Edge, int]],
+            tuple[
+                IndexedGraph,
+                tuple[float, ...],
+                dict[Edge, int],
+                frozenset[int] | None,
+            ],
         ] = {}
         self.max_canonical_entries = default_prob_canonical_max_entries()
         self.hits = 0
@@ -250,6 +265,7 @@ class _ProbabilityCache:
         self.evictions = 0
         self.canonical_evictions = 0
         self.recovery_fallbacks = 0
+        self.on_time_skips = 0
         # Single lock around lookup/insert/evict and counter updates; see
         # the class docstring for the concurrency contract.
         self._lock = threading.Lock()
@@ -261,8 +277,10 @@ class _ProbabilityCache:
 
     def _canonical_graph(
         self, topology: Topology, graph: DisseminationGraph
-    ) -> tuple[IndexedGraph, tuple[float, ...], dict[Edge, int]]:
-        """``(index, base latencies, edge->slot)``, built once per graph.
+    ) -> tuple[
+        IndexedGraph, tuple[float, ...], dict[Edge, int], frozenset[int] | None
+    ]:
+        """``(index, base latencies, edge->slot, on-time path)``, once per graph.
 
         ``index.structure`` is the graph with every node replaced by its
         rank in sorted-name order: relabeled edge list (in sorted-edge
@@ -270,6 +288,8 @@ class _ProbabilityCache:
         which is what makes canonical-key sharing bitwise-exact (see
         class docstring).  The classifier runs on the same index, so a
         graph is relabelled once per entry, not once per classification.
+        The on-time path is the slot set of :func:`on_time_path` at base
+        latencies (``None`` when the clean graph is late).
         """
         with self._lock:
             entry = self._canonical.pop(graph, None)
@@ -279,7 +299,8 @@ class _ProbabilityCache:
                     topology.latency(u, v) for u, v in indexed.edges
                 )
                 slot_of = {edge: slot for slot, edge in enumerate(indexed.edges)}
-                entry = (indexed, base_latency, slot_of)
+                path = on_time_path(indexed, self.deadline_ms, base_latency)
+                entry = (indexed, base_latency, slot_of, path)
             self._canonical[graph] = entry  # (re-)insert: most recently used
             cap = self.max_canonical_entries
             if cap is not None:
@@ -339,7 +360,7 @@ class _ProbabilityCache:
         group: str | None = None,
     ) -> DeliveryProbabilities:
         """Outcome under base conditions (no loss, base latencies)."""
-        indexed, base_latency, _slot_of = self._canonical_graph(
+        indexed, base_latency, _slot_of, _path = self._canonical_graph(
             topology, graph
         )
         key = (indexed.structure, base_latency)
@@ -364,22 +385,23 @@ class _ProbabilityCache:
         graph: DisseminationGraph,
         degraded: dict[Edge, LinkState],
         group: str | None = None,
-        context: str | None = None,
+        window: tuple[float, float] | None = None,
     ) -> DeliveryProbabilities:
         """Delivery probabilities for ``graph`` under ``degraded`` conditions.
 
         ``group`` labels the caller (one ``scheme/flow`` pair); it only
-        feeds the ``shared_hits`` counter, never the key.  ``context``
-        (e.g. the window being replayed) is attached to any
-        :class:`ReliabilityLimitError` so the failure is diagnosable.
+        feeds the ``shared_hits`` counter, never the key.  ``window``
+        (the ``(start, end)`` seconds being replayed) and ``group`` are
+        named by any :class:`ReliabilityLimitError`, so the failure is
+        diagnosable.
 
         A thin wrapper over :meth:`probabilities_batch` -- one window is
         the one-row special case of a run, taking the identical code
         path so the result and every counter are the same either way.
         """
-        contexts = None if context is None else [context]
+        windows = None if window is None else [window]
         return self.probabilities_batch(
-            topology, graph, [degraded], group, contexts
+            topology, graph, [degraded], group, windows
         )[0]
 
     def probabilities_batch(
@@ -388,7 +410,7 @@ class _ProbabilityCache:
         graph: DisseminationGraph,
         degraded_list: Sequence[dict[Edge, LinkState]],
         group: str | None = None,
-        contexts: Sequence[str | None] | None = None,
+        windows: Sequence[tuple[float, float]] | None = None,
     ) -> list[DeliveryProbabilities]:
         """Probabilities for one graph under a run of condition views.
 
@@ -400,35 +422,51 @@ class _ProbabilityCache:
         missed earlier in the same batch counts as the hit it would have
         been sequentially, and classification reuse feeds ``mask_hits``
         per window as before.
+
+        A degraded view that touches no slot of the graph's clean on-time
+        path is answered certain on time before any key is built, and
+        counts in ``on_time_skips`` instead of ``hits``/``misses``.  It
+        is the classifier's own answer: a view only removes or slows the
+        slots it names (``LinkState`` rejects negative inflation and
+        out-of-range loss), so the path survives with the same float
+        sum, and the classifier's first fast path -- a Dijkstra over the
+        present slots, in either radix -- returns ``(1.0, 1.0)``.
         """
         if not degraded_list:
             return []
-        indexed, base_latency, slot_of = self._canonical_graph(topology, graph)
+        indexed, base_latency, slot_of, path = self._canonical_graph(
+            topology, graph
+        )
         structure = indexed.structure
         edges = indexed.edges
         results: list[DeliveryProbabilities | None] = [None] * len(degraded_list)
         first_miss: dict[tuple, int] = {}
         aliases: list[tuple[int, tuple]] = []
         misses: list[tuple[tuple, tuple[float, ...], list[float], int]] = []
+        skips = 0
         for position, degraded in enumerate(degraded_list):
-            effective_latency = list(base_latency)
-            loss_vector = [0.0] * len(edges)
-            relevant = False
+            touched = []
             for edge, state in degraded.items():
                 slot = slot_of.get(edge)
-                if slot is None:
-                    continue
-                relevant = True
-                effective_latency[slot] = (
-                    base_latency[slot] + state.extra_latency_ms
-                )
-                loss_vector[slot] = state.loss_rate
-            if not relevant:
+                if slot is not None:
+                    touched.append((slot, state))
+            if not touched:
                 # Clean graph: outcome depends only on base latencies.
                 results[position] = self._clean_probabilities(
                     topology, graph, group
                 )
                 continue
+            if path is not None and path.isdisjoint(slot for slot, _ in touched):
+                results[position] = _ON_TIME
+                skips += 1
+                continue
+            effective_latency = list(base_latency)
+            loss_vector = [0.0] * len(edges)
+            for slot, state in touched:
+                effective_latency[slot] = (
+                    base_latency[slot] + state.extra_latency_ms
+                )
+                loss_vector[slot] = state.loss_rate
             key = (structure, tuple(effective_latency), tuple(loss_vector))
             if key in first_miss:
                 # Sequentially this lookup would hit the entry the
@@ -443,9 +481,12 @@ class _ProbabilityCache:
                 continue
             first_miss[key] = position
             misses.append((key, tuple(effective_latency), loss_vector, position))
+        if skips:
+            with self._lock:
+                self.on_time_skips += skips
         if misses:
             computed = self._resolve_misses(
-                graph, indexed, misses, group, contexts
+                graph, indexed, misses, group, windows
             )
             computed.sort(key=lambda item: item[0])
             by_key: dict[tuple, DeliveryProbabilities] = {}
@@ -515,7 +556,7 @@ class _ProbabilityCache:
         indexed: IndexedGraph,
         misses: list[tuple[tuple, tuple[float, ...], list[float], int]],
         group: str | None,
-        contexts: Sequence[str | None] | None,
+        windows: Sequence[tuple[float, float]] | None,
     ) -> list[tuple[int, tuple, DeliveryProbabilities]]:
         """Compute every missed view, batching rows per classification.
 
@@ -535,7 +576,7 @@ class _ProbabilityCache:
         grouped: dict[tuple, tuple[Classification, list]] = {}
         computed: list[tuple[int, tuple, DeliveryProbabilities]] = []
         for key, effective_latency, loss_vector, position in misses:
-            context = contexts[position] if contexts is not None else None
+            window = windows[position] if windows is not None else None
             categories = bytes(
                 0 if loss <= 0.0 else 2 if loss >= 1.0 else 1
                 for loss in loss_vector
@@ -548,7 +589,7 @@ class _ProbabilityCache:
             except ReliabilityLimitError as error:
                 if not self.hop_recovery:
                     raise _limit_error_with_context(
-                        error, graph, context
+                        error, graph, group, window
                     ) from error
                 with self._lock:
                     self.recovery_fallbacks += 1
@@ -562,7 +603,7 @@ class _ProbabilityCache:
                     )
                 except ReliabilityLimitError as fallback_error:
                     raise _limit_error_with_context(
-                        fallback_error, graph, context
+                        fallback_error, graph, group, window
                     ) from fallback_error
                 computed.append((position, key, result))
                 continue
@@ -642,12 +683,9 @@ def _replay_windows(
             if any(edge in graph.edges for edge in actual_deltas[index]):
                 compute_at.append(offset)
         views = [actual_views[run[offset][0]] for offset in compute_at]
-        contexts = [
-            f"pair {group}, window [{run[offset][1]:g}s, {run[offset][2]:g}s)"
-            for offset in compute_at
-        ]
+        windows = [(run[offset][1], run[offset][2]) for offset in compute_at]
         computed = cache.probabilities_batch(
-            topology, graph, views, group, contexts
+            topology, graph, views, group, windows
         )
         probabilities: DeliveryProbabilities | None = None
         next_computed = 0

@@ -52,6 +52,7 @@ __all__ = [
     "delivery_probabilities_indexed",
     "delivery_probabilities_with_recovery",
     "index_graph",
+    "on_time_path",
     "on_time_probability",
 ]
 
@@ -398,6 +399,54 @@ def _earliest_arrival_indexed(
                 best[neighbor] = candidate
                 push(heap, (candidate, neighbor))
     return best[destination]
+
+
+def on_time_path(
+    indexed: IndexedGraph, deadline_ms: float, latencies: Sequence[float]
+) -> frozenset[int] | None:
+    """The slots of one fastest path over every slot, if it is on time.
+
+    The relaxation of :func:`_earliest_arrival_indexed` with every slot
+    present, recording each node's predecessor slot.  Returns ``None``
+    when the path's left-to-right latency sum exceeds the deadline, or
+    when the deadline is not positive (the classifier rejects it, so no
+    view may be answered without it).  A view that keeps these slots
+    present at these latencies can only remove or slow other slots, so
+    the classifier's first fast path (its Dijkstra over the present
+    slots returns at most this sum) answers it certain on time in
+    either radix.
+    """
+    if not (deadline_ms > 0):
+        return None
+    arcs, source, destination = indexed.structure
+    adjacency = indexed.adjacency
+    best = [_INF] * len(adjacency)
+    best[source] = 0.0
+    via = [-1] * len(adjacency)
+    heap = [(0.0, source)]
+    while heap:
+        time_now, node = heapq.heappop(heap)
+        if node == destination:
+            break
+        if time_now > best[node]:
+            continue
+        for neighbor, slot in adjacency[node]:
+            candidate = time_now + latencies[slot]
+            if candidate < best[neighbor]:
+                best[neighbor] = candidate
+                via[neighbor] = slot
+                heapq.heappush(heap, (candidate, neighbor))
+    if best[destination] == _INF:
+        return None
+    slots = []
+    node = destination
+    while node != source:
+        slots.append(via[node])
+        node = arcs[via[node]][0]
+    arrival = 0.0
+    for slot in reversed(slots):
+        arrival += latencies[slot]
+    return frozenset(slots) if arrival <= deadline_ms else None
 
 
 def _classify_cases(

@@ -43,6 +43,33 @@ class TestSend:
         assert sent == 1
         assert cost == pytest.approx(6.0)  # only the expensive path remains
 
+    def test_continued_sends_stay_min_cost(self):
+        """A second ``send`` keeps the first one's potentials.
+
+        Restarting them at zero clamps the negative costs of the residual
+        twins, and the second unit then cost 16 instead of 14.
+        """
+        arcs = [
+            (0, 1, 7), (0, 2, 4), (1, 0, 5), (1, 3, 8), (1, 4, 4), (2, 1, 2),
+            (2, 3, 8), (3, 0, 1), (3, 4, 1), (4, 0, 0), (4, 1, 9), (4, 2, 0),
+        ]
+
+        def build() -> MinCostFlow:
+            solver = MinCostFlow()
+            for tail, head, cost in arcs:
+                solver.add_arc(tail, head, 1, float(cost))
+            return solver
+
+        whole = build()
+        assert whole.send(0, 4, 2) == (2, 24.0)
+        split = build()
+        assert split.send(0, 4, 1) == (1, 10.0)
+        assert split.send(0, 4, 1) == (1, 14.0)
+        assert split.flow_arcs() == whole.flow_arcs()
+        assert split.send(0, 4, 1) == (0, 0.0)
+        split.reset([float(cost) for _tail, _head, cost in arcs], [1] * len(arcs))
+        assert split.send(0, 4, 2) == (2, 24.0)
+
     def test_zero_units(self):
         solver = build_diamond()
         assert solver.send("S", "T", 0) == (0, 0.0)

@@ -12,7 +12,9 @@ The replay does not call those callback entry points: its probability
 memo hands the classifier its canonical entry's index and the window's
 effective-latency and loss arrays.  :class:`TestProbabilityCachePath`
 runs the same random windows, with latency inflation, through the memo
-and holds what it classifies to the same reference.
+and holds what it classifies to the same reference; a window the memo
+answers without classifying, because it misses the graph's clean
+on-time path, must be one the reference calls certain on time.
 """
 
 from __future__ import annotations
@@ -348,12 +350,52 @@ EXTRA_POOL = (0.0, 0.0, 0.2, 1.0, _INF)
 RECOVERY_EXTRA_MS = 0.5
 
 
+def _fastest_path_edges(graph, latency) -> set:
+    """The edges of one fastest clean path (empty if none is finite)."""
+    best, via = {graph.source: 0.0}, {}
+    heap = [(0.0, graph.source)]
+    while heap:
+        arrival, node = heapq.heappop(heap)
+        if arrival > best[node]:
+            continue
+        for edge in graph.sorted_edges():
+            if edge[0] == node and arrival + latency[edge] < best.get(edge[1], _INF):
+                best[edge[1]] = arrival + latency[edge]
+                via[edge[1]] = edge
+                heapq.heappush(heap, (best[edge[1]], edge[1]))
+    if graph.destination not in best:
+        return set()
+    path, node = set(), graph.destination
+    while node != graph.source:
+        path.add(via[node])
+        node = via[node][0]
+    return path
+
+
 @st.composite
 def inflated_windows(draw, max_lossy: int):
     """A random window as a frozen topology plus a degraded view: base
-    latencies from the topology, extra latency and loss per edge."""
+    latencies from the topology, extra latency and loss per edge.
+
+    Some windows get a second route, a two-hop detour through a node of
+    its own, and leave one fastest clean path untouched, so the view
+    degrades only edges off that path."""
     graph, deadline, base, loss, _recovery = draw(windows(max_lossy=max_lossy))
     extra = {edge: draw(st.sampled_from(EXTRA_POOL)) for edge in graph.edges}
+    if draw(st.booleans()):
+        detour = ((graph.source, "P"), ("P", graph.destination))
+        for edge in detour:
+            base[edge] = draw(st.sampled_from(LATENCY_POOL))
+            loss[edge] = draw(st.sampled_from(LOSS_POOL))
+            extra[edge] = draw(st.sampled_from(EXTRA_POOL))
+        for edge in detour:
+            if sum(0.0 < value < 1.0 for value in loss.values()) > max_lossy:
+                loss[edge] = 0.0
+        graph = DisseminationGraph(
+            graph.source, graph.destination, graph.edges | frozenset(detour)
+        )
+        for edge in _fastest_path_edges(graph, base):
+            loss[edge], extra[edge] = 0.0, 0.0
     topology = Topology("oracle")
     for node in sorted(graph.nodes):
         topology.add_node(node)
@@ -370,7 +412,11 @@ def inflated_windows(draw, max_lossy: int):
 
 
 def _through_cache(window, hop_recovery: bool):
-    """Classify ``window`` on the memo's path; also run the reference."""
+    """Classify ``window`` on the memo's path; also run the reference.
+
+    Returns what reached the classifier, the memo's answer, the
+    reference classification and whether the on-time shortcut answered.
+    """
     topology, graph, deadline, degraded, effective, loss = window
     cache = _ProbabilityCache(
         deadline_ms=deadline,
@@ -400,22 +446,54 @@ def _through_cache(window, hop_recovery: bool):
         want = reference_classify_delivery_masks(
             graph, deadline, effective.get, loss.get
         )
-    return seen, result, want
+    return seen, result, want, cache.on_time_skips == 1
+
+
+def _assert_cache_path_matches(window, hop_recovery: bool) -> None:
+    """A degraded window is either classified on the index, exactly as
+    the reference, or answered by the on-time shortcut, which must then
+    be the reference's certain on-time verdict."""
+    seen, result, want, skipped = _through_cache(window, hop_recovery)
+    if skipped:
+        assert seen == []
+        assert want[0].certain == DeliveryProbabilities(1.0, 1.0)
+    elif window[3]:
+        assert seen == [want]
+    assert result == accumulate_probabilities(want[0], [want[1]])[0]
 
 
 class TestProbabilityCachePath:
     @given(window=inflated_windows(max_lossy=10))
     @settings(max_examples=150, deadline=None)
     def test_binary_matches_per_case_dijkstra(self, window):
-        seen, result, want = _through_cache(window, hop_recovery=False)
-        if window[3]:  # a degraded window is classified on the index
-            assert seen == [want]
-        assert result == accumulate_probabilities(want[0], [want[1]])[0]
+        _assert_cache_path_matches(window, hop_recovery=False)
 
     @given(window=inflated_windows(max_lossy=6))
     @settings(max_examples=150, deadline=None)
     def test_ternary_matches_per_case_dijkstra(self, window):
-        seen, result, want = _through_cache(window, hop_recovery=True)
-        if window[3]:
-            assert seen == [want]
-        assert result == accumulate_probabilities(want[0], [want[1]])[0]
+        _assert_cache_path_matches(window, hop_recovery=True)
+
+    def test_view_off_the_fastest_path_skips_the_classifier(self):
+        """``S->A->T`` is on time; a lossy, slowed ``S->B->T`` detour
+        leaves it so, and no lookup or classification happens."""
+        latency = {("S", "A"): 1.0, ("A", "T"): 1.0, ("S", "B"): 2.0, ("B", "T"): 2.0}
+        loss = {edge: 0.0 for edge in latency}
+        loss[("S", "B")] = 0.5
+        extra = {edge: 0.0 for edge in latency}
+        extra[("B", "T")] = 1.0
+        topology = Topology("oracle")
+        for node in "ABST":
+            topology.add_node(node)
+        for (u, v), ms in sorted(latency.items()):
+            topology.add_link(u, v, ms, bidirectional=False)
+        graph = DisseminationGraph("S", "T", frozenset(latency))
+        degraded = {
+            ("S", "B"): LinkState(loss_rate=0.5),
+            ("B", "T"): LinkState(extra_latency_ms=1.0),
+        }
+        effective = {edge: latency[edge] + extra[edge] for edge in latency}
+        window = (topology.freeze(), graph, 2.5, degraded, effective, loss)
+        for hop_recovery in (False, True):
+            seen, result, want, skipped = _through_cache(window, hop_recovery)
+            assert skipped and seen == []
+            assert result == want[0].certain == DeliveryProbabilities(1.0, 1.0)
