@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import common
 
-from repro.core.algorithms import adjacency_from_topology, disjoint_paths, shortest_path
+from repro.core.algorithms import SplitNetwork
 from repro.core.builders import (
     destination_problem_graph,
     time_constrained_flooding_graph,
@@ -20,14 +20,15 @@ from repro.core.encoding import decode_graph, encode_graph
 
 
 def test_e9_shortest_path(benchmark):
-    adjacency = adjacency_from_topology(common.topology())
-    result = benchmark(shortest_path, adjacency, "NYC", "SJC")
-    assert result[0][0] == "NYC"
+    index = common.topology().routing_index
+    path = benchmark(index.shortest_path, index.latencies, "NYC", "SJC")
+    assert path[0] == "NYC"
 
 
 def test_e9_two_disjoint_paths(benchmark):
-    adjacency = adjacency_from_topology(common.topology())
-    result = benchmark(disjoint_paths, adjacency, "NYC", "SJC", 2)
+    index = common.topology().routing_index
+    network = SplitNetwork(index, "NYC", "SJC")
+    result = benchmark(network.disjoint_paths, index.latencies, 2)
     assert len(result) == 2
 
 

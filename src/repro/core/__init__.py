@@ -6,7 +6,8 @@ This package implements the paper's primary contribution:
 * :mod:`repro.core.dgraph` -- dissemination graphs, the unified framework
   for specifying routing schemes from a single path to arbitrary graphs.
 * :mod:`repro.core.algorithms` -- from-scratch graph algorithms (shortest
-  paths, disjoint path pairs, flows, Steiner arborescences).
+  paths, disjoint path pairs, flows, Steiner arborescences) on one
+  integer-indexed routing graph per frozen topology.
 * :mod:`repro.core.builders` -- constructors for every dissemination-graph
   family the paper evaluates (single path, k disjoint paths,
   time-constrained flooding, targeted source/destination-problem graphs).

@@ -1,43 +1,22 @@
-"""From-scratch graph algorithms used by the dissemination-graph builders.
+"""From-scratch graph algorithms behind the dissemination-graph builders.
 
-Everything here operates on a plain *weighted adjacency mapping*
-(``node -> {neighbor: weight}``) so the algorithms stay decoupled from the
-:class:`~repro.core.graph.Topology` type and are easy to property-test
-against reference implementations.  :func:`adjacency_from_topology` bridges
-the two representations.  The exception is
-:class:`~repro.core.algorithms.routing_index.RoutingIndex`, the
-integer-indexed graph per-update routing searches under changing
-weights.
+Every routing search runs on one graph per frozen topology,
+:class:`~repro.core.algorithms.routing_index.RoutingIndex`
+(``Topology.routing_index``): shortest paths, distances, through
+latencies (the flooding criterion), the greedy Steiner arborescence, and
+-- through :class:`~repro.core.algorithms.routing_index.SplitNetwork` and
+the successive-shortest-paths min-cost flow -- minimum-total-latency
+node-disjoint paths.  The builders call it at base latencies, the
+dynamic and targeted policies under each observed view.
+
+Bellman-Ford (:mod:`~repro.core.algorithms.paths`), Edmonds-Karp max
+flow (:mod:`~repro.core.algorithms.maxflow`) and the node splitting they
+run on (:mod:`~repro.core.algorithms.adjacency`) work on plain dict
+adjacencies and share no code with the index: they are the tests'
+independent oracles.
 """
 
-from repro.core.algorithms.adjacency import (
-    Adjacency,
-    adjacency_from_topology,
-    copy_adjacency,
-    reverse_adjacency,
-)
-from repro.core.algorithms.disjoint import disjoint_paths
-from repro.core.algorithms.maxflow import max_disjoint_path_count
-from repro.core.algorithms.paths import (
-    NoPathError,
-    bellman_ford,
-    shortest_path,
-    single_source_distances,
-)
-from repro.core.algorithms.steiner import steiner_arborescence
-from repro.core.algorithms.yen import k_shortest_paths
+from repro.core.algorithms.paths import NoPathError
+from repro.core.algorithms.routing_index import RoutingIndex, SplitNetwork
 
-__all__ = [
-    "Adjacency",
-    "NoPathError",
-    "adjacency_from_topology",
-    "bellman_ford",
-    "copy_adjacency",
-    "disjoint_paths",
-    "k_shortest_paths",
-    "max_disjoint_path_count",
-    "reverse_adjacency",
-    "shortest_path",
-    "single_source_distances",
-    "steiner_arborescence",
-]
+__all__ = ["NoPathError", "RoutingIndex", "SplitNetwork"]

@@ -1,74 +1,22 @@
-"""Weighted-adjacency representation shared by the algorithm modules.
+"""Weighted-adjacency representation and node splitting.
 
 An adjacency is ``dict[node, dict[neighbor, weight]]``.  Nodes are any
-hashable value: overlay node ids in normal use, synthetic ``(node, "in")``
-/ ``(node, "out")`` pairs inside the node-splitting transformations.
+hashable value: overlay node ids, or synthetic ``(node, "in")`` /
+``(node, "out")`` pairs inside the node-splitting transformation.  Only
+the max-flow oracle (:mod:`repro.core.algorithms.maxflow`) and the
+Bellman-Ford oracle route on adjacencies; every routing search of the
+program runs on the topology's
+:class:`~repro.core.algorithms.routing_index.RoutingIndex`.
 """
 
 from __future__ import annotations
 
 from typing import Dict, Hashable, Iterable
 
-__all__ = [
-    "Adjacency",
-    "adjacency_from_topology",
-    "copy_adjacency",
-    "reverse_adjacency",
-    "split_nodes",
-    "unsplit_path",
-]
+__all__ = ["Adjacency", "split_nodes", "unsplit_path"]
 
 Node = Hashable
 Adjacency = Dict[Node, Dict[Node, float]]
-
-
-def adjacency_from_topology(
-    topology,
-    weight: str = "latency",
-    exclude_edges: Iterable[tuple] = (),
-    exclude_nodes: Iterable = (),
-) -> Adjacency:
-    """Build an adjacency from a :class:`~repro.core.graph.Topology`.
-
-    ``weight`` selects the edge weight: ``"latency"`` (milliseconds),
-    ``"cost"`` (messages), or ``"hops"`` (1 per edge).  ``exclude_edges`` /
-    ``exclude_nodes`` drop degraded elements before routing, which is how
-    the dynamic schemes avoid problematic parts of the network.
-    """
-    if weight not in ("latency", "cost", "hops"):
-        raise ValueError(f"unknown weight kind {weight!r}")
-    excluded_edges = set(exclude_edges)
-    excluded_nodes = set(exclude_nodes)
-    adjacency: Adjacency = {
-        node: {} for node in topology.nodes if node not in excluded_nodes
-    }
-    for link in topology.iter_links():
-        if link.edge in excluded_edges:
-            continue
-        if link.source in excluded_nodes or link.target in excluded_nodes:
-            continue
-        if weight == "latency":
-            value = link.latency_ms
-        elif weight == "cost":
-            value = link.cost
-        else:
-            value = 1.0
-        adjacency[link.source][link.target] = value
-    return adjacency
-
-
-def copy_adjacency(adjacency: Adjacency) -> Adjacency:
-    """Deep-enough copy (the nested dicts are duplicated)."""
-    return {node: dict(neighbors) for node, neighbors in adjacency.items()}
-
-
-def reverse_adjacency(adjacency: Adjacency) -> Adjacency:
-    """Reverse every edge (weights preserved)."""
-    reversed_adjacency: Adjacency = {node: {} for node in adjacency}
-    for node, neighbors in adjacency.items():
-        for neighbor, weight in neighbors.items():
-            reversed_adjacency.setdefault(neighbor, {})[node] = weight
-    return reversed_adjacency
 
 
 def split_nodes(adjacency: Adjacency, keep_whole: Iterable[Node]) -> Adjacency:

@@ -1,10 +1,10 @@
-"""Edmonds-Karp maximum flow for disjoint-path counting.
+"""Edmonds-Karp maximum flow for disjoint-path counting: a test oracle.
 
-Used to answer "how many node-disjoint (edge-disjoint) paths exist between
-this flow's endpoints?", which the targeted-redundancy builders use to
-bound how much redundancy is even available, and which tests use to
-cross-check the min-cost-flow solver (by Menger's theorem the counts must
-agree).
+Answers "how many node-disjoint (edge-disjoint) paths exist between
+these endpoints?" on a dict adjacency.  No builder or policy calls it;
+the tests use it to cross-check the min-cost-flow disjoint-path search
+(by Menger's theorem the counts must agree) and the topology generators'
+biconnectivity.
 """
 
 from __future__ import annotations

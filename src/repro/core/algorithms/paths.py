@@ -1,24 +1,20 @@
-"""Shortest-path primitives: Dijkstra and Bellman-Ford.
+"""The no-path error, and Bellman-Ford as an independent test oracle.
 
-Dijkstra is the workhorse for all latency-based routing; Bellman-Ford is
-needed only inside the disjoint-path transformation, whose residual graph
-contains negative-weight edges.
+Every routing search runs on the topology's
+:class:`~repro.core.algorithms.routing_index.RoutingIndex` with Dijkstra
+(the disjoint-path min-cost flow too: Johnson potentials keep its reduced
+costs non-negative).  Bellman-Ford, which tolerates negative weights,
+shares no code with those searches, so the tests check shortest paths
+against it.
 """
 
 from __future__ import annotations
 
-import heapq
-from typing import Hashable, Mapping
+from typing import Hashable
 
 from repro.core.algorithms.adjacency import Adjacency
 
-__all__ = [
-    "NoPathError",
-    "shortest_path",
-    "single_source_distances",
-    "bellman_ford",
-    "path_length",
-]
+__all__ = ["NoPathError", "bellman_ford"]
 
 Node = Hashable
 _INF = float("inf")
@@ -33,92 +29,13 @@ class NoPathError(Exception):
         self.target = target
 
 
-def single_source_distances(
-    adjacency: Adjacency, source: Node
-) -> dict[Node, float]:
-    """Dijkstra distances from ``source`` to every reachable node.
-
-    Weights must be non-negative (checked lazily: a negative weight raises
-    ``ValueError`` when encountered).
-    """
-    if source not in adjacency:
-        raise KeyError(f"unknown source node {source!r}")
-    distances: dict[Node, float] = {source: 0.0}
-    heap: list[tuple[float, int, Node]] = [(0.0, 0, source)]
-    counter = 1  # tie-breaker so heterogeneous node types never compare
-    while heap:
-        distance, _tie, node = heapq.heappop(heap)
-        if distance > distances.get(node, _INF):
-            continue
-        for neighbor, weight in adjacency.get(node, {}).items():
-            if weight < 0:
-                raise ValueError(
-                    f"negative weight {weight} on edge {node!r}->{neighbor!r}"
-                )
-            candidate = distance + weight
-            if candidate < distances.get(neighbor, _INF):
-                distances[neighbor] = candidate
-                heapq.heappush(heap, (candidate, counter, neighbor))
-                counter += 1
-    return distances
-
-
-def shortest_path(
-    adjacency: Adjacency, source: Node, target: Node
-) -> tuple[list[Node], float]:
-    """Dijkstra shortest path; returns ``(node_list, total_weight)``.
-
-    Ties are broken deterministically by preferring lexicographically
-    smaller predecessor chains (via sorted neighbor iteration), so repeated
-    runs produce identical routes -- important for reproducible replays.
-
-    Raises :class:`NoPathError` when ``target`` is unreachable.
-    """
-    if source not in adjacency:
-        raise KeyError(f"unknown source node {source!r}")
-    if target not in adjacency:
-        raise KeyError(f"unknown target node {target!r}")
-    distances: dict[Node, float] = {source: 0.0}
-    predecessor: dict[Node, Node] = {}
-    heap: list[tuple[float, int, Node]] = [(0.0, 0, source)]
-    counter = 1
-    while heap:
-        distance, _tie, node = heapq.heappop(heap)
-        if node == target:
-            break
-        if distance > distances.get(node, _INF):
-            continue
-        neighbors = adjacency.get(node, {})
-        for neighbor in sorted(neighbors, key=repr):
-            weight = neighbors[neighbor]
-            if weight < 0:
-                raise ValueError(
-                    f"negative weight {weight} on edge {node!r}->{neighbor!r}"
-                )
-            candidate = distance + weight
-            if candidate < distances.get(neighbor, _INF):
-                distances[neighbor] = candidate
-                predecessor[neighbor] = node
-                heapq.heappush(heap, (candidate, counter, neighbor))
-                counter += 1
-    if target not in distances:
-        raise NoPathError(source, target)
-    path = [target]
-    while path[-1] != source:
-        path.append(predecessor[path[-1]])
-    path.reverse()
-    return path, distances[target]
-
-
 def bellman_ford(
     adjacency: Adjacency, source: Node, target: Node
 ) -> tuple[list[Node], float]:
     """Bellman-Ford shortest path, tolerating negative edge weights.
 
     Raises :class:`NoPathError` when unreachable and ``ValueError`` on a
-    negative cycle reachable from ``source`` (which would indicate a bug in
-    the disjoint-path transformation -- residual graphs built from a
-    shortest path never contain one).
+    negative cycle reachable from ``source``.
     """
     if source not in adjacency:
         raise KeyError(f"unknown source node {source!r}")
@@ -160,14 +77,3 @@ def bellman_ford(
         path.append(previous)
     path.reverse()
     return path, distances[target]
-
-
-def path_length(adjacency: Adjacency, path: list[Node]) -> float:
-    """Total weight of ``path`` under ``adjacency`` (raises on missing edge)."""
-    total = 0.0
-    for u, v in zip(path, path[1:]):
-        try:
-            total += adjacency[u][v]
-        except KeyError:
-            raise KeyError(f"path uses missing edge {u!r}->{v!r}") from None
-    return total

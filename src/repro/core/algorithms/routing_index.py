@@ -1,29 +1,34 @@
 """Integer-indexed routing graph of a frozen topology.
 
-Dynamic path selection and targeted re-routing search one unchanging
-topology at every condition change of a replay, each time under a
-different observed view.  :class:`RoutingIndex` fixes the structure once
--- node ranks in sorted-name order, links in sorted-edge order, base
-latencies, out/in link lists -- so a view is a weight list indexed by
-link id (the base latencies plus the few observed overrides) and an
-exclusion is a set of link ids the search skips; nothing is copied.
+Every routing search in ``repro`` runs on :class:`RoutingIndex`: the
+dissemination-graph builders search it at base latencies when a policy
+attaches, and dynamic path selection and targeted re-routing search it
+at every condition change of a replay, each time under a different
+observed view.  The index fixes the structure once -- node ranks in
+sorted-name order, links in sorted-edge order, base latencies, out/in
+link lists -- so a view is a weight list indexed by link id (the base
+latencies, or those plus the few observed overrides) and an exclusion
+is a set of link ids the search skips; nothing is copied.
 
-The searches perform the float operations and tie-breaks of the
-dict-based primitives run on an adjacency built from the topology
-(:func:`~repro.core.algorithms.adjacency.adjacency_from_topology` order:
-sorted nodes, sorted targets), so the same view yields the same route:
+Each search breaks ties by a fixed order, so the same view always
+yields the same route:
 
 * :meth:`RoutingIndex.shortest_path` relaxes neighbours in ``repr``
-  order and breaks heap ties by push order, like
-  :func:`~repro.core.algorithms.paths.shortest_path`;
-* :meth:`RoutingIndex.distances` relaxes in sorted-edge order, like
-  :func:`~repro.core.algorithms.paths.single_source_distances`;
-* :class:`SplitNetwork` builds its network with the node splitting and
-  arc order of :func:`~repro.core.algorithms.disjoint.disjoint_paths`
-  (:func:`~repro.core.algorithms.adjacency.split_nodes`,
-  :func:`~repro.core.algorithms.disjoint.flow_network`), and gives an
-  excluded link capacity 0 instead of dropping it, so the surviving arcs
-  keep their relative order.
+  order and breaks heap ties by push order;
+* :meth:`RoutingIndex.distances`, and the through latencies built on
+  it, relax in sorted-edge order;
+* :meth:`RoutingIndex.steiner_arborescence` seeds its search and
+  relaxes neighbours in ``repr`` order, and attaches the ``repr``-first
+  of equally near terminals;
+* :class:`SplitNetwork` adds its arcs node by node in sorted-name order
+  (a split node's in->out arc, then its out-links in sorted-edge
+  order), and gives an excluded link capacity 0 instead of dropping
+  it, so the surviving arcs keep their relative order.
+
+These are the orders of the dict-adjacency searches the index replaced;
+``tests/routing/test_routing_oracle.py`` keeps those searches and the
+builders that called them frozen and checks the index against them bit
+for bit.
 
 Weights must be non-negative; callers build them from validated base
 latencies and observed states, so the searches do not re-check.
@@ -34,8 +39,8 @@ from __future__ import annotations
 import heapq
 from typing import AbstractSet, Iterable, Sequence
 
-from repro.core.algorithms.adjacency import split_nodes
-from repro.core.algorithms.disjoint import flow_network, solve_disjoint
+from repro.core.algorithms.disjoint import solve_disjoint
+from repro.core.algorithms.mincostflow import MinCostFlow
 
 __all__ = ["RoutingIndex", "SplitNetwork"]
 
@@ -45,8 +50,8 @@ _INF = float("inf")
 class RoutingIndex:
     """Node ranks, link ids, base latencies and link lists of one topology.
 
-    Immutable once built, so one index is shared by every policy and
-    thread routing on the topology
+    Immutable once built, so one index is shared by every builder,
+    policy and thread routing on the topology
     (:attr:`~repro.core.graph.Topology.routing_index`).
     """
 
@@ -67,6 +72,10 @@ class RoutingIndex:
         self._out_by_repr = [
             sorted(links, key=lambda item: repr(names[item[1]]))
             for links in self.out_links
+        ]
+        self._in_by_repr = [
+            sorted(links, key=lambda item: repr(names[item[1]]))
+            for links in self.in_links
         ]
 
     def link_ids(self, edges: Iterable[tuple[str, str]]) -> set[int]:
@@ -135,9 +144,114 @@ class RoutingIndex:
                     counter += 1
         return distances
 
+    def through_latencies(
+        self, weights: Sequence[float], source: str, target: str
+    ) -> dict[tuple[str, str], float]:
+        """Best ``source ->* u -> v ->* target`` weight per edge ``(u, v)``.
+
+        The time-constrained-flooding criterion: a copy can cross the
+        edge and still arrive within a deadline exactly when this weight
+        is within it.  Edges that ``source`` cannot reach, or whose head
+        cannot reach ``target``, are left out; the rest are in sorted
+        order.
+        """
+        from_source = self.distances(weights, source)
+        to_target = self.distances(weights, target, reverse=True)
+        rank = self.rank
+        through: dict[tuple[str, str], float] = {}
+        for link, (tail, head) in enumerate(self.edges):
+            before = from_source[rank[tail]]
+            after = to_target[rank[head]]
+            if before != _INF and after != _INF:
+                through[(tail, head)] = before + weights[link] + after
+        return through
+
+    def steiner_arborescence(
+        self,
+        root: str,
+        terminals: Iterable[str],
+        skip: str,
+        reverse: bool = False,
+    ) -> set[tuple[str, str]]:
+        """Edges of a cheap arborescence from ``root`` to every terminal.
+
+        Optimal directed Steiner trees are NP-hard; this is the greedy
+        cheapest-path-first heuristic, deterministic and at most a
+        logarithmic factor off, which keeps the targeted graphs' cost
+        low (claim C6).  It repeatedly attaches the terminal nearest to
+        any node already in the arborescence (ties: the ``repr``-first
+        terminal), over links that avoid node ``skip``.  With ``reverse``
+        it searches along in-links, so the arborescence leads from every
+        terminal *into* ``root``.  Distances are base latencies, and
+        unreachable terminals are skipped.  Edges are returned as
+        topology edges, in their own direction.
+        """
+        names = self.names
+        links = self._in_by_repr if reverse else self._out_by_repr
+        skipped = self.rank[skip]
+        tree = {self.rank[root]}
+        pending = sorted(
+            {self.rank[terminal] for terminal in terminals} - tree,
+            key=lambda node: repr(names[node]),
+        )
+        edges: set[tuple[str, str]] = set()
+        while pending:
+            distances, predecessor = self._distances_from_tree(tree, links, skipped)
+            best = min(pending, key=distances.__getitem__)
+            if distances[best] == _INF:
+                break  # every remaining terminal is unreachable
+            pending.remove(best)
+            node = best
+            while node not in tree:
+                tree.add(node)
+                previous = predecessor[node]
+                pair = (names[node], names[previous])
+                edges.add(pair if reverse else pair[::-1])
+                node = previous
+        return edges
+
+    def _distances_from_tree(
+        self, tree: set[int], links: list[list[tuple[int, int]]], skipped: int
+    ) -> tuple[list[float], list[int]]:
+        """Multi-source Dijkstra from every ``tree`` node, avoiding ``skipped``.
+
+        Distances and predecessors by rank; the sources are pushed in
+        ``repr`` order.
+        """
+        names, weights = self.names, self.latencies
+        distances = [_INF] * len(names)
+        predecessor = [-1] * len(names)
+        heap: list[tuple[float, int, int]] = []
+        for node in sorted(tree, key=lambda node: repr(names[node])):
+            distances[node] = 0.0
+            heap.append((0.0, len(heap), node))  # ascending: already a heap
+        counter = len(heap)
+        while heap:
+            distance, _tie, node = heapq.heappop(heap)
+            if distance > distances[node]:
+                continue
+            for link, neighbor in links[node]:
+                if neighbor == skipped:
+                    continue
+                candidate = distance + weights[link]
+                if candidate < distances[neighbor]:
+                    distances[neighbor] = candidate
+                    predecessor[neighbor] = node
+                    heapq.heappush(heap, (candidate, counter, neighbor))
+                    counter += 1
+        return distances, predecessor
+
 
 class SplitNetwork:
     """One flow's node-split min-cost-flow network, re-solved per view.
+
+    Sending ``k`` units over unit-capacity arcs finds the ``k`` disjoint
+    paths of minimum total weight -- the flow form of Suurballe's
+    algorithm, which a greedy shortest-path-first choice gets wrong when
+    the shortest path blocks the only disjoint pair.  Node splitting makes
+    the paths node-disjoint: every node but the flow's endpoints becomes
+    ``(node, "in")`` and ``(node, "out")`` joined by a zero-cost arc, and
+    an endpoint is one ``(node, "both")``.
 
     Built once per flow; each :meth:`disjoint_paths` call only sets the
     arc costs, gives excluded links capacity 0 and zeroes the flow.  The
@@ -148,19 +262,29 @@ class SplitNetwork:
         self._index = index
         self._source = (source, "both")
         self._target = (target, "both")
-        adjacency = {
-            name: {index.names[head]: index.latencies[link] for link, head in links}
-            for name, links in zip(index.names, index.out_links)
-        }
-        split = split_nodes(adjacency, keep_whole=(source, target))
-        self._solver = flow_network(split)
-        # Link id per forward arc, in flow_network's order; -1 marks a
-        # node's internal in->out arc.
-        self._arc_links = [
-            index.link_id.get((tail, head), -1)
-            for (tail, _role), heads in split.items()
-            for head, _head_role in heads
+        whole = (source, target)
+        heads = [
+            (name, "both") if name in whole else (name, "in")
+            for name in index.names
         ]
+        solver = MinCostFlow()
+        for name, head in zip(index.names, heads):
+            solver.add_node(head)
+            if name not in whole:
+                solver.add_node((name, "out"))
+        # Link id per forward arc, in insertion order; -1 marks a node's
+        # internal in->out arc.
+        self._arc_links: list[int] = []
+        for name, head, links in zip(index.names, heads, index.out_links):
+            tail = head
+            if name not in whole:
+                tail = (name, "out")
+                solver.add_arc(head, tail, 1, 0.0)
+                self._arc_links.append(-1)
+            for link, target_rank in links:
+                solver.add_arc(tail, heads[target_rank], 1, index.latencies[link])
+                self._arc_links.append(link)
+        self._solver = solver
 
     def disjoint_paths(
         self,
@@ -170,8 +294,8 @@ class SplitNetwork:
     ) -> list[list[str]]:
         """Up to ``k`` node-disjoint paths of minimum total weight.
 
-        The result equals :func:`~repro.core.algorithms.disjoint_paths`
-        on the topology's adjacency under ``weights`` minus ``excluded``.
+        Fewer when fewer disjoint paths avoid ``excluded`` (none when the
+        target is unreachable); shortest first.
         """
         arc_links = self._arc_links
         self._solver.reset(
@@ -184,5 +308,5 @@ class SplitNetwork:
             return sum(weights[link_id[edge]] for edge in zip(path, path[1:]))
 
         return solve_disjoint(
-            self._solver, self._source, self._target, k, True, weight_of
+            self._solver, self._source, self._target, k, weight_of
         )

@@ -12,26 +12,19 @@ Four families (paper Sections III and V):
   destination, constructed so a packet enters (leaves) the problem area
   over *all* available adjacent links.
 
-All builders require a frozen topology and return pruned graphs (dead
-edges removed) so the reported cost counts only edges that can carry a
-useful copy.
+All builders require a frozen topology, route on its
+:class:`~repro.core.algorithms.routing_index.RoutingIndex` at base
+latencies, and return pruned graphs (dead edges removed) so the reported
+cost counts only edges that can carry a useful copy.
 """
 
 from __future__ import annotations
 
-from typing import Iterable, Sequence
+from typing import Sequence
 
-from repro.core.algorithms import (
-    NoPathError,
-    adjacency_from_topology,
-    disjoint_paths,
-    shortest_path,
-    single_source_distances,
-    steiner_arborescence,
-)
-from repro.core.algorithms.adjacency import reverse_adjacency
+from repro.core.algorithms import NoPathError, SplitNetwork
 from repro.core.dgraph import DisseminationGraph
-from repro.core.graph import Edge, NodeId, Topology
+from repro.core.graph import NodeId, Topology
 from repro.util.validation import require
 
 __all__ = [
@@ -43,7 +36,6 @@ __all__ = [
     "destination_problem_graph",
     "robust_source_destination_graph",
     "union_problem_graphs",
-    "overlay_flooding_graph",
 ]
 
 
@@ -58,13 +50,14 @@ def single_path_graph(
     topology: Topology,
     source: NodeId,
     destination: NodeId,
-    exclude_edges: Iterable[Edge] = (),
     name: str = "single-path",
 ) -> DisseminationGraph:
     """Lowest-latency single path (raises ``NoPathError`` if disconnected)."""
     _check_flow(topology, source, destination)
-    adjacency = adjacency_from_topology(topology, exclude_edges=exclude_edges)
-    path, _latency = shortest_path(adjacency, source, destination)
+    index = topology.routing_index
+    path = index.shortest_path(index.latencies, source, destination)
+    if path is None:
+        raise NoPathError(source, destination)
     return DisseminationGraph.from_path(path, name=name)
 
 
@@ -73,22 +66,19 @@ def k_disjoint_paths_graph(
     source: NodeId,
     destination: NodeId,
     k: int = 2,
-    exclude_edges: Iterable[Edge] = (),
-    node_disjoint: bool = True,
     name: str = "",
 ) -> DisseminationGraph:
-    """Minimum-total-latency set of up to ``k`` disjoint paths.
+    """Minimum-total-latency set of up to ``k`` node-disjoint paths.
 
-    Falls back gracefully: if fewer than ``k`` disjoint paths exist under
-    the exclusions, the graph contains as many as do; if the destination is
-    unreachable, raises :class:`NoPathError`.
+    Falls back gracefully: if fewer than ``k`` disjoint paths exist, the
+    graph contains as many as do; if the destination is unreachable,
+    raises :class:`NoPathError`.
     """
     _check_flow(topology, source, destination)
     require(k >= 1, f"k must be >= 1, got {k}")
-    adjacency = adjacency_from_topology(topology, exclude_edges=exclude_edges)
-    paths = disjoint_paths(
-        adjacency, source, destination, k=k, node_disjoint=node_disjoint
-    )
+    index = topology.routing_index
+    network = SplitNetwork(index, source, destination)
+    paths = network.disjoint_paths(index.latencies, k)
     if not paths:
         raise NoPathError(source, destination)
     return DisseminationGraph.from_paths(paths, name=name or f"{k}-disjoint-paths")
@@ -98,18 +88,10 @@ def two_disjoint_paths_graph(
     topology: Topology,
     source: NodeId,
     destination: NodeId,
-    exclude_edges: Iterable[Edge] = (),
     name: str = "two-disjoint-paths",
 ) -> DisseminationGraph:
     """The paper's baseline redundant scheme: two node-disjoint paths."""
-    return k_disjoint_paths_graph(
-        topology,
-        source,
-        destination,
-        k=2,
-        exclude_edges=exclude_edges,
-        name=name,
-    )
+    return k_disjoint_paths_graph(topology, source, destination, k=2, name=name)
 
 
 def time_constrained_flooding_graph(
@@ -129,36 +111,15 @@ def time_constrained_flooding_graph(
     """
     _check_flow(topology, source, destination)
     require(deadline_ms > 0, f"deadline must be positive, got {deadline_ms}")
-    adjacency = adjacency_from_topology(topology)
-    from_source = single_source_distances(adjacency, source)
-    to_destination = single_source_distances(
-        reverse_adjacency(adjacency), destination
-    )
-    edges = set()
-    for link in topology.iter_links():
-        head_distance = from_source.get(link.source)
-        tail_distance = to_destination.get(link.target)
-        if head_distance is None or tail_distance is None:
-            continue
-        if head_distance + link.latency_ms + tail_distance <= deadline_ms:
-            edges.add(link.edge)
+    index = topology.routing_index
+    through = index.through_latencies(index.latencies, source, destination)
     graph = DisseminationGraph(
         source,
         destination,
-        frozenset(edges),
+        frozenset(edge for edge, ms in through.items() if ms <= deadline_ms),
         name=name or f"flooding-{deadline_ms:g}ms",
     )
     return graph.pruned()
-
-
-def overlay_flooding_graph(
-    topology: Topology, source: NodeId, destination: NodeId, name: str = "flooding"
-) -> DisseminationGraph:
-    """Unconstrained flooding: every edge of the overlay (reference only)."""
-    _check_flow(topology, source, destination)
-    return DisseminationGraph(
-        source, destination, frozenset(topology.edges), name=name
-    ).pruned()
 
 
 def _select_entry_nodes(
@@ -183,20 +144,18 @@ def _select_entry_nodes(
     source's out-neighbours (detour = source -> n ->* destination).
     """
     candidates = [n for n in neighbors if n != other_end]
-    adjacency = adjacency_from_topology(topology)
+    index = topology.routing_index
+    distances = index.distances(index.latencies, other_end, reverse=not entry_side)
+    rank = index.rank
     if entry_side:
-        distances = single_source_distances(adjacency, other_end)
 
         def detour_ms(n: NodeId) -> float:
-            upstream = distances.get(n, float("inf"))
-            return upstream + topology.latency(n, endpoint)
+            return distances[rank[n]] + topology.latency(n, endpoint)
 
     else:
-        distances = single_source_distances(reverse_adjacency(adjacency), other_end)
 
         def detour_ms(n: NodeId) -> float:
-            downstream = distances.get(n, float("inf"))
-            return topology.latency(endpoint, n) + downstream
+            return topology.latency(endpoint, n) + distances[rank[n]]
 
     if detour_budget_ms is not None:
         candidates = [n for n in candidates if detour_ms(n) <= detour_budget_ms]
@@ -260,9 +219,9 @@ def destination_problem_graph(
         deadline_ms,
         entry_side=True,
     )
-    adjacency = adjacency_from_topology(topology, exclude_nodes=(destination,))
-    tree_edges = steiner_arborescence(adjacency, source, entries)
-    edges = set(base.edges) | tree_edges
+    edges = set(base.edges) | topology.routing_index.steiner_arborescence(
+        source, entries, skip=destination
+    )
     for entry in entries:
         if topology.has_edge(entry, destination):
             edges.add((entry, destination))
@@ -296,14 +255,9 @@ def source_problem_graph(
         deadline_ms,
         entry_side=False,
     )
-    adjacency = adjacency_from_topology(topology, exclude_nodes=(source,))
-    # Arborescence *into* the destination: build on the reversed graph
-    # rooted at the destination, then flip the edges back.
-    reversed_tree = steiner_arborescence(
-        reverse_adjacency(adjacency), destination, exits
+    edges = set(base.edges) | topology.routing_index.steiner_arborescence(
+        destination, exits, skip=source, reverse=True
     )
-    edges = set(base.edges)
-    edges.update((v, u) for (u, v) in reversed_tree)
     for exit_node in exits:
         if topology.has_edge(source, exit_node):
             edges.add((source, exit_node))

@@ -30,7 +30,6 @@ __all__ = [
     "graph_connects",
     "inflation_key",
     "observed_weights",
-    "on_time_edges",
     "timely_edge_latencies",
 ]
 
@@ -44,8 +43,6 @@ DEAD_LOSS_THRESHOLD = 0.99
 # clean alternative -- however long -- wins, but among unavoidable lossy
 # edges the least-lossy is chosen.
 LOSS_PENALTY_MS_PER_UNIT = 1000.0
-
-_INF = float("inf")
 
 
 class RoutingPolicy(abc.ABC):
@@ -161,11 +158,6 @@ class RoutingPolicy(abc.ABC):
     ) -> DisseminationGraph:
         """Scheme-specific decision; timestamps already validated."""
 
-    def reset(self) -> None:
-        """Clear temporal state so the policy can replay another trace."""
-        self._last_update_s = float("-inf")
-        self._observed_changed = None
-
 
 def degraded_edge_set(
     observed: Mapping[Edge, LinkState], loss_threshold: float
@@ -226,54 +218,27 @@ def graph_connects(
     return graph.destination in reached
 
 
-def on_time_edges(
-    topology: Topology,
-    observed: Mapping[Edge, LinkState],
-    source: NodeId,
-    destination: NodeId,
-    deadline_ms: float,
-) -> frozenset[Edge]:
-    """Edges still usable within the deadline at *observed* latencies.
-
-    The time-constrained-flooding criterion applied to the live view: edge
-    ``(u, v)`` is usable iff ``dist(source, u) + lat(u, v) +
-    dist(v, destination) <= deadline``.  Timely re-routing restricts its
-    search to this set so it never installs a path that cannot possibly
-    deliver on time.
-    """
-    return frozenset(
-        edge
-        for edge, through in timely_edge_latencies(
-            topology, observed, source, destination
-        ).items()
-        if through <= deadline_ms
-    )
-
-
 def timely_edge_latencies(
     topology: Topology,
     observed: Mapping[Edge, LinkState],
     source: NodeId,
     destination: NodeId,
 ) -> dict[Edge, float]:
-    """Best source->edge->destination through-latency per reachable edge.
+    """Best source->edge->destination through-latency at *observed* latencies.
 
-    The quantity :func:`on_time_edges` thresholds, exposed so callers
-    that must *rank* edges (candidate pruning at large N) reuse the same
-    two Dijkstra passes instead of running their own.  Edges are in
-    sorted order.
+    The time-constrained-flooding criterion applied to the live view
+    (:meth:`~repro.core.algorithms.routing_index.RoutingIndex.through_latencies`):
+    edge ``(u, v)`` is usable iff ``dist(source, u) + lat(u, v) +
+    dist(v, destination) <= deadline``.  Timely re-routing restricts its
+    search to the usable edges, so it never installs a path that cannot
+    possibly deliver on time, and ranks them by this latency when it must
+    prune candidates at large N.  Edges that cannot reach both endpoints
+    are left out; the rest are in sorted order.
     """
     index = topology.routing_index
-    weights = observed_weights(index, observed)
-    from_source = index.distances(weights, source)
-    to_destination = index.distances(weights, destination, reverse=True)
-    through: dict[Edge, float] = {}
-    for link, (tail, head) in enumerate(index.edges):
-        before = from_source[index.rank[tail]]
-        after = to_destination[index.rank[head]]
-        if before != _INF and after != _INF:
-            through[(tail, head)] = before + weights[link] + after
-    return through
+    return index.through_latencies(
+        observed_weights(index, observed), source, destination
+    )
 
 
 def observed_weights(

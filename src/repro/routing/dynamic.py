@@ -54,14 +54,6 @@ class _DynamicPolicyBase(RoutingPolicy):
         # decision boundary, and a policy replays one pair.
         self._decisions: dict[object, DisseminationGraph] = {}
 
-    def reset(self) -> None:
-        """Clear temporal and cache state for a fresh replay."""
-        super().reset()
-        self._cache_key = None
-        self._cache_graph = None
-        self._relevant_edges = frozenset()
-        self._decisions = {}
-
     def _fingerprint(self, observed: Mapping[Edge, LinkState]) -> object:
         """What the decision depends on: degraded set + latency inflations."""
         return (

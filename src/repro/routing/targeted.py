@@ -150,17 +150,6 @@ class TargetedRedundancyPolicy(RoutingPolicy):
             hold_down_s=self.hold_down_s,
         )
 
-    def reset(self) -> None:
-        """Rebuild detector and caches for a fresh replay."""
-        super().reset()
-        if self._topology is not None:
-            self._on_attach()  # rebuild detector state; graphs are pure
-        self._middle_cache_key = None
-        self._middle_cache_graph = None
-        self._reroutes = {}
-        self._timely = {}
-        self._recently_degraded = {}
-
     # -- decisions ----------------------------------------------------------------
 
     @property

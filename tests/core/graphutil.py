@@ -1,4 +1,5 @@
-"""Shared helpers for algorithm tests: random graphs and networkx bridges."""
+"""Shared helpers for algorithm tests: random graphs, networkx bridges, and
+conversions between dict adjacencies and frozen topologies."""
 
 from __future__ import annotations
 
@@ -6,6 +7,7 @@ import networkx as nx
 from hypothesis import strategies as st
 
 from repro.core.algorithms.adjacency import Adjacency
+from repro.core.graph import Topology
 
 
 @st.composite
@@ -50,3 +52,27 @@ def to_networkx(adjacency: Adjacency) -> nx.DiGraph:
 def endpoints(adjacency: Adjacency) -> tuple[str, str]:
     nodes = sorted(adjacency)
     return nodes[0], nodes[-1]
+
+
+def topology_of(adjacency: Adjacency) -> Topology:
+    """The frozen topology with exactly the adjacency's directed edges."""
+    topology = Topology("adjacency")
+    for node in adjacency:
+        topology.add_node(node)
+    for u, neighbors in adjacency.items():
+        for v, weight in neighbors.items():
+            topology.add_link(u, v, weight, bidirectional=False)
+    return topology.freeze()
+
+
+def adjacency_of(topology: Topology) -> Adjacency:
+    """The topology's links as a latency-weighted dict adjacency (for the
+    dict-based oracles)."""
+    adjacency: Adjacency = {node: {} for node in topology.nodes}
+    for link in topology.iter_links():
+        adjacency[link.source][link.target] = link.latency_ms
+    return adjacency
+
+
+def path_weight(adjacency: Adjacency, path) -> float:
+    return sum(adjacency[u][v] for u, v in zip(path, path[1:]))

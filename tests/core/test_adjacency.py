@@ -1,69 +1,8 @@
-"""Adjacency representation and transformations."""
+"""Node splitting and collapsing split paths back to node ids."""
 
 from __future__ import annotations
 
-import pytest
-
-from repro.core.algorithms.adjacency import (
-    adjacency_from_topology,
-    copy_adjacency,
-    reverse_adjacency,
-    split_nodes,
-    unsplit_path,
-)
-
-
-class TestFromTopology:
-    def test_latency_weights(self, diamond):
-        adjacency = adjacency_from_topology(diamond, weight="latency")
-        assert adjacency["S"]["A"] == 2.0
-        assert adjacency["S"]["B"] == 3.0
-
-    def test_hop_weights(self, diamond):
-        adjacency = adjacency_from_topology(diamond, weight="hops")
-        assert adjacency["S"]["A"] == 1.0
-
-    def test_cost_weights(self, diamond):
-        adjacency = adjacency_from_topology(diamond, weight="cost")
-        assert adjacency["S"]["A"] == 1.0
-
-    def test_unknown_weight_rejected(self, diamond):
-        with pytest.raises(ValueError):
-            adjacency_from_topology(diamond, weight="bandwidth")
-
-    def test_exclude_edges(self, diamond):
-        adjacency = adjacency_from_topology(diamond, exclude_edges=[("S", "A")])
-        assert "A" not in adjacency["S"]
-        assert "S" in adjacency["A"]  # only the named direction dropped
-
-    def test_exclude_nodes(self, diamond):
-        adjacency = adjacency_from_topology(diamond, exclude_nodes=["A"])
-        assert "A" not in adjacency
-        assert "A" not in adjacency["S"]
-
-    def test_all_nodes_present_even_isolated(self, diamond):
-        adjacency = adjacency_from_topology(
-            diamond, exclude_edges=list(diamond.edges)
-        )
-        assert set(adjacency) == set(diamond.nodes)
-        assert all(not neighbors for neighbors in adjacency.values())
-
-
-class TestCopyAndReverse:
-    def test_copy_is_deep_enough(self, diamond):
-        adjacency = adjacency_from_topology(diamond)
-        clone = copy_adjacency(adjacency)
-        clone["S"]["A"] = 999.0
-        assert adjacency["S"]["A"] == 2.0
-
-    def test_reverse(self):
-        adjacency = {"X": {"Y": 5.0}, "Y": {}}
-        reversed_adjacency = reverse_adjacency(adjacency)
-        assert reversed_adjacency == {"X": {}, "Y": {"X": 5.0}}
-
-    def test_double_reverse_identity(self, diamond):
-        adjacency = adjacency_from_topology(diamond)
-        assert reverse_adjacency(reverse_adjacency(adjacency)) == adjacency
+from repro.core.algorithms.adjacency import split_nodes, unsplit_path
 
 
 class TestNodeSplitting:

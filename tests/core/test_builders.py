@@ -8,7 +8,6 @@ from repro.core.algorithms import NoPathError
 from repro.core.builders import (
     destination_problem_graph,
     k_disjoint_paths_graph,
-    overlay_flooding_graph,
     robust_source_destination_graph,
     single_path_graph,
     source_problem_graph,
@@ -42,20 +41,20 @@ class TestSinglePath:
         with pytest.raises(ValidationError):
             single_path_graph(topology, "A", "B")
 
-    def test_exclusions_reroute(self, reference_topology):
-        graph = single_path_graph(
-            reference_topology, "NYC", "SJC", exclude_edges=[("CHI", "DEN")]
-        )
-        assert ("CHI", "DEN") not in graph.edges
-        assert graph.connects()
-
     def test_unknown_flow_endpoint(self, reference_topology):
         with pytest.raises(ValidationError):
             single_path_graph(reference_topology, "NYC", "ZZZ")
 
-    def test_disconnection_raises(self, line):
-        with pytest.raises(NoPathError):
-            single_path_graph(line, "S", "T", exclude_edges=[("S", "M")])
+    def test_disconnection_raises(self):
+        topology = Topology("one-way")
+        for node in ("S", "M", "T"):
+            topology.add_node(node)
+        topology.add_link("S", "M", 1.0, bidirectional=False)
+        topology.add_link("T", "M", 1.0, bidirectional=False)
+        topology.freeze()
+        for builder in (single_path_graph, two_disjoint_paths_graph):
+            with pytest.raises(NoPathError):
+                builder(topology, "S", "T")
 
 
 class TestDisjointPaths:
@@ -95,17 +94,12 @@ class TestTimeConstrainedFlooding:
         )
         latency = base_latency(reference_topology)
         # Every edge admits an on-time route through it.
-        from repro.core.algorithms import (
-            adjacency_from_topology,
-            single_source_distances,
-        )
-        from repro.core.algorithms.adjacency import reverse_adjacency
-
-        adjacency = adjacency_from_topology(reference_topology)
-        d_from = single_source_distances(adjacency, "NYC")
-        d_to = single_source_distances(reverse_adjacency(adjacency), "SJC")
+        index = reference_topology.routing_index
+        d_from = index.distances(index.latencies, "NYC")
+        d_to = index.distances(index.latencies, "SJC", reverse=True)
+        rank = index.rank
         for u, v in graph.edges:
-            assert d_from[u] + latency(u, v) + d_to[v] <= DEADLINE + 1e-9
+            assert d_from[rank[u]] + latency(u, v) + d_to[rank[v]] <= DEADLINE + 1e-9
 
     def test_excludes_transatlantic(self, reference_topology):
         graph = time_constrained_flooding_graph(
@@ -145,13 +139,6 @@ class TestTimeConstrainedFlooding:
         assert flood.delivery_latency(latency) == pytest.approx(
             single.delivery_latency(latency)
         )
-
-
-class TestOverlayFlooding:
-    def test_all_useful_edges(self, reference_topology):
-        graph = overlay_flooding_graph(reference_topology, "NYC", "SJC")
-        # Strongly connected topology: pruning keeps everything.
-        assert graph.num_edges == reference_topology.num_edges
 
 
 class TestProblemGraphs:

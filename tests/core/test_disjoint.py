@@ -1,4 +1,5 @@
-"""Disjoint path sets: correctness, minimality, networkx cross-checks."""
+"""Node-disjoint path sets on the routing index: correctness, minimality,
+networkx and max-flow cross-checks."""
 
 from __future__ import annotations
 
@@ -8,14 +9,28 @@ import networkx as nx
 import pytest
 from hypothesis import given, settings
 
-from repro.core.algorithms.adjacency import adjacency_from_topology
-from repro.core.algorithms.disjoint import disjoint_paths, strip_cycles
+from repro.core.algorithms import SplitNetwork
+from repro.core.algorithms.disjoint import strip_cycles
 from repro.core.algorithms.maxflow import max_disjoint_path_count
-from tests.core.graphutil import endpoints, random_adjacency, to_networkx
+from repro.core.builders import k_disjoint_paths_graph
+from repro.core.graph import Topology
+from repro.util.validation import ValidationError
+from tests.core.graphutil import (
+    adjacency_of,
+    endpoints,
+    path_weight,
+    random_adjacency,
+    to_networkx,
+    topology_of,
+)
 
 
-def path_weight(adjacency, path):
-    return sum(adjacency[u][v] for u, v in zip(path, path[1:]))
+def disjoint_paths(graph, source, target, k=2):
+    """``SplitNetwork.disjoint_paths`` at base latencies; ``graph`` is a
+    topology or a dict adjacency."""
+    topology = graph if isinstance(graph, Topology) else topology_of(graph)
+    index = topology.routing_index
+    return SplitNetwork(index, source, target).disjoint_paths(index.latencies, k)
 
 
 def assert_node_disjoint(paths, source, target):
@@ -43,8 +58,7 @@ class TestStripCycles:
 
 class TestTwoDisjoint:
     def test_diamond(self, diamond):
-        adjacency = adjacency_from_topology(diamond)
-        paths = disjoint_paths(adjacency, "S", "T", k=2)
+        paths = disjoint_paths(diamond, "S", "T", k=2)
         assert len(paths) == 2
         assert_node_disjoint(paths, "S", "T")
         assert paths[0] == ["S", "A", "T"]
@@ -68,8 +82,8 @@ class TestTwoDisjoint:
         assert_node_disjoint(paths, "S", "T")
 
     def test_minimal_total_weight(self, braided):
-        adjacency = adjacency_from_topology(braided)
-        paths = disjoint_paths(adjacency, "S", "T", k=2)
+        adjacency = adjacency_of(braided)
+        paths = disjoint_paths(braided, "S", "T", k=2)
         assert len(paths) == 2
         total = sum(path_weight(adjacency, p) for p in paths)
         # Exhaustive check over all node-disjoint simple-path pairs.
@@ -83,25 +97,34 @@ class TestTwoDisjoint:
         assert total == pytest.approx(best)
 
     def test_only_one_path_exists(self, line):
-        adjacency = adjacency_from_topology(line)
-        paths = disjoint_paths(adjacency, "S", "T", k=2)
+        paths = disjoint_paths(line, "S", "T", k=2)
         assert paths == [["S", "M", "T"]]
 
     def test_unreachable(self):
         paths = disjoint_paths({"S": {}, "T": {}}, "S", "T", k=2)
         assert paths == []
 
-    def test_same_endpoints_rejected(self):
-        with pytest.raises(ValueError):
-            disjoint_paths({"S": {}}, "S", "S")
+    def test_same_endpoints_rejected(self, diamond):
+        with pytest.raises(ValidationError):
+            k_disjoint_paths_graph(diamond, "S", "S")
 
-    def test_bad_k(self):
-        with pytest.raises(ValueError):
-            disjoint_paths({"S": {"T": 1.0}, "T": {}}, "S", "T", k=0)
+    def test_bad_k(self, diamond):
+        with pytest.raises(ValidationError):
+            k_disjoint_paths_graph(diamond, "S", "T", k=0)
+        assert disjoint_paths(diamond, "S", "T", k=0) == []  # nothing asked
 
     def test_unknown_node(self):
         with pytest.raises(KeyError):
             disjoint_paths({"S": {}}, "S", "Z")
+
+    def test_excluded_links_avoided(self, diamond):
+        index = diamond.routing_index
+        network = SplitNetwork(index, "S", "T")
+        excluded = index.link_ids({("S", "A")})
+        paths = network.disjoint_paths(index.latencies, 2, excluded)
+        assert paths == [["S", "B", "T"]]
+        # The network is re-solved per call: the exclusion does not stick.
+        assert len(network.disjoint_paths(index.latencies, 2)) == 2
 
     def test_antiparallel_links_handled(self):
         """Bidirectional links must not let two 'disjoint' paths collide."""
@@ -120,24 +143,22 @@ class TestKDisjoint:
     def test_k3_on_reference(self, reference_topology):
         # ATL->DEN admits three node-disjoint paths (via DFW, LAX, and
         # the long way around through WAS/NYC/CHI).
-        adjacency = adjacency_from_topology(reference_topology)
-        paths = disjoint_paths(adjacency, "ATL", "DEN", k=3)
+        paths = disjoint_paths(reference_topology, "ATL", "DEN", k=3)
         assert len(paths) == 3
         assert_node_disjoint(paths, "ATL", "DEN")
 
     def test_k_larger_than_available(self, diamond):
-        adjacency = adjacency_from_topology(diamond)
-        paths = disjoint_paths(adjacency, "S", "T", k=5)
+        paths = disjoint_paths(diamond, "S", "T", k=5)
         assert len(paths) == 2  # the diamond only has two
 
     def test_sorted_by_weight(self, reference_topology):
-        adjacency = adjacency_from_topology(reference_topology)
-        paths = disjoint_paths(adjacency, "WAS", "SEA", k=3)
+        adjacency = adjacency_of(reference_topology)
+        paths = disjoint_paths(reference_topology, "WAS", "SEA", k=3)
         weights = [path_weight(adjacency, p) for p in paths]
         assert weights == sorted(weights)
 
-    def test_edge_disjoint_mode(self):
-        # Edge-disjoint allows sharing node M; node-disjoint does not.
+    def test_shared_middle_node_blocks_second_path(self):
+        # Two edge-disjoint paths exist, but both pass through M.
         adjacency = {
             "S": {"A": 1.0, "B": 1.0},
             "A": {"M": 1.0},
@@ -147,10 +168,7 @@ class TestKDisjoint:
             "D": {"T": 1.0},
             "T": {},
         }
-        edge_paths = disjoint_paths(adjacency, "S", "T", k=2, node_disjoint=False)
-        assert len(edge_paths) == 2
-        node_paths = disjoint_paths(adjacency, "S", "T", k=2, node_disjoint=True)
-        assert len(node_paths) == 1
+        assert len(disjoint_paths(adjacency, "S", "T", k=2)) == 1
 
 
 class TestAgainstMaxFlow:

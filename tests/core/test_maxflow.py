@@ -6,21 +6,20 @@ import networkx as nx
 import pytest
 from hypothesis import given, settings
 
-from repro.core.algorithms.adjacency import adjacency_from_topology
 from repro.core.algorithms.maxflow import (
     max_disjoint_path_count,
     max_flow_unit_capacities,
 )
-from tests.core.graphutil import endpoints, random_adjacency, to_networkx
+from tests.core.graphutil import adjacency_of, endpoints, random_adjacency, to_networkx
 
 
 class TestMaxFlow:
     def test_diamond_two(self, diamond):
-        adjacency = adjacency_from_topology(diamond)
+        adjacency = adjacency_of(diamond)
         assert max_flow_unit_capacities(adjacency, "S", "T") == 2
 
     def test_line_one(self, line):
-        adjacency = adjacency_from_topology(line)
+        adjacency = adjacency_of(line)
         assert max_flow_unit_capacities(adjacency, "S", "T") == 1
 
     def test_disconnected_zero(self):
@@ -61,7 +60,7 @@ class TestDisjointCounts:
 
     def test_reference_flows_have_two_disjoint(self, reference_topology, flows):
         """Every transcontinental flow supports the paper's base scheme."""
-        adjacency = adjacency_from_topology(reference_topology)
+        adjacency = adjacency_of(reference_topology)
         for flow in flows:
             count = max_disjoint_path_count(adjacency, flow.source, flow.destination)
             assert count >= 2, f"{flow.name} has only {count} disjoint paths"

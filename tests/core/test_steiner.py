@@ -1,11 +1,10 @@
-"""Greedy Steiner arborescence."""
+"""Greedy Steiner arborescence on the routing index."""
 
 from __future__ import annotations
 
 import pytest
 
-from repro.core.algorithms.adjacency import adjacency_from_topology
-from repro.core.algorithms.steiner import steiner_arborescence
+from tests.core.graphutil import adjacency_of, topology_of
 
 
 def reachable_from(edges, root):
@@ -23,30 +22,36 @@ def reachable_from(edges, root):
     return seen
 
 
+def arborescence(graph, root, terminals, skip="Z", reverse=False):
+    """The index's arborescence at base latencies; ``graph`` is a topology
+    or a dict adjacency (which gets an isolated ``skip`` node if absent)."""
+    if isinstance(graph, dict):
+        graph = topology_of({skip: {}, **graph})
+    return graph.routing_index.steiner_arborescence(
+        root, terminals, skip, reverse=reverse
+    )
+
+
 class TestSteinerArborescence:
     def test_covers_all_terminals(self, reference_topology):
-        adjacency = adjacency_from_topology(reference_topology)
         terminals = {"SJC", "SEA", "LAX"}
-        edges = steiner_arborescence(adjacency, "NYC", terminals)
+        edges = arborescence(reference_topology, "NYC", terminals, skip="LON")
         reached = reachable_from(edges, "NYC")
         assert terminals <= reached
 
     def test_root_only_terminal_is_empty(self):
-        adjacency = {"R": {"A": 1.0}, "A": {}}
-        assert steiner_arborescence(adjacency, "R", {"R"}) == set()
+        assert arborescence({"R": {"A": 1.0}, "A": {}}, "R", {"R"}) == set()
 
     def test_no_terminals(self):
-        adjacency = {"R": {"A": 1.0}, "A": {}}
-        assert steiner_arborescence(adjacency, "R", set()) == set()
+        assert arborescence({"R": {"A": 1.0}, "A": {}}, "R", set()) == set()
 
     def test_unreachable_terminal_skipped(self):
         adjacency = {"R": {"A": 1.0}, "A": {}, "X": {}}
-        edges = steiner_arborescence(adjacency, "R", {"A", "X"})
-        assert edges == {("R", "A")}
+        assert arborescence(adjacency, "R", {"A", "X"}) == {("R", "A")}
 
     def test_unknown_root(self):
         with pytest.raises(KeyError):
-            steiner_arborescence({"A": {}}, "Z", {"A"})
+            arborescence({"A": {}}, "Y", {"A"})
 
     def test_shares_prefix(self):
         """Terminals behind a common relay share the relay edge."""
@@ -56,26 +61,54 @@ class TestSteinerArborescence:
             "A": {},
             "B": {},
         }
-        edges = steiner_arborescence(adjacency, "R", {"A", "B"})
+        edges = arborescence(adjacency, "R", {"A", "B"})
         assert edges == {("R", "M"), ("M", "A"), ("M", "B")}
+
+    def test_skipped_node_is_avoided(self):
+        """The cheap route through the skipped node is never taken."""
+        adjacency = {
+            "R": {"M": 1.0, "X": 5.0},
+            "M": {"A": 1.0},
+            "X": {"A": 5.0},
+            "A": {},
+        }
+        assert arborescence(adjacency, "R", {"A"}, skip="X") == {
+            ("R", "M"), ("M", "A"),
+        }
+        assert arborescence(adjacency, "R", {"A"}, skip="M") == {
+            ("R", "X"), ("X", "A"),
+        }
+        # A skipped terminal is unreachable.
+        assert arborescence(adjacency, "R", {"M"}, skip="M") == set()
+
+    def test_reverse_leads_into_root(self):
+        """Reversed, the edges keep their own direction and every terminal
+        reaches the root."""
+        adjacency = {
+            "A": {"M": 1.0},
+            "B": {"M": 1.0},
+            "M": {"R": 1.0},
+            "R": {},
+        }
+        edges = arborescence(adjacency, "R", {"A", "B"}, reverse=True)
+        assert edges == {("A", "M"), ("B", "M"), ("M", "R")}
 
     def test_cheaper_than_independent_paths(self, reference_topology):
         """The tree never costs more than separate shortest paths."""
-        from repro.core.algorithms.paths import shortest_path
-
-        adjacency = adjacency_from_topology(reference_topology)
+        index = reference_topology.routing_index
+        adjacency = adjacency_of(reference_topology)
         terminals = ["DEN", "LAX", "SJC", "SEA"]
-        edges = steiner_arborescence(adjacency, "ATL", set(terminals))
+        edges = arborescence(reference_topology, "ATL", terminals, skip="LON")
         tree_cost = sum(adjacency[u][v] for u, v in edges)
-        independent = sum(
-            shortest_path(adjacency, "ATL", terminal)[1] for terminal in terminals
-        )
+        distances = index.distances(index.latencies, "ATL")
+        independent = sum(distances[index.rank[terminal]] for terminal in terminals)
         assert tree_cost <= independent + 1e-9
 
     def test_deterministic(self, reference_topology):
-        adjacency = adjacency_from_topology(reference_topology)
         runs = {
-            frozenset(steiner_arborescence(adjacency, "WAS", {"SJC", "SEA"}))
+            frozenset(
+                arborescence(reference_topology, "WAS", {"SJC", "SEA"}, skip="LON")
+            )
             for _ in range(5)
         }
         assert len(runs) == 1

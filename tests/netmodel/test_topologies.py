@@ -4,13 +4,13 @@ from __future__ import annotations
 
 import pytest
 
-from repro.core.algorithms import adjacency_from_topology
 from repro.core.algorithms.maxflow import max_disjoint_path_count
 from repro.netmodel.topologies import (
     coast_to_coast_flows,
     synthetic_continental_topology,
 )
 from repro.util.validation import ValidationError
+from tests.core.graphutil import adjacency_of
 
 
 class TestGeneration:
@@ -54,7 +54,7 @@ class TestBiconnectivity:
         """The generator's contract: every pair admits two node-disjoint
         paths, so every routing scheme in the paper is deployable."""
         topology = synthetic_continental_topology(12, seed=seed)
-        adjacency = adjacency_from_topology(topology)
+        adjacency = adjacency_of(topology)
         nodes = topology.nodes
         # Sampling all pairs is O(n^2) maxflows; spot-check a spread.
         for i in range(0, len(nodes), 3):

@@ -4,9 +4,7 @@ from __future__ import annotations
 
 import pytest
 
-from repro.core.algorithms import adjacency_from_topology
 from repro.core.algorithms.maxflow import max_disjoint_path_count
-from repro.core.algorithms.paths import shortest_path
 from repro.netmodel.topology import (
     EAST_SITES,
     WEST_SITES,
@@ -16,6 +14,7 @@ from repro.netmodel.topology import (
     reference_flows,
 )
 from repro.util.validation import ValidationError
+from tests.core.graphutil import adjacency_of
 
 
 class TestReferenceTopology:
@@ -31,7 +30,7 @@ class TestReferenceTopology:
             assert len(reference_topology.out_neighbors(node)) >= 2, node
 
     def test_biconnected_for_flows(self, reference_topology, flows):
-        adjacency = adjacency_from_topology(reference_topology)
+        adjacency = adjacency_of(reference_topology)
         for flow in flows:
             assert (
                 max_disjoint_path_count(adjacency, flow.source, flow.destination)
@@ -40,9 +39,11 @@ class TestReferenceTopology:
 
     def test_coast_to_coast_within_deadline(self, reference_topology, flows):
         """Claim C1: every flow's shortest path is well under 65 ms."""
-        adjacency = adjacency_from_topology(reference_topology)
+        index = reference_topology.routing_index
         for flow in flows:
-            _path, latency = shortest_path(adjacency, flow.source, flow.destination)
+            latency = index.distances(index.latencies, flow.source)[
+                index.rank[flow.destination]
+            ]
             assert latency < 45.0, flow.name
 
     def test_latencies_symmetric(self, reference_topology):

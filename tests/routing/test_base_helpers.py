@@ -4,11 +4,12 @@ from __future__ import annotations
 
 import pytest
 
+from repro.core.graph import Topology
 from repro.netmodel.conditions import LinkState
 from repro.routing.base import (
     degraded_edge_set,
     observed_weights,
-    on_time_edges,
+    timely_edge_latencies,
 )
 
 
@@ -63,9 +64,20 @@ class TestObservedAdjacency:
         )
 
 
+def usable_edges(topology, observed, source, destination, deadline_ms):
+    """The edges whose through-latency meets the deadline."""
+    return frozenset(
+        edge
+        for edge, through in timely_edge_latencies(
+            topology, observed, source, destination
+        ).items()
+        if through <= deadline_ms
+    )
+
+
 class TestOnTimeEdges:
     def test_clean_reference(self, reference_topology):
-        usable = on_time_edges(reference_topology, {}, "NYC", "SJC", 65.0)
+        usable = usable_edges(reference_topology, {}, "NYC", "SJC", 65.0)
         # Matches the flooding builder's edge set under clean conditions.
         from repro.core.builders import time_constrained_flooding_graph
 
@@ -78,13 +90,27 @@ class TestOnTimeEdges:
         observed = {
             ("CHI", "DEN"): LinkState(extra_latency_ms=100.0),
         }
-        usable = on_time_edges(reference_topology, observed, "NYC", "SJC", 65.0)
+        usable = usable_edges(reference_topology, observed, "NYC", "SJC", 65.0)
         assert ("CHI", "DEN") not in usable
 
     def test_tight_deadline_empty(self, reference_topology):
-        usable = on_time_edges(reference_topology, {}, "NYC", "SJC", 5.0)
+        usable = usable_edges(reference_topology, {}, "NYC", "SJC", 5.0)
         assert usable == frozenset()
 
     def test_generous_deadline_includes_transatlantic(self, reference_topology):
-        usable = on_time_edges(reference_topology, {}, "NYC", "SJC", 200.0)
+        usable = usable_edges(reference_topology, {}, "NYC", "SJC", 200.0)
         assert ("NYC", "LON") in usable
+
+    def test_edges_in_sorted_order(self, reference_topology):
+        through = timely_edge_latencies(reference_topology, {}, "NYC", "SJC")
+        assert list(through) == sorted(through)
+
+    def test_edges_off_every_route_left_out(self):
+        # X cannot be reached from S, and Y cannot reach T.
+        topology = Topology("one-way")
+        for node in ("S", "M", "T", "X", "Y"):
+            topology.add_node(node)
+        for tail, head in (("S", "M"), ("M", "T"), ("X", "S"), ("M", "Y")):
+            topology.add_link(tail, head, 1.0, bidirectional=False)
+        through = timely_edge_latencies(topology.freeze(), {}, "S", "T")
+        assert through == {("M", "T"): 2.0, ("S", "M"): 2.0}

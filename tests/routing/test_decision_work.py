@@ -17,6 +17,7 @@ import pytest
 
 import repro.core.builders as builders
 import repro.routing.targeted as targeted_module
+from repro.core.algorithms import RoutingIndex, SplitNetwork
 from repro.core.algorithms.mincostflow import MinCostFlow
 from repro.netmodel import scenarios
 from repro.netmodel.topology import ServiceSpec
@@ -105,31 +106,33 @@ def test_targeted_reroute_solves(trace, monkeypatch):
 
 
 @pytest.mark.parametrize(
-    ("step", "calls"),
+    ("target", "step", "calls"),
     [
-        ("disjoint_paths", 3),
-        ("time_constrained_flooding_graph", 3),
-        ("steiner_arborescence", 2),
-        ("adjacency_from_topology", 10),
-        ("single_source_distances", 8),
+        pytest.param(target, step, calls, id=f"{step}-{calls}")
+        for target, step, calls in (
+            (SplitNetwork, "disjoint_paths", 3),
+            (builders, "time_constrained_flooding_graph", 3),
+            (RoutingIndex, "steiner_arborescence", 2),
+            (RoutingIndex, "distances", 8),
+        )
     ],
 )
 def test_targeted_attach_builds_each_problem_graph_once(
-    trace, monkeypatch, step, calls
+    trace, monkeypatch, target, step, calls
 ):
     """The robust graph is the union of the source- and
     destination-problem graphs the attach has just built; rebuilding
-    them for it made 5 disjoint-path solves, 5 flooding graphs, 4
-    Steiner arborescences, 18 adjacency builds and 14 Dijkstra passes."""
+    them for it made 5 two-disjoint solves, 5 flooding graphs, 4
+    Steiner arborescences and 14 distance passes."""
     workload, *_rest = trace
     counted = []
-    original = getattr(builders, step)
+    original = getattr(target, step)
 
     def counting(*args, **kwargs):
         counted.append(1)
         return original(*args, **kwargs)
 
-    monkeypatch.setattr(builders, step, counting)
+    monkeypatch.setattr(target, step, counting)
     for flow in workload.flows:
         counted.clear()
         TargetedRedundancyPolicy().attach(workload.topology, flow, ServiceSpec())

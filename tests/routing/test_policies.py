@@ -42,12 +42,6 @@ class TestLifecycle:
         with pytest.raises(ValidationError):
             policy.update(4.0, {})
 
-    def test_reset_allows_replay(self, reference_topology):
-        policy = attach(DynamicSinglePathPolicy(), reference_topology)
-        policy.update(100.0, {})
-        policy.reset()
-        policy.update(0.0, {})  # does not raise
-
     def test_unknown_flow_endpoint(self, reference_topology):
         with pytest.raises(ValidationError):
             attach(StaticSinglePathPolicy(), reference_topology, FlowSpec("NYC", "XX"))

@@ -167,10 +167,3 @@ class TestValidation:
     def test_bad_endpoint_link_threshold_rejected_at_construction(self):
         with pytest.raises(ValidationError, match="endpoint_link_threshold"):
             TargetedRedundancyPolicy(endpoint_link_threshold=0)
-
-    def test_reset_restores_clean_state(self, reference_topology):
-        policy = make(reference_topology, hold_down_s=100.0)
-        policy.update(0.0, destination_problem())
-        policy.reset()
-        graph = policy.update(0.0, {})
-        assert graph.name.endswith("/base")
