@@ -1,38 +1,46 @@
-"""Hotpath -- interval-replay speed guard (tier-1 for CI).
+"""Hotpath -- replay-core guard (tier-1 for CI).
 
-PR 5's contract: the reworked replay core (incremental observed views,
-canonical probability-cache keys, mask-classification reuse, delta-hinted
-policies, chunked case-set classification) must be **bitwise-identical**
-to the historical implementation and at least 2.5x faster on the
-reference E2 workload.  Per-case enumeration alone measured 1.79x, so
-the guard fails if classification returns to one Dijkstra per case.
+One pure-backend replay of a pinned E2 trace (the reference overlay,
+``WEEKS`` = 0.25 weeks at ``SEED`` = 7, its 16 flows x the six standard
+schemes, every pair on one :class:`ShardContext`) checks the replay
+core three ways:
 
-The reference below is the pre-PR-5 replay loop, frozen inline so the
-comparison survives future changes to ``repro.simulation``: per-boundary
-full ``observed_view``/``degraded_at`` rebuilds, a probability cache
-keyed on the raw ``(edge set, endpoints, conditions)`` tuple, and a
-policy-stepping loop with no delta hints and no static fast path, down
-to the dict-keyed Dijkstra and the fused enumeration loop the seed's
-``delivery_probabilities`` used.  The guard therefore measures exactly
-the hot-path machinery this PR touched.
+1. **Bits.**  SHA-256 over the plan-ordered per-pair rows ``(scheme,
+   flow, duration_s, unavailable_s, lost_s, late_s, message_seconds,
+   decision_changes)``, each float written as ``float.hex()``, must
+   equal :data:`STATS_DIGEST`.  The digest was taken from the historical
+   reference replay (per-boundary view rebuilds, a raw-key probability
+   memo, one dict-keyed Dijkstra per enumeration case), which the
+   current replay matched bit for bit.  A change that moves numbers on
+   purpose re-pins the constant; the failure message names the new
+   digest and the per-scheme totals.
+2. **Work.**  Heap pops inside :mod:`repro.simulation.reliability` per
+   classified enumeration case (``len(classification.classes)`` summed
+   over every ``classify_delivery_masks`` call).  The chunked case-set
+   classifier pops 0.029 per case on this trace (38,050 pops over
+   1,309,374 cases in 2,158 classifications); one Dijkstra per case pops
+   8.4 per case with byte-identical classes.  :data:`MAX_POPS_PER_CASE`
+   sits more than 10x from each, so a return to per-case enumeration
+   fails the guard without timing anything.
+3. **Sharing and the kernel.**  The canonical probability memo must
+   serve hits across (scheme, flow) groups.  The accumulation stream
+   this same replay feeds :func:`repro.simulation.kernel.totals` is
+   recorded, and its kernel-bound subset (classifications with at least
+   ``VECTOR_MIN_CASES`` cases) is re-run on both backends whenever numpy
+   imports: numpy must agree within :data:`KERNEL_TOLERANCE` and run at
+   least :data:`MIN_KERNEL_SPEEDUP` times faster.
 
-``REPRO_BENCH_HOTPATH_WEEKS`` overrides the trace length (default: the
-smaller of ``REPRO_BENCH_WEEKS`` and 0.25 -- the reference side is the
-historical slow path, so the guard keeps its own scale modest).
-
-The replay comparison is pinned to the **pure** kernel backend
-(:mod:`repro.simulation.kernel`), which is the bitwise-identical
-successor of the seed's fused loop; a second stage harvests the actual
-accumulation stream the replay performs and times its kernel-bound
-subset (classifications with at least ``VECTOR_MIN_CASES`` enumeration
-cases) on both backends, guarding the vectorization win (>= 3x) and the
-numpy-vs-pure reassociation tolerance whenever numpy is importable.
+The trace is pinned here: this bench reads neither ``REPRO_BENCH_WEEKS``
+nor ``REPRO_BENCH_SEED``.  The classifier itself is held to per-case
+enumeration by ``tests/simulation/test_classification_oracle.py``, and
+the shared views, memo, batching and skips to an independent replay by
+``tests/simulation/replayref.py``.
 """
 
 from __future__ import annotations
 
+import hashlib
 import heapq
-import os
 import time
 
 import common
@@ -40,332 +48,159 @@ import common
 from repro.exec.plan import ShardContext
 from repro.netmodel.scenarios import WEEK_S, Scenario, generate_timeline
 from repro.routing.registry import STANDARD_SCHEME_NAMES, make_policy
-from repro.simulation import kernel
-from repro.simulation.reliability import DeliveryProbabilities
-from repro.simulation.results import FlowSchemeStats, ReplayConfig
-from repro.simulation.timeline import (
-    DecisionSpan,
-    decision_boundaries,
-    observed_view,
-)
+from repro.simulation import interval, kernel, reliability
+from repro.simulation.results import ReplayConfig
 from repro.util.tables import render_table
 
-HOTPATH_WEEKS = float(
-    os.environ.get(
-        "REPRO_BENCH_HOTPATH_WEEKS", str(min(common.BENCH_WEEKS, 0.25))
-    )
-)
-MIN_SPEEDUP = 2.5
-MIN_KERNEL_SPEEDUP = 3.0
-#: numpy-vs-pure agreement bound on raw accumulation sums: identical
-#: multiplications, different summation tree, so the divergence is pure
-#: reassociation noise (~cases * eps on sums bounded by 1).
-KERNEL_TOLERANCE = 1e-9
-
-BITWISE_FIELDS = (
+WEEKS = 0.25
+SEED = 7
+STATS_DIGEST = "25b8547f3ec99ea0b5135241bdaf2b965f89fa5e3055388a4d6c71445803b34f"
+STATS_FIELDS = (
     "duration_s",
     "unavailable_s",
     "lost_s",
     "late_s",
     "message_seconds",
 )
+MAX_POPS_PER_CASE = 0.5
+MIN_KERNEL_SPEEDUP = 3.0
+#: numpy-vs-pure agreement bound on raw accumulation sums: identical
+#: multiplications, different summation tree, so the divergence is pure
+#: reassociation noise (~cases * eps on sums bounded by 1).
+KERNEL_TOLERANCE = 1e-9
 
 
-_INF = float("inf")
+class _CountingHeapq:
+    """Stands in for :mod:`reliability`'s ``heapq``, counting pops."""
+
+    heappush = staticmethod(heapq.heappush)
+
+    def __init__(self) -> None:
+        self.pops = 0
+
+    def heappop(self, heap):
+        self.pops += 1
+        return heapq.heappop(heap)
 
 
-def _reference_earliest_arrival(source, destination, adjacency, present):
-    """The historical dict-keyed Dijkstra over present edges."""
-    best = {source: 0.0}
-    heap = [(0.0, source)]
-    while heap:
-        time_now, node = heapq.heappop(heap)
-        if node == destination:
-            return time_now
-        if time_now > best.get(node, _INF):
-            continue
-        for neighbor, latency in adjacency.get(node, {}).items():
-            if not present[(node, neighbor)]:
-                continue
-            candidate = time_now + latency
-            if candidate < best.get(neighbor, _INF):
-                best[neighbor] = candidate
-                heapq.heappush(heap, (candidate, neighbor))
-    return best.get(destination, _INF)
+def _instrumented_replay(topology, timeline, flows, service, config):
+    """Replay every pair on one context, recording the classifier's work.
 
-
-def _reference_delivery_probabilities(
-    graph, deadline_ms, latency_of, loss_of, max_lossy_edges
-):
-    """The historical fused classification+accumulation enumeration."""
-    adjacency: dict = {}
-    certain: dict = {}
-    lossy: list = []
-    for edge in graph.sorted_edges():
-        loss = loss_of(edge)
-        adjacency.setdefault(edge[0], {})[edge[1]] = latency_of(edge)
-        if loss <= 0.0:
-            certain[edge] = True
-        elif loss >= 1.0:
-            certain[edge] = False
-        else:
-            certain[edge] = False  # toggled during enumeration
-            lossy.append((edge, loss))
-    assert len(lossy) <= max_lossy_edges
-    source, destination = graph.source, graph.destination
-    baseline = _reference_earliest_arrival(
-        source, destination, adjacency, certain
-    )
-    if baseline <= deadline_ms:
-        return DeliveryProbabilities(on_time=1.0, eventually=1.0)
-    if not lossy:
-        eventually = 1.0 if baseline < _INF else 0.0
-        return DeliveryProbabilities(on_time=0.0, eventually=eventually)
-    present = dict(certain)
-    for edge, _loss in lossy:
-        present[edge] = True
-    best_case = _reference_earliest_arrival(
-        source, destination, adjacency, present
-    )
-    best_on_time = best_case <= deadline_ms
-    if not best_case < _INF:
-        return DeliveryProbabilities(on_time=0.0, eventually=0.0)
-    on_time_total = 0.0
-    eventually_total = 0.0
-    count = len(lossy)
-    for mask in range(1 << count):
-        probability = 1.0
-        for bit, (edge, loss) in enumerate(lossy):
-            if mask >> bit & 1:
-                present[edge] = True
-                probability *= 1.0 - loss
-            else:
-                present[edge] = False
-                probability *= loss
-        if probability == 0.0:
-            continue
-        arrival = _reference_earliest_arrival(
-            source, destination, adjacency, present
-        )
-        if arrival <= deadline_ms:
-            on_time_total += probability
-            eventually_total += probability
-        elif arrival < _INF:
-            eventually_total += probability
-    if not best_on_time:
-        on_time_total = 0.0  # numerical hygiene: cannot exceed best case
-    return DeliveryProbabilities(
-        on_time=min(1.0, on_time_total), eventually=min(1.0, eventually_total)
-    )
-
-
-class _ReferenceCache:
-    """The historical probability memo: raw keys, per-endpoint entries."""
-
-    def __init__(self, deadline_ms: float, max_lossy_edges: int) -> None:
-        self.deadline_ms = deadline_ms
-        self.max_lossy_edges = max_lossy_edges
-        self._cache: dict[object, object] = {}
-        self._clean_cache: dict[object, object] = {}
-
-    def probabilities(self, topology, graph, degraded):
-        relevant = tuple(
-            (edge, degraded[edge])
-            for edge in graph.sorted_edges()
-            if edge in degraded
-        )
-        if not relevant:
-            key = (graph.edges, graph.source, graph.destination)
-            cached = self._clean_cache.get(key)
-            if cached is None:
-                cached = _reference_delivery_probabilities(
-                    graph,
-                    self.deadline_ms,
-                    lambda edge: topology.latency(*edge),
-                    lambda edge: 0.0,
-                    max_lossy_edges=self.max_lossy_edges,
-                )
-                self._clean_cache[key] = cached
-            return cached
-        key = (graph.edges, graph.source, graph.destination, relevant)
-        cached = self._cache.get(key)
-        if cached is not None:
-            return cached
-
-        def latency_of(edge):
-            state = degraded.get(edge)
-            extra = state.extra_latency_ms if state is not None else 0.0
-            return topology.latency(*edge) + extra
-
-        def loss_of(edge):
-            state = degraded.get(edge)
-            return state.loss_rate if state is not None else 0.0
-
-        result = _reference_delivery_probabilities(
-            graph,
-            self.deadline_ms,
-            latency_of,
-            loss_of,
-            max_lossy_edges=self.max_lossy_edges,
-        )
-        self._cache[key] = result
-        return result
-
-
-def _reference_decision_timeline(
-    topology, timeline, flow, service, policy, boundaries, observed_views
-):
-    """The historical stepping loop: every boundary, no hints."""
-    if policy._topology is None:  # noqa: SLF001 - attach-once convenience
-        policy.attach(topology, flow, service)
-    spans: list[DecisionSpan] = []
-    for index in range(len(boundaries) - 1):
-        start, end = boundaries[index], boundaries[index + 1]
-        graph = policy.update(start, observed_views[index])
-        if spans and spans[-1].graph == graph:
-            spans[-1] = DecisionSpan(spans[-1].start_s, end, graph)
-        else:
-            spans.append(DecisionSpan(start, end, graph))
-    return spans
-
-
-def _iter_windows(boundaries, spans):
-    span_index = 0
-    for start, end in zip(boundaries, boundaries[1:]):
-        while spans[span_index].end_s <= start:
-            span_index += 1
-        yield start, end, spans[span_index].graph
-
-
-def _reference_replay(topology, timeline, flows, service, config):
-    """The frozen pre-PR-5 serial replay (see module docstring)."""
-    assert not config.hop_recovery
-    boundaries = decision_boundaries(timeline, config.detection_delay_s)
-    observed_views = [
-        observed_view(timeline, b, config.detection_delay_s)
-        for b in boundaries[:-1]
-    ]
-    actual_views = [timeline.degraded_at(b) for b in boundaries[:-1]]
-    cache = _ReferenceCache(service.deadline_ms, config.max_lossy_edges)
-    stats_by_pair = {}
-    for scheme_name in STANDARD_SCHEME_NAMES:
-        for flow in flows:
-            policy = make_policy(scheme_name)
-            spans = _reference_decision_timeline(
-                topology, timeline, flow, service, policy,
-                boundaries, observed_views,
-            )
-            stats = FlowSchemeStats(flow=flow, scheme=policy.name)
-            stats.decision_changes = len(spans) - 1
-            for index, (start, end, graph) in enumerate(
-                _iter_windows(boundaries, spans)
-            ):
-                probabilities = cache.probabilities(
-                    topology, graph, actual_views[index]
-                )
-                stats.add_window(
-                    start,
-                    end,
-                    graph.name,
-                    graph.num_edges,
-                    probabilities.on_time,
-                    probabilities.lost,
-                    probabilities.late,
-                    collect=config.collect_windows,
-                )
-            stats_by_pair[(scheme_name, flow.name)] = stats
-    return stats_by_pair
-
-
-def _optimized_replay(topology, timeline, flows, service, config):
-    """The current replay path: every pair on one shared context."""
-    context = ShardContext(topology, timeline, service, config)
-    stats_by_pair = {
-        (scheme_name, flow.name): context.replay(flow, make_policy(scheme_name))
-        for scheme_name in STANDARD_SCHEME_NAMES
-        for flow in flows
-    }
-    return stats_by_pair, context.probability_cache
-
-
-def _harvest_kernel_stream(topology, timeline, flows, service, config):
-    """Record every accumulation call an E2 replay feeds the kernel.
-
-    Patches the kernel's entry point to capture ``(classes, radix,
-    rows)`` before delegating, so the stream is exactly the arithmetic
-    workload the replay performs -- call shapes, batch sizes and all.
+    Wraps three names the replay looks up at call time: reliability's
+    ``heapq`` (heap pops), interval's ``classify_delivery_masks``
+    (classifications and their cases) and the kernel's ``totals`` (the
+    accumulation stream, call shapes and all).  Returns the stats in
+    plan order, the probability memo, the work counts and the stream.
     """
+    heap = _CountingHeapq()
+    work = {"heap_pops": 0, "classify_calls": 0, "classified_cases": 0}
     stream: list[tuple[bytes, int, list[list[float]]]] = []
-    original = kernel.totals
+    classify, totals = interval.classify_delivery_masks, kernel.totals
 
-    def record(classes, radix, rows):
+    def counted_classify(*args, **kwargs):
+        classification, losses = classify(*args, **kwargs)
+        work["classify_calls"] += 1
+        work["classified_cases"] += len(classification.classes)
+        return classification, losses
+
+    def recorded_totals(classes, radix, rows):
         stream.append((classes, radix, [list(row) for row in rows]))
-        return original(classes, radix, rows)
+        return totals(classes, radix, rows)
 
-    kernel.totals = record
+    reliability.heapq = heap
+    interval.classify_delivery_masks = counted_classify
+    kernel.totals = recorded_totals
     try:
-        _optimized_replay(topology, timeline, flows, service, config)
+        context = ShardContext(topology, timeline, service, config)
+        stats_by_pair = {
+            (scheme, flow.name): context.replay(flow, make_policy(scheme))
+            for scheme in STANDARD_SCHEME_NAMES
+            for flow in flows
+        }
     finally:
-        kernel.totals = original
-    return stream
+        reliability.heapq = heapq
+        interval.classify_delivery_masks = classify
+        kernel.totals = totals
+    work["heap_pops"] = heap.pops
+    return stats_by_pair, context.probability_cache, work, stream
+
+
+def _stats_digest(stats_by_pair) -> str:
+    """SHA-256 of the plan-ordered per-pair rows (see module docstring)."""
+    digest = hashlib.sha256()
+    for (scheme, flow), stats in stats_by_pair.items():
+        row = (
+            scheme,
+            flow,
+            *(getattr(stats, field).hex() for field in STATS_FIELDS),
+            str(stats.decision_changes),
+        )
+        digest.update(("\t".join(row) + "\n").encode())
+    return digest.hexdigest()
+
+
+def _scheme_totals(stats_by_pair) -> str:
+    """Per-scheme sums of the digested fields, as a table."""
+    sums: dict[str, list] = {}
+    for (scheme, _flow), stats in stats_by_pair.items():
+        row = sums.setdefault(scheme, [0.0] * len(STATS_FIELDS) + [0])
+        for position, field in enumerate(STATS_FIELDS):
+            row[position] += getattr(stats, field)
+        row[-1] += stats.decision_changes
+    return render_table(
+        ("scheme", *STATS_FIELDS, "decision_changes"),
+        [
+            [scheme, *(f"{value:.6f}" for value in row[:-1]), str(row[-1])]
+            for scheme, row in sums.items()
+        ],
+    )
 
 
 def _replay_kernel_stream(stream):
-    """Run a harvested stream on the active backend; returns all totals."""
+    """Run a recorded stream on the active backend; returns all totals."""
     totals: list[tuple[float, float]] = []
     for classes, radix, rows in stream:
         totals.extend(kernel.totals(classes, radix, rows))
     return totals
 
 
-def test_hotpath_bitwise_identity_and_speedup(benchmark):
+def test_hotpath_digest_work_and_kernel(benchmark):
     topology = common.topology()
     flows = common.flows()
     service = common.service()
-    scenario = Scenario(duration_s=HOTPATH_WEEKS * WEEK_S)
     _events, timeline = generate_timeline(
-        topology, scenario, seed=common.BENCH_SEED
+        topology, Scenario(duration_s=WEEKS * WEEK_S), seed=SEED
     )
     config = ReplayConfig(detection_delay_s=common.DETECTION_DELAY_S)
 
-    def run_both():
-        # The reference is the seed's fused loop, so the comparison runs
-        # on the bitwise-identical pure backend; the vector backend is
-        # guarded separately below under its reassociation tolerance.
+    def run():
+        # The digest is of the pure backend's bits; the vector backend is
+        # guarded below under its reassociation tolerance.
         with kernel.force_backend("pure"):
             started = time.perf_counter()
-            reference = _reference_replay(
+            replayed = _instrumented_replay(
                 topology, timeline, flows, service, config
             )
-            reference_wall = time.perf_counter() - started
-            started = time.perf_counter()
-            optimized, cache = _optimized_replay(
-                topology, timeline, flows, service, config
-            )
-            optimized_wall = time.perf_counter() - started
-        return reference, reference_wall, optimized, optimized_wall, cache
+            return replayed, time.perf_counter() - started
 
-    reference, reference_wall, optimized, optimized_wall, cache = (
-        benchmark.pedantic(run_both, rounds=1, iterations=1)
+    (stats_by_pair, cache, work, stream), replay_wall = benchmark.pedantic(
+        run, rounds=1, iterations=1
     )
 
-    # 1) bitwise identity, field by field, for every (scheme, flow) pair.
-    assert set(reference) == set(optimized)
-    for pair, reference_stats in reference.items():
-        optimized_stats = optimized[pair]
-        for field in BITWISE_FIELDS:
-            ref_value = getattr(reference_stats, field)
-            opt_value = getattr(optimized_stats, field)
-            assert ref_value.hex() == opt_value.hex(), (pair, field)
-        assert (
-            reference_stats.decision_changes == optimized_stats.decision_changes
-        ), pair
+    # 1) bits: every per-pair stat, to the bit.
+    digest = _stats_digest(stats_by_pair)
+    assert digest == STATS_DIGEST, (
+        f"per-pair stats moved: digest {digest} (pinned {STATS_DIGEST}); "
+        f"per-scheme totals:\n{_scheme_totals(stats_by_pair)}"
+    )
 
-    # 2) speed: the reworked hot path must clear the CI bar.
-    speedup = reference_wall / optimized_wall
-    assert speedup >= MIN_SPEEDUP, (
-        f"hot path regressed: {speedup:.2f}x < {MIN_SPEEDUP}x "
-        f"(reference {reference_wall:.1f} s, optimized {optimized_wall:.1f} s)"
+    # 2) work: classification must stay one label pass per chunk of cases.
+    pops_per_case = work["heap_pops"] / work["classified_cases"]
+    assert pops_per_case <= MAX_POPS_PER_CASE, (
+        f"classification work regressed: {pops_per_case:.3f} heap pops per "
+        f"case > {MAX_POPS_PER_CASE} ({work['heap_pops']} pops over "
+        f"{work['classified_cases']} cases in {work['classify_calls']} "
+        f"classifications)"
     )
 
     # 3) canonical keys must share entries across (scheme, flow) groups:
@@ -377,14 +212,17 @@ def test_hotpath_bitwise_identity_and_speedup(benchmark):
     assert cache.shared_hits > 0
     assert canonical_rate > per_group_rate
 
-    print(common.banner(f"hotpath: replay core guard ({HOTPATH_WEEKS:g} weeks)"))
+    print(common.banner(f"hotpath: replay core guard ({WEEKS:g} weeks)"))
     print(
         render_table(
             ("measure", "value"),
             [
-                ["reference wall", f"{reference_wall:.2f} s"],
-                ["optimized wall", f"{optimized_wall:.2f} s"],
-                ["speedup", f"{speedup:.2f}x"],
+                ["replay wall", f"{replay_wall:.2f} s"],
+                ["stats digest", digest[:16]],
+                ["classifications", str(work["classify_calls"])],
+                ["classified cases", str(work["classified_cases"])],
+                ["heap pops", str(work["heap_pops"])],
+                ["pops per case", f"{pops_per_case:.4f}"],
                 ["canonical hit rate", f"{100 * canonical_rate:.1f} %"],
                 ["per-group baseline", f"{100 * per_group_rate:.1f} %"],
                 ["shared hits", str(cache.shared_hits)],
@@ -394,10 +232,14 @@ def test_hotpath_bitwise_identity_and_speedup(benchmark):
         )
     )
     common.stage_metrics(
-        weeks=HOTPATH_WEEKS,
-        reference_wall_s=reference_wall,
-        optimized_wall_s=optimized_wall,
-        speedup=speedup,
+        weeks=WEEKS,
+        seed=SEED,
+        replay_wall_s=replay_wall,
+        stats_digest=digest,
+        classify_calls=work["classify_calls"],
+        classified_cases=work["classified_cases"],
+        heap_pops=work["heap_pops"],
+        pops_per_case=pops_per_case,
         canonical_hit_rate=canonical_rate,
         per_group_baseline_hit_rate=per_group_rate,
         shared_hits=cache.shared_hits,
@@ -405,13 +247,9 @@ def test_hotpath_bitwise_identity_and_speedup(benchmark):
         evictions=cache.evictions,
     )
 
-    # 4) the vectorized kernel: harvest the accumulation stream the replay
-    #    actually performs, keep its kernel-bound subset (classifications
-    #    large enough for the vector path), and time it on both backends.
-    with kernel.force_backend("pure"):
-        stream = _harvest_kernel_stream(
-            topology, timeline, flows, service, config
-        )
+    # 4) the vectorized kernel: the recorded stream's kernel-bound subset
+    #    (classifications large enough for the vector path), timed on both
+    #    backends.
     bound = [
         (classes, radix, rows)
         for classes, radix, rows in stream

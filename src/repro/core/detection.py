@@ -60,20 +60,6 @@ class ProblemAssessment:
     degraded_destination_links: tuple[Edge, ...]
     degraded_middle_edges: tuple[Edge, ...]
 
-    @property
-    def any_problem(self) -> bool:
-        """True unless the network looks clean."""
-        return self.problem_type is not ProblemType.NONE
-
-    @property
-    def endpoint_problem(self) -> bool:
-        """True when the problem involves the source or destination."""
-        return self.problem_type in (
-            ProblemType.SOURCE,
-            ProblemType.DESTINATION,
-            ProblemType.SOURCE_AND_DESTINATION,
-        )
-
 
 @dataclass(frozen=True)
 class ProblemClassifier:

@@ -141,15 +141,6 @@ class DisseminationGraph:
         keep = self.edges & frozenset(surviving)
         return DisseminationGraph(self.source, self.destination, keep, name=self.name)
 
-    def without_node(self, node: NodeId) -> "DisseminationGraph":
-        """Drop every edge touching ``node`` (models a crashed daemon)."""
-        require(
-            node not in (self.source, self.destination),
-            "cannot remove a flow endpoint",
-        )
-        keep = frozenset(e for e in self.edges if node not in e)
-        return DisseminationGraph(self.source, self.destination, keep, name=self.name)
-
     # -- reachability -----------------------------------------------------------
 
     def reachable_from_source(self) -> frozenset[NodeId]:

@@ -251,12 +251,6 @@ class Topology:
             self._digest = digest
         return digest
 
-    def edge_at(self, index: int) -> Edge:
-        """Inverse of :attr:`edge_index`."""
-        edges = self.edges
-        require(0 <= index < len(edges), f"edge index {index} out of range")
-        return edges[index]
-
     # -- structural queries --------------------------------------------------
 
     def is_connected(self) -> bool:

@@ -163,12 +163,6 @@ class ConditionTimeline:
         index = bisect.bisect_right(times, time_s) - 1
         return self._states[edge][index]
 
-    def latency_at(self, edge: Edge, time_s: float) -> float:
-        """Effective one-way latency (base + inflation) in milliseconds."""
-        return (
-            self.topology.latency(*edge) + self.state_at(edge, time_s).extra_latency_ms
-        )
-
     def loss_at(self, edge: Edge, time_s: float) -> float:
         """Loss rate on ``edge`` at ``time_s``."""
         return self.state_at(edge, time_s).loss_rate
@@ -323,19 +317,6 @@ class ConditionTimeline:
                 if not state.clean:
                     result.append(Contribution(edge, start, end, state))
         return result
-
-    # -- views -------------------------------------------------------------------
-
-    def latency_fn_at(self, time_s: float):
-        """A ``latency(u, v)`` callable frozen at ``time_s``.
-
-        Suitable for :meth:`DisseminationGraph.arrival_times`.
-        """
-
-        def latency(u: str, v: str) -> float:
-            return self.latency_at((u, v), time_s)
-
-        return latency
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (

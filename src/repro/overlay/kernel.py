@@ -98,16 +98,3 @@ class EventKernel:
         if not self._queue or self._queue[0][0] > end_s:
             self._now = end_s
         return fired
-
-    def run_all(self, max_events: int = 1_000_000) -> int:
-        """Drain the queue entirely (bounded); returns events processed."""
-        fired = 0
-        while self._queue and fired < max_events:
-            time_s, seq, action = heapq.heappop(self._queue)
-            self._now = time_s
-            if self._obs is not None:
-                self._observe_event(time_s, seq)
-            action()
-            fired += 1
-            self._processed += 1
-        return fired

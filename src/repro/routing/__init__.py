@@ -27,7 +27,6 @@ from repro.routing.registry import (
     EXTENDED_SCHEME_NAMES,
     STANDARD_SCHEME_NAMES,
     make_policy,
-    standard_policies,
 )
 from repro.routing.static import StaticKDisjointPolicy, StaticSinglePathPolicy
 from repro.routing.targeted import TargetedRedundancyPolicy
@@ -43,5 +42,4 @@ __all__ = [
     "TargetedRedundancyPolicy",
     "TimeConstrainedFloodingPolicy",
     "make_policy",
-    "standard_policies",
 ]

@@ -19,7 +19,6 @@ __all__ = [
     "EXTENDED_SCHEME_NAMES",
     "STANDARD_SCHEME_NAMES",
     "make_policy",
-    "standard_policies",
 ]
 
 _FACTORIES: dict[str, Callable[[], RoutingPolicy]] = {
@@ -60,8 +59,3 @@ def make_policy(name: str) -> RoutingPolicy:
         f"unknown scheme {name!r}; known: {', '.join(sorted(_FACTORIES))}",
     )
     return _FACTORIES[name]()
-
-
-def standard_policies() -> list[RoutingPolicy]:
-    """Fresh instances of all six standard schemes, in presentation order."""
-    return [make_policy(name) for name in STANDARD_SCHEME_NAMES]

@@ -11,7 +11,6 @@ work for the analytic engine, and the schedule the packet engine follows.
 
 from __future__ import annotations
 
-from bisect import bisect_right
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -182,17 +181,3 @@ def build_decision_timeline(
         else:
             spans.append(DecisionSpan(start, end, graph))
     return spans
-
-
-def graph_at(spans: list[DecisionSpan], time_s: float) -> DisseminationGraph:
-    """The graph installed at ``time_s`` (spans must be contiguous)."""
-    require(bool(spans), "empty decision timeline")
-    starts = [span.start_s for span in spans]
-    index = bisect_right(starts, time_s) - 1
-    index = max(0, index)
-    span = spans[index]
-    require(
-        span.start_s <= time_s < span.end_s or time_s == spans[-1].end_s,
-        f"time {time_s} outside decision timeline",
-    )
-    return span.graph

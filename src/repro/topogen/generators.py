@@ -22,12 +22,14 @@ so ``(family, size, seed)`` fixes the artifact byte for byte.
 Scale envelope: N=50 is instant, N=1000 (the registry's cap) costs a
 few seconds, dominated by the pairwise great-circle pass.  The declared
 ``latency_ms`` bounds in each artifact's params are the per-hop floor
-(:mod:`repro.netmodel.geo`'s fixed overhead) and the box-diagonal
-latency; property tests hold every emitted link inside them.
+(:mod:`repro.netmodel.geo`'s fixed overhead) and the largest
+corner-to-corner latency of the box; property tests hold every emitted
+link inside them.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 
 from repro.core.graph import NodeId
@@ -62,11 +64,23 @@ def _box_span_km(box: tuple[float, float, float, float]) -> tuple[float, float]:
 
 
 def _latency_bounds(box: tuple[float, float, float, float]) -> tuple[float, float]:
-    """Declared (min, max) link latency: hop floor to box diagonal."""
+    """Declared (min, max) link latency: hop floor to farthest corner pair.
+
+    In a box north of the equator spanning under 90 degrees of longitude,
+    no two points lie farther apart than its two farthest corners, and
+    those need not end a diagonal: in ``_BOX`` the two southern corners
+    (34.71 ms) lie farther apart than either diagonal's (33.88 ms).
+    """
     lat_min, lat_max, lon_min, lon_max = box
+    corners = [
+        (lat, lon) for lat in (lat_min, lat_max) for lon in (lon_min, lon_max)
+    ]
     return (
         fiber_latency_ms(lat_min, lon_min, lat_min, lon_min),
-        fiber_latency_ms(lat_min, lon_min, lat_max, lon_max),
+        max(
+            fiber_latency_ms(*first, *second)
+            for first, second in itertools.combinations(corners, 2)
+        ),
     )
 
 

@@ -87,9 +87,6 @@ class DeterministicStream:
 
         stream = DeterministicStream(42, "trace")
         p = stream.uniform("link", "NYC", "CHI", 1234)
-
-    ``substream`` derives a child stream with an extended context, which is
-    how per-link / per-event keying is usually structured.
     """
 
     __slots__ = ("_seed", "_context")
@@ -107,10 +104,6 @@ class DeterministicStream:
     def context(self) -> tuple[object, ...]:
         """The stream's context key parts."""
         return self._context
-
-    def substream(self, *context: object) -> "DeterministicStream":
-        """Derive a child stream whose context extends this stream's."""
-        return DeterministicStream(self._seed, *self._context, *context)
 
     # -- scalar draws ------------------------------------------------------
 

@@ -9,7 +9,7 @@ from __future__ import annotations
 import math
 from typing import Iterable, Sequence
 
-__all__ = ["mean", "percentile", "empirical_cdf", "weighted_mean"]
+__all__ = ["mean", "percentile", "empirical_cdf"]
 
 
 def mean(values: Sequence[float]) -> float:
@@ -17,16 +17,6 @@ def mean(values: Sequence[float]) -> float:
     if not values:
         raise ValueError("mean of empty sequence")
     return sum(values) / len(values)
-
-
-def weighted_mean(values: Sequence[float], weights: Sequence[float]) -> float:
-    """Weighted mean; raises on empty input or zero total weight."""
-    if len(values) != len(weights):
-        raise ValueError("values and weights must have equal length")
-    total_weight = sum(weights)
-    if total_weight <= 0:
-        raise ValueError("total weight must be positive")
-    return sum(v * w for v, w in zip(values, weights)) / total_weight
 
 
 def percentile(values: Sequence[float], q: float) -> float:

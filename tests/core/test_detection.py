@@ -22,7 +22,6 @@ class TestClassifier:
             reference_topology, "NYC", "SJC", {}
         )
         assert assessment.problem_type is ProblemType.NONE
-        assert not assessment.any_problem
 
     def test_destination_problem(self, reference_topology):
         rates = loss(("DEN", "SJC"), ("LAX", "SJC"))
@@ -30,7 +29,6 @@ class TestClassifier:
             reference_topology, "NYC", "SJC", rates
         )
         assert assessment.problem_type is ProblemType.DESTINATION
-        assert assessment.endpoint_problem
 
     def test_source_problem(self, reference_topology):
         rates = loss(("NYC", "CHI"), ("NYC", "WAS"))

@@ -138,16 +138,6 @@ class TestAlgebra:
         surviving = graph.restrict({("S", "A"), ("A", "T")})
         assert surviving.edges == frozenset({("S", "A"), ("A", "T")})
 
-    def test_without_node(self):
-        graph = DisseminationGraph.from_paths([["S", "A", "T"], ["S", "B", "T"]])
-        reduced = graph.without_node("A")
-        assert reduced.edges == frozenset({("S", "B"), ("B", "T")})
-
-    def test_without_endpoint_rejected(self):
-        graph = DisseminationGraph.from_path(["S", "T"])
-        with pytest.raises(ValidationError):
-            graph.without_node("S")
-
 
 class TestPruning:
     def test_removes_dead_branch(self):

@@ -97,16 +97,6 @@ class TestFreeze:
         assert index[("A", "B")] == 0
         assert index[("B", "A")] == 1
 
-    def test_edge_at_inverse(self):
-        topology = build_pair().freeze()
-        for edge, position in topology.edge_index.items():
-            assert topology.edge_at(position) == edge
-
-    def test_edge_at_out_of_range(self):
-        topology = build_pair().freeze()
-        with pytest.raises(ValidationError):
-            topology.edge_at(99)
-
 
 class TestQueries:
     def test_latency(self):

@@ -105,14 +105,6 @@ class TestCompilation:
 
 
 class TestQueries:
-    def test_latency_at_includes_inflation(self, topology):
-        tl = timeline(
-            topology, Contribution(EDGE, 0.0, 10.0, LinkState(extra_latency_ms=20.0))
-        )
-        base = topology.latency(*EDGE)
-        assert tl.latency_at(EDGE, 5.0) == base + 20.0
-        assert tl.latency_at(EDGE, 15.0) == base
-
     def test_loss_rates_at_excludes_latency_only(self, topology):
         tl = timeline(
             topology,
@@ -178,13 +170,6 @@ class TestQueries:
         for t in (0.0, 7.0, 12.0, 22.0, 50.0):
             assert rebuilt.state_at(EDGE, t) == tl.state_at(EDGE, t)
             assert rebuilt.state_at(OTHER, t) == tl.state_at(OTHER, t)
-
-    def test_latency_fn_at(self, topology):
-        tl = timeline(
-            topology, Contribution(EDGE, 0.0, 10.0, LinkState(extra_latency_ms=7.0))
-        )
-        fn = tl.latency_fn_at(5.0)
-        assert fn(*EDGE) == topology.latency(*EDGE) + 7.0
 
 
 class TestPropertyBased:

@@ -93,10 +93,3 @@ class TestRunControl:
         kernel.run_until(5.0)
         assert kernel.pending == 0
         assert kernel.processed == 2
-
-    def test_run_all(self):
-        kernel = EventKernel()
-        fired = []
-        kernel.schedule(100.0, lambda: fired.append(1))
-        kernel.run_all()
-        assert fired == [1]

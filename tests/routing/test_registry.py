@@ -4,11 +4,7 @@ from __future__ import annotations
 
 import pytest
 
-from repro.routing.registry import (
-    STANDARD_SCHEME_NAMES,
-    make_policy,
-    standard_policies,
-)
+from repro.routing.registry import STANDARD_SCHEME_NAMES, make_policy
 from repro.util.validation import ValidationError
 
 
@@ -31,11 +27,6 @@ def test_make_policy_fresh_instances():
 def test_unknown_scheme_rejected():
     with pytest.raises(ValidationError, match="unknown scheme"):
         make_policy("quantum-routing")
-
-
-def test_standard_policies_order():
-    policies = standard_policies()
-    assert [p.name for p in policies] == list(STANDARD_SCHEME_NAMES)
 
 
 def test_dynamic_flags():

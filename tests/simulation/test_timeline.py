@@ -12,7 +12,6 @@ from repro.simulation.timeline import (
     _BOUNDARY_EPS,
     build_decision_timeline,
     decision_boundaries,
-    graph_at,
     observed_view,
     observed_views_with_deltas,
 )
@@ -137,17 +136,6 @@ class TestDecisionSpans:
         assert spans[-1].end_s == 100.0
         for a, b in zip(spans, spans[1:]):
             assert a.end_s == b.start_s
-
-    def test_graph_at_lookup(self, diamond):
-        tl = diamond_timeline(
-            diamond, Contribution(("S", "A"), 10.0, 20.0, LinkState(0.9))
-        )
-        spans = build_decision_timeline(
-            diamond, tl, FLOW, ServiceSpec(), DynamicSinglePathPolicy(), 1.0
-        )
-        assert graph_at(spans, 5.0) == spans[0].graph
-        assert graph_at(spans, 15.0) == spans[1].graph
-        assert graph_at(spans, 99.0) == spans[-1].graph
 
     def test_attaches_unattached_policy(self, diamond):
         tl = diamond_timeline(diamond)

@@ -73,22 +73,6 @@ class TestHashRandint:
 
 
 class TestDeterministicStream:
-    def test_substream_context_extends(self):
-        stream = DeterministicStream(5, "root")
-        child = stream.substream("edge", "NYC")
-        assert child.context == ("root", "edge", "NYC")
-        assert child.seed == 5
-
-    def test_substream_differs_from_parent(self):
-        stream = DeterministicStream(5)
-        assert stream.uniform("k") != stream.substream("sub").uniform("k")
-
-    def test_substream_equivalent_to_inline_keys(self):
-        stream = DeterministicStream(5, "a")
-        assert stream.substream("b").uniform("c") == DeterministicStream(
-            5, "a", "b"
-        ).uniform("c")
-
     def test_uniform_between(self):
         stream = DeterministicStream(1)
         for i in range(100):

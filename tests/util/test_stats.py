@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from repro.util.stats import empirical_cdf, mean, percentile, weighted_mean
+from repro.util.stats import empirical_cdf, mean, percentile
 
 
 class TestMean:
@@ -16,22 +16,6 @@ class TestMean:
     def test_empty_raises(self):
         with pytest.raises(ValueError):
             mean([])
-
-
-class TestWeightedMean:
-    def test_equal_weights_match_mean(self):
-        assert weighted_mean([1.0, 3.0], [1.0, 1.0]) == 2.0
-
-    def test_weights_shift(self):
-        assert weighted_mean([0.0, 10.0], [3.0, 1.0]) == 2.5
-
-    def test_length_mismatch(self):
-        with pytest.raises(ValueError):
-            weighted_mean([1.0], [1.0, 2.0])
-
-    def test_zero_weight_raises(self):
-        with pytest.raises(ValueError):
-            weighted_mean([1.0], [0.0])
 
 
 class TestPercentile:
