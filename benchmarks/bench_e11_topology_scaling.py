@@ -139,6 +139,7 @@ def test_e11_topology_scaling(benchmark):
     scaling, replays = benchmark.pedantic(sweep, rounds=1, iterations=1)
     kernel_delta = counter_delta(kernel_before, kernel.counters())
     common.stage_metrics(
+        weeks=REPLAY_WEEKS,
         kernel_backend=kernel.active_backend(),
         **{f"kernel_{name}": value for name, value in kernel_delta.items()},
     )

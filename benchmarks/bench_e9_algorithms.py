@@ -12,7 +12,7 @@ import common
 
 from repro.core.algorithms import SplitNetwork
 from repro.core.builders import (
-    destination_problem_graph,
+    problem_graphs,
     time_constrained_flooding_graph,
     two_disjoint_paths_graph,
 )
@@ -46,16 +46,11 @@ def test_e9_flooding_builder(benchmark):
     assert graph.num_edges > 20
 
 
-def test_e9_destination_problem_builder(benchmark):
-    graph = benchmark(
-        destination_problem_graph,
-        common.topology(),
-        "NYC",
-        "SJC",
-        None,
-        65.0,
+def test_e9_problem_graph_builder(benchmark):
+    graphs = benchmark(
+        problem_graphs, common.topology(), "NYC", "SJC", deadline_ms=65.0
     )
-    assert graph.connects()
+    assert all(graph.connects() for graph in graphs)
 
 
 def test_e9_graph_encoding_round_trip(benchmark):

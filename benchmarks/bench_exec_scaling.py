@@ -69,6 +69,7 @@ def test_e18_exec_scaling(benchmark, tmp_path):
         return rows, serial_s, warm_s
 
     rows, serial_s, warm_s = benchmark.pedantic(sweep, rounds=1, iterations=1)
+    common.stage_metrics(weeks=EXEC_WEEKS)
     print(
         common.banner(
             f"E18: execution-engine scaling ({EXEC_WEEKS:g}-week trace, "

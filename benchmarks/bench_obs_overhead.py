@@ -60,7 +60,7 @@ def test_obs_tracing_overhead(benchmark):
     print(f"  traced   (obs on)  {traced:7.3f} s")
     print(f"  overhead           {100 * overhead:+6.1f} %  (max {100 * OVERHEAD_MAX:.0f} %)")
     common.stage_metrics(
-        baseline_s=baseline, traced_s=traced, overhead=overhead
+        weeks=WEEKS, baseline_s=baseline, traced_s=traced, overhead=overhead
     )
     assert overhead < OVERHEAD_MAX, (
         f"tracing overhead {100 * overhead:.1f}% exceeds "

@@ -70,6 +70,7 @@ def test_profiler_sampling_overhead(benchmark):
     print(f"  profiled (sampling) {profiled:7.3f} s  ({samples} samples)")
     print(f"  overhead            {100 * overhead:+6.1f} %  (max {100 * OVERHEAD_MAX:.0f} %)")
     common.stage_metrics(
+        weeks=WEEKS,
         baseline_s=baseline,
         profiled_s=profiled,
         overhead=overhead,

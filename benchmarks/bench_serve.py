@@ -105,7 +105,7 @@ def test_e20_serve_warm_cache(benchmark, tmp_path):
     )
 
     common.stage_metrics(
-        serve_weeks=SERVE_WEEKS,
+        weeks=SERVE_WEEKS,
         cold_s=cold_s,
         warm_s=warm_s,
         warm_speedup=speedup,

@@ -24,8 +24,10 @@ Every bench test additionally writes ``BENCH_<exp>.json`` (via an
 autouse fixture in ``conftest.py``): a run manifest -- scale knobs,
 topology fingerprint, the engine telemetry of the replays this bench
 triggered -- plus whatever headline figures the bench staged through
-:func:`stage_metrics`.  The JSON is the scrape-free counterpart of the
-printed tables, comparable across commits.
+:func:`stage_metrics`.  A bench that runs at its own scale stages its
+``weeks`` (and ``seed``), and those are the scale the manifest reports.
+The JSON is the scrape-free counterpart of the printed tables,
+comparable across commits.
 """
 
 from __future__ import annotations
@@ -133,13 +135,19 @@ def _telemetry_delta() -> dict | None:
 
 
 def flush_bench_json(exp: str) -> Path:
-    """Write ``BENCH_<exp>.json`` into :data:`BENCH_OUT` and return it."""
+    """Write ``BENCH_<exp>.json`` into :data:`BENCH_OUT` and return it.
+
+    The top-level ``weeks`` and ``seed`` are the scale the bench ran at:
+    the ``weeks`` and ``seed`` it staged, if it pins its own, else the
+    environment's.  Bench history files runs by them, so an unchanged
+    bench must not report a new scale when the environment changes.
+    """
     BENCH_OUT.mkdir(parents=True, exist_ok=True)
     payload = {
         "manifest_version": MANIFEST_VERSION,
         "experiment": exp,
-        "weeks": BENCH_WEEKS,
-        "seed": BENCH_SEED,
+        "weeks": _staged_metrics.get("weeks", BENCH_WEEKS),
+        "seed": _staged_metrics.get("seed", BENCH_SEED),
         "workers": BENCH_WORKERS,
         "use_cache": BENCH_USE_CACHE,
         "topology": topology_fingerprint(topology()),

@@ -20,7 +20,7 @@ from repro import (
 )
 from repro.analysis import format_cost_table, format_scheme_performance_table
 from repro.core.builders import (
-    destination_problem_graph,
+    problem_graphs,
     single_path_graph,
     time_constrained_flooding_graph,
     two_disjoint_paths_graph,
@@ -34,10 +34,13 @@ def show_graph_families() -> None:
     topology = build_reference_topology()
     source, destination = "NYC", "SJC"
     print(f"== Dissemination-graph families for {source} -> {destination} ==\n")
+    _base, _source, destination_problem, _robust = problem_graphs(
+        topology, source, destination, deadline_ms=65.0
+    )
     families = [
         single_path_graph(topology, source, destination),
         two_disjoint_paths_graph(topology, source, destination),
-        destination_problem_graph(topology, source, destination, deadline_ms=65.0),
+        destination_problem,
         time_constrained_flooding_graph(topology, source, destination, 65.0),
     ]
     latency = topology.latency

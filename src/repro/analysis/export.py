@@ -1,33 +1,30 @@
 """CSV export of experiment artifacts.
 
-Every table/series the benches print can also be written as CSV so
-downstream users can plot the figures with their tool of choice.  The
-exporters deliberately take the same inputs as the report renderers, so
-a replay computed once can be rendered and exported without recomputing.
+The headline scheme-performance table and the per-flow gap coverage can
+also be written as CSV so downstream users can plot them with their tool
+of choice.  The exporters take the same inputs as the report renderers,
+so a replay computed once can be rendered and exported without
+recomputing.
 """
 
 from __future__ import annotations
 
 import csv
 from pathlib import Path
-from typing import Mapping, Sequence
+from typing import Sequence
 
-from repro.analysis.cdf import LatencyProfile
 from repro.analysis.metrics import (
     DEFAULT_BASELINE,
     DEFAULT_OPTIMAL,
     per_flow_gap_coverage,
     scheme_performance_rows,
 )
-from repro.simulation.packet_sim import PacketSimOutcome
 from repro.simulation.results import ReplayResult
 from repro.util.validation import require
 
 __all__ = [
     "export_scheme_performance",
     "export_per_flow_coverage",
-    "export_latency_cdf",
-    "export_delivery_series",
 ]
 
 
@@ -101,39 +98,3 @@ def export_per_flow_coverage(
             row.append("" if value is None else f"{value:.6f}")
         rows.append(row)
     _write_rows(path, ["flow", *schemes], rows)
-
-
-def export_latency_cdf(
-    profiles: Mapping[str, LatencyProfile], path: str | Path
-) -> None:
-    """The E6 figure data as CSV: long format (scheme, latency, fraction)."""
-    rows = []
-    for scheme in sorted(profiles):
-        for latency_ms, fraction in profiles[scheme].cdf:
-            rows.append([scheme, f"{latency_ms:.4f}", f"{fraction:.6f}"])
-    _write_rows(path, ("scheme", "latency_ms", "cumulative_fraction"), rows)
-
-
-def export_delivery_series(
-    outcomes: Mapping[str, PacketSimOutcome],
-    path: str | Path,
-    bucket_s: float = 10.0,
-) -> None:
-    """The E4 case-study series as CSV (bucket start, one column/scheme)."""
-    from repro.analysis.casestudy import bucketed_delivery
-
-    require(bool(outcomes), "need at least one outcome")
-    series = {
-        scheme: dict(bucketed_delivery(outcome, bucket_s))
-        for scheme, outcome in outcomes.items()
-    }
-    schemes = sorted(series)
-    buckets = sorted({bucket for s in series.values() for bucket in s})
-    rows = []
-    for bucket in buckets:
-        row: list[object] = [f"{bucket:.1f}"]
-        for scheme in schemes:
-            value = series[scheme].get(bucket)
-            row.append("" if value is None else f"{value:.6f}")
-        rows.append(row)
-    _write_rows(path, ["bucket_start_s", *schemes], rows)

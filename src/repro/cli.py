@@ -57,12 +57,9 @@ from repro.analysis.reporting import (
     format_scheme_performance_table,
 )
 from repro.core.builders import (
-    destination_problem_graph,
-    robust_source_destination_graph,
+    problem_graphs,
     single_path_graph,
-    source_problem_graph,
     time_constrained_flooding_graph,
-    two_disjoint_paths_graph,
 )
 from repro.netmodel.scenarios import WEEK_S, Scenario, generate_events
 from repro.netmodel.topology import (
@@ -364,29 +361,19 @@ def _cmd_graphs(args: argparse.Namespace) -> int:
     topology = build_reference_topology()
     source, destination = args.source, args.destination
     deadline = args.deadline_ms
+    base, source_graph, destination_graph, robust = problem_graphs(
+        topology, source, destination, deadline_ms=deadline
+    )
     families = [
         ("single path", single_path_graph(topology, source, destination)),
-        ("two disjoint paths", two_disjoint_paths_graph(topology, source, destination)),
+        ("two disjoint paths", base),
         (
             "time-constrained flooding",
             time_constrained_flooding_graph(topology, source, destination, deadline),
         ),
-        (
-            "source-problem graph",
-            source_problem_graph(topology, source, destination, deadline_ms=deadline),
-        ),
-        (
-            "destination-problem graph",
-            destination_problem_graph(
-                topology, source, destination, deadline_ms=deadline
-            ),
-        ),
-        (
-            "robust source+destination",
-            robust_source_destination_graph(
-                topology, source, destination, deadline_ms=deadline
-            ),
-        ),
+        ("source-problem graph", source_graph),
+        ("destination-problem graph", destination_graph),
+        ("robust source+destination", robust),
     ]
     for label, graph in families:
         print(f"{label} ({graph.num_edges} edges / messages per packet):")

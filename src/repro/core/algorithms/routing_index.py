@@ -145,18 +145,21 @@ class RoutingIndex:
         return distances
 
     def through_latencies(
-        self, weights: Sequence[float], source: str, target: str
+        self,
+        weights: Sequence[float],
+        from_source: Sequence[float],
+        to_target: Sequence[float],
     ) -> dict[tuple[str, str], float]:
         """Best ``source ->* u -> v ->* target`` weight per edge ``(u, v)``.
 
+        ``from_source`` and ``to_target`` are the :meth:`distances` from
+        the source and (``reverse``) to the target under ``weights``.
         The time-constrained-flooding criterion: a copy can cross the
         edge and still arrive within a deadline exactly when this weight
-        is within it.  Edges that ``source`` cannot reach, or whose head
-        cannot reach ``target``, are left out; the rest are in sorted
+        is within it.  Edges that the source cannot reach, or whose head
+        cannot reach the target, are left out; the rest are in sorted
         order.
         """
-        from_source = self.distances(weights, source)
-        to_target = self.distances(weights, target, reverse=True)
         rank = self.rank
         through: dict[tuple[str, str], float] = {}
         for link, (tail, head) in enumerate(self.edges):

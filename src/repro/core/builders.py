@@ -10,7 +10,10 @@ Four families (paper Sections III and V):
 * **targeted redundancy** -- the paper's contribution: the two disjoint
   paths plus extra redundancy concentrated around a problematic source or
   destination, constructed so a packet enters (leaves) the problem area
-  over *all* available adjacent links.
+  over *all* available adjacent links.  :func:`problem_graphs` builds a
+  flow's whole set in one call -- the base pair, the source- and
+  destination-problem graphs and their robust union -- from one base
+  solve, two distance passes and one flooding graph.
 
 All builders require a frozen topology, route on its
 :class:`~repro.core.algorithms.routing_index.RoutingIndex` at base
@@ -22,9 +25,9 @@ from __future__ import annotations
 
 from typing import Sequence
 
-from repro.core.algorithms import NoPathError, SplitNetwork
+from repro.core.algorithms import NoPathError, RoutingIndex, SplitNetwork
 from repro.core.dgraph import DisseminationGraph
-from repro.core.graph import NodeId, Topology
+from repro.core.graph import Edge, NodeId, Topology
 from repro.util.validation import require
 
 __all__ = [
@@ -32,10 +35,7 @@ __all__ = [
     "k_disjoint_paths_graph",
     "two_disjoint_paths_graph",
     "time_constrained_flooding_graph",
-    "source_problem_graph",
-    "destination_problem_graph",
-    "robust_source_destination_graph",
-    "union_problem_graphs",
+    "problem_graphs",
 ]
 
 
@@ -110,9 +110,30 @@ def time_constrained_flooding_graph(
     could, making it the upper bound ("optimal") in the evaluation.
     """
     _check_flow(topology, source, destination)
-    require(deadline_ms > 0, f"deadline must be positive, got {deadline_ms}")
     index = topology.routing_index
-    through = index.through_latencies(index.latencies, source, destination)
+    return _flooding_graph(
+        index,
+        source,
+        destination,
+        index.distances(index.latencies, source),
+        index.distances(index.latencies, destination, reverse=True),
+        deadline_ms,
+        name,
+    )
+
+
+def _flooding_graph(
+    index: RoutingIndex,
+    source: NodeId,
+    destination: NodeId,
+    from_source: Sequence[float],
+    to_destination: Sequence[float],
+    deadline_ms: float,
+    name: str = "",
+) -> DisseminationGraph:
+    """The flooding graph from the two base-latency distance passes."""
+    require(deadline_ms > 0, f"deadline must be positive, got {deadline_ms}")
+    through = index.through_latencies(index.latencies, from_source, to_destination)
     graph = DisseminationGraph(
         source,
         destination,
@@ -122,194 +143,115 @@ def time_constrained_flooding_graph(
     return graph.pruned()
 
 
-def _select_entry_nodes(
+def problem_graphs(
     topology: Topology,
-    endpoint: NodeId,
-    neighbors: Sequence[NodeId],
-    other_end: NodeId,
-    limit: int | None,
-    detour_budget_ms: float | None,
-    entry_side: bool,
-) -> list[NodeId]:
-    """Pick which of ``endpoint``'s neighbours the problem graph covers.
+    source: NodeId,
+    destination: NodeId,
+    max_entry_links: int | None = None,
+    max_exit_links: int | None = None,
+    deadline_ms: float | None = None,
+    prefix: str = "",
+) -> tuple[DisseminationGraph, ...]:
+    """Targeted redundancy's graphs: ``(base, source, destination, robust)``.
 
-    With no limit every *useful* neighbour is used (maximum protection);
-    ``detour_budget_ms`` drops neighbours through which no copy can reach
-    the destination within the deadline -- redundancy that can only
-    produce late copies is pure cost.  With a limit, the neighbours
-    offering the fastest detour are preferred.
+    ``base`` is the two-disjoint-paths graph.  The **source-problem**
+    graph adds the source's usable outgoing overlay links (all of them,
+    or the best ``max_exit_links``) and a cheap reverse Steiner
+    arborescence funnelling the copies from those neighbours to the
+    destination without routing back through the source.  The
+    **destination-problem** graph is its mirror image: an arborescence
+    carries each packet from the source to the destination's usable
+    in-neighbours (the best ``max_entry_links``), never *through* the
+    destination, and each neighbour forwards to it.  The **robust** graph,
+    for problems at both endpoints (or ones the classifier cannot
+    localise), is the union of the two.  Each contains ``base``, so it is
+    never worse than normal operation.  The graphs are named ``prefix``
+    plus ``base``, ``source-problem``, ``destination-problem`` and
+    ``robust``.
 
-    ``entry_side`` selects the direction: True for the destination's
-    in-neighbours (detour = source ->* n -> destination), False for the
-    source's out-neighbours (detour = source -> n ->* destination).
+    With ``deadline_ms``, neighbours through which no copy can reach the
+    destination in time are left out, and each problem graph is pruned to
+    the flooding graph's edges -- the edges that can still carry an
+    on-time copy -- unless that would disconnect the flow (a deadline
+    below the shortest path), in which case it stays unpruned: best
+    effort beats nothing.  The base pair is solved once, and two
+    base-latency distance passes serve both the neighbour choice and the
+    one flooding graph.
     """
-    candidates = [n for n in neighbors if n != other_end]
+    _check_flow(topology, source, destination)
     index = topology.routing_index
-    distances = index.distances(index.latencies, other_end, reverse=not entry_side)
-    rank = index.rank
-    if entry_side:
+    base = k_disjoint_paths_graph(topology, source, destination, 2, f"{prefix}base")
+    from_source = index.distances(index.latencies, source)
+    to_destination = index.distances(index.latencies, destination, reverse=True)
+    flooding = None
+    if deadline_ms is not None:
+        flooding = _flooding_graph(
+            index, source, destination, from_source, to_destination, deadline_ms
+        ).edges
 
-        def detour_ms(n: NodeId) -> float:
-            return distances[rank[n]] + topology.latency(n, endpoint)
-
-    else:
-
-        def detour_ms(n: NodeId) -> float:
-            return topology.latency(endpoint, n) + distances[rank[n]]
-
-    if detour_budget_ms is not None:
-        candidates = [n for n in candidates if detour_ms(n) <= detour_budget_ms]
-    if limit is None or limit >= len(candidates):
-        return sorted(candidates)
-    candidates.sort(key=lambda n: (detour_ms(n), n))
-    return sorted(candidates[:limit])
-
-
-def _deadline_prune(
-    topology: Topology,
-    graph: DisseminationGraph,
-    deadline_ms: float | None,
-    name: str,
-) -> DisseminationGraph:
-    """Drop edges that can never carry an on-time copy.
-
-    Uses the time-constrained-flooding criterion (a necessary condition
-    for usefulness), so only certainly-useless edges are removed.  If
-    pruning would disconnect the flow (deadline tighter than the shortest
-    path) the unpruned graph is kept -- best effort beats nothing.
-    """
-    if deadline_ms is None:
+    def prune(graph: DisseminationGraph, name: str) -> DisseminationGraph:
+        if flooding is not None:
+            candidate = graph.restrict(flooding).pruned(name=name)
+            if candidate.connects():
+                return candidate
         return graph.pruned(name=name)
-    flooding = time_constrained_flooding_graph(
-        topology, graph.source, graph.destination, deadline_ms
+
+    source_graph = prune(
+        _endpoint_graph(
+            topology, base, source, to_destination, max_exit_links, deadline_ms
+        ),
+        f"{prefix}source-problem",
     )
-    candidate = graph.restrict(flooding.edges).pruned(name=name)
-    if candidate.connects():
-        return candidate
-    return graph.pruned(name=name)
+    destination_graph = prune(
+        _endpoint_graph(
+            topology, base, destination, from_source, max_entry_links, deadline_ms
+        ),
+        f"{prefix}destination-problem",
+    )
+    robust = prune(destination_graph.union(source_graph), f"{prefix}robust")
+    return base, source_graph, destination_graph, robust
 
 
-def destination_problem_graph(
+def _endpoint_graph(
     topology: Topology,
-    source: NodeId,
-    destination: NodeId,
-    max_entry_links: int | None = None,
-    deadline_ms: float | None = None,
-    name: str = "destination-problem",
-) -> DisseminationGraph:
-    """Targeted redundancy around a problematic destination.
-
-    The graph delivers each packet to the destination over **all** (or the
-    best ``max_entry_links``) of its usable incoming overlay links: a
-    cheap Steiner arborescence carries the packet from the source to each
-    of the destination's neighbours (never routing *through* the
-    destination), and each neighbour forwards to the destination.  The
-    two-disjoint-paths graph is unioned in as the base so the problem
-    graph is never worse than normal operation.  With ``deadline_ms``,
-    neighbours and edges that could only yield late copies are excluded.
-    """
-    _check_flow(topology, source, destination)
-    base = two_disjoint_paths_graph(topology, source, destination)
-    entries = _select_entry_nodes(
-        topology,
-        destination,
-        topology.in_neighbors(destination),
-        source,
-        max_entry_links,
-        deadline_ms,
-        entry_side=True,
-    )
-    edges = set(base.edges) | topology.routing_index.steiner_arborescence(
-        source, entries, skip=destination
-    )
-    for entry in entries:
-        if topology.has_edge(entry, destination):
-            edges.add((entry, destination))
-    graph = DisseminationGraph(source, destination, frozenset(edges), name=name)
-    return _deadline_prune(topology, graph, deadline_ms, name)
-
-
-def source_problem_graph(
-    topology: Topology,
-    source: NodeId,
-    destination: NodeId,
-    max_exit_links: int | None = None,
-    deadline_ms: float | None = None,
-    name: str = "source-problem",
-) -> DisseminationGraph:
-    """Targeted redundancy around a problematic source (mirror image).
-
-    The source sends on **all** (or the best ``max_exit_links``) of its
-    usable outgoing overlay links, and a reverse Steiner arborescence
-    funnels the copies from those neighbours to the destination without
-    routing back through the source.
-    """
-    _check_flow(topology, source, destination)
-    base = two_disjoint_paths_graph(topology, source, destination)
-    exits = _select_entry_nodes(
-        topology,
-        source,
-        topology.out_neighbors(source),
-        destination,
-        max_exit_links,
-        deadline_ms,
-        entry_side=False,
-    )
-    edges = set(base.edges) | topology.routing_index.steiner_arborescence(
-        destination, exits, skip=source, reverse=True
-    )
-    for exit_node in exits:
-        if topology.has_edge(source, exit_node):
-            edges.add((source, exit_node))
-    graph = DisseminationGraph(source, destination, frozenset(edges), name=name)
-    return _deadline_prune(topology, graph, deadline_ms, name)
-
-
-def robust_source_destination_graph(
-    topology: Topology,
-    source: NodeId,
-    destination: NodeId,
-    max_entry_links: int | None = None,
-    max_exit_links: int | None = None,
-    deadline_ms: float | None = None,
-    name: str = "robust-source-destination",
-) -> DisseminationGraph:
-    """Union of the source-problem and destination-problem graphs.
-
-    Used when problems are detected at both endpoints simultaneously (or
-    when the classifier cannot localise the problem to one endpoint).
-    """
-    destination_graph = destination_problem_graph(
-        topology,
-        source,
-        destination,
-        max_entry_links=max_entry_links,
-        deadline_ms=deadline_ms,
-    )
-    source_graph = source_problem_graph(
-        topology,
-        source,
-        destination,
-        max_exit_links=max_exit_links,
-        deadline_ms=deadline_ms,
-    )
-    return union_problem_graphs(
-        topology, destination_graph, source_graph, deadline_ms, name
-    )
-
-
-def union_problem_graphs(
-    topology: Topology,
-    destination_graph: DisseminationGraph,
-    source_graph: DisseminationGraph,
+    base: DisseminationGraph,
+    endpoint: NodeId,
+    distances: Sequence[float],
+    limit: int | None,
     deadline_ms: float | None,
-    name: str,
 ) -> DisseminationGraph:
-    """The robust graph from built destination- and source-problem graphs.
+    """``base`` plus redundancy around the problematic ``endpoint``.
 
-    Their edge union, pruned to edges that can still carry an on-time
-    copy.  A caller that already holds both problem graphs (targeted
-    redundancy builds all three at attach) builds each of them once.
+    At the source the candidates are its out-neighbours, and a
+    neighbour's detour is the source's link to it plus its ``distances``
+    entry (to the destination); at the destination they are its
+    in-neighbours, and the detour is the ``distances`` entry (from the
+    source) plus the neighbour's link into it.  With ``deadline_ms``
+    neighbours whose detour misses it are dropped -- redundancy that can
+    only produce late copies is pure cost -- and with ``limit`` only that
+    many of the fastest detours are kept (ties by name).
     """
-    union = destination_graph.union(source_graph, name=name)
-    return _deadline_prune(topology, union, deadline_ms, name)
+    index = topology.routing_index
+    at_source = endpoint == base.source
+    if at_source:
+        root, neighbors = base.destination, topology.out_neighbors(endpoint)
+    else:
+        root, neighbors = base.source, topology.in_neighbors(endpoint)
+
+    def link(neighbor: NodeId) -> Edge:
+        return (endpoint, neighbor) if at_source else (neighbor, endpoint)
+
+    def detour_ms(neighbor: NodeId) -> float:
+        return distances[index.rank[neighbor]] + topology.latency(*link(neighbor))
+
+    chosen = [n for n in neighbors if n != root]
+    if deadline_ms is not None:
+        chosen = [n for n in chosen if detour_ms(n) <= deadline_ms]
+    if limit is not None and limit < len(chosen):
+        chosen.sort(key=lambda n: (detour_ms(n), n))
+        chosen = sorted(chosen[:limit])
+    edges = set(base.edges) | index.steiner_arborescence(
+        root, chosen, skip=endpoint, reverse=at_source
+    )
+    edges.update(link(n) for n in chosen)
+    return DisseminationGraph(base.source, base.destination, frozenset(edges))

@@ -162,11 +162,6 @@ class ProblemDetector:
     def __post_init__(self) -> None:
         require_non_negative(self.hold_down_s, "hold_down_s")
 
-    @property
-    def active_type(self) -> ProblemType:
-        """The problem type currently in effect (including hold-down)."""
-        return self._active_type
-
     def update(self, now_s: float, loss_rates: Mapping[Edge, float]) -> ProblemType:
         """Feed the current (already-propagated) loss view; get the decision."""
         if not (now_s >= self._last_update_s):

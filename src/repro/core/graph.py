@@ -15,7 +15,7 @@ a single immutable topology can be shared by every scheme and every replay.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Iterator, Mapping
+from typing import Iterator, Mapping
 
 from repro.core.algorithms.routing_index import RoutingIndex
 from repro.util.digest import stable_hash
@@ -284,15 +284,6 @@ class Topology:
         require(self.is_connected(), "topology must be strongly connected")
 
     # -- misc ---------------------------------------------------------------
-
-    def subgraph_edges(self, edges: Iterable[Edge]) -> tuple[Edge, ...]:
-        """Validate that every edge exists and return them sorted."""
-        result = []
-        for edge in edges:
-            if not (edge in self._links):
-                fail(f"edge {edge!r} not in topology")
-            result.append(edge)
-        return tuple(sorted(result))
 
     def __contains__(self, node: NodeId) -> bool:
         return node in self._nodes

@@ -15,9 +15,10 @@ makes whole multi-week replays exactly reproducible.
 from __future__ import annotations
 
 import abc
-from typing import Mapping
+from typing import AbstractSet, Mapping
 
-from repro.core.algorithms.routing_index import RoutingIndex
+from repro.core.algorithms import NoPathError
+from repro.core.algorithms.routing_index import RoutingIndex, SplitNetwork
 from repro.core.dgraph import DisseminationGraph
 from repro.core.graph import Edge, NodeId, Topology
 from repro.netmodel.conditions import LinkState
@@ -62,6 +63,8 @@ class RoutingPolicy(abc.ABC):
         self._service: ServiceSpec | None = None
         self._last_update_s = float("-inf")
         self._observed_changed: frozenset[Edge] | None = None
+        # The flow's node-split network, built by the first re-route.
+        self._network: SplitNetwork | None = None
         #: Optional :class:`repro.obs.Observability`; policies emit hot-spot
         #: counters/spans through it when set.  ``None`` keeps the hot path
         #: uninstrumented (the common case).
@@ -158,6 +161,42 @@ class RoutingPolicy(abc.ABC):
     ) -> DisseminationGraph:
         """Scheme-specific decision; timestamps already validated."""
 
+    def _disjoint_reroute(
+        self,
+        observed: Mapping[Edge, LinkState],
+        k: int,
+        degraded: frozenset[Edge],
+        name: str,
+        untimely: AbstractSet[int] = frozenset(),
+    ) -> tuple[DisseminationGraph, bool]:
+        """``k`` disjoint paths for the observed view, and whether the
+        loss-penalised fallback chose them.
+
+        The search runs at observed latencies on the flow's
+        :class:`SplitNetwork` and avoids the ``degraded`` edges and the
+        ``untimely`` link ids.  When that leaves fewer than ``k`` paths,
+        degraded links come back with a loss surcharge, so the pairing
+        maximises cleanliness: still without the untimely links, then,
+        if the deadline cannot be met on ``k`` paths, over everything.
+        """
+        source, destination = self.flow.source, self.flow.destination
+        index = self.topology.routing_index
+        if self._network is None:
+            self._network = SplitNetwork(index, source, destination)
+        paths = self._network.disjoint_paths(
+            observed_weights(index, observed), k, index.link_ids(degraded) | untimely
+        )
+        penalized = len(paths) < k
+        if penalized:
+            weights = observed_weights(index, observed, penalize_loss=True)
+            if untimely:
+                paths = self._network.disjoint_paths(weights, k, untimely)
+            if len(paths) < k:
+                paths = self._network.disjoint_paths(weights, k)
+        if not paths:  # pragma: no cover - topology is connected by contract
+            raise NoPathError(source, destination)
+        return DisseminationGraph.from_paths(paths, name=name), penalized
+
 
 def degraded_edge_set(
     observed: Mapping[Edge, LinkState], loss_threshold: float
@@ -236,8 +275,11 @@ def timely_edge_latencies(
     are left out; the rest are in sorted order.
     """
     index = topology.routing_index
+    weights = observed_weights(index, observed)
     return index.through_latencies(
-        observed_weights(index, observed), source, destination
+        weights,
+        index.distances(weights, source),
+        index.distances(weights, destination, reverse=True),
     )
 
 

@@ -16,7 +16,9 @@ not change the relevant view.  A decision the un-penalised search made
 is a pure function of that fingerprint, so it is also remembered for the
 fingerprint's later recurrences; loss-penalised fallbacks are always
 recomputed.  The searches run on the topology's
-:class:`~repro.core.algorithms.routing_index.RoutingIndex`.
+:class:`~repro.core.algorithms.routing_index.RoutingIndex`; the disjoint
+pair comes from :meth:`~repro.routing.base.RoutingPolicy._disjoint_reroute`,
+the re-route targeted redundancy shares.
 """
 
 from __future__ import annotations
@@ -24,7 +26,6 @@ from __future__ import annotations
 from typing import Mapping
 
 from repro.core.algorithms import NoPathError
-from repro.core.algorithms.routing_index import SplitNetwork
 from repro.core.dgraph import DisseminationGraph
 from repro.core.graph import Edge
 from repro.netmodel.conditions import LinkState
@@ -160,26 +161,8 @@ class DynamicTwoDisjointPolicy(_DynamicPolicyBase):
         if k != 2:
             words = {3: "three"}
             self.name = f"dynamic-{words.get(k, k)}-disjoint"
-        self._network: SplitNetwork | None = None
 
     def _recompute(
         self, observed: Mapping[Edge, LinkState], degraded: frozenset[Edge]
     ) -> tuple[DisseminationGraph, bool]:
-        source, destination = self.flow.source, self.flow.destination
-        index = self.topology.routing_index
-        if self._network is None:
-            self._network = SplitNetwork(index, source, destination)
-        excluded = index.link_ids(degraded)
-        paths = self._network.disjoint_paths(
-            observed_weights(index, observed), self.k, excluded
-        )
-        penalized = len(paths) < self.k
-        if penalized:
-            # Not enough clean disjoint paths: re-admit lossy links with a
-            # surcharge so the pairing maximises cleanliness first.
-            paths = self._network.disjoint_paths(
-                observed_weights(index, observed, penalize_loss=True), self.k
-            )
-        if not paths:  # pragma: no cover - topology is connected by contract
-            raise NoPathError(source, destination)
-        return DisseminationGraph.from_paths(paths, name=self.name), penalized
+        return self._disjoint_reroute(observed, self.k, degraded, self.name)

@@ -3,16 +3,19 @@
 Normal operation uses the two node-disjoint paths (cheap, good enough in
 most cases -- claim C3).  When the detector classifies a problem:
 
-* **middle problem** -- re-route: recompute two disjoint paths avoiding
-  the degraded links (redundancy would not help; path selection does);
+* **middle problem** -- re-route: recompute two disjoint *timely* paths
+  avoiding the degraded links (redundancy would not help; path selection
+  does), through the re-route the dynamic disjoint-path policies use;
 * **source problem** -- switch to the *precomputed* source-problem graph
   (packets leave the source over all its adjacent links);
 * **destination problem** -- switch to the precomputed destination-problem
   graph (packets enter the destination over all its adjacent links);
 * **both** -- the precomputed robust source+destination graph.
 
-Problem graphs are precomputed at attach time so switching costs nothing
-at detection time, exactly as the paper argues a deployable system must.
+Problem graphs are precomputed at attach time, all by one
+:func:`~repro.core.builders.problem_graphs` call, so switching costs
+nothing at detection time, exactly as the paper argues a deployable
+system must.
 A hold-down keeps a problem graph installed briefly after the pattern
 clears, riding out the bursty gaps within one underlying outage.
 """
@@ -21,14 +24,7 @@ from __future__ import annotations
 
 from typing import Mapping
 
-from repro.core.algorithms import NoPathError
-from repro.core.algorithms.routing_index import SplitNetwork
-from repro.core.builders import (
-    destination_problem_graph,
-    k_disjoint_paths_graph,
-    source_problem_graph,
-    union_problem_graphs,
-)
+from repro.core.builders import problem_graphs
 from repro.core.detection import ProblemClassifier, ProblemDetector, ProblemType
 from repro.core.dgraph import DisseminationGraph
 from repro.core.graph import Edge
@@ -37,7 +33,6 @@ from repro.routing.base import (
     RoutingPolicy,
     degraded_edge_set,
     inflation_key,
-    observed_weights,
     timely_edge_latencies,
 )
 from repro.util.validation import require, require_non_negative, require_probability
@@ -97,7 +92,6 @@ class TargetedRedundancyPolicy(RoutingPolicy):
         self._reroutes: dict[tuple, DisseminationGraph] = {}
         # Inflation key -> (timely edges considered, kept link ids).
         self._timely: dict[tuple, tuple[int, frozenset[int]]] = {}
-        self._network: SplitNetwork | None = None
         # Sticky memory of recently degraded edges: edge -> last time seen
         # degraded.  Bursty outages flap faster than they heal; a link seen
         # lossy within the hold-down stays excluded from re-routing even
@@ -108,36 +102,19 @@ class TargetedRedundancyPolicy(RoutingPolicy):
 
     def _on_attach(self) -> None:
         source, destination = self.flow.source, self.flow.destination
-        self._base_graph = k_disjoint_paths_graph(
-            self.topology, source, destination, k=2, name=f"{self.name}/base"
-        )
-        deadline = self.service.deadline_ms
-        source_graph = source_problem_graph(
-            self.topology,
-            source,
-            destination,
-            max_exit_links=self.max_exit_links,
-            deadline_ms=deadline,
-            name=f"{self.name}/source-problem",
-        )
-        destination_graph = destination_problem_graph(
+        self._base_graph, source_graph, destination_graph, robust = problem_graphs(
             self.topology,
             source,
             destination,
             max_entry_links=self.max_entry_links,
-            deadline_ms=deadline,
-            name=f"{self.name}/destination-problem",
+            max_exit_links=self.max_exit_links,
+            deadline_ms=self.service.deadline_ms,
+            prefix=f"{self.name}/",
         )
         self._problem_graphs = {
             ProblemType.SOURCE: source_graph,
             ProblemType.DESTINATION: destination_graph,
-            ProblemType.SOURCE_AND_DESTINATION: union_problem_graphs(
-                self.topology,
-                destination_graph,
-                source_graph,
-                deadline,
-                f"{self.name}/robust",
-            ),
+            ProblemType.SOURCE_AND_DESTINATION: robust,
         }
         self._detector = ProblemDetector(
             self.topology,
@@ -302,42 +279,13 @@ class TargetedRedundancyPolicy(RoutingPolicy):
         if graph is None:
             if cache_key == self._middle_cache_key and self._middle_cache_graph:
                 return self._middle_cache_graph
-            graph = self._compute_reroute(observed, degraded, timely, cache_key)
+            untimely = frozenset(range(len(self.topology.routing_index.edges)))
+            untimely -= timely
+            graph, penalized = self._disjoint_reroute(
+                observed, 2, degraded, f"{self.name}/reroute", untimely
+            )
+            if not penalized:
+                self._reroutes[cache_key] = graph
         self._middle_cache_key = cache_key
         self._middle_cache_graph = graph
-        return graph
-
-    def _compute_reroute(
-        self,
-        observed: Mapping[Edge, LinkState],
-        degraded: frozenset[Edge],
-        timely: frozenset[int],
-        cache_key: tuple,
-    ) -> DisseminationGraph:
-        """The re-route search; keeps the graph if no fallback was needed."""
-        source, destination = self.flow.source, self.flow.destination
-        index = self.topology.routing_index
-        if self._network is None:
-            self._network = SplitNetwork(index, source, destination)
-        not_timely = frozenset(range(len(index.edges))) - timely
-        paths = self._network.disjoint_paths(
-            observed_weights(index, observed),
-            2,
-            index.link_ids(degraded) | not_timely,
-        )
-        clean = len(paths) == 2
-        if not clean and not_timely:
-            # No clean timely pair: re-admit lossy-but-timely edges with a
-            # loss surcharge so the pairing maximises cleanliness.
-            penalized = observed_weights(index, observed, penalize_loss=True)
-            paths = self._network.disjoint_paths(penalized, 2, not_timely)
-        if len(paths) < 2:
-            # Deadline unmeetable on two paths: best effort over everything.
-            penalized = observed_weights(index, observed, penalize_loss=True)
-            paths = self._network.disjoint_paths(penalized, 2)
-        if not paths:  # pragma: no cover - topology is connected by contract
-            raise NoPathError(source, destination)
-        graph = DisseminationGraph.from_paths(paths, name=f"{self.name}/reroute")
-        if clean:
-            self._reroutes[cache_key] = graph
         return graph

@@ -6,15 +6,11 @@ import csv
 
 import pytest
 
-from repro.analysis.cdf import latency_profile
 from repro.analysis.export import (
-    export_delivery_series,
-    export_latency_cdf,
     export_per_flow_coverage,
     export_scheme_performance,
 )
 from repro.netmodel.topology import FlowSpec, ServiceSpec
-from repro.simulation.packet_sim import PacketRecord, PacketSimOutcome
 from repro.simulation.results import FlowSchemeStats, ReplayConfig, ReplayResult
 
 FLOW = FlowSpec("S", "T")
@@ -39,14 +35,6 @@ def build_result():
         entry.add_window(1000.0 - unavailable, 1000.0, "g", edges, 0.0, 1.0, 0.0)
         result.add(entry)
     return result
-
-
-def outcome(scheme, arrivals):
-    records = [
-        PacketRecord(i, i * 0.01, a, a is not None and a <= 15.0, 2, "g")
-        for i, a in enumerate(arrivals)
-    ]
-    return PacketSimOutcome(FLOW, scheme, records)
 
 
 class TestSchemePerformanceExport:
@@ -84,36 +72,3 @@ class TestPerFlowExport:
     def test_empty_schemes_rejected(self, tmp_path):
         with pytest.raises(Exception):
             export_per_flow_coverage(build_result(), tmp_path / "x.csv", schemes=())
-
-
-class TestCdfExport:
-    def test_long_format(self, tmp_path):
-        profiles = {
-            "a": latency_profile(outcome("a", [10.0, 12.0])),
-            "b": latency_profile(outcome("b", [11.0])),
-        }
-        path = tmp_path / "e6.csv"
-        export_latency_cdf(profiles, path)
-        rows = read_csv(path)
-        assert rows[0] == ["scheme", "latency_ms", "cumulative_fraction"]
-        assert len(rows) == 4  # header + 2 points for a + 1 for b
-        assert rows[1][0] == "a"
-
-
-class TestDeliverySeriesExport:
-    def test_buckets_and_columns(self, tmp_path):
-        outcomes = {
-            "single": outcome("single", [10.0] * 1000 + [None] * 1000),
-            "targeted": outcome("targeted", [10.0] * 2000),
-        }
-        path = tmp_path / "e4.csv"
-        export_delivery_series(outcomes, path, bucket_s=5.0)
-        rows = read_csv(path)
-        assert rows[0] == ["bucket_start_s", "single", "targeted"]
-        # First bucket: both perfect; later: single degrades.
-        assert float(rows[1][2]) == 1.0
-        assert float(rows[-1][1]) == 0.0
-
-    def test_empty_rejected(self, tmp_path):
-        with pytest.raises(Exception):
-            export_delivery_series({}, tmp_path / "x.csv")

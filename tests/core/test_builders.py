@@ -6,11 +6,9 @@ import pytest
 
 from repro.core.algorithms import NoPathError
 from repro.core.builders import (
-    destination_problem_graph,
     k_disjoint_paths_graph,
-    robust_source_destination_graph,
+    problem_graphs,
     single_path_graph,
-    source_problem_graph,
     time_constrained_flooding_graph,
     two_disjoint_paths_graph,
 )
@@ -143,12 +141,14 @@ class TestTimeConstrainedFlooding:
 
 class TestProblemGraphs:
     def test_destination_graph_covers_all_entries(self, reference_topology):
-        graph = destination_problem_graph(reference_topology, "NYC", "SJC")
+        _base, _source, graph, _robust = problem_graphs(
+            reference_topology, "NYC", "SJC"
+        )
         entries = set(graph.in_neighbors("SJC"))
         assert entries == set(reference_topology.in_neighbors("SJC"))
 
     def test_source_graph_covers_all_exits(self, reference_topology):
-        graph = source_problem_graph(
+        _base, graph, _destination, _robust = problem_graphs(
             reference_topology, "NYC", "SJC", deadline_ms=DEADLINE
         )
         exits = set(graph.out_neighbors("NYC"))
@@ -162,11 +162,14 @@ class TestProblemGraphs:
 
     def test_includes_base_two_disjoint(self, reference_topology):
         base = two_disjoint_paths_graph(reference_topology, "NYC", "SJC")
-        graph = destination_problem_graph(reference_topology, "NYC", "SJC")
+        problem_base, _source, graph, _robust = problem_graphs(
+            reference_topology, "NYC", "SJC"
+        )
+        assert problem_base.edges == base.edges
         assert base.edges <= graph.edges
 
     def test_max_entry_links_limits(self, reference_topology):
-        graph = destination_problem_graph(
+        _base, _source, graph, _robust = problem_graphs(
             reference_topology, "NYC", "SJC", max_entry_links=2
         )
         assert len(graph.in_neighbors("SJC")) == 2
@@ -175,26 +178,27 @@ class TestProblemGraphs:
         flood = time_constrained_flooding_graph(
             reference_topology, "NYC", "SJC", DEADLINE
         )
-        for builder in (
-            destination_problem_graph,
-            source_problem_graph,
-            robust_source_destination_graph,
-        ):
-            graph = builder(reference_topology, "NYC", "SJC", deadline_ms=DEADLINE)
-            assert graph.edges <= flood.edges, builder.__name__
+        _base, *graphs = problem_graphs(
+            reference_topology, "NYC", "SJC", deadline_ms=DEADLINE
+        )
+        for graph in graphs:
+            assert graph.edges <= flood.edges, graph.name
 
     def test_robust_is_union(self, reference_topology):
-        destination = destination_problem_graph(
-            reference_topology, "WAS", "SEA", deadline_ms=DEADLINE
-        )
-        source = source_problem_graph(
-            reference_topology, "WAS", "SEA", deadline_ms=DEADLINE
-        )
-        robust = robust_source_destination_graph(
+        _base, source, destination, robust = problem_graphs(
             reference_topology, "WAS", "SEA", deadline_ms=DEADLINE
         )
         assert destination.edges <= robust.edges
         assert source.edges <= robust.edges
+
+    def test_names_carry_the_prefix(self, reference_topology):
+        graphs = problem_graphs(reference_topology, "WAS", "SEA", prefix="targeted/")
+        assert [graph.name for graph in graphs] == [
+            "targeted/base",
+            "targeted/source-problem",
+            "targeted/destination-problem",
+            "targeted/robust",
+        ]
 
     def test_problem_graphs_cheaper_than_flooding(self, reference_topology, flows):
         """The whole point: targeted redundancy at a fraction of the cost."""
@@ -202,7 +206,7 @@ class TestProblemGraphs:
             flood = time_constrained_flooding_graph(
                 reference_topology, flow.source, flow.destination, DEADLINE
             )
-            robust = robust_source_destination_graph(
+            _base, _source, _destination, robust = problem_graphs(
                 reference_topology,
                 flow.source,
                 flow.destination,
@@ -213,22 +217,26 @@ class TestProblemGraphs:
     def test_problem_graphs_deliver_on_time(self, reference_topology, flows):
         latency = base_latency(reference_topology)
         for flow in flows:
-            for builder in (destination_problem_graph, source_problem_graph):
-                graph = builder(
-                    reference_topology,
-                    flow.source,
-                    flow.destination,
-                    deadline_ms=DEADLINE,
-                )
+            _base, source, destination, _robust = problem_graphs(
+                reference_topology,
+                flow.source,
+                flow.destination,
+                deadline_ms=DEADLINE,
+            )
+            for graph in (destination, source):
                 assert graph.delivers_within(latency, DEADLINE), (
                     flow.name,
-                    builder.__name__,
+                    graph.name,
                 )
 
     def test_impossible_deadline_falls_back_unpruned(self, reference_topology):
         # Deadline below the shortest path: pruning would disconnect, so
         # the builder keeps the unpruned (best-effort) graph.
-        graph = destination_problem_graph(
+        _base, _source, graph, _robust = problem_graphs(
             reference_topology, "NYC", "SJC", deadline_ms=10.0
         )
         assert graph.connects()
+
+    def test_deadline_validation(self, reference_topology):
+        with pytest.raises(ValidationError):
+            problem_graphs(reference_topology, "NYC", "SJC", deadline_ms=0.0)

@@ -48,9 +48,3 @@ class TestDetectorTransitions:
         )
         verdict = detector.update(2.0, destination(reference_topology))
         assert verdict is ProblemType.SOURCE_AND_DESTINATION
-
-    def test_active_type_property(self, reference_topology):
-        detector = self.make(reference_topology)
-        assert detector.active_type is ProblemType.NONE
-        detector.update(0.0, destination(reference_topology))
-        assert detector.active_type is ProblemType.DESTINATION

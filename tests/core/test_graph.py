@@ -128,11 +128,6 @@ class TestQueries:
         edges = [link.edge for link in diamond.iter_links()]
         assert edges == sorted(edges)
 
-    def test_subgraph_edges_validates(self, diamond):
-        assert diamond.subgraph_edges([("S", "A")]) == (("S", "A"),)
-        with pytest.raises(ValidationError):
-            diamond.subgraph_edges([("S", "T")])
-
 
 class TestConnectivity:
     def test_connected(self, diamond):

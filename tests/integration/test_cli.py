@@ -2,9 +2,13 @@
 
 from __future__ import annotations
 
+from pathlib import Path
+
 import pytest
 
 from repro.cli import build_parser, main
+
+GOLDEN = Path(__file__).parent / "golden"
 
 
 class TestParser:
@@ -54,6 +58,20 @@ class TestGraphsCommand:
             "robust source+destination",
         ):
             assert family in output
+
+    @pytest.mark.parametrize(
+        ("golden", "flags"),
+        [
+            ("graphs_NYC_SJC", []),
+            # Below the shortest path: flooding is empty and every problem
+            # graph keeps its unpruned fallback.
+            ("graphs_NYC_SJC_1ms", ["--deadline-ms", "1"]),
+        ],
+    )
+    def test_output_matches_golden(self, capsys, golden, flags):
+        assert main(["graphs", "NYC", "SJC", *flags]) == 0
+        expected = (GOLDEN / f"{golden}.txt").read_text()
+        assert capsys.readouterr().out == expected
 
     def test_deadline_flag(self, capsys):
         assert main(["graphs", "NYC", "SJC", "--deadline-ms", "40"]) == 0

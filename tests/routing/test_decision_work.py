@@ -7,15 +7,14 @@ decision once per distinct fingerprint, unless the loss-penalised
 fallback made it.  A return to per-update
 recomputation multiplies these counts, which a wall-clock bound could
 not catch reliably.  Counted on the seed-7 9-hour trace of the 12-site
-overlay, all 16 flows.  Targeted's attach builds each of its problem
-graphs once, counted per attach on the same overlay.
+overlay, all 16 flows.  Targeted's attach solves its base pair and
+builds its flooding graph once, counted per attach on the same overlay.
 """
 
 from __future__ import annotations
 
 import pytest
 
-import repro.core.builders as builders
 import repro.routing.targeted as targeted_module
 from repro.core.algorithms import RoutingIndex, SplitNetwork
 from repro.core.algorithms.mincostflow import MinCostFlow
@@ -110,20 +109,22 @@ def test_targeted_reroute_solves(trace, monkeypatch):
     [
         pytest.param(target, step, calls, id=f"{step}-{calls}")
         for target, step, calls in (
-            (SplitNetwork, "disjoint_paths", 3),
-            (builders, "time_constrained_flooding_graph", 3),
+            (SplitNetwork, "__init__", 1),
+            (SplitNetwork, "disjoint_paths", 1),
             (RoutingIndex, "steiner_arborescence", 2),
-            (RoutingIndex, "distances", 8),
+            (RoutingIndex, "distances", 2),
         )
     ],
 )
 def test_targeted_attach_builds_each_problem_graph_once(
     trace, monkeypatch, target, step, calls
 ):
-    """The robust graph is the union of the source- and
-    destination-problem graphs the attach has just built; rebuilding
-    them for it made 5 two-disjoint solves, 5 flooding graphs, 4
-    Steiner arborescences and 14 distance passes."""
+    """One builder call solves the base pair once on one network, and
+    its two base-latency distance passes serve both the neighbour choice
+    and the one flooding graph that prunes all three problem graphs.
+    Building each problem graph on its own made 3 networks and 3 solves,
+    and 8 distance passes (two per flooding graph, two for the neighbour
+    choice)."""
     workload, *_rest = trace
     counted = []
     original = getattr(target, step)

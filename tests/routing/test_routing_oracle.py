@@ -18,7 +18,11 @@ policies, and checks that the live code agrees exactly:
   (order included), through latencies and Steiner arborescences
   (forward and reversed), bit for bit;
 * every builder's graph (edges and name) on every ordered pair of the
-  12-site overlay and every flow of isp-hier N=100;
+  12-site overlay and every flow of isp-hier N=100, the problem graphs
+  as the fields of one ``problem_graphs`` call;
+* a targeted policy's four attached graphs (edges and names) on the
+  same pairs and flows, at the default and at unequal entry and exit
+  limits;
 * whole decision sequences (graph edges and names), with and without
   change deltas, on Hypothesis view sequences and on the seed-7 9-hour
   views of the 12-site overlay and of isp-hier N=100.
@@ -43,6 +47,7 @@ from repro.core import builders as live_builders
 from repro.core.algorithms import NoPathError
 from repro.core.algorithms.mincostflow import MinCostFlow as LiveMinCostFlow
 from repro.core.algorithms.routing_index import SplitNetwork
+from repro.core.detection import ProblemType
 from repro.core.dgraph import DisseminationGraph
 from repro.core.graph import Edge, Topology
 from repro.netmodel import scenarios
@@ -1191,10 +1196,53 @@ class TestSteinerArborescence:
 
 # -- graph builders ----------------------------------------------------------------
 
+def frozen_problem_graphs(
+    topology: Topology,
+    source,
+    destination,
+    max_entry_links=None,
+    max_exit_links=None,
+    deadline_ms=None,
+    prefix: str = "",
+) -> tuple[DisseminationGraph, ...]:
+    """The frozen builders' graphs for one live ``problem_graphs`` call:
+    base, source-problem, destination-problem and robust, named as the
+    live builder names them."""
+    return (
+        two_disjoint_paths_graph(topology, source, destination, name=f"{prefix}base"),
+        source_problem_graph(
+            topology,
+            source,
+            destination,
+            max_exit_links=max_exit_links,
+            deadline_ms=deadline_ms,
+            name=f"{prefix}source-problem",
+        ),
+        destination_problem_graph(
+            topology,
+            source,
+            destination,
+            max_entry_links=max_entry_links,
+            deadline_ms=deadline_ms,
+            name=f"{prefix}destination-problem",
+        ),
+        robust_source_destination_graph(
+            topology,
+            source,
+            destination,
+            max_entry_links=max_entry_links,
+            max_exit_links=max_exit_links,
+            deadline_ms=deadline_ms,
+            name=f"{prefix}robust",
+        ),
+    )
+
+
 def builder_calls(deadlines, problem_settings) -> list:
     """``(frozen builder, live builder, keyword arguments)`` per compared
-    call: flooding at each deadline, and the problem graphs at each
-    ``(entry/exit limit, deadline)`` setting."""
+    call: flooding at each deadline, and the four graphs of one
+    ``problem_graphs`` call at each ``(entry/exit limit, deadline)``
+    setting."""
     calls = [
         (single_path_graph, live_builders.single_path_graph, {}),
         (two_disjoint_paths_graph, live_builders.two_disjoint_paths_graph, {}),
@@ -1208,28 +1256,18 @@ def builder_calls(deadlines, problem_settings) -> list:
         )
         for deadline in deadlines
     ]
-    for limit, deadline in problem_settings:
-        calls += [
-            (
-                destination_problem_graph,
-                live_builders.destination_problem_graph,
-                {"max_entry_links": limit, "deadline_ms": deadline},
-            ),
-            (
-                source_problem_graph,
-                live_builders.source_problem_graph,
-                {"max_exit_links": limit, "deadline_ms": deadline},
-            ),
-            (
-                robust_source_destination_graph,
-                live_builders.robust_source_destination_graph,
-                {
-                    "max_entry_links": limit,
-                    "max_exit_links": limit,
-                    "deadline_ms": deadline,
-                },
-            ),
-        ]
+    calls += [
+        (
+            frozen_problem_graphs,
+            live_builders.problem_graphs,
+            {
+                "max_entry_links": limit,
+                "max_exit_links": limit,
+                "deadline_ms": deadline,
+            },
+        )
+        for limit, deadline in problem_settings
+    ]
     return calls
 
 
@@ -1242,6 +1280,16 @@ OVERLAY_CALLS = builder_calls(
 )
 
 
+def described(graphs) -> list:
+    """Name, endpoints and sorted edges of a graph or a tuple of graphs."""
+    if isinstance(graphs, DisseminationGraph):
+        graphs = (graphs,)
+    return [
+        (graph.name, graph.source, graph.destination, graph.sorted_edges())
+        for graph in graphs
+    ]
+
+
 def assert_same_graphs(topology: Topology, pairs, calls=OVERLAY_CALLS) -> None:
     for source, destination in pairs:
         for frozen, live, kwargs in calls:
@@ -1249,9 +1297,9 @@ def assert_same_graphs(topology: Topology, pairs, calls=OVERLAY_CALLS) -> None:
                 builder(topology, source, destination, **kwargs)
                 for builder in (frozen, live)
             )
-            assert (got.name, got.source, got.destination, got.sorted_edges()) == (
-                want.name, want.source, want.destination, want.sorted_edges()
-            ), (live.__name__, kwargs, source, destination)
+            assert described(got) == described(want), (
+                live.__name__, kwargs, source, destination
+            )
 
 
 class TestBuilders:
@@ -1284,6 +1332,58 @@ class TestBuilders:
             spec.topology(),
             [(source, destination)],
             builder_calls((deadline,), ((limit, None), (limit, deadline))),
+        )
+
+
+class TestTargetedAttach:
+    """A targeted policy's attached graphs equal the frozen builders'.
+
+    Entry and exit limits differ, so a limit applied on the wrong side
+    shows, and so does a side choosing its neighbours by the other
+    side's distances.
+    """
+
+    LIMITS = ((None, None), (1, 2))
+
+    def assert_attached(self, topology: Topology, pairs) -> None:
+        service = ServiceSpec()
+        for max_entry_links, max_exit_links in self.LIMITS:
+            for source, destination in pairs:
+                policy = TargetedRedundancyPolicy(
+                    max_entry_links=max_entry_links, max_exit_links=max_exit_links
+                )
+                policy.attach(topology, FlowSpec(source, destination), service)
+                graphs = policy.problem_graphs
+                got = (
+                    policy._base_graph,
+                    graphs[ProblemType.SOURCE],
+                    graphs[ProblemType.DESTINATION],
+                    graphs[ProblemType.SOURCE_AND_DESTINATION],
+                )
+                want = frozen_problem_graphs(
+                    topology,
+                    source,
+                    destination,
+                    max_entry_links=max_entry_links,
+                    max_exit_links=max_exit_links,
+                    deadline_ms=service.deadline_ms,
+                    prefix="targeted/",
+                )
+                assert described(got) == described(want), (
+                    max_entry_links, max_exit_links, source, destination
+                )
+
+    def test_every_reference_pair(self, reference_topology):
+        nodes = reference_topology.nodes
+        self.assert_attached(
+            reference_topology, [(s, d) for s in nodes for d in nodes if s != d]
+        )
+
+    def test_every_isp_hier_100_flow(self):
+        workload = resolve_workload("isp-hier", 100, 7)
+        self.assert_attached(
+            workload.topology,
+            [(flow.source, flow.destination) for flow in workload.flows],
         )
 
 

@@ -16,9 +16,8 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from repro.core.builders import (
-    destination_problem_graph,
+    problem_graphs,
     single_path_graph,
-    source_problem_graph,
     time_constrained_flooding_graph,
     two_disjoint_paths_graph,
 )
@@ -50,7 +49,7 @@ class TestMonotonicity:
         latency_of = lambda edge: reference_topology.latency(*edge)
         loss_of = lambda edge: losses.get(edge, 0.0)
         smaller = two_disjoint_paths_graph(reference_topology, "NYC", "SJC")
-        larger = destination_problem_graph(
+        _base, _source, larger, _robust = problem_graphs(
             reference_topology, "NYC", "SJC", deadline_ms=DEADLINE
         )
         assert smaller.edges <= larger.edges
@@ -85,15 +84,14 @@ class TestMonotonicity:
         p_flooding = delivery_probabilities(
             flooding, DEADLINE, latency_of, loss_of
         ).on_time
+        _base, source_graph, destination_graph, _robust = problem_graphs(
+            reference_topology, "ATL", "SJC", deadline_ms=DEADLINE
+        )
         for graph in (
             single_path_graph(reference_topology, "ATL", "SJC"),
             two_disjoint_paths_graph(reference_topology, "ATL", "SJC"),
-            source_problem_graph(
-                reference_topology, "ATL", "SJC", deadline_ms=DEADLINE
-            ),
-            destination_problem_graph(
-                reference_topology, "ATL", "SJC", deadline_ms=DEADLINE
-            ),
+            source_graph,
+            destination_graph,
         ):
             p = delivery_probabilities(graph, DEADLINE, latency_of, loss_of).on_time
             assert p <= p_flooding + 1e-9, graph.name
@@ -104,7 +102,7 @@ class TestMonotonicity:
         losses = loss_pattern(data.draw, reference_topology, max_lossy=8)
         latency_of = lambda edge: reference_topology.latency(*edge)
         loss_of = lambda edge: losses.get(edge, 0.0)
-        graph = destination_problem_graph(
+        _base, _source, graph, _robust = problem_graphs(
             reference_topology, "JHU", "LAX", deadline_ms=DEADLINE
         )
         result = delivery_probabilities(graph, DEADLINE, latency_of, loss_of)

@@ -15,6 +15,7 @@ import pytest
 
 from repro.core.detection import ProblemClassifier, ProblemDetector
 from repro.core.dgraph import DisseminationGraph
+from repro.core.encoding import encode_graph
 from repro.core.graph import Topology
 from repro.exec.plan import ShardSpec, build_plan, merge_results
 from repro.netmodel.conditions import ConditionTimeline, Contribution, LinkState
@@ -171,7 +172,12 @@ CASES = [
     ),
     # -- topology and condition timeline --
     _case(lambda: _line().link("A", "Z"), "no link ('A', 'Z')"),
-    _case(lambda: _line().subgraph_edges([("A", "Z")]), "edge ('A', 'Z') not in topology"),
+    _case(
+        lambda: encode_graph(
+            _line(), DisseminationGraph("S", "T", frozenset({("A", "Z")}))
+        ),
+        "edge ('A', 'Z') not in topology",
+    ),
     *[
         _case(lambda accessor=accessor: accessor(_line(), "Z"), "unknown node 'Z'", name)
         for name, accessor in (
