@@ -301,10 +301,19 @@ def run_replay_parallel(
         if cache is None:
             cache = ResultCache(cache_dir)
         context_digest = context_key(topology, timeline, service, config)
+        # A caller's context keeps every key it was asked for; the digest
+        # is part of the lookup, so a kernel-backend switch derives anew.
+        # Concurrent callers at worst both derive a key and store equal
+        # values.
+        known = context.shard_keys if context is not None else {}
         corrupt_before = cache.corrupt
         for shard in plan:
-            keys[shard] = shard_key(context_digest, shard)
-            hit = cache.load(keys[shard])
+            key = known.get((context_digest, shard))
+            if key is None:
+                key = shard_key(context_digest, shard)
+                known[context_digest, shard] = key
+            keys[shard] = key
+            hit = cache.load(key)
             if hit is not None:
                 results[shard] = hit
                 if obs is not None:

@@ -82,6 +82,10 @@ class ShardContext:
     and the probability memo are built once and shared by every pair.
     :meth:`run` replays an engine shard and :meth:`replay` a caller-built
     policy, through one decision step and one accumulation step.
+
+    ``shard_keys`` maps ``(context digest, shard)`` to the shard's cache
+    key: the engine derives each key once per digest while it runs on
+    this context, and the keys go with it.
     """
 
     def __init__(
@@ -109,6 +113,7 @@ class ShardContext:
             recovery_extra_ms=config.recovery_extra_ms,
             max_recovery_lossy_edges=config.max_recovery_lossy_edges,
         )
+        self.shard_keys: dict[tuple[str, ShardSpec], str] = {}
 
     def replay(self, flow: FlowSpec, policy: RoutingPolicy) -> FlowSchemeStats:
         """Replay ``flow`` under the caller's ``policy`` over the whole trace."""

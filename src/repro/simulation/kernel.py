@@ -16,12 +16,17 @@ radix 3, the hop-recovery states):
 * ``pure`` -- the historical per-case Python loop, kept bitwise-identical
   to the seed implementation (same multiply order, same summation order,
   same zero-probability skip).  Always available.
-* ``numpy`` -- the same weights built as one outer-product cascade and
-  summed per outcome class with vectorized reductions.  Used whenever
-  :mod:`numpy` imports (``pip install repro[fast]``); per-value results
-  agree with ``pure`` up to floating-point *reassociation* only
-  (identical multiplications, different summation tree), which is the
-  documented tolerance contract (DESIGN.md S25).
+* ``numpy`` -- the same weights, streamed one chunk of at most
+  :data:`CHUNK_CASES` cases at a time (the classifier's chunks): the
+  low digits' weights are built once by an outer-product cascade, each
+  chunk multiplies them by its high digits' factors, and the chunk's
+  outcome classes are summed with vectorized reductions into per-row
+  totals.  Memory is bounded by ``rows * CHUNK_CASES`` floats whatever
+  the number of lossy edges.  Used whenever :mod:`numpy` imports
+  (``pip install repro[fast]``); per-value results agree with ``pure``
+  up to floating-point *reassociation* only (identical multiplications,
+  different summation tree), which is the documented tolerance
+  contract (DESIGN.md S25).
 
 The backend depends only on whether numpy imports; :func:`force_backend`
 pins it within one process, for tests and dual-path benchmarks.  Two
@@ -50,8 +55,10 @@ from contextlib import contextmanager
 from typing import Iterator, Sequence
 
 __all__ = [
+    "CHUNK_CASES",
     "VECTOR_MIN_CASES",
     "active_backend",
+    "chunk_digits",
     "counters",
     "describe",
     "force_backend",
@@ -61,12 +68,32 @@ __all__ = [
 
 #: Minimum number of enumeration cases (``len(classes)``) before the
 #: vector backend engages.  Below this the per-call numpy overhead
-#: exceeds the loop it replaces; above it the outer-product cascade wins
+#: exceeds the loop it replaces; above it the streamed vector path wins
 #: by orders of magnitude.  The threshold depends only on the
 #: classification, never on how many rows ride in one call, so every
 #: ``(classification, losses)`` pair is deterministic across call shapes
 #: (see module docstring).
 VECTOR_MIN_CASES = 64
+
+#: Enumeration cases in one chunk, shared by the classifier and the
+#: vector accumulation: the classifier labels one chunk per pass (its
+#: case set is one Python int of at most this many bits, 64 words) and
+#: the vector path weighs and sums one chunk at a time.
+CHUNK_CASES = 4096
+
+
+def chunk_digits(radix: int, count: int) -> int:
+    """How many low digits of ``count`` one chunk spans.
+
+    The largest ``k <= count`` with ``radix**k <= CHUNK_CASES``: 12 in
+    radix 2 and 7 in radix 3 once ``count`` reaches them.  Each value of
+    the remaining high digits is one chunk of ``radix**k`` cases.
+    """
+    digits = 0
+    while digits < count and radix ** (digits + 1) <= CHUNK_CASES:
+        digits += 1
+    return digits
+
 
 #: Outcome codes of a case (0 is lost), mirrored from
 #: :mod:`repro.simulation.reliability` (redeclared here to keep this
@@ -180,7 +207,7 @@ def _state_factors(radix: int, loss):
     Radix 2: absent ``loss``, survives ``1 - loss``.  Radix 3 (hop
     recovery): fast ``1 - loss``, recovered ``loss * (1 - loss)``, dead
     ``loss * loss``.  ``loss`` is a float in the pure loop and a column
-    of the loss matrix in the vector cascade, so both backends multiply
+    of the loss matrix in the vector path, so both backends multiply
     the very same factors.
     """
     if radix == 2:
@@ -218,45 +245,64 @@ def _totals_pure(
     return on_time_total, eventually_total
 
 
-def _weights_vector(np, radix: int, losses_rows):
-    """``(rows, radix^L)`` per-case weights via an outer-product cascade.
+def _totals_vector(np, classes: bytes, radix: int, losses_rows):
+    """Per-row ``(on_time, eventually)``, weighed and summed chunk by chunk.
 
-    Column ``c`` of row ``r`` is the product, digit ``p`` ascending, of
-    lossy edge ``p``'s factor for digit ``p`` of ``c`` -- the same
-    factors in the same multiply order as the pure loop, built with
-    row-independent array operations so batching does not change any
-    row's bits.
+    A chunk is the classifier's: one value of the digits above the low
+    :func:`chunk_digits` over every value of the low ones, so chunk
+    ``i`` is ``classes[i * width:(i + 1) * width]``.  The low digits'
+    weights form one ``(rows, width)`` block, built once by an
+    outer-product cascade (digit ``p`` ascending, each column times
+    lossy edge ``p``'s factor for its digit); each chunk, in case
+    order, multiplies the block by its high digits' factors in digit
+    order.  So every case weight is the pure loop's product, multiplied
+    in the same order, and no array is wider than one chunk whatever
+    ``L`` is.
+
+    Each chunk's on-time and late columns are copied out with ``take``,
+    whose copy is C-contiguous, before reducing along axis 1.  Boolean
+    indexing would hand back an F-ordered copy for multi-row inputs,
+    and summing that interleaves rows in the reduction order, shifting
+    results by an ulp relative to the one-row call.  Contiguous rows
+    reduce independently and the chunk sums add into the row totals
+    elementwise, keeping the batch contract bitwise.  A classification
+    of at most :data:`CHUNK_CASES` cases is one chunk: its weights are
+    the block and each class is summed by one reduction.
     """
     rows = len(losses_rows)
     loss_matrix = np.asarray(losses_rows, dtype=np.float64).reshape(rows, -1)
-    weights = np.ones((rows, 1), dtype=np.float64)
-    for position in range(loss_matrix.shape[1]):
-        column = loss_matrix[:, position : position + 1]
-        weights = np.concatenate(
-            [weights * factor for factor in _state_factors(radix, column)],
-            axis=1,
+    count = loss_matrix.shape[1]
+    digits = chunk_digits(radix, count)
+    factors = [
+        _state_factors(radix, loss_matrix[:, position : position + 1])
+        for position in range(count)
+    ]
+    block = np.ones((rows, 1), dtype=np.float64)
+    for position in range(digits):
+        block = np.concatenate(
+            [block * factor for factor in factors[position]], axis=1
         )
-    return weights
-
-
-def _class_sums_vector(np, classes: bytes, weights):
-    """Per-row ``(on_time, eventually)`` from a ``(rows, cases)`` matrix.
-
-    The column selection is forced C-contiguous before reducing:
-    advanced indexing hands back an F-ordered copy for multi-row inputs,
-    and summing that along axis 1 interleaves rows in the reduction
-    order, shifting results by an ulp relative to the one-row call.
-    Contiguous rows reduce independently, keeping the batch contract
-    bitwise.
-    """
+    width = block.shape[1]
+    buffer = np.empty_like(block) if digits < count else None
     codes = np.frombuffer(classes, dtype=np.uint8)
-    on_columns = np.ascontiguousarray(weights[:, codes == _ON_TIME])
-    late_columns = np.ascontiguousarray(weights[:, codes == _LATE])
-    on_sums = on_columns.sum(axis=1)
-    late_sums = late_columns.sum(axis=1)
+    on_totals = late_totals = 0.0
+    for chunk in range(radix ** (count - digits)):
+        weights = block
+        value = chunk
+        for position in range(digits, count):
+            np.multiply(weights, factors[position][value % radix], out=buffer)
+            weights = buffer
+            value //= radix
+        chunk_codes = codes[chunk * width : (chunk + 1) * width]
+        on_columns = (chunk_codes == _ON_TIME).nonzero()[0]
+        late_columns = (chunk_codes == _LATE).nonzero()[0]
+        on_totals = on_totals + weights.take(on_columns, axis=1).sum(axis=1)
+        late_totals = (
+            late_totals + weights.take(late_columns, axis=1).sum(axis=1)
+        )
     return [
         (float(on), float(on) + float(late))
-        for on, late in zip(on_sums, late_sums)
+        for on, late in zip(on_totals, late_totals)
     ]
 
 
@@ -268,21 +314,19 @@ def totals(
     ``classes[c]`` is the outcome code of enumeration case ``c``, whose
     base-``radix`` digit ``p`` is the state of lossy edge ``p``; every
     row of ``losses_rows`` holds one loss value per lossy edge.  One
-    vector call builds the whole ``(rows, radix^L)`` weight matrix, so a
-    run of loss-only windows amortizes the per-call overhead; row ``i``
-    of the result is bitwise-equal to ``totals(classes, radix,
-    [rows[i]])[0]`` because every array operation is row-independent
-    and the vector threshold depends only on ``len(classes)``.  Final
-    clamping stays with the caller
+    vector call weighs every row chunk by chunk, so a run of loss-only
+    windows amortizes the per-call overhead; row ``i`` of the result is
+    bitwise-equal to ``totals(classes, radix, [rows[i]])[0]`` because
+    every array operation is row-independent and the vector threshold
+    depends only on ``len(classes)``.  Final clamping stays with the
+    caller
     (:func:`repro.simulation.reliability.accumulate_probabilities`).
     """
     if not losses_rows:
         return []
     started = time.perf_counter()
     if active_backend() == "numpy" and len(classes) >= VECTOR_MIN_CASES:
-        np = _numpy()
-        weights = _weights_vector(np, radix, losses_rows)
-        result = _class_sums_vector(np, classes, weights)
+        result = _totals_vector(_numpy(), classes, radix, losses_rows)
         _charge("vector", len(losses_rows), time.perf_counter() - started)
         return result
     result = [_totals_pure(classes, radix, row) for row in losses_rows]

@@ -59,17 +59,17 @@ __all__ = [
 _INF = float("inf")
 
 #: Maximum number of uncertain edges classified exactly.  The cap bounds
-#: the ``2^L``-byte class table (1 MiB at 20) and the per-window
-#: accumulation over it; anything beyond signals a scenario far denser
-#: than real traces and is rejected loudly.
+#: the ``2^L``-byte class table (1 MiB at 20) and the time to classify
+#: and accumulate it; the vector accumulation streams the cases one
+#: chunk at a time, so its memory does not grow with ``L``.  Anything
+#: beyond signals a scenario far denser than real traces and is
+#: rejected loudly.
 MAX_EXACT_LOSSY_EDGES = 20
 #: The hop-recovery engine's cap: its ``3^L`` class table and
-#: accumulation grow faster, so it stops at ``3^11`` (177,147) cases.
+#: classification time grow faster, so it stops at ``3^11`` (177,147)
+#: cases.
 MAX_RECOVERY_LOSSY_EDGES = 11
 
-#: Enumeration cases classified together by one label pass: a chunk's
-#: case set is one Python int of at most this many bits (64 words).
-_CHUNK_CASES = 4096
 #: ``'0'``/``'1'`` digits of a bitset's binary form -> 0/1 case bytes.
 _BIT_BYTES = bytes.maketrans(b"01", b"\x00\x01")
 
@@ -344,8 +344,8 @@ def accumulate_probabilities(
 
     Each row of ``losses_rows`` aligns with ``classification.lossy_slots``;
     the replay engine feeds whole runs of loss-only windows through one
-    call, so the vector backend builds a single weight matrix for the
-    run.  Per lossy edge the state weights are ``p`` (absent) and
+    call, so the vector backend weighs the whole run chunk by chunk in
+    one pass.  Per lossy edge the state weights are ``p`` (absent) and
     ``1 - p`` (survives) in radix 2, ``1 - p`` (fast), ``p * (1 - p)``
     (recovered) and ``p * p`` (dead) in radix 3, multiplied in digit
     order.  The pure :mod:`repro.simulation.kernel` backend performs the
@@ -469,14 +469,16 @@ def _classify_cases(
     result holds one outcome byte per case, in case order: 0 lost, 1
     late, 2 on time.
 
-    The low ``k`` digits (the largest ``k`` with ``radix**k`` at most
-    :data:`_CHUNK_CASES`) index one Python-int bitset of cases; each
-    value of the remaining high digits fixes those edges' states and is
-    one chunk, filling ``classes[i * width:(i + 1) * width]``.  Within a
-    chunk a label maps ``(arrival, node)`` to the set of cases that can
-    reach ``node`` at ``arrival``; labels pop in ``(arrival, node)``
-    order, and a popped case set keeps only the cases that reach ``node``
-    for the first time, which relax each out-edge state they contain.
+    The low ``k`` digits (:func:`repro.simulation.kernel.chunk_digits`,
+    the largest ``k`` with ``radix**k`` at most
+    :data:`~repro.simulation.kernel.CHUNK_CASES`) index one Python-int
+    bitset of cases; each value of the remaining high digits fixes
+    those edges' states and is one chunk, filling
+    ``classes[i * width:(i + 1) * width]``.  Within a chunk a label maps
+    ``(arrival, node)`` to the set of cases that can reach ``node`` at
+    ``arrival``; labels pop in ``(arrival, node)`` order, and a popped
+    case set keeps only the cases that reach ``node`` for the first
+    time, which relax each out-edge state they contain.
 
     **Exact.** Latencies are non-negative and IEEE addition is monotone,
     so one case's Dijkstra returns the minimum, over its surviving
@@ -495,9 +497,7 @@ def _classify_cases(
     cheaper.
     """
     count = len(lossy_slots)
-    digits = 0
-    while digits < count and radix ** (digits + 1) <= _CHUNK_CASES:
-        digits += 1
+    digits = kernel.chunk_digits(radix, count)
     width = radix**digits
     full = (1 << width) - 1
     # Low digit ``p`` is in state ``s`` on runs of ``radix**p`` cases

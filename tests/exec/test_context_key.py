@@ -6,7 +6,8 @@ topologies) and :attr:`ConditionTimeline.digest`.  Keys must follow the
 content of the inputs -- never object identity, which the daemon would
 miss on its freshly generated per-request timelines -- and a context
 built from other inputs must be rejected before it can poison the shard
-cache.
+cache.  A caller's context derives each shard key once per context
+digest.
 """
 
 from __future__ import annotations
@@ -14,9 +15,11 @@ from __future__ import annotations
 import pytest
 
 from repro.core.graph import Topology
+from repro.exec import engine
+from repro.exec.cache import ResultCache
 from repro.exec.engine import run_replay_parallel
-from repro.exec.hashing import context_key
-from repro.exec.plan import ShardContext
+from repro.exec.hashing import context_key, shard_key
+from repro.exec.plan import ShardContext, build_plan
 from repro.netmodel import conditions
 from repro.netmodel.conditions import ConditionTimeline, Contribution, LinkState
 from repro.netmodel.scenarios import Scenario, generate_timeline
@@ -28,6 +31,7 @@ from repro.netmodel.topology import (
 )
 from repro.obs import topology_fingerprint
 from repro.routing.registry import STANDARD_SCHEME_NAMES
+from repro.simulation import kernel
 from repro.simulation.interval import run_replay
 from repro.simulation.results import ReplayConfig
 from repro.topogen.registry import resolve_workload
@@ -285,3 +289,76 @@ class TestDigestWork:
                 context=context,
             )
         assert len(digests) == 1
+
+
+class TestShardKeyWork:
+    """The served warm request's shape: identical calls on one context."""
+
+    FLOWS = reference_flows()[:2]
+    SCHEMES = ["static-single", "flooding"]
+
+    def _setup(self, topology, tmp_path, monkeypatch):
+        timeline = _trace(topology, seed=7, hours=0.5)
+        context = ShardContext(topology, timeline, SERVICE, CONFIG)
+        derived = []
+
+        def counting(context_digest, shard):
+            derived.append((context_digest, shard))
+            return shard_key(context_digest, shard)
+
+        monkeypatch.setattr(engine, "shard_key", counting)
+
+        def call():
+            return run_replay_parallel(
+                topology,
+                timeline,
+                self.FLOWS,
+                SERVICE,
+                self.SCHEMES,
+                CONFIG,
+                max_workers=0,
+                cache_dir=str(tmp_path),
+                context=context,
+            )
+
+        return timeline, context, derived, call
+
+    def test_a_cached_repeat_derives_no_shard_key(
+        self, topology, tmp_path, monkeypatch
+    ):
+        timeline, context, derived, call = self._setup(
+            topology, tmp_path, monkeypatch
+        )
+        plan = build_plan(self.FLOWS, self.SCHEMES)
+        digest = context_key(topology, timeline, SERVICE, CONFIG)
+        call()
+        assert derived == [(digest, shard) for shard in plan]
+        derived.clear()
+        _result, telemetry = call()
+        assert telemetry.shards_cached == len(plan)
+        assert derived == []
+        expected = {shard: shard_key(digest, shard) for shard in plan}
+        assert {shard: context.shard_keys[digest, shard] for shard in plan} == (
+            expected
+        )
+        cache = ResultCache(str(tmp_path))
+        assert all(cache.load(key) is not None for key in expected.values())
+
+    @pytest.mark.skipif(
+        not kernel.numpy_available(), reason="numpy backend not installed"
+    )
+    def test_a_backend_switch_derives_the_other_backends_keys(
+        self, topology, tmp_path, monkeypatch
+    ):
+        timeline, _context, derived, call = self._setup(
+            topology, tmp_path, monkeypatch
+        )
+        plan = build_plan(self.FLOWS, self.SCHEMES)
+        call()
+        call()
+        with kernel.force_backend("pure"):
+            pure_digest = context_key(topology, timeline, SERVICE, CONFIG)
+            _result, telemetry = call()
+        assert pure_digest != context_key(topology, timeline, SERVICE, CONFIG)
+        assert telemetry.shards_cached == 0
+        assert derived[len(plan):] == [(pure_digest, shard) for shard in plan]

@@ -13,12 +13,18 @@ The dual-backend contract under test:
 
 One entry point, :func:`repro.simulation.kernel.totals`, serves the
 binary masks (radix 2) and the hop-recovery states (radix 3); every
-contract is checked on both.
+contract is checked on both.  The numpy path streams the cases one
+chunk at a time, so the contracts are also checked past one chunk
+(radix 2 with 13-14 lossy edges, radix 3 with 8-9), and a classification
+that fits one chunk keeps the bits of the whole-table arithmetic it
+replaced (frozen inline below).
 """
 
 from __future__ import annotations
 
+import random
 import struct
+import tracemalloc
 
 import pytest
 from hypothesis import given, settings
@@ -102,6 +108,34 @@ def _reference_recovery_totals(classes, losses):
     return on_time_total, eventually_total
 
 
+# The whole-table numpy arithmetic the streamed path replaced: every
+# case weight of every row in one ``(rows, radix^L)`` outer-product
+# cascade, then one C-contiguous sum per outcome class.  A
+# classification that fits one chunk must keep these bits exactly.
+
+
+def _reference_vector_totals(np, classes, radix, losses_rows):
+    rows = len(losses_rows)
+    loss_matrix = np.asarray(losses_rows, dtype=np.float64).reshape(rows, -1)
+    weights = np.ones((rows, 1), dtype=np.float64)
+    for position in range(loss_matrix.shape[1]):
+        loss = loss_matrix[:, position : position + 1]
+        if radix == 2:
+            factors = (loss, 1.0 - loss)
+        else:
+            factors = (1.0 - loss, loss * (1.0 - loss), loss * loss)
+        weights = np.concatenate([weights * factor for factor in factors], axis=1)
+    codes = np.frombuffer(classes, dtype=np.uint8)
+    on_columns = np.ascontiguousarray(weights[:, codes == 2])
+    late_columns = np.ascontiguousarray(weights[:, codes == 1])
+    on_sums = on_columns.sum(axis=1)
+    late_sums = late_columns.sum(axis=1)
+    return [
+        (float(on), float(on) + float(late))
+        for on, late in zip(on_sums, late_sums)
+    ]
+
+
 # -- strategies --------------------------------------------------------------------
 
 _loss = st.floats(
@@ -148,6 +182,22 @@ def recovery_cases(draw, max_edges: int = 4):
         )
     )
     return classes, losses
+
+
+@st.composite
+def seeded_cases(draw, radix: int, counts):
+    """Outcome codes drawn like the strategies above, for tables too long
+    to draw byte by byte: one drawn seed expands to ``radix^L`` codes."""
+    count = draw(st.sampled_from(counts))
+    losses = draw(st.lists(_loss, min_size=count, max_size=count))
+    rng = random.Random(draw(st.integers(min_value=0, max_value=2**32 - 1)))
+    classes = bytes(rng.randrange(3) for _ in range(radix**count))
+    return classes, losses
+
+
+def _vector(classes, radix, losses_rows):
+    """The numpy arithmetic itself, bypassing the size threshold."""
+    return kernel._totals_vector(kernel._numpy(), classes, radix, losses_rows)
 
 
 # -- backend selection -------------------------------------------------------------
@@ -231,45 +281,83 @@ class TestPureBitwise:
 @requires_numpy
 class TestVectorAgreement:
     @settings(max_examples=150, deadline=None)
-    @given(mask_cases())
+    @given(st.one_of(mask_cases(), seeded_cases(2, (13, 14))))
     def test_mask_totals_within_reassociation_tolerance(self, case):
+        # Up to 2^7 cases (one chunk) and 2^13-2^14 (several chunks),
+        # against the frozen loop.
         classes, losses = case
-        with kernel.force_backend("pure"):
-            pure = _single(classes, 2, losses)
-        with kernel.force_backend("numpy"):
-            # Bypass the size threshold: compare the vector arithmetic
-            # itself, not the dispatch decision.
-            np = kernel._numpy()
-            weights = kernel._weights_vector(np, 2, [list(losses)])
-            vector = kernel._class_sums_vector(np, classes, weights)[0]
+        pure = _reference_mask_totals(classes, losses)
+        # Bypass the size threshold: compare the vector arithmetic
+        # itself, not the dispatch decision.
+        vector = _vector(classes, 2, [list(losses)])[0]
         assert vector[0] == pytest.approx(pure[0], abs=1e-9)
         assert vector[1] == pytest.approx(pure[1], abs=1e-9)
 
     @settings(max_examples=75, deadline=None)
-    @given(recovery_cases())
+    @given(st.one_of(recovery_cases(), seeded_cases(3, (8, 9))))
     def test_recovery_totals_within_reassociation_tolerance(self, case):
+        # Up to 3^4 cases (one chunk) and 3^8-3^9 (several chunks),
+        # against the frozen loop.
         classes, losses = case
-        with kernel.force_backend("pure"):
-            pure = _single(classes, 3, losses)
-        np = kernel._numpy()
-        weights = kernel._weights_vector(np, 3, [list(losses)])
-        vector = kernel._class_sums_vector(np, classes, weights)[0]
+        pure = _reference_recovery_totals(classes, losses)
+        vector = _vector(classes, 3, [list(losses)])[0]
         assert vector[0] == pytest.approx(pure[0], abs=1e-9)
         assert vector[1] == pytest.approx(pure[1], abs=1e-9)
 
+    @pytest.mark.parametrize(
+        "radix, counts", [(2, tuple(range(6, 13))), (3, (4, 5, 6, 7))]
+    )
+    @settings(max_examples=30, deadline=None)
+    @given(data=st.data())
+    def test_one_chunk_keeps_the_whole_table_bits(self, radix, counts, data):
+        # 64 to 4096 cases fit one chunk: the streamed path multiplies
+        # and sums exactly as the whole-table cascade did.
+        classes, losses = data.draw(seeded_cases(radix, counts))
+        rows = data.draw(st.integers(min_value=1, max_value=4))
+        losses_rows = [
+            [loss * (1 + row) / 5 for loss in losses] for row in range(rows)
+        ]
+        vector = _vector(classes, radix, losses_rows)
+        reference = _reference_vector_totals(
+            kernel._numpy(), classes, radix, losses_rows
+        )
+        assert [tuple(map(_bits, pair)) for pair in vector] == [
+            tuple(map(_bits, pair)) for pair in reference
+        ]
+
     def test_vector_batch_equals_vector_singles_bitwise(self):
-        # 2^7 (3^7) cases clear VECTOR_MIN_CASES, so singles take the
-        # vector path too -- the batch contract is bitwise, not
-        # approximate.
-        for radix in (2, 3):
-            classes = bytes((case * 5) % 3 for case in range(radix**7))
-            rows = [[0.05 * (i + 1) % 0.9 + 0.01] * 7 for i in range(11)]
+        # Every size clears VECTOR_MIN_CASES, so singles take the vector
+        # path too -- the batch contract is bitwise, not approximate --
+        # from one chunk (2^7, 3^7 cases) to several (2^13 and 2^14, 3^8
+        # and 3^9).
+        for radix, count in ((2, 7), (3, 7), (2, 13), (2, 14), (3, 8), (3, 9)):
+            classes = bytes((case * 5) % 3 for case in range(radix**count))
+            rows = [
+                [0.05 * (i + 1) % 0.9 + 0.01 + 0.003 * edge for edge in range(count)]
+                for i in range(11)
+            ]
             with kernel.force_backend("numpy"):
                 batched = kernel.totals(classes, radix, rows)
                 singles = [_single(classes, radix, row) for row in rows]
             assert [tuple(map(_bits, pair)) for pair in batched] == [
                 tuple(map(_bits, pair)) for pair in singles
             ]
+
+    def test_memory_stays_within_one_chunk(self):
+        # 3^11 cases x 4 rows: the whole weight table alone would be
+        # 5.7 MB; the streamed path holds a few chunk-wide arrays.
+        rng = random.Random(11)
+        classes = bytes(rng.randrange(3) for _ in range(3**11))
+        rows = [[rng.uniform(0.01, 0.99) for _ in range(11)] for _ in range(4)]
+        with kernel.force_backend("numpy"):
+            kernel.totals(classes, 3, rows)
+            tracemalloc.start()
+            try:
+                kernel.totals(classes, 3, rows)
+                _current, peak = tracemalloc.get_traced_memory()
+            finally:
+                tracemalloc.stop()
+        assert peak < 2_000_000
 
     def test_threshold_depends_on_classification_not_batch_size(self):
         # 2^6 = 64 cases sit exactly at the threshold, 3^4 = 81 above it:
