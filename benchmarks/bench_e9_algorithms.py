@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import common
 
-from repro.core.algorithms import SplitNetwork
 from repro.core.builders import (
     problem_graphs,
     time_constrained_flooding_graph,
@@ -27,8 +26,10 @@ def test_e9_shortest_path(benchmark):
 
 def test_e9_two_disjoint_paths(benchmark):
     index = common.topology().routing_index
-    network = SplitNetwork(index, "NYC", "SJC")
-    result = benchmark(network.disjoint_paths, index.latencies, 2)
+    network = index.network("NYC", "SJC")
+    # A copy of the base latencies is a view like any other: it is
+    # solved each time, where the base tuple's answer is kept.
+    result = benchmark(network.disjoint_paths, list(index.latencies), 2)
     assert len(result) == 2
 
 

@@ -30,6 +30,15 @@ These are the orders of the dict-adjacency searches the index replaced;
 builders that called them frozen and checks the index against them bit
 for bit.
 
+The index owns each flow's node-split network (:meth:`RoutingIndex.network`):
+built on first use, once per (topology, flow), and shared by the
+builders and every policy of the flow, in every thread.  A network
+holds only structure and the answer of its base view; each solve forks
+its own costs, residuals, potentials and relax lists.  The same memo
+(:meth:`RoutingIndex.memo`) keeps the distance passes at base latencies.
+It stays out of the index's pickle, so pool workers that receive the
+topology build their own.
+
 Weights must be non-negative; callers build them from validated base
 latencies and observed states, so the searches do not re-check.
 """
@@ -37,7 +46,9 @@ latencies and observed states, so the searches do not re-check.
 from __future__ import annotations
 
 import heapq
-from typing import AbstractSet, Iterable, Sequence
+import threading
+from operator import itemgetter
+from typing import AbstractSet, Callable, Hashable, Iterable, Sequence, TypeVar
 
 from repro.core.algorithms.disjoint import solve_disjoint
 from repro.core.algorithms.mincostflow import MinCostFlow
@@ -45,13 +56,15 @@ from repro.core.algorithms.mincostflow import MinCostFlow
 __all__ = ["RoutingIndex", "SplitNetwork"]
 
 _INF = float("inf")
+T = TypeVar("T")
 
 
 class RoutingIndex:
     """Node ranks, link ids, base latencies and link lists of one topology.
 
-    Immutable once built, so one index is shared by every builder,
-    policy and thread routing on the topology
+    Immutable once built, apart from a memo of answers that depend on
+    nothing else (:meth:`memo`), so one index is shared by every
+    builder, policy and thread routing on the topology
     (:attr:`~repro.core.graph.Topology.routing_index`).
     """
 
@@ -77,6 +90,44 @@ class RoutingIndex:
             sorted(links, key=lambda item: repr(names[item[1]]))
             for links in self.in_links
         ]
+        self._memo: dict[Hashable, object] = {}
+        self._lock = threading.Lock()
+
+    def __getstate__(self) -> dict:
+        state = self.__dict__.copy()
+        del state["_memo"], state["_lock"]
+        return state
+
+    def __setstate__(self, state: dict) -> None:
+        self.__dict__.update(state)
+        self._memo = {}
+        self._lock = threading.Lock()
+
+    def memo(self, key: Hashable, compute: Callable[[], T]) -> T:
+        """``compute()``, once per ``key`` for the life of the index.
+
+        For what the builders and policies of every flow ask of the
+        unchanging topology: each flow's network and each base-latency
+        distance pass.  Answers are shared read-only.
+        """
+        try:
+            return self._memo[key]  # type: ignore[return-value]
+        except KeyError:
+            pass
+        with self._lock:
+            if key not in self._memo:
+                self._memo[key] = compute()
+            return self._memo[key]  # type: ignore[return-value]
+
+    def network(self, source: str, target: str) -> "SplitNetwork":
+        """The ``source -> target`` flow's node-split network.
+
+        Built on the first call and kept for the life of the index: the
+        disjoint-path builders and policies of the flow share it.
+        """
+        return self.memo(
+            ("network", source, target), lambda: SplitNetwork(self, source, target)
+        )
 
     def link_ids(self, edges: Iterable[tuple[str, str]]) -> set[int]:
         """The ids of ``edges`` (edges not in the topology are skipped)."""
@@ -121,11 +172,23 @@ class RoutingIndex:
 
     def distances(
         self, weights: Sequence[float], origin: str, reverse: bool = False
-    ) -> list[float]:
+    ) -> Sequence[float]:
         """Dijkstra distances from ``origin`` by rank (to it with ``reverse``).
 
-        Unreachable nodes read ``inf``.
+        Unreachable nodes read ``inf``.  At the base latencies themselves
+        (``weights is self.latencies``) the pass runs once per origin and
+        direction, and its tuple is shared.
         """
+        if weights is self.latencies:
+            return self.memo(
+                ("distances", origin, reverse),
+                lambda: tuple(self._distances(weights, origin, reverse)),
+            )
+        return self._distances(weights, origin, reverse)
+
+    def _distances(
+        self, weights: Sequence[float], origin: str, reverse: bool
+    ) -> list[float]:
         links = self.in_links if reverse else self.out_links
         start = self.rank[origin]
         distances = [_INF] * len(self.names)
@@ -256,9 +319,12 @@ class SplitNetwork:
     ``(node, "in")`` and ``(node, "out")`` joined by a zero-cost arc, and
     an endpoint is one ``(node, "both")``.
 
-    Built once per flow; each :meth:`disjoint_paths` call only sets the
-    arc costs, gives excluded links capacity 0 and zeroes the flow.  The
-    solver state is mutable, so a network belongs to one caller.
+    Built once per flow (:meth:`RoutingIndex.network`).  Each
+    :meth:`disjoint_paths` call forks a solve
+    (:meth:`~repro.core.algorithms.mincostflow.MinCostFlow.fork`) with
+    the view's arc costs and the excluded links closed, so concurrent
+    calls share nothing mutable.  The base view -- base latencies, no
+    exclusion -- is solved once per ``k`` and its answer kept.
     """
 
     def __init__(self, index: RoutingIndex, source: str, target: str) -> None:
@@ -275,19 +341,30 @@ class SplitNetwork:
             solver.add_node(head)
             if name not in whole:
                 solver.add_node((name, "out"))
-        # Link id per forward arc, in insertion order; -1 marks a node's
-        # internal in->out arc.
-        self._arc_links: list[int] = []
+        # Per forward arc, its weight's position in ``(*weights, 0.0)``:
+        # the link id, or the trailing 0.0 for a node's in->out arc.
+        positions: list[int] = []
+        # Per link id, its forward arc.
+        self._arc_of_link = [0] * len(index.edges)
         for name, head, links in zip(index.names, heads, index.out_links):
             tail = head
             if name not in whole:
                 tail = (name, "out")
                 solver.add_arc(head, tail, 1, 0.0)
-                self._arc_links.append(-1)
+                positions.append(len(index.edges))
             for link, target_rank in links:
-                solver.add_arc(tail, heads[target_rank], 1, index.latencies[link])
-                self._arc_links.append(link)
+                self._arc_of_link[link] = solver.add_arc(
+                    tail, heads[target_rank], 1, index.latencies[link]
+                )
+                positions.append(link)
         self._solver = solver
+        if len(positions) > 1:
+            self._arc_weights = itemgetter(*positions)
+        else:  # itemgetter returns a tuple from two or more positions only
+            self._arc_weights = lambda values: tuple(values[p] for p in positions)
+        # k -> the base view's paths, solved under the lock once.
+        self._base: dict[int, tuple[tuple[str, ...], ...]] = {}
+        self._base_lock = threading.Lock()
 
     def disjoint_paths(
         self,
@@ -298,18 +375,29 @@ class SplitNetwork:
         """Up to ``k`` node-disjoint paths of minimum total weight.
 
         Fewer when fewer disjoint paths avoid ``excluded`` (none when the
-        target is unreachable); shortest first.
+        target is unreachable); shortest first.  ``weights`` that are the
+        index's base latencies themselves, with nothing excluded, are the
+        base view, solved once per ``k``.
         """
-        arc_links = self._arc_links
-        self._solver.reset(
-            [weights[link] if link >= 0 else 0.0 for link in arc_links],
-            [0 if link in excluded else 1 for link in arc_links],
+        if weights is self._index.latencies and not excluded:
+            with self._base_lock:
+                if k not in self._base:
+                    paths = self._solve(weights, k, excluded)
+                    self._base[k] = tuple(map(tuple, paths))
+            return [list(path) for path in self._base[k]]
+        return self._solve(weights, k, excluded)
+
+    def _solve(
+        self, weights: Sequence[float], k: int, excluded: AbstractSet[int]
+    ) -> list[list[str]]:
+        arc_of_link = self._arc_of_link
+        solver = self._solver.fork(
+            self._arc_weights((*weights, 0.0)),
+            [arc_of_link[link] for link in excluded],
         )
         link_id = self._index.link_id
 
         def weight_of(path: Sequence[str]) -> float:
             return sum(weights[link_id[edge]] for edge in zip(path, path[1:]))
 
-        return solve_disjoint(
-            self._solver, self._source, self._target, k, weight_of
-        )
+        return solve_disjoint(solver, self._source, self._target, k, weight_of)

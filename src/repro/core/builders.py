@@ -25,7 +25,7 @@ from __future__ import annotations
 
 from typing import Sequence
 
-from repro.core.algorithms import NoPathError, RoutingIndex, SplitNetwork
+from repro.core.algorithms import NoPathError, RoutingIndex
 from repro.core.dgraph import DisseminationGraph
 from repro.core.graph import Edge, NodeId, Topology
 from repro.util.validation import require
@@ -77,8 +77,7 @@ def k_disjoint_paths_graph(
     _check_flow(topology, source, destination)
     require(k >= 1, f"k must be >= 1, got {k}")
     index = topology.routing_index
-    network = SplitNetwork(index, source, destination)
-    paths = network.disjoint_paths(index.latencies, k)
+    paths = index.network(source, destination).disjoint_paths(index.latencies, k)
     if not paths:
         raise NoPathError(source, destination)
     return DisseminationGraph.from_paths(paths, name=name or f"{k}-disjoint-paths")

@@ -253,15 +253,17 @@ class Tracer:
         end_s: float | None,
         args: dict,
         parent_id: int | None,
+        retain: bool = True,
     ) -> Span:
         if self.context:
             args = {**self.context, **args}
         span = Span(self._next_id, name, category, start_s, end_s, args, parent_id)
         self._next_id += 1
-        if len(self.spans) < self.max_spans:
-            self.spans.append(span)
-        else:
-            self.dropped += 1
+        if retain:
+            if len(self.spans) < self.max_spans:
+                self.spans.append(span)
+            else:
+                self.dropped += 1
         if end_s is not None and self.recorder is not None:
             self.recorder.record(span)
         return span
@@ -284,6 +286,17 @@ class Tracer:
     ) -> Span:
         """A span whose endpoints are already known."""
         return self._new_span(name, category, start_s, end_s, args, parent_id)
+
+    def ring_only(
+        self, name: str, category: str, start_s: float, end_s: float, **args
+    ) -> Span:
+        """A finished span kept by the flight recorder only.
+
+        For spans a long-running process makes per request: the ring
+        holds the last few for a flight dump, while :attr:`spans` would
+        grow with the process's uptime and nothing exports it.
+        """
+        return self._new_span(name, category, start_s, end_s, args, None, False)
 
     def open(
         self, key: Hashable, name: str, category: str = "app", **args

@@ -15,10 +15,10 @@ makes whole multi-week replays exactly reproducible.
 from __future__ import annotations
 
 import abc
-from typing import AbstractSet, Mapping
+from typing import AbstractSet, Mapping, Sequence
 
 from repro.core.algorithms import NoPathError
-from repro.core.algorithms.routing_index import RoutingIndex, SplitNetwork
+from repro.core.algorithms.routing_index import RoutingIndex
 from repro.core.dgraph import DisseminationGraph
 from repro.core.graph import Edge, NodeId, Topology
 from repro.netmodel.conditions import LinkState
@@ -63,8 +63,6 @@ class RoutingPolicy(abc.ABC):
         self._service: ServiceSpec | None = None
         self._last_update_s = float("-inf")
         self._observed_changed: frozenset[Edge] | None = None
-        # The flow's node-split network, built by the first re-route.
-        self._network: SplitNetwork | None = None
         #: Optional :class:`repro.obs.Observability`; policies emit hot-spot
         #: counters/spans through it when set.  ``None`` keeps the hot path
         #: uninstrumented (the common case).
@@ -172,27 +170,27 @@ class RoutingPolicy(abc.ABC):
         """``k`` disjoint paths for the observed view, and whether the
         loss-penalised fallback chose them.
 
-        The search runs at observed latencies on the flow's
-        :class:`SplitNetwork` and avoids the ``degraded`` edges and the
-        ``untimely`` link ids.  When that leaves fewer than ``k`` paths,
-        degraded links come back with a loss surcharge, so the pairing
-        maximises cleanliness: still without the untimely links, then,
-        if the deadline cannot be met on ``k`` paths, over everything.
+        The search runs at observed latencies on the flow's shared
+        :meth:`~repro.core.algorithms.routing_index.RoutingIndex.network`
+        and avoids the ``degraded`` edges and the ``untimely`` link ids.
+        When that leaves fewer than ``k`` paths, degraded links come back
+        with a loss surcharge, so the pairing maximises cleanliness:
+        still without the untimely links, then, if the deadline cannot be
+        met on ``k`` paths, over everything.
         """
         source, destination = self.flow.source, self.flow.destination
         index = self.topology.routing_index
-        if self._network is None:
-            self._network = SplitNetwork(index, source, destination)
-        paths = self._network.disjoint_paths(
+        network = index.network(source, destination)
+        paths = network.disjoint_paths(
             observed_weights(index, observed), k, index.link_ids(degraded) | untimely
         )
         penalized = len(paths) < k
         if penalized:
             weights = observed_weights(index, observed, penalize_loss=True)
             if untimely:
-                paths = self._network.disjoint_paths(weights, k, untimely)
+                paths = network.disjoint_paths(weights, k, untimely)
             if len(paths) < k:
-                paths = self._network.disjoint_paths(weights, k)
+                paths = network.disjoint_paths(weights, k)
         if not paths:  # pragma: no cover - topology is connected by contract
             raise NoPathError(source, destination)
         return DisseminationGraph.from_paths(paths, name=name), penalized
@@ -287,15 +285,17 @@ def observed_weights(
     index: RoutingIndex,
     observed: Mapping[Edge, LinkState],
     penalize_loss: bool = False,
-) -> list[float]:
+) -> Sequence[float]:
     """Per-link weights (by link id) at *observed* effective latency.
 
     The base latencies plus each observed edge's latency inflation.  With
     ``penalize_loss`` lossy edges also carry a large latency surcharge
     proportional to loss -- the fallback when excluding them would
-    disconnect the flow.
+    disconnect the flow.  A view that changes no weight returns the
+    index's base latencies themselves, the base view the flow networks
+    answer once (adding 0.0 to a latency leaves it unchanged).
     """
-    weights = list(index.latencies)
+    weights = index.latencies
     link_id = index.link_id
     for edge, state in observed.items():
         link = link_id.get(edge)
@@ -304,5 +304,8 @@ def observed_weights(
         weight = weights[link] + state.extra_latency_ms
         if penalize_loss:
             weight += state.loss_rate * LOSS_PENALTY_MS_PER_UNIT
-        weights[link] = weight
+        if weight != weights[link]:
+            if weights is index.latencies:
+                weights = list(weights)
+            weights[link] = weight
     return weights

@@ -457,7 +457,7 @@ class EvalServer:
         try:
             async with self.scheduler.slot():
                 admitted_at = self.obs.tracer.now()
-                self.obs.tracer.complete(
+                self.obs.tracer.ring_only(
                     "request.queued", "serve", admit_from, admitted_at,
                     request_id=request_id, kind=request.kind,
                 )
@@ -522,7 +522,7 @@ class EvalServer:
             progress.put_nowait(_DONE)
             await pump
         run_until = self.obs.tracer.now()
-        self.obs.tracer.complete(
+        self.obs.tracer.ring_only(
             "request.run", "serve", run_from, run_until,
             request_id=request_id, kind=request.kind,
         )

@@ -39,6 +39,7 @@ from repro.netmodel.conditions import ConditionTimeline, LinkState
 from repro.netmodel.topology import FlowSpec, ServiceSpec
 from repro.routing.base import RoutingPolicy
 from repro.routing.registry import STANDARD_SCHEME_NAMES
+from repro.simulation import kernel
 from repro.simulation.reliability import (
     MAX_RECOVERY_LOSSY_EDGES,
     Classification,
@@ -169,6 +170,13 @@ class _ProbabilityCache:
     the dominant kind of condition change -- skip the whole Dijkstra
     enumeration and redo only the cheap probability weighting, which is
     bitwise-identical by construction.
+
+    A degraded entry's key also names the kernel backend that weighted
+    it (:func:`repro.simulation.kernel.active_backend`): the two
+    backends agree only up to float reassociation, so a memo reused
+    under :func:`~repro.simulation.kernel.force_backend` must not serve
+    one backend's probabilities to the other.  Classifications and clean
+    entries involve no weighting and are shared by both.
 
     Entries are LRU-evicted once the estimated footprint exceeds
     ``max_bytes`` (default ``$REPRO_PROB_CACHE_MAX_BYTES`` or 64 MiB;
@@ -439,6 +447,7 @@ class _ProbabilityCache:
         )
         structure = indexed.structure
         edges = indexed.edges
+        backend = kernel.active_backend()
         results: list[DeliveryProbabilities | None] = [None] * len(degraded_list)
         first_miss: dict[tuple, int] = {}
         aliases: list[tuple[int, tuple]] = []
@@ -467,7 +476,7 @@ class _ProbabilityCache:
                     base_latency[slot] + state.extra_latency_ms
                 )
                 loss_vector[slot] = state.loss_rate
-            key = (structure, tuple(effective_latency), tuple(loss_vector))
+            key = (backend, structure, tuple(effective_latency), tuple(loss_vector))
             if key in first_miss:
                 # Sequentially this lookup would hit the entry the
                 # earlier miss in this batch had already stored.

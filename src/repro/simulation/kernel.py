@@ -216,7 +216,7 @@ def _state_factors(radix: int, loss):
 
 
 def _totals_pure(
-    classes: bytes, radix: int, losses: Sequence[float]
+    classes: bytes | memoryview, radix: int, losses: Sequence[float]
 ) -> tuple[float, float]:
     """The historical per-case accumulation loop, bit for bit.
 
@@ -245,7 +245,7 @@ def _totals_pure(
     return on_time_total, eventually_total
 
 
-def _totals_vector(np, classes: bytes, radix: int, losses_rows):
+def _totals_vector(np, classes: bytes | memoryview, radix: int, losses_rows):
     """Per-row ``(on_time, eventually)``, weighed and summed chunk by chunk.
 
     A chunk is the classifier's: one value of the digits above the low
@@ -307,7 +307,7 @@ def _totals_vector(np, classes: bytes, radix: int, losses_rows):
 
 
 def totals(
-    classes: bytes, radix: int, losses_rows: Sequence[Sequence[float]]
+    classes: bytes | memoryview, radix: int, losses_rows: Sequence[Sequence[float]]
 ) -> list[tuple[float, float]]:
     """Raw ``(on_time, eventually)`` sums, one pair per loss vector.
 

@@ -128,7 +128,7 @@ class Classification:
     certain: DeliveryProbabilities | None
     radix: int = 2
     lossy_slots: tuple[int, ...] = ()
-    classes: bytes = b""
+    classes: bytes | memoryview = b""
 
 
 @dataclass(frozen=True)
@@ -459,7 +459,7 @@ def _classify_cases(
     state_latencies: Sequence[Sequence[float | None]],
     radix: int,
     deadline_ms: float,
-) -> bytes:
+) -> memoryview:
     """Outcome code of every enumeration case, one label pass per chunk.
 
     Case ``c`` puts lossy edge ``lossy_slots[p]`` in state ``s``, the
@@ -467,7 +467,9 @@ def _classify_cases(
     edge then crosses at ``state_latencies[p][s]``, or not at all where
     that is ``None``.  The other slots are fixed by ``present``.  The
     result holds one outcome byte per case, in case order: 0 lost, 1
-    late, 2 on time.
+    late, 2 on time.  It is a read-only view of one table allocated up
+    front and filled chunk by chunk, so a classification peaks at its
+    table plus one chunk's work.
 
     The low ``k`` digits (:func:`repro.simulation.kernel.chunk_digits`,
     the largest ``k`` with ``radix**k`` at most
@@ -513,7 +515,7 @@ def _classify_cases(
     position_of = {slot: position for position, slot in enumerate(lossy_slots)}
     pop = heapq.heappop
     push = heapq.heappush
-    parts = []
+    classes = bytearray(radix**count)
     for chunk in range(radix ** (count - digits)):
         arcs: list[list[tuple[int, float, int]]] = [[] for _ in adjacency]
         for node, out_edges in enumerate(adjacency):
@@ -566,8 +568,8 @@ def _classify_cases(
                     labels[key] = merged | reach
         # Per case: on time -> 1 + 1, late -> 0 + 1, lost -> 0 + 0.
         codes = _case_bytes(on_time, width) + _case_bytes(eventually, width)
-        parts.append(codes.to_bytes(width, "little"))
-    return b"".join(parts)
+        classes[chunk * width : (chunk + 1) * width] = codes.to_bytes(width, "little")
+    return memoryview(classes).toreadonly()
 
 
 def _case_bytes(cases: int, width: int) -> int:

@@ -4,6 +4,10 @@ networkx and max-flow cross-checks."""
 from __future__ import annotations
 
 import itertools
+import pickle
+import random
+import sys
+import threading
 
 import networkx as nx
 import pytest
@@ -12,8 +16,11 @@ from hypothesis import given, settings
 from repro.core.algorithms import SplitNetwork
 from repro.core.algorithms.disjoint import strip_cycles
 from repro.core.algorithms.maxflow import max_disjoint_path_count
+from repro.core.algorithms.mincostflow import MinCostFlow
 from repro.core.builders import k_disjoint_paths_graph
 from repro.core.graph import Topology
+from repro.netmodel.topology import build_reference_topology
+from repro.topogen import resolve_workload
 from repro.util.validation import ValidationError
 from tests.core.graphutil import (
     adjacency_of,
@@ -195,3 +202,119 @@ class TestAgainstMaxFlow:
         for path in paths:
             for u, v in zip(path, path[1:]):
                 assert v in adjacency[u], f"path uses missing edge {u}->{v}"
+
+
+def views(index, count: int, seed: int):
+    """``count`` (weights, k, excluded) solves: inflated, excluding, and base."""
+    rng = random.Random(seed)
+    links = range(len(index.edges))
+    drawn = [(index.latencies, 2, frozenset())]
+    for _ in range(count):
+        weights = list(index.latencies)
+        for link in rng.sample(links, rng.randrange(6)):
+            weights[link] += rng.choice((0.5, 5.0, 40.0))
+        excluded = frozenset(rng.sample(links, rng.randrange(8)))
+        drawn.append((weights, rng.choice((1, 2, 2, 3)), excluded))
+    drawn.append((index.latencies, 3, frozenset()))
+    return drawn
+
+
+class TestSharedNetwork:
+    """One network per (topology, flow), shared by callers and threads."""
+
+    def test_one_network_per_flow(self):
+        topology = build_reference_topology()
+        index = topology.routing_index
+        network = index.network("NYC", "SJC")
+        assert index.network("NYC", "SJC") is network
+        assert index.network("SJC", "NYC") is not network
+        k_disjoint_paths_graph(topology, "NYC", "SJC")
+        assert sorted(key for key in index._memo if key[0] == "network") == [
+            ("network", "NYC", "SJC"),
+            ("network", "SJC", "NYC"),
+        ]
+
+    def test_base_view_is_solved_once(self, monkeypatch):
+        index = build_reference_topology().routing_index
+        network = index.network("NYC", "SJC")
+        sends = []
+        original = MinCostFlow.send
+
+        def counting(self, *args):
+            sends.append(args)
+            return original(self, *args)
+
+        monkeypatch.setattr(MinCostFlow, "send", counting)
+        first = network.disjoint_paths(index.latencies, 2)
+        first[0].append("mutated by a caller")
+        again = network.disjoint_paths(index.latencies, 2)
+        assert len(sends) == 1
+        # Equal weights in another list are not the base view: solved.
+        assert network.disjoint_paths(list(index.latencies), 2) == again
+        assert len(sends) == 2
+        assert again == SplitNetwork(index, "NYC", "SJC").disjoint_paths(
+            list(index.latencies), 2
+        )
+
+    def test_networks_stay_out_of_the_pickle(self):
+        topology = build_reference_topology()
+        bare = pickle.dumps(topology)
+        index = topology.routing_index
+        pickled_index = pickle.dumps(topology)
+        expected = index.network("NYC", "SJC").disjoint_paths(index.latencies, 2)
+        shipped = pickle.dumps(topology)
+        assert len(shipped) == len(pickled_index) > len(bare)
+        restored = pickle.loads(shipped).routing_index
+        assert restored._memo == {}
+        assert restored.network("NYC", "SJC").disjoint_paths(
+            restored.latencies, 2
+        ) == expected
+
+    def test_concurrent_solves_match_serial(self):
+        """Threads re-solving different views of one network get the
+        serial answers, however often they switch.  Every solve forks its
+        own costs, residuals, potentials and relax lists; the base view's
+        answer is the one shared result."""
+        workload = resolve_workload("isp-hier", 100, 7)
+        index = workload.topology.routing_index
+        flow = workload.flows[0]
+        solves = views(index, 24, seed=5)
+        serial = SplitNetwork(index, flow.source, flow.destination)
+        expected = [serial.disjoint_paths(*solve) for solve in solves]
+        shared = SplitNetwork(index, flow.source, flow.destination)
+        base_solves: list = []
+        solve = shared._solve
+
+        def counting(weights, k, excluded):
+            if weights is index.latencies:
+                base_solves.append(k)
+            return solve(weights, k, excluded)
+
+        shared._solve = counting
+        failures: list = []
+
+        def worker(seed: int) -> None:
+            order = list(range(len(solves)))
+            random.Random(seed).shuffle(order)
+            for position in order * 3:
+                try:
+                    got = shared.disjoint_paths(*solves[position])
+                except Exception as error:  # noqa: BLE001 - reported below
+                    failures.append((position, repr(error)))
+                    return
+                if got != expected[position]:
+                    failures.append((position, got))
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=worker, args=(n,)) for n in range(4)]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=120)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        assert failures == []
+        assert sorted(base_solves) == [2, 3]  # once each, however many ask

@@ -67,8 +67,9 @@ class TestSend:
         assert split.send(0, 4, 1) == (1, 14.0)
         assert split.flow_arcs() == whole.flow_arcs()
         assert split.send(0, 4, 1) == (0, 0.0)
-        split.reset([float(cost) for _tail, _head, cost in arcs], [1] * len(arcs))
-        assert split.send(0, 4, 2) == (2, 24.0)
+        fork = split.fork([float(cost) for _tail, _head, cost in arcs])
+        assert fork.send(0, 4, 2) == (2, 24.0)
+        assert fork.flow_arcs() == whole.flow_arcs()
 
     def test_zero_units(self):
         solver = build_diamond()
@@ -91,6 +92,12 @@ class TestSend:
         solver = MinCostFlow()
         with pytest.raises(ValueError):
             solver.add_arc("A", "B", -1, 1.0)
+
+    def test_zero_capacity_arc_is_never_used(self):
+        solver = build_diamond()
+        solver.add_arc("S", "T", 0, 0.0)  # free, but closed
+        assert solver.send("S", "T", 3) == (2, 8.0)
+        assert ("S", "T") not in solver.flow_arcs()
 
     def test_residual_rerouting(self):
         """The solver must undo a greedy choice via residual arcs."""

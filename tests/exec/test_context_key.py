@@ -362,3 +362,41 @@ class TestShardKeyWork:
         assert pure_digest != context_key(topology, timeline, SERVICE, CONFIG)
         assert telemetry.shards_cached == 0
         assert derived[len(plan):] == [(pure_digest, shard) for shard in plan]
+
+
+@pytest.mark.skipif(not kernel.numpy_available(), reason="numpy backend not installed")
+def test_a_context_reused_across_backends_matches_a_fresh_one(topology):
+    """A caller's context replayed under numpy, then under the pure kernel.
+
+    The backends agree only up to float reassociation, so the pure
+    replay must not read the numpy replay's memoised probabilities: on
+    this trace flooding's large hop-recovery windows take the numpy
+    accumulation, and a memo that ignored the backend served them to the
+    pure replay (``unavailable_s`` ``0x1.ab04683c02b2ap+5`` against
+    ``0x1.ab04683c02b19p+5``).  Classifications are shared.
+    """
+    timeline = _trace(topology, seed=7, hours=9.0)
+    config = ReplayConfig(detection_delay_s=1.0, hop_recovery=True)
+    flows = [FlowSpec("NYC", "DEN")]
+
+    def replay(context):
+        result, _telemetry = run_replay_parallel(
+            topology, timeline, flows, SERVICE, ["flooding"], config,
+            max_workers=0, use_cache=False, context=context,
+        )
+        return [
+            (stats.scheme, stats.flow.name, stats.unavailable_s.hex(),
+             stats.lost_s.hex(), stats.late_s.hex())
+            for stats in result
+        ]
+
+    shared = ShardContext(topology, timeline, SERVICE, config)
+    with kernel.force_backend("numpy"):
+        on_numpy = replay(shared)
+    with kernel.force_backend("pure"):
+        reused = replay(shared)
+        fresh = replay(ShardContext(topology, timeline, SERVICE, config))
+    assert reused == fresh
+    assert on_numpy != fresh  # the trace reaches the numpy accumulation
+    counters = shared.probability_cache.counters()
+    assert counters["mask_hits"] > 0

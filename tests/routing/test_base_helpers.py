@@ -35,7 +35,16 @@ class TestObservedAdjacency:
     def test_base_latencies(self, diamond):
         weights = observed_weights(diamond.routing_index, {})
         assert self.weight(diamond, weights, ("S", "A")) == 2.0
-        assert weights == list(diamond.routing_index.latencies)
+        # A view that changes no weight is the base view itself, which
+        # the flow networks answer once.
+        assert weights is diamond.routing_index.latencies
+        clean = {("S", "A"): LinkState(loss_rate=0.01)}
+        assert observed_weights(diamond.routing_index, clean) is weights
+        penalized = observed_weights(diamond.routing_index, clean, penalize_loss=True)
+        assert list(penalized) != list(weights)
+        assert list(diamond.routing_index.latencies) == [
+            diamond.latency(*edge) for edge in diamond.routing_index.edges
+        ]
 
     def test_inflation_added(self, diamond):
         observed = {("S", "A"): LinkState(extra_latency_ms=10.0)}

@@ -25,7 +25,11 @@ policies, and checks that the live code agrees exactly:
   limits;
 * whole decision sequences (graph edges and names), with and without
   change deltas, on Hypothesis view sequences and on the seed-7 9-hour
-  views of the 12-site overlay and of isp-hier N=100.
+  views of the 12-site overlay and of isp-hier N=100;
+* a SHA-256 of the decision spans of all six standard schemes on all
+  eight isp-hier N=100 flows over the same views, taken from the live
+  policies before the flow networks were shared, since the frozen
+  policies are too slow to replay them all.
 
 Node names are drawn so that ``repr`` order differs from name order,
 latencies so that paths tie exactly and nearly (``0.1 + 0.2`` against
@@ -35,7 +39,9 @@ loss-penalised fallback with different loss rates.
 
 from __future__ import annotations
 
+import hashlib
 import heapq
+import json
 from dataclasses import dataclass
 from typing import Hashable, Mapping, Sequence
 
@@ -56,6 +62,7 @@ from repro.netmodel.topology import FlowSpec, ServiceSpec
 from repro.routing.base import LOSS_PENALTY_MS_PER_UNIT, observed_weights
 from repro.routing.base import timely_edge_latencies as live_timely_edge_latencies
 from repro.routing.dynamic import DynamicSinglePathPolicy, DynamicTwoDisjointPolicy
+from repro.routing.registry import STANDARD_SCHEME_NAMES, make_policy
 from repro.routing.targeted import TargetedRedundancyPolicy
 from repro.simulation.timeline import (
     build_decision_timeline,
@@ -973,27 +980,34 @@ class TestFlowSolver:
         """The live solver against the frozen one, send by send.
 
         Integer costs (zeros included) tie; the live network is re-solved
-        twice after a ``reset`` that may take arcs out with capacity 0,
-        while the frozen one is built fresh with the same arcs.  The live
-        solver relaxes residual twins only where flow has passed and
-        stops its last augmentation at the sink: neither may change a
-        cost, a flow arc or a decomposed path.
+        twice by forks that may close arcs (capacity 0), while the frozen
+        one is built fresh with the same arcs.  The live solver relaxes
+        residual twins only where flow has passed, runs its first
+        Dijkstra without potentials or residual tests, defers each pass's
+        last push and stops its last augmentation at the sink: none may
+        change a cost, a flow arc or a decomposed path.
         """
         order, links = data.draw(flow_networks())
         costs = [float(data.draw(st.integers(0, 4))) for _link in links]
         capacities = [1] * len(links)
-        live = LiveMinCostFlow()
+        network = LiveMinCostFlow()
         for node in order:
-            live.add_node(node)
-        for (tail, head), cost in zip(links, costs):
-            live.add_arc(tail, head, 1, cost)
+            network.add_node(node)
+        arcs = [
+            network.add_arc(tail, head, 1, cost)
+            for (tail, head), cost in zip(links, costs)
+        ]
+        live = network
         for round_ in range(3):
             if round_:
                 costs = [float(data.draw(st.integers(0, 4))) for _link in links]
                 capacities = [
                     data.draw(st.sampled_from((0, 1, 1, 1))) for _link in links
                 ]
-                live.reset(costs, capacities)
+                live = network.fork(
+                    costs,
+                    [arc for arc, units in zip(arcs, capacities) if not units],
+                )
             frozen = MinCostFlow()
             for node in order:
                 frozen.add_node(node)
@@ -1534,3 +1548,53 @@ def test_seed7_replay_decisions_match(replay_views):
                 for factory in (frozen, live)
             )
             assert got == expected, (scheme, flow.name, deltas is not None)
+
+
+#: SHA-256 of the decision spans of all 48 (scheme, flow) pairs on the
+#: seed-7 9-hour isp-hier N=100 views (see :func:`span_records`), taken
+#: from the live policies before the flow networks were shared per
+#: (topology, flow).  The frozen policies above are too slow to replay
+#: all eight flows; this pins the six fully, static and flooding too.
+ISP_HIER_100_SPANS_SHA256 = (
+    "15b06d9d4df1f423a226ffaf0a55b36bfd73949cd7cd5121df1c73b49661a50a"
+)
+
+
+def span_records(workload) -> list:
+    """Per pair, in scheme then flow order: each span's endpoints as
+    ``float.hex()``, graph name and sorted edges, with change deltas."""
+    topology = workload.topology
+    _events, timeline = scenarios.generate_timeline(
+        topology, scenarios.Scenario(duration_s=9 * 3600.0), seed=7
+    )
+    boundaries = decision_boundaries(timeline, 1.0)
+    views, deltas = observed_views_with_deltas(timeline, boundaries, 1.0)
+    records = []
+    for scheme in STANDARD_SCHEME_NAMES:
+        for flow in workload.flows:
+            spans = build_decision_timeline(
+                topology, timeline, flow, ServiceSpec(), make_policy(scheme),
+                detection_delay_s=1.0,
+                boundaries=list(boundaries),
+                observed_views=list(views),
+                observed_deltas=deltas,
+            )
+            records.append([
+                scheme,
+                flow.name,
+                [
+                    [span.start_s.hex(), span.end_s.hex(), span.graph.name,
+                     span.graph.sorted_edges()]
+                    for span in spans
+                ],
+            ])
+    return records
+
+
+def test_seed7_isp_hier_100_spans_digest():
+    workload = resolve_workload("isp-hier", 100, 7)
+    assert len(workload.flows) == 8
+    records = span_records(workload)
+    assert len(records) == 48
+    digest = hashlib.sha256(json.dumps(records).encode()).hexdigest()
+    assert digest == ISP_HIER_100_SPANS_SHA256

@@ -367,9 +367,22 @@ class TestTelemetryEndpoints:
 
 
 class TestAdmissionOverHttp:
-    def test_queue_full_rejection_with_retry_after(self):
+    def test_queue_full_rejection_with_retry_after(self, monkeypatch):
         # max_active=1, max_queue=0: while one admitted request streams,
-        # the next submission must bounce with 429 + Retry-After.
+        # the next submission must bounce with 429 + Retry-After.  The
+        # admitted request waits for the rejection before it runs: a
+        # request merely expected to be slow finished first on a fast
+        # host, and the second one was admitted.
+        from repro.serve import server as server_module
+
+        release = threading.Event()
+        execute = server_module.execute_request
+
+        def held(*args, **kwargs):
+            assert release.wait(timeout=60.0)
+            return execute(*args, **kwargs)
+
+        monkeypatch.setattr(server_module, "execute_request", held)
         thread = ServerThread(
             ServeConfig(
                 port=0, max_active=1, max_queue=0, use_disk_cache=False
@@ -386,12 +399,14 @@ class TestAdmissionOverHttp:
                 ServeClient(port=port).run(
                     EvaluateRequest(weeks=0.02, seed=3, schemes=SCHEMES)
                 )
+            release.set()
             assert excinfo.value.status == 429
             assert excinfo.value.retry_after_s is not None
             assert excinfo.value.retry_after_s > 0
             events = [event["event"] for event in stream]
             assert events[-2:] == ["result", "manifest"]  # first one completed
         finally:
+            release.set()
             client.shutdown()
             thread.stop()
 
@@ -428,3 +443,31 @@ class TestAdmissionOverHttp:
                 ServeClient(port=port, timeout_s=5.0).status()
         finally:
             thread.stop()
+
+
+class TestRequestSpans:
+    def test_warm_requests_keep_only_the_flight_ring(self, tmp_path):
+        """The daemon's per-request spans live in its flight ring.
+
+        Nothing exports the daemon tracer's span list, so a span kept
+        there per request only grew with the daemon's uptime (two per
+        request, up to 500,000).
+        """
+        from repro.obs import Observability
+
+        obs = Observability(flight_capacity=8)
+        thread = ServerThread(
+            ServeConfig(port=0, cache_dir=str(tmp_path / "serve-cache")), obs=obs
+        )
+        port = thread.start()
+        try:
+            client = ServeClient(port=port, timeout_s=120.0)
+            request = EvaluateRequest(weeks=0.005, seed=3, schemes=("static-single",))
+            for _ in range(12):
+                client.run(request)
+        finally:
+            thread.stop()
+        assert obs.tracer.spans == []
+        ring = obs.flight.trigger("check")["spans"]
+        assert len(ring) == 8
+        assert [span["name"] for span in ring[-2:]] == ["request.queued", "request.run"]

@@ -20,6 +20,7 @@ on-time path, must be one the reference calls certain on time.
 from __future__ import annotations
 
 import heapq
+import tracemalloc
 from unittest import mock
 
 from hypothesis import given, settings
@@ -311,6 +312,26 @@ class TestDeterministicWindows:
             )
             assert len(classification.classes) == 3**8
             assert set(classification.classes) == {0, 1, 2}
+
+    def test_table_is_held_once(self):
+        """3^11 cases in 81 chunks: the classifier fills one table, so
+        its peak is the table plus one chunk's work (213 kB for a
+        177 kB table).  Joining per-chunk parts held the table twice
+        (385 kB)."""
+        graph, latency, loss, recovery = _fan(11)
+        classify_recovery_states(graph, 5.5, latency.get, loss.get, recovery.get)
+        tracemalloc.start()
+        try:
+            classification, _losses = classify_recovery_states(
+                graph, 5.5, latency.get, loss.get, recovery.get
+            )
+            _current, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        table = len(classification.classes)
+        assert table == 3**11
+        assert set(classification.classes) == {0, 1, 2}
+        assert peak < table + 100_000
 
     def test_ladder_with_a_distinct_arrival_per_case(self):
         """Stage ``i``: a free lossy hop or a clean ``2^i`` ms detour, so
