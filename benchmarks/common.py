@@ -23,7 +23,8 @@ paper-scale run) reuses cached shards instead of recomputing them.
 Every bench test additionally writes ``BENCH_<exp>.json`` (via an
 autouse fixture in ``conftest.py``): a run manifest -- scale knobs,
 topology fingerprint, the engine telemetry of the replays this bench
-triggered -- plus whatever headline figures the bench staged through
+triggered, read from the run's telemetry session that ``conftest.py``
+opens -- plus whatever headline figures the bench staged through
 :func:`stage_metrics`.  A bench that runs at its own scale stages its
 ``weeks`` (and ``seed``), and those are the scale the manifest reports.
 The JSON is the scrape-free counterpart of the printed tables,

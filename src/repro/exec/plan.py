@@ -106,13 +106,7 @@ class ShardContext:
         self.actual_views, self.actual_deltas = timeline.degraded_views(
             list(self.boundaries[:-1])
         )
-        self.probability_cache = _ProbabilityCache(
-            service.deadline_ms,
-            config.max_lossy_edges,
-            hop_recovery=config.hop_recovery,
-            recovery_extra_ms=config.recovery_extra_ms,
-            max_recovery_lossy_edges=config.max_recovery_lossy_edges,
-        )
+        self.probability_cache = _ProbabilityCache(service.deadline_ms, config)
         self.shard_keys: dict[tuple[str, ShardSpec], str] = {}
 
     def replay(self, flow: FlowSpec, policy: RoutingPolicy) -> FlowSchemeStats:

@@ -1,21 +1,22 @@
 """Executor telemetry: what ran where, and how long it took.
 
-Every engine invocation produces one :class:`ExecTelemetry` record and
-appends it to the *current* :class:`TelemetrySession`, so entry points
-that run many replays (the bench suite, seed sweeps) can print one
-aggregate summary at the end -- shards run vs. served from cache,
+Every engine invocation produces one :class:`ExecTelemetry` record,
+returns it to its caller, and appends it to the *current*
+:class:`TelemetrySession` if the caller opened one, so entry points
+that run many replays (the bench suite, one served request) can print
+one aggregate summary at the end -- shards run vs. served from cache,
 retries, serial fallbacks, wall time, and worker utilization.
 
-Sessions are scoped, not process-global: the default session covers the
-whole process (the historical behaviour), while :func:`telemetry_session`
+There is no process-wide register: a record made outside any session
+is kept only by the caller it was returned to, so a long-lived process
+that never opens a session retains nothing.  :func:`telemetry_session`
 installs a fresh session for the current context.  The current session
 lives in a :mod:`contextvars` variable, so concurrently running requests
 (the ``repro serve`` daemon runs each request under its own session via
 ``asyncio.to_thread``, which copies the context) record into disjoint
 registers -- ``session_totals`` never bleeds counts between requests.
 A plain ``threading.Thread`` starts from an empty context and therefore
-records into the process-wide default session unless the thread enters
-``telemetry_session`` itself.
+records nowhere unless the thread enters ``telemetry_session`` itself.
 """
 
 from __future__ import annotations
@@ -38,7 +39,6 @@ __all__ = [
     "counter_snapshot",
     "current_session",
     "record",
-    "reset_session",
     "session_records",
     "session_summary",
     "session_totals",
@@ -72,7 +72,6 @@ class ExecTelemetry:
     prob_shared_hits: int = 0
     prob_mask_hits: int = 0
     prob_evictions: int = 0
-    prob_canonical_evictions: int = 0
     prob_recovery_fallbacks: int = 0
     prob_on_time_skips: int = 0
     kernel_backend: str = "pure"
@@ -235,7 +234,7 @@ def aggregate_telemetry(
 
 
 class TelemetrySession:
-    """One scope of engine invocations (a process, or one served request).
+    """One scope of engine invocations (a bench run, or one served request).
 
     Appends are lock-protected: one session may legitimately receive
     records from several threads (a request that fans out replays).
@@ -254,10 +253,6 @@ class TelemetrySession:
         with self._lock:
             return tuple(self._records)
 
-    def clear(self) -> None:
-        with self._lock:
-            self._records.clear()
-
     def totals(self) -> ExecTelemetry | None:
         """Aggregate record over this session's invocations, or ``None``."""
         records = self.records()
@@ -266,16 +261,13 @@ class TelemetrySession:
         )
 
 
-#: The process-wide default session (the historical register).
-_DEFAULT_SESSION = TelemetrySession("session")
-
-_CURRENT_SESSION: contextvars.ContextVar[TelemetrySession] = (
-    contextvars.ContextVar("exec_telemetry_session", default=_DEFAULT_SESSION)
+_CURRENT_SESSION: contextvars.ContextVar[TelemetrySession | None] = (
+    contextvars.ContextVar("exec_telemetry_session", default=None)
 )
 
 
-def current_session() -> TelemetrySession:
-    """The session engine invocations record into in this context."""
+def current_session() -> TelemetrySession | None:
+    """The session engine invocations record into here, or ``None``."""
     return _CURRENT_SESSION.get()
 
 
@@ -296,23 +288,22 @@ def telemetry_session(label: str = "session") -> Iterator[TelemetrySession]:
 
 
 def record(telemetry: ExecTelemetry) -> None:
-    """Append one engine invocation to the current session's register."""
-    current_session().add(telemetry)
+    """Append one engine invocation to the current session, if one is open."""
+    session = current_session()
+    if session is not None:
+        session.add(telemetry)
 
 
 def session_records() -> Sequence[ExecTelemetry]:
     """All engine invocations recorded so far in the current session."""
-    return current_session().records()
-
-
-def reset_session() -> None:
-    """Forget the current session's records (tests and long sessions)."""
-    current_session().clear()
+    session = current_session()
+    return () if session is None else session.records()
 
 
 def session_totals() -> ExecTelemetry | None:
     """Every counter summed across the current session, or ``None``."""
-    return current_session().totals()
+    session = current_session()
+    return None if session is None else session.totals()
 
 
 def session_summary() -> str | None:

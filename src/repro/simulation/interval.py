@@ -19,8 +19,10 @@ Three layers of reuse keep multi-week replays fast:
   graph relabeled to a deterministic node order plus its effective
   per-edge latency/loss vectors -- so congruent graphs under congruent
   conditions share one entry across windows, flows and schemes;
-* the memo is LRU-bounded (``$REPRO_PROB_CACHE_MAX_BYTES``) so pool
-  workers cannot creep without limit on multi-week replays.
+* the memo is one LRU store under one byte bound (:data:`MEMO_MAX_BYTES`)
+  holding each graph's canonical entry and clean answer next to the
+  probability and classification entries, so pool workers cannot creep
+  without limit on multi-week replays.
 
 Every layer preserves bitwise-identical output: a canonical-key hit is
 only possible between computations whose float-operation sequences are
@@ -41,7 +43,6 @@ from repro.routing.base import RoutingPolicy
 from repro.routing.registry import STANDARD_SCHEME_NAMES
 from repro.simulation import kernel
 from repro.simulation.reliability import (
-    MAX_RECOVERY_LOSSY_EDGES,
     Classification,
     DeliveryProbabilities,
     IndexedGraph,
@@ -54,36 +55,12 @@ from repro.simulation.reliability import (
 )
 from repro.simulation.results import FlowSchemeStats, ReplayConfig, ReplayResult
 from repro.simulation.timeline import DecisionSpan
-from repro.util.validation import env_cap
 
-__all__ = [
-    "PROB_CACHE_MAX_BYTES_ENV",
-    "PROB_CANONICAL_MAX_ENTRIES_ENV",
-    "default_prob_cache_max_bytes",
-    "default_prob_canonical_max_entries",
-    "replay_flow",
-    "run_replay",
-]
+__all__ = ["MEMO_MAX_BYTES", "replay_flow", "run_replay"]
 
-#: Byte cap for the in-memory probability memo (mirrors the disk cache's
-#: ``REPRO_EXEC_CACHE_MAX_BYTES``).  ``0`` means unlimited.
-PROB_CACHE_MAX_BYTES_ENV = "REPRO_PROB_CACHE_MAX_BYTES"
-
-#: Default cap: generous for multi-week replays (hundreds of thousands of
-#: entries) while bounding pool-worker memory creep.
-DEFAULT_PROB_CACHE_MAX_BYTES = 64 * 1024 * 1024
-
-#: Entry cap for the per-graph canonical-form memo.  On the reference
-#: overlay distinct graphs per replay number in the hundreds, but dynamic
-#: schemes on generated 500-node meshes can mint a fresh reroute graph
-#: per decision boundary, so the memo needs its own bound.  ``0`` means
-#: unlimited.
-PROB_CANONICAL_MAX_ENTRIES_ENV = "REPRO_PROB_CANONICAL_MAX_ENTRIES"
-
-#: Default canonical-memo cap: far above any reference-overlay replay
-#: (so tier-1 behavior is untouched) while holding a 500-node dynamic
-#: replay to a few thousand retained edge lists.
-DEFAULT_PROB_CANONICAL_MAX_ENTRIES = 4096
+#: Byte bound of the probability memo: generous for multi-week replays
+#: (hundreds of thousands of entries) while bounding pool-worker memory.
+MEMO_MAX_BYTES = 64 * 1024 * 1024
 
 # Deterministic per-entry footprint estimate: a fixed overhead for the
 # dict slot, key/value tuples and the result object, plus a per-edge cost
@@ -91,8 +68,6 @@ DEFAULT_PROB_CANONICAL_MAX_ENTRIES = 4096
 # sys.getsizeof) so eviction order is identical across platforms.
 _ENTRY_OVERHEAD_BYTES = 160
 _PER_EDGE_BYTES = 120
-
-_UNSET: object = object()
 
 #: What the classifier returns for a view its first fast path decides.
 _ON_TIME = DeliveryProbabilities(1.0, 1.0)
@@ -130,22 +105,6 @@ def _limit_error_with_context(
     return ReliabilityLimitError(f"{error} [{detail}]")
 
 
-def default_prob_cache_max_bytes() -> int | None:
-    """Cap from ``$REPRO_PROB_CACHE_MAX_BYTES``; ``None`` = unlimited."""
-    return env_cap(
-        PROB_CACHE_MAX_BYTES_ENV, DEFAULT_PROB_CACHE_MAX_BYTES, "byte count"
-    )
-
-
-def default_prob_canonical_max_entries() -> int | None:
-    """Cap from ``$REPRO_PROB_CANONICAL_MAX_ENTRIES``; ``None`` = unlimited."""
-    return env_cap(
-        PROB_CANONICAL_MAX_ENTRIES_ENV,
-        DEFAULT_PROB_CANONICAL_MAX_ENTRIES,
-        "entry count",
-    )
-
-
 class _ProbabilityCache:
     """Memoises delivery probabilities across windows, flows and schemes.
 
@@ -164,23 +123,34 @@ class _ProbabilityCache:
     every computation that maps to the same canonical key performs the
     identical float-operation sequence.
 
-    A second-level *classification* cache (see
-    :class:`~repro.simulation.reliability.Classification`) is keyed
-    without the loss values: windows that differ only in loss rates --
-    the dominant kind of condition change -- skip the whole Dijkstra
-    enumeration and redo only the cheap probability weighting, which is
-    bitwise-identical by construction.
+    One insertion-ordered store holds three kinds of entry, whose key
+    shapes cannot collide:
 
-    A degraded entry's key also names the kernel backend that weighted
-    it (:func:`repro.simulation.kernel.active_backend`): the two
-    backends agree only up to float reassociation, so a memo reused
-    under :func:`~repro.simulation.kernel.force_backend` must not serve
-    one backend's probabilities to the other.  Classifications and clean
-    entries involve no weighting and are shared by both.
+    * per graph, keyed by the :class:`DisseminationGraph` itself: its
+      canonical index, base latencies, edge-to-slot map, clean on-time
+      path and *clean answer* -- the outcome under base latencies and no
+      loss, computed once when the entry is built by the same fused call
+      a degraded miss falls back to;
+    * per degraded view: its probabilities, keyed by the canonical
+      structure, the effective latency and loss vectors, and the kernel
+      backend that weighted it (:func:`repro.simulation.kernel.active_backend`:
+      the two backends agree only up to float reassociation, so a memo
+      reused under :func:`~repro.simulation.kernel.force_backend` must not
+      serve one backend's probabilities to the other);
+    * per *classification* (see
+      :class:`~repro.simulation.reliability.Classification`), keyed
+      without the loss values: windows that differ only in loss rates --
+      the dominant kind of condition change -- skip the whole Dijkstra
+      enumeration and redo only the cheap probability weighting, which
+      is bitwise-identical by construction.  Classifications and graph
+      entries involve no weighting and are shared by both backends.
 
-    Entries are LRU-evicted once the estimated footprint exceeds
-    ``max_bytes`` (default ``$REPRO_PROB_CACHE_MAX_BYTES`` or 64 MiB;
-    ``None`` = unlimited), bounding worker memory on multi-week replays.
+    Every entry is a pure function of its key and the topology, so the
+    store is LRU-evicted as a whole once the estimated footprint exceeds
+    ``max_bytes`` (:data:`MEMO_MAX_BYTES`; ``None`` = unbounded):
+    evicting an entry can only cost its recomputation.  The memo reads
+    its engine settings (lossy-edge caps, hop recovery) from the
+    :class:`~repro.simulation.results.ReplayConfig` it serves.
 
     The cache is thread-safe: one lock guards every lookup, insert,
     eviction, and counter update, so concurrent replays (the ``repro
@@ -190,15 +160,15 @@ class _ProbabilityCache:
     missing on the same key may both compute it, but the values are
     deterministic and the duplicate store replaces the first entry
     without double-counting its footprint.
-    Counters: ``hits``/``misses`` cover degraded-window lookups (as they
-    always have), ``shared_hits`` counts the subset of those hits served
+    Counters: ``hits``/``misses`` cover degraded-window lookups (a clean
+    view reads its graph entry's answer and counts in neither),
+    ``shared_hits`` counts the subset of those hits served
     from an entry first computed for a *different* ``group`` (the
     cross-pair sharing raw per-flow keys could not express -- so
     ``(hits - shared_hits) / (hits + misses)`` is the rate per-group keys
     would have achieved), ``mask_hits`` counts misses whose
     Dijkstra enumeration was skipped via a cached classification, and
-    ``evictions`` counts entries dropped by the byte bound,
-    ``canonical_evictions`` the canonical forms dropped by the entry cap,
+    ``evictions`` counts entries of any kind dropped by the byte bound,
     ``recovery_fallbacks`` the hop-recovery misses answered with the
     no-recovery lower bound because they exceed the ternary cap, and
     ``on_time_skips`` the degraded views answered certain on time
@@ -216,7 +186,6 @@ class _ProbabilityCache:
         "shared_hits",
         "mask_hits",
         "evictions",
-        "canonical_evictions",
         "recovery_fallbacks",
         "on_time_skips",
     )
@@ -224,54 +193,20 @@ class _ProbabilityCache:
     def __init__(
         self,
         deadline_ms: float,
-        max_lossy_edges: int,
-        hop_recovery: bool = False,
-        recovery_extra_ms: float = 10.0,
-        max_recovery_lossy_edges: int = MAX_RECOVERY_LOSSY_EDGES,
-        max_bytes: int | None = _UNSET,  # type: ignore[assignment]
+        config: ReplayConfig,
+        max_bytes: int | None = MEMO_MAX_BYTES,
     ) -> None:
         self.deadline_ms = deadline_ms
-        self.max_lossy_edges = max_lossy_edges
-        self.hop_recovery = hop_recovery
-        self.recovery_extra_ms = recovery_extra_ms
-        self.max_recovery_lossy_edges = max_recovery_lossy_edges
-        if max_bytes is _UNSET:
-            max_bytes = default_prob_cache_max_bytes()
+        self.config = config
         self.max_bytes = max_bytes
-        # One insertion-ordered store for clean, degraded and
-        # classification entries (the key shapes differ, so they cannot
-        # collide); insertion order doubles as recency order for LRU
-        # eviction.
-        self._entries: dict[
-            tuple,
-            tuple[DeliveryProbabilities | Classification, str | None, int],
-        ] = {}
+        # Insertion order doubles as recency order for LRU eviction.
+        self._entries: dict[object, tuple[object, str | None, int]] = {}
         self._bytes = 0
-        # Per-graph canonical forms (the classifier's index included),
-        # keyed by the graph value itself and excluded from the byte cap.
-        # On the reference overlay distinct graphs per replay number in
-        # the hundreds; dynamic schemes on generated large meshes can mint
-        # one per decision boundary, so the memo carries its own LRU entry
-        # cap (insertion order doubles as recency order, exactly like
-        # ``_entries``).  Eviction is safe: entries are pure functions of
-        # (topology, graph), so a re-computed entry is identical to the
-        # evicted one.
-        self._canonical: dict[
-            DisseminationGraph,
-            tuple[
-                IndexedGraph,
-                tuple[float, ...],
-                dict[Edge, int],
-                frozenset[int] | None,
-            ],
-        ] = {}
-        self.max_canonical_entries = default_prob_canonical_max_entries()
         self.hits = 0
         self.misses = 0
         self.shared_hits = 0
         self.mask_hits = 0
         self.evictions = 0
-        self.canonical_evictions = 0
         self.recovery_fallbacks = 0
         self.on_time_skips = 0
         # Single lock around lookup/insert/evict and counter updates; see
@@ -283,12 +218,16 @@ class _ProbabilityCache:
         with self._lock:
             return {name: getattr(self, name) for name in self.COUNTERS}
 
-    def _canonical_graph(
+    def _graph_entry(
         self, topology: Topology, graph: DisseminationGraph
     ) -> tuple[
-        IndexedGraph, tuple[float, ...], dict[Edge, int], frozenset[int] | None
+        IndexedGraph,
+        tuple[float, ...],
+        dict[Edge, int],
+        frozenset[int] | None,
+        DeliveryProbabilities,
     ]:
-        """``(index, base latencies, edge->slot, on-time path)``, once per graph.
+        """``(index, base latencies, edge->slot, on-time path, clean answer)``.
 
         ``index.structure`` is the graph with every node replaced by its
         rank in sorted-name order: relabeled edge list (in sorted-edge
@@ -297,49 +236,52 @@ class _ProbabilityCache:
         class docstring).  The classifier runs on the same index, so a
         graph is relabelled once per entry, not once per classification.
         The on-time path is the slot set of :func:`on_time_path` at base
-        latencies (``None`` when the clean graph is late).
+        latencies (``None`` when the clean graph is late), and the clean
+        answer is the fused computation at base latencies and zero loss.
         """
         with self._lock:
-            entry = self._canonical.pop(graph, None)
-            if entry is None:
-                indexed = index_graph(graph)
-                base_latency = tuple(
-                    topology.latency(u, v) for u, v in indexed.edges
-                )
-                slot_of = {edge: slot for slot, edge in enumerate(indexed.edges)}
-                path = on_time_path(indexed, self.deadline_ms, base_latency)
-                entry = (indexed, base_latency, slot_of, path)
-            self._canonical[graph] = entry  # (re-)insert: most recently used
-            cap = self.max_canonical_entries
-            if cap is not None:
-                while len(self._canonical) > cap:
-                    oldest = next(iter(self._canonical))
-                    del self._canonical[oldest]
-                    self.canonical_evictions += 1
-            return entry
+            stored = self._entries.pop(graph, None)
+            if stored is not None:
+                self._entries[graph] = stored  # re-insert: most recently used
+                return stored[0]
+        indexed = index_graph(graph)
+        base_latency = tuple(topology.latency(u, v) for u, v in indexed.edges)
+        entry = (
+            indexed,
+            base_latency,
+            {edge: slot for slot, edge in enumerate(indexed.edges)},
+            on_time_path(indexed, self.deadline_ms, base_latency),
+            delivery_probabilities(
+                indexed,
+                self.deadline_ms,
+                base_latency,
+                [0.0] * len(base_latency),
+                max_lossy_edges=self.config.max_lossy_edges,
+            ),
+        )
+        self._store(graph, entry, None, len(base_latency))
+        return entry
 
     def _lookup(
-        self, key: tuple, group: str | None, count: bool = False
+        self, key: tuple, group: str | None
     ) -> DeliveryProbabilities | None:
-        """One locked lookup; ``count`` feeds the hit/miss counters."""
+        """One locked, counted lookup of a degraded view's entry."""
         with self._lock:
             entry = self._entries.pop(key, None)
             if entry is None:
-                if count:
-                    self.misses += 1
+                self.misses += 1
                 return None
             self._entries[key] = entry  # re-insert: most recently used
             result, owner, _cost = entry
-            if count:
-                self.hits += 1
+            self.hits += 1
             if owner is not None and group is not None and owner != group:
                 self.shared_hits += 1
             return result
 
     def _store(
         self,
-        key: tuple,
-        result: DeliveryProbabilities | Classification,
+        key: object,
+        result: object,
         group: str | None,
         edge_count: int,
         extra_bytes: int = 0,
@@ -361,57 +303,6 @@ class _ProbabilityCache:
                 self._bytes -= old_cost
                 self.evictions += 1
 
-    def _clean_probabilities(
-        self,
-        topology: Topology,
-        graph: DisseminationGraph,
-        group: str | None = None,
-    ) -> DeliveryProbabilities:
-        """Outcome under base conditions (no loss, base latencies)."""
-        indexed, base_latency, _slot_of, _path = self._canonical_graph(
-            topology, graph
-        )
-        key = (indexed.structure, base_latency)
-        # Clean lookups stay outside the hit/miss counters (as they always
-        # have), so they must not feed ``shared_hits`` either -- the
-        # counters would otherwise stop being comparable as rates.
-        cached = self._lookup(key, None)
-        if cached is None:
-            cached = delivery_probabilities(
-                indexed,
-                self.deadline_ms,
-                base_latency,
-                [0.0] * len(base_latency),
-                max_lossy_edges=self.max_lossy_edges,
-            )
-            self._store(key, cached, group, len(base_latency))
-        return cached
-
-    def probabilities(
-        self,
-        topology: Topology,
-        graph: DisseminationGraph,
-        degraded: dict[Edge, LinkState],
-        group: str | None = None,
-        window: tuple[float, float] | None = None,
-    ) -> DeliveryProbabilities:
-        """Delivery probabilities for ``graph`` under ``degraded`` conditions.
-
-        ``group`` labels the caller (one ``scheme/flow`` pair); it only
-        feeds the ``shared_hits`` counter, never the key.  ``window``
-        (the ``(start, end)`` seconds being replayed) and ``group`` are
-        named by any :class:`ReliabilityLimitError`, so the failure is
-        diagnosable.
-
-        A thin wrapper over :meth:`probabilities_batch` -- one window is
-        the one-row special case of a run, taking the identical code
-        path so the result and every counter are the same either way.
-        """
-        windows = None if window is None else [window]
-        return self.probabilities_batch(
-            topology, graph, [degraded], group, windows
-        )[0]
-
     def probabilities_batch(
         self,
         topology: Topology,
@@ -422,14 +313,22 @@ class _ProbabilityCache:
     ) -> list[DeliveryProbabilities]:
         """Probabilities for one graph under a run of condition views.
 
-        Semantically a per-view :meth:`probabilities` loop, but misses
-        that share one cached classification are weighted in a single
-        batched kernel call, so a run of loss-only windows costs one
-        vector operation instead of one Python loop per window.  Counter
-        semantics are preserved exactly: a view whose key was already
-        missed earlier in the same batch counts as the hit it would have
-        been sequentially, and classification reuse feeds ``mask_hits``
-        per window as before.
+        The memo's one lookup method; a single view is a one-element
+        ``degraded_list``.  ``group`` labels the caller (one
+        ``scheme/flow`` pair); it only feeds the ``shared_hits`` counter,
+        never the key.  ``windows`` (the ``(start, end)`` seconds of each
+        view) and ``group`` are named by any
+        :class:`ReliabilityLimitError`, so the failure is diagnosable.
+
+        Semantically a per-view lookup loop, but misses that share one
+        cached classification are weighted in a single batched kernel
+        call, so a run of loss-only windows costs one vector operation
+        instead of one Python loop per window.  Counter semantics are
+        preserved exactly: a view whose key was already missed earlier in
+        the same batch counts as the hit it would have been sequentially,
+        and classification reuse feeds ``mask_hits`` per window as before.
+        A view that touches no edge of the graph is answered by the graph
+        entry's clean answer.
 
         A degraded view that touches no slot of the graph's clean on-time
         path is answered certain on time before any key is built, and
@@ -442,7 +341,7 @@ class _ProbabilityCache:
         """
         if not degraded_list:
             return []
-        indexed, base_latency, slot_of, path = self._canonical_graph(
+        indexed, base_latency, slot_of, path, clean = self._graph_entry(
             topology, graph
         )
         structure = indexed.structure
@@ -460,10 +359,7 @@ class _ProbabilityCache:
                 if slot is not None:
                     touched.append((slot, state))
             if not touched:
-                # Clean graph: outcome depends only on base latencies.
-                results[position] = self._clean_probabilities(
-                    topology, graph, group
-                )
+                results[position] = clean
                 continue
             if path is not None and path.isdisjoint(slot for slot, _ in touched):
                 results[position] = _ON_TIME
@@ -484,7 +380,7 @@ class _ProbabilityCache:
                     self.hits += 1
                 aliases.append((position, key))
                 continue
-            cached = self._lookup(key, group, count=True)
+            cached = self._lookup(key, group)
             if cached is not None:
                 results[position] = cached
                 continue
@@ -527,11 +423,12 @@ class _ProbabilityCache:
                 self.mask_hits += 1
         if entry is not None:
             return entry[0]
-        if self.hop_recovery:
+        config = self.config
+        if config.hop_recovery:
             # Ack timeout (~2x link latency + slack) + retransmission
             # flight time.
             recovery = [
-                3.0 * latency + self.recovery_extra_ms
+                3.0 * latency + config.recovery_extra_ms
                 for latency in effective_latency
             ]
             classification, _losses = classify_recovery_states(
@@ -539,7 +436,7 @@ class _ProbabilityCache:
                 self.deadline_ms,
                 effective_latency,
                 loss_vector,
-                self.max_recovery_lossy_edges,
+                config.max_recovery_lossy_edges,
                 recovery,
             )
         else:
@@ -548,7 +445,7 @@ class _ProbabilityCache:
                 self.deadline_ms,
                 effective_latency,
                 loss_vector,
-                self.max_lossy_edges,
+                config.max_lossy_edges,
             )
         self._store(
             class_key,
@@ -581,7 +478,8 @@ class _ProbabilityCache:
         to the no-recovery computation, a conservative lower bound on
         delivery (counted in ``recovery_fallbacks``).
         """
-        tag = "rstates" if self.hop_recovery else "masks"
+        hop_recovery = self.config.hop_recovery
+        tag = "rstates" if hop_recovery else "masks"
         grouped: dict[tuple, tuple[Classification, list]] = {}
         computed: list[tuple[int, tuple, DeliveryProbabilities]] = []
         for key, effective_latency, loss_vector, position in misses:
@@ -596,7 +494,7 @@ class _ProbabilityCache:
                     indexed, class_key, effective_latency, loss_vector, group
                 )
             except ReliabilityLimitError as error:
-                if not self.hop_recovery:
+                if not hop_recovery:
                     raise _limit_error_with_context(
                         error, graph, group, window
                     ) from error
@@ -608,7 +506,7 @@ class _ProbabilityCache:
                         self.deadline_ms,
                         effective_latency,
                         loss_vector,
-                        max_lossy_edges=self.max_lossy_edges,
+                        max_lossy_edges=self.config.max_lossy_edges,
                     )
                 except ReliabilityLimitError as fallback_error:
                     raise _limit_error_with_context(
@@ -624,7 +522,7 @@ class _ProbabilityCache:
         # installed on this module's names see every call.
         accumulate = (
             accumulate_recovery_probabilities_batch
-            if self.hop_recovery
+            if hop_recovery
             else accumulate_mask_probabilities_batch
         )
         for classification, items in grouped.values():

@@ -95,6 +95,11 @@ class TestConfiguredLimit:
         with pytest.raises(ValueError):
             default_max_bytes()
 
+    def test_env_negative_rejected(self, monkeypatch):
+        monkeypatch.setenv(CACHE_MAX_BYTES_ENV, "-1")
+        with pytest.raises(ValueError, match=">= 0"):
+            default_max_bytes()
+
 
 class TestCliPrune:
     def test_prune_via_cli(self, tmp_path, capsys):

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import contextvars
+
 import pytest
 
 from repro.exec.engine import run_replay_parallel
@@ -9,11 +11,12 @@ from repro.exec.plan import ShardContext
 from repro.exec.telemetry import (
     ExecTelemetry,
     aggregate_telemetry,
+    current_session,
     record,
-    reset_session,
     session_records,
     session_summary,
     session_totals,
+    telemetry_session,
 )
 from repro.obs import Observability
 from repro.simulation import kernel
@@ -24,10 +27,10 @@ from tests.exec.test_plan import SMALL_SCHEMES
 
 
 @pytest.fixture(autouse=True)
-def _clean_session():
-    reset_session()
-    yield
-    reset_session()
+def _session():
+    """Every test records into a session of its own."""
+    with telemetry_session("test"):
+        yield
 
 
 def _telemetry(**overrides) -> ExecTelemetry:
@@ -94,9 +97,37 @@ class TestSessionAggregation:
 
     def test_records_are_immutable_view(self):
         record(_telemetry())
-        assert len(session_records()) == 1
-        reset_session()
-        assert session_records() == ()
+        view = session_records()
+        record(_telemetry())
+        assert len(view) == 1
+        assert len(session_records()) == 2
+        with pytest.raises(AttributeError):
+            view.append(_telemetry())  # type: ignore[attr-defined]
+
+    def test_engine_calls_outside_a_session_leave_no_records(self):
+        # A process that never opens a session (a long-lived script, a
+        # library caller) retains no record of its engine calls: each is
+        # returned to its caller and kept nowhere else.
+        topology, timeline, flows, service = small_case()
+
+        def outside_any_session():
+            telemetries = [
+                run_replay_parallel(
+                    topology, timeline, flows, service, SMALL_SCHEMES,
+                    max_workers=0, use_cache=False,
+                )[1]
+                for _ in range(3)
+            ]
+            return telemetries, current_session(), session_records()
+
+        telemetries, session, records = contextvars.Context().run(
+            outside_any_session
+        )
+        shards = len(flows) * len(SMALL_SCHEMES)
+        assert [t.shards_total for t in telemetries] == [shards] * 3
+        assert records == ()
+        assert session is None
+        assert session_records() == ()  # the test's own session saw none
 
 
 class TestProbCacheCounters:
@@ -271,20 +302,16 @@ class TestScopedSessions:
     # session_totals must never bleed between them.
 
     def test_nested_session_scopes_records(self):
-        from repro.exec.telemetry import telemetry_session
-
         record(_telemetry())
         with telemetry_session("inner") as session:
-            assert session_records() == ()  # fresh scope, not the default's
+            assert session_records() == ()  # fresh scope, not the outer one's
             record(_telemetry())
             assert len(session.records()) == 1
             assert session_totals().label == "inner (1 runs)"
-        # leaving the scope restores the default session untouched
+        # leaving the scope restores the outer session untouched
         assert len(session_records()) == 1
 
     def test_session_object_outlives_scope(self):
-        from repro.exec.telemetry import telemetry_session
-
         with telemetry_session("kept") as session:
             record(_telemetry())
         assert len(session.records()) == 1
@@ -292,8 +319,6 @@ class TestScopedSessions:
 
     def test_concurrent_thread_sessions_do_not_bleed(self):
         import threading
-
-        from repro.exec.telemetry import telemetry_session
 
         totals = {}
         barrier = threading.Barrier(3)
@@ -317,7 +342,7 @@ class TestScopedSessions:
         for index in range(3):
             assert totals[f"s{index}"].label == f"s{index} ({index + 1} runs)"
             assert totals[f"s{index}"].shards_run == 3 * (index + 1)
-        assert session_records() == ()  # nothing leaked into the default
+        assert session_records() == ()  # nothing leaked into the outer one
 
     def test_aggregate_telemetry_standalone(self):
         from repro.exec.telemetry import aggregate_telemetry

@@ -38,6 +38,7 @@ from repro.simulation.reliability import (
     classify_delivery_masks,
     classify_recovery_states,
 )
+from repro.simulation.results import ReplayConfig
 
 _INF = float("inf")
 
@@ -439,12 +440,10 @@ def _through_cache(window, hop_recovery: bool):
     reference classification and whether the on-time shortcut answered.
     """
     topology, graph, deadline, degraded, effective, loss = window
-    cache = _ProbabilityCache(
-        deadline_ms=deadline,
-        max_lossy_edges=20,
-        hop_recovery=hop_recovery,
-        recovery_extra_ms=RECOVERY_EXTRA_MS,
+    config = ReplayConfig(
+        hop_recovery=hop_recovery, recovery_extra_ms=RECOVERY_EXTRA_MS
     )
+    cache = _ProbabilityCache(deadline, config)
     name = "classify_recovery_states" if hop_recovery else "classify_delivery_masks"
     original = getattr(interval, name)
     seen = []
@@ -454,7 +453,7 @@ def _through_cache(window, hop_recovery: bool):
         return seen[-1]
 
     with mock.patch.object(interval, name, recording):
-        result = cache.probabilities(topology, graph, degraded)
+        result = cache.probabilities_batch(topology, graph, [degraded])[0]
     if hop_recovery:
         want = reference_classify_recovery_states(
             graph,

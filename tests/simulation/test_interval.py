@@ -13,12 +13,10 @@ from repro.netmodel.topology import FlowSpec, ServiceSpec
 from repro.routing.base import RoutingPolicy
 from repro.routing.registry import make_policy
 from repro.routing.targeted import TargetedRedundancyPolicy
+from repro.simulation import interval
 from repro.simulation.interval import (
-    PROB_CACHE_MAX_BYTES_ENV,
-    PROB_CANONICAL_MAX_ENTRIES_ENV,
+    MEMO_MAX_BYTES,
     _ProbabilityCache,
-    default_prob_cache_max_bytes,
-    default_prob_canonical_max_entries,
     replay_flow,
     run_replay,
 )
@@ -230,6 +228,15 @@ def twin_paths_topology() -> Topology:
     return topology.freeze()
 
 
+def lookup(cache, topology, graph, degraded, group=None):
+    """One view through the memo's one lookup method."""
+    return cache.probabilities_batch(topology, graph, [degraded], group)[0]
+
+
+def memo(max_bytes=MEMO_MAX_BYTES):
+    return _ProbabilityCache(15.0, ReplayConfig(), max_bytes)
+
+
 class TestProbabilityCache:
     def test_cross_flow_congruent_graphs_share_one_entry(self):
         # The two flows' graphs are congruent under the monotone node
@@ -237,14 +244,14 @@ class TestProbabilityCache:
         # first flow computed -- the cross-pair sharing raw per-flow keys
         # could never express.
         topology = twin_paths_topology()
-        cache = _ProbabilityCache(deadline_ms=15.0, max_lossy_edges=20)
+        cache = memo()
         graph_one = DisseminationGraph.from_path(["A1", "B1", "C1"])
         graph_two = DisseminationGraph.from_path(["A2", "B2", "C2"])
-        first = cache.probabilities(
-            topology, graph_one, {("A1", "B1"): LinkState(0.3)}, "s/f1"
+        first = lookup(
+            cache, topology, graph_one, {("A1", "B1"): LinkState(0.3)}, "s/f1"
         )
-        second = cache.probabilities(
-            topology, graph_two, {("A2", "B2"): LinkState(0.3)}, "s/f2"
+        second = lookup(
+            cache, topology, graph_two, {("A2", "B2"): LinkState(0.3)}, "s/f2"
         )
         assert cache.misses == 1
         assert cache.hits == 1
@@ -254,11 +261,11 @@ class TestProbabilityCache:
 
     def test_same_group_hit_is_not_shared(self):
         topology = twin_paths_topology()
-        cache = _ProbabilityCache(deadline_ms=15.0, max_lossy_edges=20)
+        cache = memo()
         graph = DisseminationGraph.from_path(["A1", "B1", "C1"])
         degraded = {("A1", "B1"): LinkState(0.3)}
-        cache.probabilities(topology, graph, degraded, "s/f1")
-        cache.probabilities(topology, graph, degraded, "s/f1")
+        lookup(cache, topology, graph, degraded, "s/f1")
+        lookup(cache, topology, graph, degraded, "s/f1")
         assert cache.hits == 1
         assert cache.shared_hits == 0
 
@@ -268,20 +275,19 @@ class TestProbabilityCache:
         # Dijkstra classification (a distinct probability entry, but no
         # re-enumeration).
         topology = twin_paths_topology()
-        cache = _ProbabilityCache(deadline_ms=15.0, max_lossy_edges=20)
+        cache = memo()
         graph = DisseminationGraph.from_path(["A1", "B1", "C1"])
-        first = cache.probabilities(
-            topology, graph, {("A1", "B1"): LinkState(0.3)}, "s/f1"
+        first = lookup(
+            cache, topology, graph, {("A1", "B1"): LinkState(0.3)}, "s/f1"
         )
-        second = cache.probabilities(
-            topology, graph, {("A1", "B1"): LinkState(0.4)}, "s/f1"
+        second = lookup(
+            cache, topology, graph, {("A1", "B1"): LinkState(0.4)}, "s/f1"
         )
         assert cache.misses == 2
         assert cache.mask_hits == 1
         # bitwise-identical to an uncached computation
-        fresh = _ProbabilityCache(deadline_ms=15.0, max_lossy_edges=20)
-        expected = fresh.probabilities(
-            topology, graph, {("A1", "B1"): LinkState(0.4)}, "s/f1"
+        expected = lookup(
+            memo(), topology, graph, {("A1", "B1"): LinkState(0.4)}, "s/f1"
         )
         assert second.on_time.hex() == expected.on_time.hex()
         assert second.eventually.hex() == expected.eventually.hex()
@@ -289,13 +295,11 @@ class TestProbabilityCache:
 
     def test_lru_eviction_bounds_footprint(self):
         topology = twin_paths_topology()
-        cache = _ProbabilityCache(
-            deadline_ms=15.0, max_lossy_edges=20, max_bytes=900
-        )
+        cache = memo(max_bytes=900)
         graph = DisseminationGraph.from_path(["A1", "B1", "C1"])
         for step in range(1, 20):
-            cache.probabilities(
-                topology, graph, {("A1", "B1"): LinkState(step / 40.0)}, "s/f1"
+            lookup(
+                cache, topology, graph, {("A1", "B1"): LinkState(step / 40.0)}, "s/f1"
             )
         assert cache.evictions > 0
         assert cache._bytes <= 900
@@ -303,103 +307,98 @@ class TestProbabilityCache:
 
     def test_unbounded_when_max_bytes_none(self):
         topology = twin_paths_topology()
-        cache = _ProbabilityCache(
-            deadline_ms=15.0, max_lossy_edges=20, max_bytes=None
-        )
+        cache = memo(max_bytes=None)
         graph = DisseminationGraph.from_path(["A1", "B1", "C1"])
         for step in range(1, 20):
-            cache.probabilities(
-                topology, graph, {("A1", "B1"): LinkState(step / 40.0)}, "s/f1"
+            lookup(
+                cache, topology, graph, {("A1", "B1"): LinkState(step / 40.0)}, "s/f1"
             )
         assert cache.evictions == 0
 
 
-class TestProbCacheEnvKnob:
-    def test_default_when_unset(self, monkeypatch):
-        monkeypatch.delenv(PROB_CACHE_MAX_BYTES_ENV, raising=False)
-        assert default_prob_cache_max_bytes() == 64 * 1024 * 1024
+class TestOneStore:
+    """Graph entries, clean answers and probabilities share one LRU store."""
 
-    def test_zero_means_unlimited(self, monkeypatch):
-        monkeypatch.setenv(PROB_CACHE_MAX_BYTES_ENV, "0")
-        assert default_prob_cache_max_bytes() is None
+    GRAPHS = (["A1", "B1", "C1"], ["A1", "B1"], ["B1", "C1"])
 
-    def test_explicit_value(self, monkeypatch):
-        monkeypatch.setenv(PROB_CACHE_MAX_BYTES_ENV, "12345")
-        assert default_prob_cache_max_bytes() == 12345
+    def test_default_bound_is_a_constant(self, monkeypatch):
+        # The bound is 64 MiB whatever the environment says: the memo
+        # reads no environment variable.
+        monkeypatch.setenv("REPRO_PROB_CACHE_MAX_BYTES", "12345")
+        monkeypatch.setenv("REPRO_PROB_CANONICAL_MAX_ENTRIES", "2")
+        assert MEMO_MAX_BYTES == 64 * 1024 * 1024
+        assert memo().max_bytes == MEMO_MAX_BYTES
 
-    def test_rejects_garbage(self, monkeypatch):
-        monkeypatch.setenv(PROB_CACHE_MAX_BYTES_ENV, "lots")
-        with pytest.raises(ValueError, match="integer byte count"):
-            default_prob_cache_max_bytes()
-
-    def test_rejects_negative(self, monkeypatch):
-        monkeypatch.setenv(PROB_CACHE_MAX_BYTES_ENV, "-1")
-        with pytest.raises(ValueError, match=">= 0"):
-            default_prob_cache_max_bytes()
-
-
-class TestCanonicalMemoCap:
-    def test_default_when_unset(self, monkeypatch):
-        monkeypatch.delenv(PROB_CANONICAL_MAX_ENTRIES_ENV, raising=False)
-        assert default_prob_canonical_max_entries() == 4096
-
-    def test_zero_means_unlimited(self, monkeypatch):
-        monkeypatch.setenv(PROB_CANONICAL_MAX_ENTRIES_ENV, "0")
-        assert default_prob_canonical_max_entries() is None
-
-    def test_rejects_garbage(self, monkeypatch):
-        monkeypatch.setenv(PROB_CANONICAL_MAX_ENTRIES_ENV, "many")
-        with pytest.raises(ValueError):
-            default_prob_canonical_max_entries()
-
-    def test_cap_evicts_and_results_unchanged(self, monkeypatch):
-        # Three structurally distinct graphs against a cap of two: the
-        # memo must evict, and because every canonical entry is a pure
-        # function of (topology, graph), re-deriving an evicted entry
-        # yields bitwise-identical probabilities.
-        monkeypatch.setenv(PROB_CANONICAL_MAX_ENTRIES_ENV, "2")
+    def test_graph_entries_evict_and_results_unchanged(self):
+        # Three structurally distinct graphs against a bound smaller than
+        # one graph's entries: graph entries are evicted with the rest,
+        # and because every entry is a pure function of (topology, key),
+        # re-deriving an evicted one yields bitwise-identical answers,
+        # degraded and clean alike.
         topology = twin_paths_topology()
-        capped = _ProbabilityCache(deadline_ms=15.0, max_lossy_edges=20)
-        assert capped.max_canonical_entries == 2
-        graphs = [
-            DisseminationGraph.from_path(["A1", "B1", "C1"]),
-            DisseminationGraph.from_path(["A1", "B1"]),
-            DisseminationGraph.from_path(["B1", "C1"]),
-        ]
-        degraded = {("A1", "B1"): LinkState(0.3)}
+        bounded = memo(max_bytes=1000)
+        unbounded = memo(max_bytes=None)
+        graphs = [DisseminationGraph.from_path(nodes) for nodes in self.GRAPHS]
+        views = [{("A1", "B1"): LinkState(0.3)}, {}]
+        evicted_graphs = 0
         for _round in range(2):
             for graph in graphs:
-                capped.probabilities(topology, graph, degraded, "s/f1")
-        assert capped.canonical_evictions > 0
-        assert len(capped._canonical) <= 2
-        assert (
-            capped.counters()["canonical_evictions"]
-            == capped.canonical_evictions
-        )
-        monkeypatch.delenv(PROB_CANONICAL_MAX_ENTRIES_ENV)
-        unlimited = _ProbabilityCache(deadline_ms=15.0, max_lossy_edges=20)
-        for graph in graphs:
-            capped_result = capped.probabilities(
-                topology, graph, degraded, "s/f1"
-            )
-            fresh = unlimited.probabilities(topology, graph, degraded, "s/f1")
-            assert capped_result.on_time.hex() == fresh.on_time.hex()
-            assert capped_result.eventually.hex() == fresh.eventually.hex()
+                got = bounded.probabilities_batch(topology, graph, views, "s/f1")
+                evicted_graphs += graph not in bounded._entries
+                want = unbounded.probabilities_batch(topology, graph, views, "s/f1")
+                for result, expected in zip(got, want):
+                    assert result.on_time.hex() == expected.on_time.hex()
+                    assert result.eventually.hex() == expected.eventually.hex()
+        assert evicted_graphs > 0
+        assert bounded.evictions > 0
+        assert bounded._bytes <= 1000
+        assert unbounded.evictions == 0
 
-    def test_recently_used_entry_survives(self, monkeypatch):
-        monkeypatch.setenv(PROB_CANONICAL_MAX_ENTRIES_ENV, "2")
+    def test_recently_used_graph_entry_survives(self):
+        # Clean views store graph entries only (400 bytes for the
+        # two-edge keeper, 280 for each one-edge graph): a bound of 680
+        # holds the keeper and one other, and touching the keeper between
+        # inserts makes the LRU evict the other graph instead.
         topology = twin_paths_topology()
-        cache = _ProbabilityCache(deadline_ms=15.0, max_lossy_edges=20)
-        keeper = DisseminationGraph.from_path(["A1", "B1", "C1"])
-        degraded = {("A1", "B1"): LinkState(0.3)}
-        cache.probabilities(topology, keeper, degraded, "s/f1")
-        for other in (["A1", "B1"], ["B1", "C1"]):
-            # Touch the keeper between inserts: LRU must evict the others.
-            cache.probabilities(
-                topology, DisseminationGraph.from_path(other), degraded, "s/f1"
+        cache = memo(max_bytes=680)
+        keeper, first, second = (
+            DisseminationGraph.from_path(nodes) for nodes in self.GRAPHS
+        )
+        for graph in (keeper, first, keeper, second, keeper):
+            lookup(cache, topology, graph, {})
+        assert keeper in cache._entries
+        assert first not in cache._entries
+        assert second in cache._entries
+        assert cache.evictions == 1
+
+    def test_clean_answer_is_computed_once_per_graph(self, monkeypatch):
+        # The clean answer is the fused call at base latencies and no
+        # loss, looked up on the module at call time (so a wrapper there
+        # sees it), made once when the graph entry is built; clean views
+        # count as neither hits nor misses.
+        calls = []
+        fused = interval.delivery_probabilities
+
+        def counting(*args, **kwargs):
+            calls.append(args)
+            return fused(*args, **kwargs)
+
+        monkeypatch.setattr(interval, "delivery_probabilities", counting)
+        topology = twin_paths_topology()
+        cache = memo()
+        graph = DisseminationGraph.from_path(["A1", "B1", "C1"])
+        other_edge = {("A2", "B2"): LinkState(0.5)}
+        for _round in range(2):
+            results = cache.probabilities_batch(
+                topology, graph, [{}, other_edge, {}], "s/f1"
             )
-            cache.probabilities(topology, keeper, degraded, "s/f1")
-        assert keeper in cache._canonical
+        assert len(calls) == 1
+        _indexed, _deadline, latencies, losses = calls[0]
+        assert list(latencies) == [5.0, 5.0]
+        assert list(losses) == [0.0, 0.0]
+        assert all(result is results[0] for result in results)
+        assert results[0].on_time == 1.0
+        assert cache.counters()["hits"] == cache.counters()["misses"] == 0
 
 
 BITWISE_FIELDS = (
@@ -433,6 +432,27 @@ class TestDeltaReuseEquivalence:
                 diamond, timeline, FLOW, SERVICE, make_policy(scheme), config
             )
             assert_bitwise(hinted, reference, scheme)
+
+    def test_recovery_fallback_matches_reference(self, diamond):
+        """Above the ternary cap the memo and the memo-free reference
+        both fall back to the plain computation, with the same bits."""
+        timeline = tl(
+            diamond,
+            Contribution(("S", "A"), 10.0, 60.0, LinkState(loss_rate=0.5)),
+            Contribution(("A", "T"), 20.0, 70.0, LinkState(loss_rate=0.4)),
+            Contribution(("S", "B"), 30.0, 80.0, LinkState(loss_rate=0.3)),
+        )
+        config = ReplayConfig(
+            hop_recovery=True, max_recovery_lossy_edges=1, collect_windows=True
+        )
+        context = ShardContext(diamond, timeline, SERVICE, config)
+        for scheme in ("static-single", "static-two-disjoint", "flooding"):
+            stats = context.replay(FLOW, make_policy(scheme))
+            reference = reference_replay_flow(
+                diamond, timeline, FLOW, SERVICE, make_policy(scheme), config
+            )
+            assert_bitwise(stats, reference, scheme)
+        assert context.probability_cache.recovery_fallbacks > 0
 
     @pytest.mark.parametrize(
         "settings",

@@ -17,6 +17,7 @@ from repro.core.dgraph import DisseminationGraph
 from repro.core.graph import Topology
 from repro.netmodel.conditions import LinkState
 from repro.simulation.interval import _ProbabilityCache
+from repro.simulation.results import ReplayConfig
 
 THREADS = 8
 ROUNDS = 40
@@ -40,7 +41,7 @@ def _hammer(cache: _ProbabilityCache, topology: Topology, lane: int, out: list):
         # A small rotating set of loss values: plenty of hits, plenty of
         # misses, and (under a byte cap) plenty of evictions.
         degraded = {(f"A{lane}", f"B{lane}"): LinkState((step % 5 + 1) / 10.0)}
-        probs = cache.probabilities(topology, graph, degraded, f"s/f{lane}")
+        probs = cache.probabilities_batch(topology, graph, [degraded], f"s/f{lane}")[0]
         results.append((probs.on_time.hex(), probs.eventually.hex()))
     out[lane] = results
 
@@ -48,7 +49,7 @@ def _hammer(cache: _ProbabilityCache, topology: Topology, lane: int, out: list):
 class TestConcurrentProbabilityCache:
     def test_results_bitwise_match_serial_reference(self):
         topology = _ladder_topology()
-        shared = _ProbabilityCache(deadline_ms=15.0, max_lossy_edges=20)
+        shared = _ProbabilityCache(15.0, ReplayConfig())
         out: list = [None] * THREADS
         threads = [
             threading.Thread(target=_hammer, args=(shared, topology, lane, out))
@@ -62,7 +63,7 @@ class TestConcurrentProbabilityCache:
         for lane in range(THREADS):
             reference: list = [None] * (lane + 1)
             _hammer(
-                _ProbabilityCache(deadline_ms=15.0, max_lossy_edges=20),
+                _ProbabilityCache(15.0, ReplayConfig()),
                 topology,
                 lane,
                 reference,
@@ -71,7 +72,7 @@ class TestConcurrentProbabilityCache:
 
     def test_counters_balance_under_contention(self):
         topology = _ladder_topology()
-        shared = _ProbabilityCache(deadline_ms=15.0, max_lossy_edges=20)
+        shared = _ProbabilityCache(15.0, ReplayConfig())
         out: list = [None] * THREADS
         threads = [
             threading.Thread(target=_hammer, args=(shared, topology, lane, out))
@@ -92,9 +93,7 @@ class TestConcurrentProbabilityCache:
 
     def test_byte_accounting_survives_concurrent_eviction(self):
         topology = _ladder_topology()
-        shared = _ProbabilityCache(
-            deadline_ms=15.0, max_lossy_edges=20, max_bytes=600
-        )
+        shared = _ProbabilityCache(15.0, ReplayConfig(), max_bytes=600)
         out: list = [None] * THREADS
         threads = [
             threading.Thread(target=_hammer, args=(shared, topology, lane, out))

@@ -120,16 +120,13 @@ class TestRecoveryProbabilities:
         lower-bound fallback."""
         both = DisseminationGraph.from_paths([["S", "A", "T"], ["S", "B", "T"]])
         cache = _ProbabilityCache(
-            deadline_ms=15.0,
-            max_lossy_edges=20,
-            hop_recovery=True,
-            max_recovery_lossy_edges=1,
+            15.0, ReplayConfig(hop_recovery=True, max_recovery_lossy_edges=1)
         )
         degraded = {
             ("S", "A"): LinkState(loss_rate=0.5),
             ("A", "T"): LinkState(loss_rate=0.5),
         }
-        result = cache.probabilities(diamond, both, degraded)
+        result = cache.probabilities_batch(diamond, both, [degraded])[0]
         assert result == DeliveryProbabilities(1.0, 1.0)
         assert cache.recovery_fallbacks == 0
 
