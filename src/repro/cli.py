@@ -46,10 +46,6 @@ import argparse
 import sys
 from typing import Sequence
 
-from repro.analysis.classify import (
-    classification_distribution,
-    classify_events_for_flows,
-)
 from repro.analysis.reporting import (
     format_classification_table,
     format_cost_table,
@@ -62,11 +58,7 @@ from repro.core.builders import (
     time_constrained_flooding_graph,
 )
 from repro.netmodel.scenarios import WEEK_S, Scenario, generate_events
-from repro.netmodel.topology import (
-    ServiceSpec,
-    build_reference_topology,
-    reference_flows,
-)
+from repro.netmodel.topology import build_reference_topology
 from repro.exec.cache import ResultCache
 from repro.netmodel.trace import load_timeline, write_trace
 from repro.simulation import kernel
@@ -337,23 +329,25 @@ def _cmd_evaluate(args: argparse.Namespace) -> int:
 
 
 def _cmd_classify(args: argparse.Namespace) -> int:
-    topology = build_reference_topology()
-    flows = reference_flows()
-    service = ServiceSpec()
+    """Run the daemon's classify request in-process."""
+    from repro.serve import ClassifyRequest
+    from repro.serve.session import run_classify
+
+    request = ClassifyRequest(
+        weeks=args.weeks, seed=args.seed, preset=args.preset
+    )
+    workload = _workload(args)
+    trace = None
     if args.trace_file:
         from repro.netmodel.trace import read_trace
 
-        _duration, events = read_trace(args.trace_file, topology)
-    else:
-        events = generate_events(topology, _scenario(args), seed=args.seed)
-    problems = classify_events_for_flows(
-        topology, flows, events, service.deadline_ms
+        trace = read_trace(args.trace_file, workload.topology)
+    payload, _manifest = run_classify(
+        request, workload, on_phase=lambda phase, **detail: None, trace=trace
     )
-    from collections import Counter
-
-    counts = Counter(problem.category for problem in problems)
-    distribution = classification_distribution(problems)
-    print(format_classification_table(distribution, counts))
+    print(
+        format_classification_table(payload["distribution"], payload["counts"])
+    )
     return 0
 
 

@@ -13,14 +13,14 @@ included, as a shard-and-merge job:
 * :mod:`repro.exec.cache` -- content-addressed disk cache of shard
   stats, keyed by (topology, timeline, flow, scheme, config, code
   version);
-* :mod:`repro.exec.telemetry` -- per-run and per-session execution
-  summaries.
+* :mod:`repro.exec.telemetry` -- per-run execution summaries, and
+  their aggregate over a bench session.
 """
 
 from repro.exec.cache import CacheInfo, ResultCache, default_cache_dir
 from repro.exec.engine import run_replay_parallel
 from repro.exec.plan import ShardSpec, build_plan, merge_results
-from repro.exec.telemetry import ExecTelemetry, session_summary
+from repro.exec.telemetry import ExecTelemetry
 
 __all__ = [
     "CacheInfo",
@@ -31,5 +31,4 @@ __all__ = [
     "default_cache_dir",
     "merge_results",
     "run_replay_parallel",
-    "session_summary",
 ]

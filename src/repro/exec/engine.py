@@ -30,7 +30,7 @@ if TYPE_CHECKING:  # pragma: no cover - typing only (repro.obs is optional)
 
 from repro.core.graph import Topology
 from repro.exec.cache import ResultCache
-from repro.obs.trace import TraceContext, Tracer, spans_to_relative
+from repro.obs.trace import Tracer, spans_to_relative
 from repro.exec.hashing import context_key, shard_key
 from repro.exec.plan import ShardContext, ShardSpec, build_plan, merge_results
 from repro.exec.telemetry import (
@@ -59,7 +59,7 @@ _Outcome = tuple[FlowSchemeStats, float, dict[str, float], list[dict] | None]
 # -- the shard runner --------------------------------------------------------------
 
 _WORKER_CONTEXT: ShardContext | None = None
-_WORKER_TRACE: TraceContext | None = None
+_WORKER_TRACE_ID: str | None = None
 
 
 def _worker_init(
@@ -67,25 +67,23 @@ def _worker_init(
     timeline: ConditionTimeline,
     service: ServiceSpec,
     config: ReplayConfig,
-    trace_wire: dict | None = None,
+    trace_id: str | None = None,
 ) -> None:
     """Pool initializer: build the shared replay state once per worker."""
-    global _WORKER_CONTEXT, _WORKER_TRACE
+    global _WORKER_CONTEXT, _WORKER_TRACE_ID
     _WORKER_CONTEXT = ShardContext(topology, timeline, service, config)
-    _WORKER_TRACE = (
-        TraceContext.from_wire(trace_wire) if trace_wire is not None else None
-    )
+    _WORKER_TRACE_ID = trace_id
 
 
 def _run_shard(
     shard: ShardSpec,
     context: ShardContext | None = None,
-    trace: TraceContext | None = None,
+    trace_id: str | None = None,
 ) -> _Outcome:
     """Run one shard, in a pool worker or in-process.
 
     ``context=None`` means a pool worker: the shard runs on the worker's
-    context under the trace its parent propagated (``_worker_init``).
+    context under the trace id its parent propagated (``_worker_init``).
     Memo and kernel counters come back as a before/after difference:
     they must *not* ride inside the stats, whose payload is
     content-addressed.  When traced, the shard's ``shard.policy`` and
@@ -97,14 +95,14 @@ def _run_shard(
     in_worker = context is None
     if in_worker:
         require(_WORKER_CONTEXT is not None, "worker used before initialization")
-        context, trace = _WORKER_CONTEXT, _WORKER_TRACE
+        context, trace_id = _WORKER_CONTEXT, _WORKER_TRACE_ID
     before = counter_snapshot(context.probability_cache)
     started = time.perf_counter()
     spans: list[dict] | None = None
-    if trace is None:
+    if trace_id is None:
         stats = context.run(shard)
     else:
-        tracer = Tracer(time.perf_counter, trace_id=trace.trace_id)
+        tracer = Tracer(time.perf_counter, trace_id=trace_id)
         if in_worker:
             tracer.context = {"trace_id": tracer.trace_id, "pid": os.getpid()}
             root = tracer.open("shard", "worker.shard", "exec", shard=shard.label)
@@ -251,12 +249,17 @@ def run_replay_parallel(
     """Replay every flow under every scheme via the execution engine.
 
     Returns ``(result, telemetry)``; ``result`` is bitwise the same for
-    any workers and cache.  ``max_workers=None`` uses the
-    machine's core count; ``0`` runs serially in-process.
+    any workers and cache.  The telemetry record also goes to the
+    caller's open :func:`~repro.exec.telemetry.telemetry_session`, if
+    any.  ``max_workers=None`` uses the machine's core count; ``0`` runs
+    serially in-process.
 
-    ``obs`` (an :class:`repro.obs.Observability`) records shard spans,
-    cache-hit instants, ``exec.*`` counters mirroring the telemetry, and
-    per-scheme ``replay.*`` counters mirroring the merged totals.
+    ``obs`` (an :class:`repro.obs.Observability`; ``None`` records
+    nothing) records shard spans, cache-hit instants, ``exec.*``
+    counters mirroring the telemetry, and per-scheme ``replay.*``
+    counters mirroring the merged totals.  Pool workers receive only its
+    tracer's trace id, and their spans are grafted under each ``shard``
+    span.
 
     ``context`` supplies a pre-built (warm) :class:`ShardContext` for
     in-process shard runs, so a long-lived caller (the ``repro serve``
@@ -274,8 +277,6 @@ def run_replay_parallel(
     require(bool(flows), "need at least one flow")
     require(bool(scheme_names), "need at least one scheme")
     require(retries >= 0, "retries must be >= 0")
-    if obs is not None and not obs.enabled:
-        obs = None
     if max_workers is None:
         max_workers = os.cpu_count() or 1
     require(max_workers >= 0, f"max_workers must be >= 0, got {max_workers}")
@@ -325,9 +326,7 @@ def run_replay_parallel(
         telemetry.cache_corrupt = cache.corrupt - corrupt_before
 
     pending = [shard for shard in plan if shard not in results]
-    trace = (
-        obs.tracer.trace_context(root_span_id) if obs is not None else None
-    )
+    trace_id = obs.tracer.trace_id if obs is not None else None
     local_context: ShardContext | None = context
 
     def finish(shard: ShardSpec, outcome: _Outcome, mode: str) -> None:
@@ -353,7 +352,7 @@ def run_replay_parallel(
         nonlocal local_context
         if local_context is None:
             local_context = ShardContext(topology, timeline, service, config)
-        finish(shard, _run_shard(shard, local_context, trace), "serial")
+        finish(shard, _run_shard(shard, local_context, trace_id), "serial")
 
     if max_workers > 0 and len(pending) > 1:
         fallback = _run_pooled(
@@ -362,13 +361,7 @@ def run_replay_parallel(
             telemetry,
             executor_factory or _default_executor_factory,
             max_workers,
-            (
-                topology,
-                timeline,
-                service,
-                config,
-                trace.to_wire() if trace is not None else None,
-            ),
+            (topology, timeline, service, config, trace_id),
             shard_timeout_s,
             retries,
         )

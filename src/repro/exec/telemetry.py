@@ -2,21 +2,20 @@
 
 Every engine invocation produces one :class:`ExecTelemetry` record,
 returns it to its caller, and appends it to the *current*
-:class:`TelemetrySession` if the caller opened one, so entry points
-that run many replays (the bench suite, one served request) can print
-one aggregate summary at the end -- shards run vs. served from cache,
-retries, serial fallbacks, wall time, and worker utilization.
+:class:`TelemetrySession` if the caller opened one, so an entry point
+that runs many replays (the bench suite) can print one aggregate
+summary at the end -- shards run vs. served from cache, retries, serial
+fallbacks, wall time, and worker utilization.
 
 There is no process-wide register: a record made outside any session
 is kept only by the caller it was returned to, so a long-lived process
 that never opens a session retains nothing.  :func:`telemetry_session`
 installs a fresh session for the current context.  The current session
-lives in a :mod:`contextvars` variable, so concurrently running requests
-(the ``repro serve`` daemon runs each request under its own session via
-``asyncio.to_thread``, which copies the context) record into disjoint
-registers -- ``session_totals`` never bleeds counts between requests.
-A plain ``threading.Thread`` starts from an empty context and therefore
-records nowhere unless the thread enters ``telemetry_session`` itself.
+lives in a :mod:`contextvars` variable, so work handed to
+``asyncio.to_thread`` (which copies the context) records into the
+session that was current when it was handed over, while a plain
+``threading.Thread`` starts from an empty context and therefore records
+nowhere unless the thread enters ``telemetry_session`` itself.
 """
 
 from __future__ import annotations
@@ -37,11 +36,8 @@ __all__ = [
     "counter_delta",
     "counter_fields",
     "counter_snapshot",
-    "current_session",
     "record",
     "session_records",
-    "session_summary",
-    "session_totals",
     "telemetry_session",
 ]
 
@@ -234,10 +230,11 @@ def aggregate_telemetry(
 
 
 class TelemetrySession:
-    """One scope of engine invocations (a bench run, or one served request).
+    """One scope of engine invocations (a bench run).
 
     Appends are lock-protected: one session may legitimately receive
-    records from several threads (a request that fans out replays).
+    records from several threads (``asyncio.to_thread`` copies the
+    context, session included).
     """
 
     def __init__(self, label: str = "session") -> None:
@@ -266,11 +263,6 @@ _CURRENT_SESSION: contextvars.ContextVar[TelemetrySession | None] = (
 )
 
 
-def current_session() -> TelemetrySession | None:
-    """The session engine invocations record into here, or ``None``."""
-    return _CURRENT_SESSION.get()
-
-
 @contextmanager
 def telemetry_session(label: str = "session") -> Iterator[TelemetrySession]:
     """Scope a fresh session to the current context.
@@ -289,24 +281,12 @@ def telemetry_session(label: str = "session") -> Iterator[TelemetrySession]:
 
 def record(telemetry: ExecTelemetry) -> None:
     """Append one engine invocation to the current session, if one is open."""
-    session = current_session()
+    session = _CURRENT_SESSION.get()
     if session is not None:
         session.add(telemetry)
 
 
 def session_records() -> Sequence[ExecTelemetry]:
     """All engine invocations recorded so far in the current session."""
-    session = current_session()
+    session = _CURRENT_SESSION.get()
     return () if session is None else session.records()
-
-
-def session_totals() -> ExecTelemetry | None:
-    """Every counter summed across the current session, or ``None``."""
-    session = current_session()
-    return None if session is None else session.totals()
-
-
-def session_summary() -> str | None:
-    """One aggregate table over every recorded invocation, or ``None``."""
-    total = session_totals()
-    return None if total is None else total.summary_table()

@@ -27,6 +27,7 @@ fully determines the trace.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 from repro.core.graph import Edge, NodeId, Topology
@@ -103,6 +104,11 @@ class Scenario:
 
     def __post_init__(self) -> None:
         require_positive(self.duration_s, "duration_s")
+        # An infinite trace would never finish generating.
+        require(
+            math.isfinite(self.duration_s),
+            f"duration_s must be finite, got {self.duration_s!r}",
+        )
         for name in (
             "node_event_rate_per_day",
             "link_event_rate_per_day",

@@ -16,7 +16,8 @@ Four pieces (see DESIGN.md S19):
 * exporters -- Chrome ``trace_event`` JSON, a JSONL span log, and the
   per-run ``manifest.json``;
 * :class:`Observability` -- the bundle instrumented components accept
-  (``obs=None`` everywhere means off and costs one identity check).
+  (``obs=None``, the default everywhere, is the one way to turn it off
+  and costs one identity check).
 """
 
 from repro.obs.export import (
@@ -33,20 +34,15 @@ from repro.obs.manifest import (
 )
 from repro.obs.metrics import (
     DEFAULT_BUCKETS,
-    NULL_REGISTRY,
     Counter,
     Gauge,
     Histogram,
     MetricsRegistry,
-    NullRegistry,
 )
-from repro.obs.runtime import NULL_OBS, Observability
+from repro.obs.runtime import Observability
 from repro.obs.trace import (
-    NULL_TRACER,
     FlightRecorder,
-    NullTracer,
     Span,
-    TraceContext,
     Tracer,
     spans_to_relative,
 )
@@ -56,18 +52,12 @@ __all__ = [
     "Gauge",
     "Histogram",
     "MetricsRegistry",
-    "NullRegistry",
-    "NULL_REGISTRY",
     "DEFAULT_BUCKETS",
     "Span",
-    "TraceContext",
     "Tracer",
-    "NullTracer",
-    "NULL_TRACER",
     "FlightRecorder",
     "spans_to_relative",
     "Observability",
-    "NULL_OBS",
     "RunManifest",
     "MANIFEST_VERSION",
     "read_manifest",

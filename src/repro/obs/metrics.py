@@ -3,19 +3,15 @@
 Components register instruments by dotted name (``kernel.queue_depth``,
 ``net.sent.NYC->LAX``) against a :class:`MetricsRegistry`; the registry
 summarises everything on demand for the run manifest and the ``obs
-summary`` CLI view.
-
-The disabled path costs nothing: :data:`NULL_REGISTRY` is a process-wide
-no-op singleton whose instruments swallow every update, so instrumented
-code can hold a registry unconditionally and still add zero work to the
-hot path when observability is off.
+summary`` CLI view.  A component without observability holds no
+registry at all (``obs=None``), so the off path adds no work.
 """
 
 from __future__ import annotations
 
 import bisect
 import math
-from typing import Iterator, Mapping
+from typing import Iterator
 
 from repro.util.validation import require
 
@@ -24,8 +20,6 @@ __all__ = [
     "Gauge",
     "Histogram",
     "MetricsRegistry",
-    "NullRegistry",
-    "NULL_REGISTRY",
     "DEFAULT_BUCKETS",
 ]
 
@@ -161,8 +155,6 @@ class Histogram:
 class MetricsRegistry:
     """Create-or-return instruments by dotted name; summarise on demand."""
 
-    enabled = True
-
     def __init__(self) -> None:
         self._instruments: dict[str, Counter | Gauge | Histogram] = {}
 
@@ -217,50 +209,3 @@ class MetricsRegistry:
     def __len__(self) -> int:
         return len(self._instruments)
 
-
-class _NullInstrument:
-    """Accepts every update and keeps nothing."""
-
-    __slots__ = ()
-    name = "null"
-    value = 0.0
-
-    def inc(self, amount: float = 1.0) -> None:
-        pass
-
-    def set(self, value: float) -> None:
-        pass
-
-    def observe(self, value: float) -> None:
-        pass
-
-    def summary(self) -> dict:
-        return {"type": "null"}
-
-
-_NULL_INSTRUMENT = _NullInstrument()
-
-
-class NullRegistry(MetricsRegistry):
-    """The disabled registry: every instrument is the shared no-op."""
-
-    enabled = False
-
-    def __init__(self) -> None:
-        super().__init__()
-
-    def counter(self, name: str):  # type: ignore[override]
-        return _NULL_INSTRUMENT
-
-    def gauge(self, name: str):  # type: ignore[override]
-        return _NULL_INSTRUMENT
-
-    def histogram(self, name: str, buckets=DEFAULT_BUCKETS):  # type: ignore[override]
-        return _NULL_INSTRUMENT
-
-    def summarize(self) -> Mapping[str, dict]:  # type: ignore[override]
-        return {}
-
-
-#: Process-wide disabled registry; instrumented code may share it freely.
-NULL_REGISTRY = NullRegistry()

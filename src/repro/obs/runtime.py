@@ -3,9 +3,8 @@
 One :class:`Observability` object carries a metrics registry, a tracer,
 and a flight recorder, all sharing a clock.  Instrumented components
 accept ``obs: Observability | None``; ``None`` (the default everywhere)
-means *off* and costs a single identity check on the hot path.  A
-constructed-but-disabled bundle degrades to the no-op singletons, so
-``Observability(enabled=False)`` is also free after construction.
+is the one way to switch observability off, and costs a single identity
+check on the hot path.
 
 ``export`` writes the standard artifact set into one directory:
 
@@ -23,44 +22,28 @@ from typing import Callable, Mapping
 
 from repro.obs.export import write_chrome_trace, write_spans_jsonl
 from repro.obs.manifest import RunManifest
-from repro.obs.metrics import NULL_REGISTRY, MetricsRegistry
-from repro.obs.trace import NULL_TRACER, FlightRecorder, Tracer
+from repro.obs.metrics import MetricsRegistry
+from repro.obs.trace import FlightRecorder, Tracer
 
-__all__ = ["Observability", "NULL_OBS"]
+__all__ = ["Observability"]
 
 #: A flow whose on-time fraction falls below this triggers the recorder.
 DEFAULT_HEALTH_THRESHOLD = 0.9
 
 
 class Observability:
-    """Metrics + tracer + flight recorder behind one on/off switch."""
+    """Metrics + tracer + flight recorder; the tracer starts on wall time."""
 
     def __init__(
-        self,
-        enabled: bool = True,
-        clock: Callable[[], float] = time.perf_counter,
-        flight_capacity: int = 256,
-        flight_dir: str | Path | None = None,
-        max_spans: int = 500_000,
+        self, flight_capacity: int = 256, flight_dir: str | Path | None = None
     ) -> None:
-        self.enabled = enabled
-        if enabled:
-            self.metrics: MetricsRegistry = MetricsRegistry()
-            self.flight: FlightRecorder | None = FlightRecorder(
-                flight_capacity, dump_dir=flight_dir
-            )
-            self.tracer: Tracer = Tracer(
-                clock, recorder=self.flight, max_spans=max_spans
-            )
-        else:
-            self.metrics = NULL_REGISTRY
-            self.flight = None
-            self.tracer = NULL_TRACER
+        self.metrics = MetricsRegistry()
+        self.flight = FlightRecorder(flight_capacity, dump_dir=flight_dir)
+        self.tracer = Tracer(time.perf_counter, recorder=self.flight)
 
     def set_clock(self, clock: Callable[[], float]) -> None:
         """Re-point the tracer's clock (fresh kernel per scheme run)."""
-        if self.enabled:
-            self.tracer.set_clock(clock)
+        self.tracer.set_clock(clock)
 
     # -- health-triggered flight dumps ---------------------------------------------
 
@@ -71,11 +54,8 @@ class Observability:
     ) -> list[str]:
         """Trigger a flight snapshot for every flow below ``threshold``.
 
-        Returns the unhealthy flow names (empty when all flows are fine
-        or observability is off).
+        Returns the unhealthy flow names (empty when all flows are fine).
         """
-        if not self.enabled:
-            return []
         unhealthy = sorted(
             name
             for name, fraction in on_time_fractions.items()
@@ -102,10 +82,6 @@ class Observability:
         out = Path(out_dir)
         out.mkdir(parents=True, exist_ok=True)
         paths: dict[str, Path] = {}
-        if not self.enabled:
-            manifest.write(out / "manifest.json")
-            paths["manifest"] = out / "manifest.json"
-            return paths
         self.tracer.finalize()
         manifest.metrics = dict(self.metrics.summarize())
         manifest.spans = {
@@ -121,6 +97,3 @@ class Observability:
             paths[dumped.stem] = dumped
         return paths
 
-
-#: Process-wide disabled bundle (no-op registry and tracer).
-NULL_OBS = Observability(enabled=False)

@@ -22,7 +22,6 @@ from __future__ import annotations
 import json
 import uuid
 from collections import deque
-from dataclasses import dataclass
 from pathlib import Path
 from typing import Callable, Hashable, Mapping, Sequence
 
@@ -30,47 +29,10 @@ from repro.util.validation import require
 
 __all__ = [
     "Span",
-    "TraceContext",
     "Tracer",
-    "NullTracer",
-    "NULL_TRACER",
     "FlightRecorder",
     "spans_to_relative",
 ]
-
-
-@dataclass(frozen=True)
-class TraceContext:
-    """The cross-process trace handle: trace id + parent span id.
-
-    This is the wire format shipped across the process-pool boundary
-    (documented in DESIGN.md S22): the parent serialises its tracer's
-    ``trace_id`` plus the span the remote work should hang under, the
-    worker adopts it, and every worker-side span then carries the parent
-    trace id -- so the merged export is one tree, not a forest of
-    orphan worker traces.
-    """
-
-    trace_id: str
-    parent_span_id: int | None = None
-
-    def to_wire(self) -> dict:
-        """JSON/pickle-safe form (what crosses the pool boundary)."""
-        return {"trace_id": self.trace_id, "parent_span_id": self.parent_span_id}
-
-    @classmethod
-    def from_wire(cls, payload: Mapping) -> "TraceContext":
-        """Rebuild a context from its wire form (raises on bad shape)."""
-        trace_id = payload["trace_id"]
-        require(
-            isinstance(trace_id, str) and bool(trace_id),
-            f"trace_id must be a non-empty string, got {trace_id!r}",
-        )
-        parent = payload.get("parent_span_id")
-        return cls(
-            trace_id=trace_id,
-            parent_span_id=None if parent is None else int(parent),
-        )
 
 
 def spans_to_relative(spans: Sequence["Span"], base_s: float) -> list[dict]:
@@ -213,8 +175,6 @@ class FlightRecorder:
 class Tracer:
     """Records spans against a swappable clock, bounded in memory."""
 
-    enabled = True
-
     def __init__(
         self,
         clock: Callable[[], float],
@@ -228,7 +188,8 @@ class Tracer:
         self.max_spans = max_spans
         self.spans: list[Span] = []
         self.dropped = 0
-        #: This trace's process-crossing identity (see TraceContext).
+        #: This trace's identity, handed to pool workers so their spans
+        #: carry it too.
         self.trace_id = trace_id or uuid.uuid4().hex[:16]
         #: Default args merged into every span (e.g. the current scheme).
         self.context: dict = {}
@@ -326,10 +287,6 @@ class Tracer:
 
     # -- cross-process propagation ---------------------------------------------------
 
-    def trace_context(self, parent_span_id: int | None = None) -> TraceContext:
-        """The context to hand remote work that should join this trace."""
-        return TraceContext(self.trace_id, parent_span_id)
-
     def graft(
         self,
         records: Sequence[Mapping],
@@ -386,30 +343,3 @@ class Tracer:
         self._open.clear()
         return leftover
 
-
-class NullTracer(Tracer):
-    """The disabled tracer: every call is a no-op returning nothing."""
-
-    enabled = False
-
-    def __init__(self) -> None:
-        super().__init__(clock=lambda: 0.0)
-
-    def _new_span(self, *args, **kwargs):  # type: ignore[override]
-        return None
-
-    def close(self, key, **args):  # type: ignore[override]
-        return None
-
-    def parent_id(self, key):  # type: ignore[override]
-        return None
-
-    def graft(self, records, base_s, parent_id=None) -> int:  # type: ignore[override]
-        return 0
-
-    def finalize(self) -> int:  # type: ignore[override]
-        return 0
-
-
-#: Process-wide disabled tracer.
-NULL_TRACER = NullTracer()

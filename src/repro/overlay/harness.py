@@ -179,8 +179,6 @@ def build_overlay(
     harness's kernel.  ``None`` builds the uninstrumented overlay.
     """
     require(topology.frozen, "harness requires a frozen topology")
-    if obs is not None and not getattr(obs, "enabled", False):
-        obs = None
     kernel = EventKernel()
     if obs is not None:
         obs.set_clock(lambda: kernel.now)

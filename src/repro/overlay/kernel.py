@@ -35,9 +35,9 @@ class EventKernel:
         """Instrument the event loop (queue depth, per-event lag).
 
         Lag is simulation-time waiting: how far ahead of its enqueue
-        moment an event fires.  Attaching a disabled bundle is a no-op.
+        moment an event fires.  ``None`` detaches.
         """
-        self._obs = obs if obs is not None and obs.enabled else None
+        self._obs = obs
 
     def _observe_event(self, time_s: float, sequence: int) -> None:
         metrics = self._obs.metrics

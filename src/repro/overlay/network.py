@@ -99,9 +99,7 @@ class SimNetwork:
         #: Optional fault layer (installed by a chaos injector).
         self.chaos: ChaosPlane | None = None
         #: Observability (None = off; one identity check per send).
-        self.obs: "Observability | None" = (
-            obs if obs is not None and obs.enabled else None
-        )
+        self.obs: "Observability | None" = obs
         # Statistics, per directed edge.
         self.sent: dict[Edge, int] = {}
         self.dropped: dict[Edge, int] = {}

@@ -69,12 +69,12 @@ class RoutingPolicy(abc.ABC):
         self.obs = None
 
     def set_observability(self, obs) -> "RoutingPolicy":
-        """Attach an observability bundle (or ``None``/disabled to detach).
+        """Attach an observability bundle (or ``None`` to detach).
 
         Instrumentation must never change decisions, so this can be
         called at any point in the lifecycle.
         """
-        self.obs = obs if obs is not None and getattr(obs, "enabled", False) else None
+        self.obs = obs
         return self
 
     # -- lifecycle ----------------------------------------------------------

@@ -71,6 +71,9 @@ _REASONS = {
 #: Sentinel closing a request's progress queue.
 _DONE = object()
 
+#: The request outcomes counted as ``serve.requests.<outcome>``.
+_OUTCOMES = ("completed", "failed", "rejected")
+
 
 @dataclass(frozen=True)
 class ServeConfig:
@@ -230,15 +233,26 @@ class EvalServer:
             max_queue=config.max_queue,
             obs=self.obs,
         )
-        self.requests_completed = 0
-        self.requests_failed = 0
-        self.requests_rejected = 0
+        # Registered up front: each count reads 0 until its first request.
+        for outcome in _OUTCOMES:
+            self.obs.metrics.counter(f"serve.requests.{outcome}")
         self._started_monotonic = time.monotonic()
         self._ids = count(1)
         self._server: asyncio.AbstractServer | None = None
         self._stopped = asyncio.Event()
         self._shutdown_started = False
         self._connections: set[asyncio.Task] = set()
+
+    def request_counts(self) -> dict[str, int]:
+        """Requests completed, failed and rejected so far.
+
+        Read from the ``serve.requests.*`` counters, the one record of
+        each count that ``/v1/metrics`` also serves.
+        """
+        return {
+            outcome: int(self.obs.metrics.value(f"serve.requests.{outcome}"))
+            for outcome in _OUTCOMES
+        }
 
     # -- lifecycle -------------------------------------------------------------
 
@@ -365,11 +379,7 @@ class EvalServer:
                 "max_queue": self.scheduler.max_queue,
                 "draining": self.scheduler.draining,
             },
-            "requests": {
-                "completed": self.requests_completed,
-                "failed": self.requests_failed,
-                "rejected": self.requests_rejected,
-            },
+            "requests": self.request_counts(),
             "cache": self.runtime.cache_stats(),
         }
 
@@ -420,13 +430,7 @@ class EvalServer:
         await _send_json(
             writer,
             200,
-            make_event(
-                "shutdown",
-                drained=True,
-                completed=self.requests_completed,
-                failed=self.requests_failed,
-                rejected=self.requests_rejected,
-            ),
+            make_event("shutdown", drained=True, **self.request_counts()),
         )
 
     async def _handle_submit(
@@ -467,7 +471,6 @@ class EvalServer:
                 ).inc()
                 await self._run_admitted(writer, request, request_id)
         except RequestRejected as rejected:
-            self.requests_rejected += 1
             self.obs.metrics.counter("serve.requests.rejected").inc()
             _LOG.info(
                 "rejected %s request (%s; retry in %.1fs)",
@@ -530,7 +533,6 @@ class EvalServer:
             run_until - run_from
         )
         if failure is not None or outcome is None:
-            self.requests_failed += 1
             self.obs.metrics.counter("serve.requests.failed").inc()
             code = 400 if isinstance(failure, ValidationError) else 500
             await stream.send(
@@ -539,7 +541,6 @@ class EvalServer:
             await stream.finish()
             return
         result_payload, manifest = outcome
-        self.requests_completed += 1
         self.obs.metrics.counter("serve.requests.completed").inc()
         self._refresh_cache_metrics(manifest)
         for row in result_payload.get("schemes", ()):
@@ -626,9 +627,10 @@ async def serve_main(config: ServeConfig) -> int:
         flush=True,
     )
     await server.serve_until_stopped()
+    counts = server.request_counts()
     print(
-        f"drained and stopped: {server.requests_completed} completed, "
-        f"{server.requests_failed} failed, {server.requests_rejected} rejected"
+        f"drained and stopped: {counts['completed']} completed, "
+        f"{counts['failed']} failed, {counts['rejected']} rejected"
     )
     return 0
 

@@ -6,32 +6,30 @@ run manifest)``.  It runs inside ``asyncio.to_thread``; the event loop
 passes an ``emit`` callback for streaming ``progress`` events back to
 the client while the work is still running.
 
-Telemetry scoping: every request runs under its own
-:func:`repro.exec.telemetry.telemetry_session`, so the exec counters in
-its manifest cover exactly the engine invocations this request
-triggered -- concurrently running requests never bleed into each
-other's ``session_totals``.  (``asyncio.to_thread`` copies the caller's
-context, but the session is entered *inside* the thread here, which
-scopes it regardless of how the thread was spawned.)
+Telemetry: a served evaluate makes one engine call, and its manifest's
+``exec`` is the one :class:`~repro.exec.telemetry.ExecTelemetry` record
+that call returned, so concurrently running requests never share a
+record.
 
 Bitwise equivalence: the evaluation path is the execution engine's
 (`run_replay_parallel`), fed with a warm shard context and the shared
 disk cache; both layers preserve exact equality with a cold serial
 replay, so serving changes latency, never results.
 
-Local ``repro evaluate`` and ``repro chaos`` run ``run_evaluate`` and
-``run_chaos`` in-process.  They live here because ``perfbench/tracing.py``
-times ``run_replay_parallel`` and ``generate_timeline`` as this module's
-globals.
+Local ``repro evaluate``, ``repro classify`` and ``repro chaos`` run
+``run_evaluate``, ``run_classify`` and ``run_chaos`` in-process.  They
+live here because ``perfbench/tracing.py`` times ``run_replay_parallel``
+and ``generate_timeline`` as this module's globals.
 """
 
 from __future__ import annotations
 
 from contextlib import nullcontext
+from functools import partial
 from typing import TYPE_CHECKING, Callable, Sequence
 
 from repro.exec.engine import run_replay_parallel
-from repro.exec.telemetry import ExecTelemetry, telemetry_session
+from repro.exec.telemetry import ExecTelemetry
 from repro.netmodel.scenarios import WEEK_S, generate_timeline
 from repro.netmodel.presets import preset_scenario
 from repro.netmodel.topology import ServiceSpec
@@ -59,7 +57,7 @@ if TYPE_CHECKING:
     from repro.obs.profile import SamplingProfiler
     from repro.scenarios import CompiledScenario
 
-__all__ = ["execute_request", "run_chaos", "run_evaluate"]
+__all__ = ["execute_request", "run_chaos", "run_classify", "run_evaluate"]
 
 _LOG = get_logger("serve")
 
@@ -238,15 +236,14 @@ def _run_evaluate(
         streamed.update(detail)
         _progress(emit, phase, **detail)
 
-    with telemetry_session(f"serve/{request_id}") as session:
-        result, telemetry, manifest = run_evaluate(
-            request,
-            workload,
-            label=f"serve {request_id}",
-            cache=runtime.result_cache,
-            contexts=runtime.contexts,
-            on_phase=progress,
-        )
+    result, telemetry, manifest = run_evaluate(
+        request,
+        workload,
+        label=f"serve {request_id}",
+        cache=runtime.result_cache,
+        contexts=runtime.contexts,
+        on_phase=progress,
+    )
     payload = {
         "events": streamed["events"],
         "duration_s": manifest.duration_s,
@@ -277,9 +274,7 @@ def _run_evaluate(
             for stats in result
         ],
     }
-    totals = session.totals()
     manifest.label = "serve evaluate"
-    manifest.exec = totals.to_dict() if totals is not None else None
     manifest.extra["serve"] = {
         "request_id": request_id,
         "kind": request.kind,
@@ -294,9 +289,20 @@ def _run_evaluate(
 # -- classify ---------------------------------------------------------------------
 
 
-def _run_classify(
-    runtime: ServeRuntime, request: ClassifyRequest, request_id: str, emit: Emit
+def run_classify(
+    request: ClassifyRequest,
+    workload: Workload,
+    *,
+    on_phase: Callable[..., None],
+    trace: tuple[float, Sequence[ProblemEvent]] | None = None,
 ) -> tuple[dict, RunManifest]:
+    """Classify the trace's problems for every flow: (payload, manifest).
+
+    ``trace`` is a trace file's ``(duration_s, events)``; without one the
+    request's preset generates the trace.  ``on_phase(phase, **detail)``
+    announces ``generate-trace`` (generated traces only) and
+    ``classify`` with the detail the daemon streams as progress.
+    """
     from collections import Counter
 
     from repro.analysis.classify import (
@@ -305,14 +311,17 @@ def _run_classify(
     )
     from repro.netmodel.scenarios import generate_events
 
-    topology = runtime.topology
-    flows = runtime.select_flows(None)
-    _progress(emit, "generate-trace", weeks=request.weeks, seed=request.seed)
-    scenario = preset_scenario(
-        request.preset, duration_s=request.weeks * WEEK_S
-    )
-    events = generate_events(topology, scenario, seed=request.seed)
-    _progress(emit, "classify", events=len(events))
+    topology, flows = workload.topology, workload.flows
+    if trace is not None:
+        duration_s, events = trace
+    else:
+        on_phase("generate-trace", weeks=request.weeks, seed=request.seed)
+        scenario = preset_scenario(
+            request.preset, duration_s=request.weeks * WEEK_S
+        )
+        duration_s = scenario.duration_s
+        events = generate_events(topology, scenario, seed=request.seed)
+    on_phase("classify", events=len(events))
     problems = classify_events_for_flows(
         topology, flows, events, request.deadline_ms
     )
@@ -325,13 +334,23 @@ def _run_classify(
         "counts": dict(counts),
     }
     manifest = RunManifest(
-        label="serve classify",
+        label="classify",
         seed=request.seed,
         flows=tuple(flow.name for flow in flows),
         topology=topology_fingerprint(topology),
-        duration_s=scenario.duration_s,
-        extra={"serve": {"request_id": request_id, "kind": request.kind}},
+        duration_s=duration_s,
     )
+    return payload, manifest
+
+
+def _run_classify(
+    runtime: ServeRuntime, request: ClassifyRequest, request_id: str, emit: Emit
+) -> tuple[dict, RunManifest]:
+    payload, manifest = run_classify(
+        request, runtime.workload(), on_phase=partial(_progress, emit)
+    )
+    manifest.label = "serve classify"
+    manifest.extra["serve"] = {"request_id": request_id, "kind": request.kind}
     return payload, manifest
 
 

@@ -14,8 +14,8 @@ process is that the expensive per-trace state survives between requests:
   timeline instead of generating and digesting the trace again;
 * one shared :class:`~repro.exec.cache.ResultCache` serves
   content-addressed shards across all requests;
-* :class:`ServeRuntime` bundles the above with the reference topology
-  and flow table so request sessions share a single source of truth.
+* :class:`ServeRuntime` bundles the above with the worker budget and
+  resolves each request's workload through the topology registry.
 
 Everything here is touched from request worker threads concurrently, so
 the context cache is lock-protected and the probability memo inside each
@@ -37,7 +37,7 @@ from repro.exec.cache import ResultCache
 from repro.exec.hashing import context_key
 from repro.exec.plan import ShardContext
 from repro.netmodel.conditions import ConditionTimeline
-from repro.netmodel.topology import FlowSpec, ServiceSpec
+from repro.netmodel.topology import ServiceSpec
 from repro.simulation.interval import _ProbabilityCache
 from repro.simulation.results import ReplayConfig
 from repro.topogen import Workload, resolve_workload
@@ -196,9 +196,6 @@ class ServeRuntime:
     ) -> None:
         require(worker_budget >= 0, "worker budget must be >= 0")
         self.worker_budget = worker_budget
-        self._reference = resolve_workload()
-        self.topology = self._reference.topology
-        self.flows = self._reference.flows
         self.contexts = ContextCache(context_capacity)
         self.result_cache = ResultCache(cache_dir) if use_disk_cache else None
 
@@ -217,12 +214,6 @@ class ServeRuntime:
         link set, so warm contexts for different topologies never collide.
         """
         return resolve_workload(family, size, seed)
-
-    def select_flows(
-        self, names: tuple[str, ...] | None, default: tuple[FlowSpec, ...] | None = None
-    ) -> list[FlowSpec]:
-        """Resolve flow names against the reference table (one-line error)."""
-        return self._reference.select_flows(names, default)
 
     def cache_stats(self) -> dict[str, object]:
         """Server-lifetime cache counters (the ``serve.cache.*`` source)."""

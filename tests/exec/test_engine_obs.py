@@ -86,12 +86,6 @@ class TestShardSpans:
         hits = [s for s in obs.tracer.spans if s.name == "cache.hit"]
         assert len(hits) == telemetry.shards_cached
 
-    def test_disabled_obs_records_nothing(self):
-        obs = Observability(enabled=False)
-        _run(obs)
-        assert obs.metrics.summarize() == {}
-        assert obs.tracer.spans == []
-
     def test_result_unchanged_by_observation(self):
         plain, _ = _run(None)
         observed, _ = _run(Observability())

@@ -11,11 +11,8 @@ from repro.exec.plan import ShardContext
 from repro.exec.telemetry import (
     ExecTelemetry,
     aggregate_telemetry,
-    current_session,
     record,
     session_records,
-    session_summary,
-    session_totals,
     telemetry_session,
 )
 from repro.obs import Observability
@@ -27,10 +24,10 @@ from tests.exec.test_plan import SMALL_SCHEMES
 
 
 @pytest.fixture(autouse=True)
-def _session():
+def session():
     """Every test records into a session of its own."""
-    with telemetry_session("test"):
-        yield
+    with telemetry_session("test") as scoped:
+        yield scoped
 
 
 def _telemetry(**overrides) -> ExecTelemetry:
@@ -69,10 +66,10 @@ class TestToDict:
 
 
 class TestSessionAggregation:
-    def test_totals_sum_every_counter(self):
+    def test_totals_sum_every_counter(self, session):
         record(_telemetry(cache_corrupt=1, cache_evicted=2))
         record(_telemetry(cache_corrupt=3, cache_evicted=0, shards_retried=1))
-        total = session_totals()
+        total = session.totals()
         assert total.shards_total == 8
         assert total.shards_run == 6
         assert total.shards_cached == 2
@@ -84,14 +81,13 @@ class TestSessionAggregation:
         assert total.wall_time_s == 2.0
         assert len(total.shard_wall_s) == 6
 
-    def test_totals_none_when_empty(self):
-        assert session_totals() is None
-        assert session_summary() is None
+    def test_totals_none_when_empty(self, session):
+        assert session.totals() is None
 
-    def test_summary_table_shows_aggregated_cache_health(self):
+    def test_summary_table_shows_aggregated_cache_health(self, session):
         record(_telemetry(cache_corrupt=1))
         record(_telemetry(cache_corrupt=2, cache_evicted=5))
-        collapsed = " ".join(session_summary().split())
+        collapsed = " ".join(session.totals().summary_table().split())
         assert "corrupt cache entries 3" in collapsed
         assert "cache entries evicted 5" in collapsed
 
@@ -118,15 +114,12 @@ class TestSessionAggregation:
                 )[1]
                 for _ in range(3)
             ]
-            return telemetries, current_session(), session_records()
+            return telemetries, session_records()
 
-        telemetries, session, records = contextvars.Context().run(
-            outside_any_session
-        )
+        telemetries, records = contextvars.Context().run(outside_any_session)
         shards = len(flows) * len(SMALL_SCHEMES)
         assert [t.shards_total for t in telemetries] == [shards] * 3
         assert records == ()
-        assert session is None
         assert session_records() == ()  # the test's own session saw none
 
 
@@ -149,7 +142,7 @@ class TestProbCacheCounters:
     def test_hit_rate_zero_without_lookups(self):
         assert ExecTelemetry().prob_hit_rate == 0.0
 
-    def test_totals_sum_prob_counters(self):
+    def test_totals_sum_prob_counters(self, session):
         record(_telemetry(prob_hits=10, prob_misses=5, prob_evictions=1))
         record(
             _telemetry(
@@ -160,14 +153,14 @@ class TestProbCacheCounters:
                 prob_evictions=1,
             )
         )
-        total = session_totals()
+        total = session.totals()
         assert total.prob_hits == 12
         assert total.prob_misses == 6
         assert total.prob_shared_hits == 2
         assert total.prob_mask_hits == 3
         assert total.prob_evictions == 2
 
-    def test_summary_table_shows_prob_cache_rows(self):
+    def test_summary_table_shows_prob_cache_rows(self, session):
         # Satellite (c): eviction telemetry must be user-visible, not
         # just a counter buried in the JSON payload.
         record(
@@ -179,7 +172,7 @@ class TestProbCacheCounters:
                 prob_evictions=7,
             )
         )
-        collapsed = " ".join(session_summary().split())
+        collapsed = " ".join(session.totals().summary_table().split())
         assert "prob-cache hits/misses 8/2 (80 %)" in collapsed
         assert "prob-cache shared hits 3" in collapsed
         assert "prob-cache mask hits 5" in collapsed
@@ -254,7 +247,7 @@ class TestKernelCounters:
         assert payload["kernel_vector_s"] == 0.25
         assert payload["kernel_pure_s"] == 0.125
 
-    def test_totals_sum_kernel_counters(self):
+    def test_totals_sum_kernel_counters(self, session):
         record(
             _telemetry(
                 kernel_backend="numpy",
@@ -274,7 +267,7 @@ class TestKernelCounters:
                 kernel_pure_s=0.0625,
             )
         )
-        total = session_totals()
+        total = session.totals()
         assert total.kernel_backend == "numpy"
         assert total.kernel_vector_calls == 4
         assert total.kernel_pure_calls == 2
@@ -283,7 +276,7 @@ class TestKernelCounters:
         assert total.kernel_vector_s == 0.75
         assert total.kernel_pure_s == 0.0625
 
-    def test_summary_table_shows_kernel_rows(self):
+    def test_summary_table_shows_kernel_rows(self, session):
         record(
             _telemetry(
                 kernel_backend="pure",
@@ -291,15 +284,15 @@ class TestKernelCounters:
                 kernel_pure_rows=18,
             )
         )
-        collapsed = " ".join(session_summary().split())
+        collapsed = " ".join(session.totals().summary_table().split())
         assert "kernel backend pure" in collapsed
         assert "kernel calls (vector/pure) 0/6" in collapsed
         assert "kernel rows (vector/pure) 0/18" in collapsed
 
 
 class TestScopedSessions:
-    # Satellite: concurrent serve requests each need their own session;
-    # session_totals must never bleed between them.
+    # Sessions in concurrent threads must never bleed records into each
+    # other or into the enclosing session.
 
     def test_nested_session_scopes_records(self):
         record(_telemetry())
@@ -307,7 +300,7 @@ class TestScopedSessions:
             assert session_records() == ()  # fresh scope, not the outer one's
             record(_telemetry())
             assert len(session.records()) == 1
-            assert session_totals().label == "inner (1 runs)"
+            assert session.totals().label == "inner (1 runs)"
         # leaving the scope restores the outer session untouched
         assert len(session_records()) == 1
 

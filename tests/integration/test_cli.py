@@ -6,6 +6,7 @@ from pathlib import Path
 
 import pytest
 
+from repro.analysis.classify import CATEGORY_ORDER
 from repro.cli import build_parser, main
 
 GOLDEN = Path(__file__).parent / "golden"
@@ -92,6 +93,29 @@ class TestTraceCommands:
         assert main(["classify", "--trace-file", str(trace)]) == 0
         output = capsys.readouterr().out
         assert "destination" in output
+
+    def test_local_classify_prints_the_served_payload(self, capsys):
+        from repro.serve import ClassifyRequest
+        from repro.serve.session import execute_request
+        from repro.serve.state import ServeRuntime
+
+        assert main(["classify", "--weeks", "0.5", "--seed", "7"]) == 0
+        _title, _columns, _rule, *rows = capsys.readouterr().out.splitlines()
+        payload, _manifest = execute_request(
+            ServeRuntime(use_disk_cache=False),
+            ClassifyRequest(weeks=0.5, seed=7),
+            "req-classify",
+            lambda _: None,
+        )
+        assert payload["problems"] > 0
+        assert [row.split() for row in rows] == [
+            [
+                category,
+                f"{100 * payload['distribution'].get(category, 0.0):.1f}%",
+                str(payload["counts"].get(category, 0)),
+            ]
+            for category in CATEGORY_ORDER
+        ]
 
     def test_classify_rejects_old_trace_spelling(self, tmp_path, capsys):
         # ``--trace`` was the pre-PR-4 spelling; classify and evaluate now

@@ -2,7 +2,13 @@
 
 from __future__ import annotations
 
+import math
+
+import pytest
+
 from repro.cli import main
+from repro.netmodel.scenarios import Scenario
+from repro.util.validation import ValidationError
 
 
 class TestGracefulErrors:
@@ -21,6 +27,16 @@ class TestGracefulErrors:
         code = main(["classify", "--trace-file", "/nonexistent/trace.jsonl"])
         assert code == 2
         assert "error:" in capsys.readouterr().err
+
+    def test_infinite_weeks_exit_at_once(self, tmp_path, capsys):
+        # An infinite trace would never finish generating.
+        with pytest.raises(ValidationError, match="finite"):
+            Scenario(duration_s=math.inf)
+        trace = tmp_path / "t.jsonl"
+        assert main(["generate-trace", "--weeks", "inf", str(trace)]) == 2
+        assert main(["classify", "--weeks", "inf"]) == 2
+        assert capsys.readouterr().err.count("must be finite") == 2
+        assert not trace.exists()
 
     def test_malformed_trace_file(self, tmp_path, capsys):
         bad = tmp_path / "bad.jsonl"

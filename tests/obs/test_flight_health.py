@@ -52,10 +52,6 @@ class TestThreshold:
         assert any("NYC->LAX" in reason for reason in reasons)
         assert any("SJC->NYC" in reason for reason in reasons)
 
-    def test_disabled_obs_reports_nothing(self):
-        obs = Observability(enabled=False)
-        assert obs.check_flow_health({"NYC->LAX": 0.0}) == []
-
 
 class TestSnapshotContents:
     def test_snapshot_carries_recent_spans(self):

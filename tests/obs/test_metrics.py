@@ -1,4 +1,4 @@
-"""Metrics registry: counters, gauges, histograms, and the null path."""
+"""Metrics registry: counters, gauges and histograms."""
 
 from __future__ import annotations
 
@@ -6,7 +6,6 @@ import pytest
 
 from repro.obs.metrics import (
     DEFAULT_BUCKETS,
-    NULL_REGISTRY,
     Histogram,
     MetricsRegistry,
 )
@@ -106,18 +105,3 @@ class TestHistogram:
         summary = registry.summarize()["lat"]
         assert summary["p50"] <= summary["p99"] <= summary["p999"]
         assert summary["p999"] == 100.0
-
-
-class TestNullRegistry:
-    def test_disabled_and_empty(self):
-        assert NULL_REGISTRY.enabled is False
-        assert NULL_REGISTRY.summarize() == {}
-
-    def test_instruments_swallow_updates(self):
-        NULL_REGISTRY.counter("x").inc()
-        NULL_REGISTRY.gauge("x").set(1.0)
-        NULL_REGISTRY.histogram("x").observe(1.0)
-        assert NULL_REGISTRY.summarize() == {}
-
-    def test_shared_singleton_instrument(self):
-        assert NULL_REGISTRY.counter("a") is NULL_REGISTRY.histogram("b")

@@ -4,13 +4,9 @@ from __future__ import annotations
 
 import json
 
-import pytest
-
 from repro.obs.trace import (
-    NULL_TRACER,
     FlightRecorder,
     Span,
-    TraceContext,
     Tracer,
     spans_to_relative,
 )
@@ -126,26 +122,6 @@ class TestFlightRecorder:
 
 
 class TestTraceContext:
-    def test_round_trips_through_wire(self):
-        context = TraceContext("abcdef0123456789", parent_span_id=7)
-        clone = TraceContext.from_wire(context.to_wire())
-        assert clone == context
-
-    def test_wire_without_parent(self):
-        clone = TraceContext.from_wire({"trace_id": "deadbeef"})
-        assert clone.trace_id == "deadbeef"
-        assert clone.parent_span_id is None
-
-    def test_wire_rejects_empty_trace_id(self):
-        with pytest.raises(Exception, match="trace_id"):
-            TraceContext.from_wire({"trace_id": ""})
-
-    def test_tracer_hands_out_its_own_identity(self):
-        tracer = Tracer(FakeClock(), trace_id="feedface00000000")
-        context = tracer.trace_context(parent_span_id=3)
-        assert context.trace_id == "feedface00000000"
-        assert context.parent_span_id == 3
-
     def test_trace_id_generated_when_unset(self):
         tracer = Tracer(FakeClock())
         assert len(tracer.trace_id) == 16
@@ -209,15 +185,3 @@ class TestGraft:
         snapshot = recorder.trigger("test")
         names = {record["name"] for record in snapshot["spans"]}
         assert names == {"worker.shard", "shard.policy"}
-
-
-class TestNullTracer:
-    def test_everything_is_a_noop(self):
-        assert NULL_TRACER.instant("x", "t") is None
-        assert NULL_TRACER.complete("x", "t", 0.0, 1.0) is None
-        NULL_TRACER.open("k", "x", "t")
-        assert NULL_TRACER.close("k") is None
-        assert NULL_TRACER.parent_id("k") is None
-        assert NULL_TRACER.finalize() == 0
-        assert NULL_TRACER.graft([{"id": 1}], base_s=0.0) == 0
-        assert NULL_TRACER.spans == []

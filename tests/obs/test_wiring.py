@@ -99,11 +99,6 @@ class TestZeroInterference:
                 == observed.reports[name].latencies_ms
             )
 
-    def test_disabled_bundle_is_detached(self, diamond):
-        harness = _run(diamond, Observability(enabled=False))
-        assert harness.obs is None
-        assert harness.network.obs is None
-
 
 class TestSpans:
     def test_packet_journeys_and_hops_linked(self, diamond):

@@ -86,7 +86,7 @@ class TestSessionPaths:
             runtime, request, "req-test", lambda event: None
         )
         compiled = compile_family(
-            runtime.topology, "srlg-outage", seed=3, duration_s=10.0
+            runtime.workload().topology, "srlg-outage", seed=3, duration_s=10.0
         )
         assert payload["schedule"] == compiled.fault_schedule().fingerprint()
         assert payload["faults"] == len(compiled.fault_schedule())
@@ -111,7 +111,7 @@ class TestSessionPaths:
             runtime, request, "req-test", lambda event: phases.append(event)
         )
         compiled = compile_family(
-            runtime.topology,
+            runtime.workload().topology,
             "srlg-outage",
             seed=3,
             duration_s=request.weeks * 604800.0,

@@ -23,6 +23,7 @@ from repro.netmodel.topology import (
     build_reference_topology,
     reference_flows,
 )
+from repro.obs.expose import parse_exposition, sample_value
 from repro.serve import (
     EvaluateRequest,
     ServeClient,
@@ -125,7 +126,11 @@ class TestConcurrentEquivalence:
             outcomes = list(pool.map(warm_server.run, requests))
         for request, (result, manifest, _progress) in zip(requests, outcomes):
             assert result == expected[request]
-            assert manifest["extra"]["serve"]["kind"] == "evaluate"
+            serve_extra = manifest["extra"]["serve"]
+            assert serve_extra["kind"] == "evaluate"
+            # The manifest carries this request's own engine record.
+            assert manifest["exec"]["label"] == f"serve {serve_extra['request_id']}"
+            assert manifest["exec"]["shards_total"] == len(result["pairs"])
 
     def test_repeated_request_is_warm_and_identical(self, warm_server):
         request = EvaluateRequest(weeks=0.02, seed=11, schemes=SCHEMES)
@@ -405,9 +410,28 @@ class TestAdmissionOverHttp:
             assert excinfo.value.retry_after_s > 0
             events = [event["event"] for event in stream]
             assert events[-2:] == ["result", "manifest"]  # first one completed
+            # An unknown flow passes admission and fails in the worker.
+            with pytest.raises(ServerError, match="unknown flow") as failed:
+                client.run(
+                    EvaluateRequest(
+                        weeks=0.02, schemes=SCHEMES, flows=("NOWHERE->NOPLACE",)
+                    )
+                )
+            assert failed.value.status == 400
+            # Status, metrics and the shutdown event read one count each.
+            counts = {"completed": 1, "failed": 1, "rejected": 1}
+            requests = client.status()["requests"]
+            assert requests == counts
+            assert all(type(value) is int for value in requests.values())
+            families = parse_exposition(client.metrics())
+            assert {
+                outcome: sample_value(families, f"repro_serve_requests_{outcome}")
+                for outcome in counts
+            } == counts
+            shutdown = client.shutdown()
+            assert {outcome: shutdown[outcome] for outcome in counts} == counts
         finally:
             release.set()
-            client.shutdown()
             thread.stop()
 
     def test_graceful_drain_finishes_admitted_work(self):

@@ -469,21 +469,6 @@ class TestRecipeIndexThreads:
 
 
 class TestServeRuntime:
-    def test_select_flows_defaults_to_reference_table(self):
-        runtime = ServeRuntime(use_disk_cache=False)
-        assert runtime.select_flows(None) == list(runtime.flows)
-
-    def test_select_flows_by_name_preserves_order(self):
-        runtime = ServeRuntime(use_disk_cache=False)
-        names = (runtime.flows[3].name, runtime.flows[0].name)
-        selected = runtime.select_flows(names)
-        assert [flow.name for flow in selected] == list(names)
-
-    def test_select_flows_unknown_is_one_line(self):
-        runtime = ServeRuntime(use_disk_cache=False)
-        with pytest.raises(ValidationError, match="unknown flow"):
-            runtime.select_flows(("NOWHERE->NOPLACE",))
-
     def test_cache_stats_shape(self):
         runtime = ServeRuntime(use_disk_cache=False)
         stats = runtime.cache_stats()
