@@ -33,12 +33,11 @@ from repro.exec.engine import run_replay_parallel
 from repro.exec.telemetry import counter_delta
 from repro.netmodel.conditions import LinkState
 from repro.netmodel.scenarios import WEEK_S, Scenario, generate_timeline
-from repro.netmodel.topologies import coast_to_coast_flows
 from repro.obs import Observability
 from repro.routing.registry import make_policy
 from repro.simulation import kernel
 from repro.simulation.results import ReplayConfig
-from repro.topogen import generate_topology
+from repro.topogen import coast_to_coast_flows, generate_topology
 from repro.util.tables import render_table
 from repro.util.validation import ValidationError
 

@@ -15,11 +15,8 @@ Run:  python examples/scaling_study.py           (about a minute)
 from repro import ReplayConfig, ServiceSpec
 from repro.analysis.metrics import gap_coverage
 from repro.netmodel.scenarios import DAY_S, Scenario, generate_timeline
-from repro.netmodel.topologies import (
-    coast_to_coast_flows,
-    synthetic_continental_topology,
-)
 from repro.simulation.interval import run_replay
+from repro.topogen import resolve_workload
 
 SIZES = (12, 16, 20)
 TRACE_DAYS = 2.0
@@ -39,8 +36,8 @@ def main() -> None:
         f"{'targeted':>9s} {'targeted $':>11s} {'flooding $':>11s}"
     )
     for size in SIZES:
-        topology = synthetic_continental_topology(size, seed=size)
-        flows = coast_to_coast_flows(topology, 8)
+        workload = resolve_workload("continental", size, size)
+        topology, flows = workload.topology, workload.flows
         _events, timeline = generate_timeline(
             topology, Scenario(duration_s=TRACE_DAYS * DAY_S), seed=7
         )

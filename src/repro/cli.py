@@ -521,13 +521,7 @@ def _cmd_bench(args: argparse.Namespace) -> int:
         print(f"appended {len(entries)} entr(y/ies) to {target}: {names}")
         return 0
     # check
-    findings = check(
-        args.history_dir,
-        branch,
-        window=args.window,
-        rel_threshold=args.rel_threshold,
-        mad_factor=args.mad_factor,
-    )
+    findings = check(args.history_dir, branch)
     counts = summarize(findings)
     for finding in findings:
         print(format_finding(finding))
@@ -537,8 +531,6 @@ def _cmd_bench(args: argparse.Namespace) -> int:
         f"bench history [{branch}]: {counts['regression']} regression(s), "
         f"{counts['shift']} shift(s), {counts['improvement']} improvement(s)"
     )
-    if args.strict and counts["regression"]:
-        return 1
     return 0
 
 
@@ -549,7 +541,7 @@ def _cmd_topology(args: argparse.Namespace) -> int:
         generate_topology,
         resolve_workload,
     )
-    from repro.topogen.registry import DEFAULT_FLOW_COUNT, family_info
+    from repro.topogen.registry import family_info
 
     if args.topology_command == "generate":
         generated = generate_topology(args.family, args.size, args.seed)
@@ -613,7 +605,7 @@ def _cmd_topology(args: argparse.Namespace) -> int:
         workload = resolve_workload(
             generated.family, generated.size, generated.seed
         )
-        print(f"default flows ({DEFAULT_FLOW_COUNT}):")
+        print(f"default flows ({len(workload.flows)}):")
         for flow in workload.flows:
             print(f"  {flow.name}")
     return 0
@@ -807,13 +799,9 @@ def _print_client_result(args: argparse.Namespace, result: dict, manifest: dict)
                 f"{row['average_cost_messages']:>13.2f}"
             )
     elif "distribution" in result:
-        print(f"{'category':<28} {'fraction':>9} {'count':>6}")
-        counts = result.get("counts", {})
-        for category, fraction in sorted(result["distribution"].items()):
-            print(
-                f"{category:<28} {fraction:>9.4f} "
-                f"{counts.get(category, 0):>6}"
-            )
+        print(
+            format_classification_table(result["distribution"], result.get("counts"))
+        )
     elif "rows" in result:
         _print_chaos_table(result["rows"])
     serve_extra = manifest.get("extra", {}).get("serve", {})
@@ -1092,33 +1080,10 @@ def build_parser() -> argparse.ArgumentParser:
         "--commit", default="", help="(ingest) commit id to stamp entries with"
     )
     history.add_argument(
-        "--window",
-        type=int,
-        default=20,
-        help="(check) trailing baseline window per workload (default: 20)",
-    )
-    history.add_argument(
-        "--rel-threshold",
-        type=float,
-        default=0.05,
-        help="(check) relative floor of the noise band (default: 0.05)",
-    )
-    history.add_argument(
-        "--mad-factor",
-        type=float,
-        default=3.0,
-        help="(check) MAD multiplier of the noise band (default: 3)",
-    )
-    history.add_argument(
         "--annotate",
         action="store_true",
         help="(check) also print GitHub Actions annotation lines "
         "(regressions as warnings -- soft fail)",
-    )
-    history.add_argument(
-        "--strict",
-        action="store_true",
-        help="(check) exit 1 when any regression is flagged",
     )
     history.set_defaults(handler=_cmd_bench)
 

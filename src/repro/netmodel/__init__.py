@@ -20,10 +20,6 @@ proprietary, so this package supplies the closest synthetic equivalent:
 from repro.netmodel.conditions import ConditionTimeline, LinkState
 from repro.netmodel.presets import preset_names, preset_scenario
 from repro.netmodel.scenarios import Scenario, generate_events, generate_timeline
-from repro.netmodel.topologies import (
-    coast_to_coast_flows,
-    synthetic_continental_topology,
-)
 from repro.netmodel.topology import (
     FlowSpec,
     ServiceSpec,
@@ -33,10 +29,8 @@ from repro.netmodel.topology import (
 
 __all__ = [
     "ConditionTimeline",
-    "coast_to_coast_flows",
     "preset_names",
     "preset_scenario",
-    "synthetic_continental_topology",
     "FlowSpec",
     "LinkState",
     "Scenario",

@@ -16,7 +16,7 @@ turns those per-run artifacts into a durable record:
   run against a 4-week run would be noise by construction) and flags
   metrics whose latest value moved beyond the noise band.
 
-The noise band is ``max(rel_threshold * |median|, mad_factor * MAD)``:
+The noise band is ``max(5 % of |median|, 3 * MAD)``:
 the relative floor keeps micro-benchmarks with near-zero variance from
 flagging every run, the MAD term adapts to genuinely noisy metrics.
 Whether a shift is a *regression* depends on the metric's direction,
@@ -65,10 +65,10 @@ MIN_BASELINE = 3
 #: Default trailing-window size for the baseline.
 DEFAULT_WINDOW = 20
 
-#: Default relative floor of the noise band (5 % of the median).
+#: Relative floor of the noise band (5 % of the median).
 DEFAULT_REL_THRESHOLD = 0.05
 
-#: Default multiplier on the median absolute deviation.
+#: Multiplier on the median absolute deviation.
 DEFAULT_MAD_FACTOR = 3.0
 
 #: Substrings marking a metric where *larger* is *worse* (durations,
@@ -230,13 +230,7 @@ def _mad(values: list[float], center: float) -> float:
     return median([abs(value - center) for value in values])
 
 
-def check(
-    root: str | Path,
-    branch: str,
-    window: int = DEFAULT_WINDOW,
-    rel_threshold: float = DEFAULT_REL_THRESHOLD,
-    mad_factor: float = DEFAULT_MAD_FACTOR,
-) -> list[dict]:
+def check(root: str | Path, branch: str, window: int = DEFAULT_WINDOW) -> list[dict]:
     """Findings for the newest entry of every workload on ``branch``.
 
     Each finding describes one metric of one experiment whose latest
@@ -247,8 +241,6 @@ def check(
     no finding.
     """
     require(window >= MIN_BASELINE, f"window must be >= {MIN_BASELINE}")
-    require(rel_threshold >= 0.0, "rel_threshold must be >= 0")
-    require(mad_factor >= 0.0, "mad_factor must be >= 0")
     groups: dict[tuple, list[HistoryEntry]] = {}
     for entry in read_history(root, branch):
         groups.setdefault(_workload_key(entry), []).append(entry)
@@ -266,7 +258,8 @@ def check(
                 continue
             center = median(values)
             band = max(
-                rel_threshold * abs(center), mad_factor * _mad(values, center)
+                DEFAULT_REL_THRESHOLD * abs(center),
+                DEFAULT_MAD_FACTOR * _mad(values, center),
             )
             delta = value - center
             if abs(delta) <= band:

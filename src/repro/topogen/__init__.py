@@ -4,18 +4,19 @@ The paper evaluates a 12-site commercial overlay; the scaling work needs
 meshes two orders of magnitude larger.  This package generates them:
 
 * :mod:`repro.topogen.generators` -- the family constructors
-  (random-geometric, Waxman, ISP-like hierarchical tiers, plus the
-  legacy continental generator), all placing sites geographically and
-  deriving link latency from great-circle distance via
-  :mod:`repro.netmodel.geo`;
+  (random-geometric, Waxman, ISP-like hierarchical tiers, and the
+  nearest-neighbour continental family), all placing sites
+  geographically, deriving link latency from great-circle distance via
+  :mod:`repro.netmodel.geo`, and sharing one biconnectivity patcher;
 * :mod:`repro.topogen.artifact` -- :class:`GeneratedTopology`, the
   canonical JSON description + content digest of one generated
   topology (the :class:`~repro.scenarios.families.CompiledScenario`
   pattern applied to topologies);
 * :mod:`repro.topogen.registry` -- the family registry with one-line
-  unknown-name errors, and :func:`resolve_workload`, the single
+  unknown-name errors, :func:`resolve_workload`, the single
   topology-resolution path shared by ``evaluate``/``chaos``/``serve``
-  (``"reference"`` selects the paper's 12-site overlay).
+  (``"reference"`` selects the paper's 12-site overlay), and
+  :func:`coast_to_coast_flows`, the flow rule of generated overlays.
 
 Reproducibility contract: ``(family, size, seed)`` fully determines the
 artifact, byte for byte, across processes and platforms -- every random
@@ -30,6 +31,7 @@ from repro.topogen.artifact import ARTIFACT_VERSION, GeneratedTopology
 from repro.topogen.registry import (
     REFERENCE_NAME,
     Workload,
+    coast_to_coast_flows,
     family_names,
     generate_topology,
     resolve_workload,
@@ -41,6 +43,7 @@ __all__ = [
     "GeneratedTopology",
     "REFERENCE_NAME",
     "Workload",
+    "coast_to_coast_flows",
     "family_names",
     "generate_topology",
     "resolve_workload",

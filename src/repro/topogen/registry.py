@@ -7,7 +7,7 @@ one-line error everywhere and the paper's 12-site reference overlay is
 just one more name (``"reference"``) rather than a hard-coded default
 scattered across call sites.
 
-``resolve_workload`` memoises per ``(family, size, seed, flow_count)``:
+``resolve_workload`` memoises per ``(family, size, seed)``:
 topologies are frozen and flow tuples immutable, so sharing one built
 instance across requests is safe, and the exec layer's content-addressed
 context key (which fingerprints the full node/link set) keeps shard
@@ -35,6 +35,7 @@ __all__ = [
     "FamilyInfo",
     "REFERENCE_NAME",
     "Workload",
+    "coast_to_coast_flows",
     "family_info",
     "family_names",
     "generate_topology",
@@ -45,8 +46,9 @@ __all__ = [
 #: The paper's 12-site overlay, addressable through the same registry.
 REFERENCE_NAME = "reference"
 
-#: Default flow count for generated topologies (the reference overlay
-#: keeps its 16 measured flows).
+#: Flows in a generated topology's workload -- fewer on an overlay with
+#: fewer east-to-west pairs (the reference overlay keeps its 16 measured
+#: flows).
 DEFAULT_FLOW_COUNT = 8
 
 
@@ -90,7 +92,7 @@ _FAMILIES: dict[str, FamilyInfo] = {
             4,
             48,
             build_continental,
-            "legacy nearest-neighbour generator (250 km site separation)",
+            "three nearest neighbours per site (250 km site separation)",
         ),
     )
 }
@@ -158,10 +160,35 @@ class Workload:
         return [by_name[name] for name in names]
 
 
+def coast_to_coast_flows(topology: Topology, count: int) -> tuple[FlowSpec, ...]:
+    """East-to-west flows between the extreme sites of a topology.
+
+    Picks the ``count/2``-ish eastern-most sources and western-most
+    destinations by longitude and pairs them round-robin.
+    """
+    require(count >= 1, "count must be >= 1")
+    by_longitude = sorted(
+        topology.nodes, key=lambda node: topology.node_attributes(node)["lon"]
+    )
+    half = max(1, min(len(by_longitude) // 2, (count + 1) // 2))
+    west = by_longitude[:half]
+    east = by_longitude[-half:]
+    flows = []
+    index = 0
+    while len(flows) < count and index < count * 4:
+        source = east[index % len(east)]
+        destination = west[(index // len(east)) % len(west)]
+        index += 1
+        if source == destination:
+            continue
+        flow = FlowSpec(source, destination)
+        if flow not in flows:
+            flows.append(flow)
+    return tuple(flows[:count])
+
+
 @functools.lru_cache(maxsize=16)
-def _resolved(
-    family: str | None, size: int | None, seed: int, flow_count: int
-) -> Workload:
+def _resolved(family: str | None, size: int | None, seed: int) -> Workload:
     if family is None:
         return Workload(
             topology=build_reference_topology(),
@@ -171,11 +198,9 @@ def _resolved(
     assert size is not None
     generated = generate_topology(family, size, seed)
     topology = generated.topology()
-    from repro.netmodel.topologies import coast_to_coast_flows
-
     return Workload(
         topology=topology,
-        flows=tuple(coast_to_coast_flows(topology, flow_count)),
+        flows=coast_to_coast_flows(topology, DEFAULT_FLOW_COUNT),
         generated=generated,
     )
 
@@ -184,7 +209,6 @@ def resolve_workload(
     family: str | None = None,
     size: int | None = None,
     seed: int | None = None,
-    flow_count: int = DEFAULT_FLOW_COUNT,
 ) -> Workload:
     """The one resolution path from CLI/serve knobs to (topology, flows).
 
@@ -199,7 +223,7 @@ def resolve_workload(
             "topology size/seed apply only to generator families; "
             f"the {REFERENCE_NAME!r} topology is fixed",
         )
-        return _resolved(None, None, 0, 0)
+        return _resolved(None, None, 0)
     assert family is not None
     family_info(family)  # unknown names fail before size checks
     require(
@@ -208,4 +232,4 @@ def resolve_workload(
         f"(--topology-size)",
     )
     assert size is not None
-    return _resolved(family, size, 0 if seed is None else seed, flow_count)
+    return _resolved(family, size, 0 if seed is None else seed)

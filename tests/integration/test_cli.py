@@ -117,6 +117,20 @@ class TestTraceCommands:
             for category in CATEGORY_ORDER
         ]
 
+    def test_client_classify_prints_the_local_table(self, capsys):
+        from repro.serve import ServeConfig, ServerThread
+
+        argv = ["classify", "--weeks", "0.5", "--seed", "7"]
+        assert main(argv) == 0
+        local = capsys.readouterr().out
+        thread = ServerThread(ServeConfig(port=0, use_disk_cache=False))
+        port = thread.start()
+        try:
+            assert main(["client", *argv, "--port", str(port)]) == 0
+        finally:
+            thread.stop()
+        assert local in capsys.readouterr().out
+
     def test_classify_rejects_old_trace_spelling(self, tmp_path, capsys):
         # ``--trace`` was the pre-PR-4 spelling; classify and evaluate now
         # agree on ``--trace-file`` for condition-trace inputs.

@@ -76,6 +76,17 @@ class TestInfo:
         out = capsys.readouterr().out
         assert "->" in out  # flow names like G3->G17
 
+    def test_flow_count_is_the_listed_count(self, capsys):
+        # A 4-site overlay has only four east-to-west pairs, not eight.
+        code = main(
+            ["topology", "info", "--family", "continental", "--size", "4",
+             "--seed", "2", "--flows"]
+        )
+        assert code == 0
+        out = capsys.readouterr().out
+        assert "default flows (4):" in out
+        assert out.count("->") == 4
+
 
 class TestErrors:
     def test_unknown_family_one_line(self, capsys):
